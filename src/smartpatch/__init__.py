@@ -23,7 +23,7 @@ from .constraints import (
     resolve_inner_identity,
 )
 from .io import PatchFormatError, PatchSet, dump_patchset, export_obj, load_newell, load_patchset
-from .linalg import RationalMatrix, mat_mul, rref_exact
+from .linalg import RationalMatrix
 from .patches import (
     BezierPatch,
     DomainError,

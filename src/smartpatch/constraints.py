@@ -22,7 +22,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import BezierPatch, HermitePatch, as_grid, bezier_basis, reparam_T
+from .patches import _BB_ROWS, _T_ROWS, BezierPatch, HermitePatch, as_grid
+from .patches import bezier_basis, reparam_T
 
 __all__ = [
     "DiagonalKind",
@@ -70,6 +71,7 @@ class DiagonalKind(Enum):
 # remaining 12 positions in row-major order (x01, x02, x10, x11, ...).
 CORNER_INDICES = (0, 3, 12, 15)
 NONCORNER_INDICES = tuple(k for k in range(16) if k not in CORNER_INDICES)
+_NONCORNERS = list(NONCORNER_INDICES)  # numpy reads a tuple index as one index per axis
 
 # Independently tabulated copy of the 6x16 constraint matrix.  The build
 # derives its own matrix from the basis matrices and must reproduce this
@@ -145,8 +147,8 @@ def collapse_diagonal(g, kind: DiagonalKind) -> Poly:
     return Poly(coeffs)
 
 
-_MB_Q = RationalMatrix(((-1, 3, -3, 1), (3, -6, 3, 0), (-3, 3, 0, 0), (1, 0, 0, 0)))
-_T_Q = RationalMatrix(((-1, 3, -3, 1), (0, 1, -2, 1), (0, 0, -1, 1), (0, 0, 0, 1)))
+_MB_Q = RationalMatrix(_BB_ROWS)
+_T_Q = RationalMatrix(_T_ROWS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,13 +218,15 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class _Solver:
-    """Exact reduced machinery shared by bs_solve and bs_project.
+    """Reduced machinery shared by bs_solve and bs_project.
 
     ``reduced @ xi2 == rhs @ xi1`` is the full-rank (5-row) form of the
     constraint system with corners moved to the right-hand side.
     ``particular``/``homogeneous`` give the affine solution map used by
     bs_solve; ``gain`` is the least-squares correction map used by
-    bs_project (gain = reduced^T (reduced reduced^T)^-1).
+    bs_project (gain = reduced^T (reduced reduced^T)^-1).  These exact
+    maps are derived and certified once; bs_solve and bs_project run on
+    the read-only float copies in the ``_f`` fields.
     """
 
     reduced: RationalMatrix     # 5 x 12
@@ -232,6 +236,10 @@ class _Solver:
     particular: RationalMatrix  # 12 x 4: xi2 from corners with free values 0
     homogeneous: RationalMatrix # 12 x 7: contribution of the free values
     gain: RationalMatrix        # 12 x 5
+    solve_f: np.ndarray         # 16 x 11: vec(grid) from (corners, free values)
+    given_idx: list             # the 11 positions in vec(grid) that solve_f copies
+    reduced_f: np.ndarray       # 5 x 16: reduced system residual of vec(grid)
+    gain_f: np.ndarray          # 12 x 5
 
 
 @functools.lru_cache(maxsize=1)
@@ -279,18 +287,46 @@ def _solver() -> _Solver:
         homo[p] = [-reduced[r, f] for f in free]
     for k, f in enumerate(free):
         homo[f][k] = Fraction(1)
+    particular, homogeneous = RationalMatrix(part), RationalMatrix(homo)
 
     gram_inv = (reduced @ reduced.transpose()).inverse()
     gain = reduced.transpose() @ gram_inv
+    _certify(reduced, rhs, particular, homogeneous, gain)
+
+    solve_f = np.zeros((16, 11))
+    solve_f[list(CORNER_INDICES), :4] = np.eye(4)
+    solve_f[_NONCORNERS] = particular.hstack(homogeneous).to_float()
+    reduced_f = np.zeros((5, 16))
+    reduced_f[:, _NONCORNERS] = reduced.to_float()
+    reduced_f[:, list(CORNER_INDICES)] = -rhs.to_float()
+    for m in (solve_f, reduced_f):
+        m.flags.writeable = False
     return _Solver(
         reduced=reduced,
         rhs=rhs,
         pivot_cols=pivots,
         free_cols=free,
-        particular=RationalMatrix(part),
-        homogeneous=RationalMatrix(homo),
+        particular=particular,
+        homogeneous=homogeneous,
         gain=gain,
+        solve_f=solve_f,
+        given_idx=[*CORNER_INDICES, *(NONCORNER_INDICES[f] for f in free)],
+        reduced_f=reduced_f,
+        gain_f=gain.to_float(),
     )
+
+
+def _certify(reduced, rhs, particular, homogeneous, gain) -> None:
+    """Check exactly the identities that bs_solve and bs_project rely on.
+
+    With them every solve satisfies the reduced system, for any input, and
+    every projection cancels the residual it is given."""
+    if reduced @ particular != rhs:
+        raise DerivationError("particular solution does not satisfy the reduced system")
+    if not (reduced @ homogeneous).is_zero():
+        raise DerivationError("homogeneous solutions leave the reduced system's null space")
+    if reduced @ gain != RationalMatrix.identity(reduced.rows):
+        raise DerivationError("projection gain is not a right inverse of the reduced system")
 
 
 def bs_free_cells() -> tuple:
@@ -321,35 +357,33 @@ class ConstraintReport:
     tolerance_used: float
 
 
+def _vec(g) -> np.ndarray:
+    """Row-major 16-vector of one 4x4 coordinate grid."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (4, 4):
+        raise ValueError(f"grid must be 4x4, got {g.shape}")
+    return g.reshape(-1)
+
+
 def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Compliance report for one coordinate grid.
 
-    The six leading diagonal coefficients are reported relative to
+    The six leading diagonal coefficients, read as the certified constraint
+    matrix applied to the grid, are reported relative to
     max(1, max |grid value|); the grid complies when the largest relative
     magnitude stays within ``tol``.
     """
-    g = np.asarray(g, dtype=float)
-    scale = grid_scale(g)
+    flat = _vec(g)
+    coeffs = (build_lambda().lam @ flat).tolist()
+    scale = grid_scale(flat)
     per = {}
-    worst = 0.0
-    for kind in DiagonalKind:
-        poly = collapse_diagonal(g, kind)
-        a6, a5, a4 = poly.coeffs[0], poly.coeffs[1], poly.coeffs[2]
+    for kind, (a6, a5, a4) in zip(DiagonalKind, (coeffs[:3], coeffs[3:])):
         rel = tuple(abs(c) / scale for c in (a6, a5, a4))
         per[kind] = DiagonalResiduals(a6=a6, a5=a5, a4=a4, rel=rel)
-        worst = max(worst, *rel)
+    worst = max(d.max_rel for d in per.values())
     return ConstraintReport(
         per_diagonal=per, max_residual=worst, compliant=worst <= tol, tolerance_used=tol
     )
-
-
-def _assemble(xi1, xi2) -> np.ndarray:
-    flat = [0.0] * 16
-    for k, c in zip(CORNER_INDICES, xi1):
-        flat[k] = float(c)
-    for k, v in zip(NONCORNER_INDICES, xi2):
-        flat[k] = float(v)
-    return as_grid(np.array(flat).reshape(4, 4))
 
 
 def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
@@ -357,21 +391,19 @@ def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
 
     ``corners`` is (x00, x03, x30, x33); ``free`` feeds the non-pivot
     columns of the reduced system (grid cells given by bs_free_cells()).
-    The solve runs in exact rational arithmetic and is rounded to float
-    only on output.
+    The solution map is derived and certified once in exact rational
+    arithmetic; each call is one float product with it, and the corners
+    and free values are copied into the grid bit-exact.
     """
     if len(corners) != 4:
         raise ValueError("need exactly 4 corner values")
     if len(free) != 7:
         raise ValueError("need exactly 7 free values")
     s = _solver()
-    xi1 = RationalMatrix.column(corners)
-    f = RationalMatrix.column(free)
-    xi2 = s.particular @ xi1 + s.homogeneous @ f
-    residual = s.reduced @ xi2 + (-s.rhs @ xi1)
-    if not residual.is_zero():
-        raise DerivationError("exact solve left a nonzero residual")
-    return _assemble(corners, [xi2[k, 0] for k in range(12)])
+    given = np.array([*corners, *free], dtype=float)
+    flat = s.solve_f @ given
+    flat[s.given_idx] = given
+    return as_grid(flat.reshape(4, 4))
 
 
 def bs_project(g) -> np.ndarray:
@@ -379,23 +411,15 @@ def bs_project(g) -> np.ndarray:
 
     Minimizes the summed squared change of the 12 non-corner values
     subject to the reduced constraint system; corners pass through
-    bit-exact.  Computed in exact rational arithmetic, so projecting an
-    already-compliant grid returns it unchanged and projecting twice is
-    the identity up to the final float rounding.
+    bit-exact.  The float gain, certified once in exact arithmetic, is
+    applied to the grid's residual, so a compliant grid moves only by
+    rounding and projecting twice is the identity to the same accuracy.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (4, 4):
-        raise ValueError(f"grid must be 4x4, got {g.shape}")
+    flat = _vec(g)
     s = _solver()
-    flat = g.reshape(-1)
-    xi1 = RationalMatrix.column([flat[k] for k in CORNER_INDICES])
-    xi2 = RationalMatrix.column([flat[k] for k in NONCORNER_INDICES])
-    residual = s.reduced @ xi2 + (-s.rhs @ xi1)
-    correction = s.gain @ residual
-    projected = xi2 + (-correction)
-    return _assemble(
-        [xi1[k, 0] for k in range(4)], [projected[k, 0] for k in range(12)]
-    )
+    out = flat.copy()
+    out[_NONCORNERS] -= s.gain_f @ (s.reduced_f @ flat)
+    return as_grid(out.reshape(4, 4))
 
 
 def bs_inner_identity(g) -> float:

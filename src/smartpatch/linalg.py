@@ -1,9 +1,9 @@
-"""Small dense float helpers plus exact rational matrices.
+"""Exact rational matrices.
 
-Float arithmetic (numpy) is used for evaluation and meshing.  Everything
-that certifies structure - ranks, pivot sets, reduced systems, nullspaces -
-runs on Fraction-valued matrices so the answers are exact instead of
-tolerance-based.
+Everything that certifies structure - ranks, pivot sets, reduced systems,
+nullspaces - runs on Fraction-valued matrices so the answers are exact
+instead of tolerance-based.  Run-time paths use float copies made with
+``to_float`` once the exact matrices are certified.
 """
 
 from __future__ import annotations
@@ -11,21 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-
-
-def mat_mul(a, b):
-    """Matrix product with an explicit inner-dimension check.
-
-    Raises ValueError on mismatch instead of letting numpy broadcast
-    something surprising.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("mat_mul expects 2-D arrays")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _frac(x) -> Fraction:
@@ -83,9 +68,6 @@ class RationalMatrix:
     def row(self, i):
         return self.data[i]
 
-    def col(self, j):
-        return tuple(row[j] for row in self.data)
-
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.data == other.data
 
@@ -114,10 +96,6 @@ class RationalMatrix:
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix([[-x for x in row] for row in self.data])
-
-    def scaled(self, s) -> "RationalMatrix":
-        s = _frac(s)
-        return RationalMatrix([[s * x for x in row] for row in self.data])
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.data)))
@@ -195,8 +173,3 @@ class RationalMatrix:
                 v[p] = -red[r, f]
             basis.append(tuple(v))
         return basis
-
-
-def rref_exact(m: RationalMatrix):
-    """Exact reduced row-echelon form: (rref, rank, pivot_cols)."""
-    return m.rref()

@@ -159,12 +159,6 @@ def eval_curve(p, t: float, extrapolate: bool = False) -> float:
     return float(p @ bernstein_weights(t))
 
 
-def eval_grid(g, u: float, v: float, extrapolate: bool = False) -> float:
-    _check_param(u, extrapolate)
-    _check_param(v, extrapolate)
-    return float(bernstein_weights(u) @ np.asarray(g, dtype=float) @ bernstein_weights(v))
-
-
 def eval_patch(patch: BezierPatch, u: float, v: float, extrapolate: bool = False) -> np.ndarray:
     """Point on the patch at (u, v) as an xyz array."""
     _check_param(u, extrapolate)

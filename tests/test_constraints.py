@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from smartpatch.constraints import (
     CORNER_INDICES,
     LAMBDA_REFERENCE,
     NONCORNER_INDICES,
+    DerivationError,
     Poly,
+    _certify,
     _solver,
     grid_scale,
 )
@@ -43,6 +47,7 @@ from helpers import (
     bilinear_grid,
     hs_consistent_grid,
     random_compliant_grid,
+    random_patch,
     shared_edge_pair,
 )
 
@@ -263,6 +268,21 @@ def test_report_shape(rng):
     assert rep.compliant == (rep.max_residual <= 1e-9)
 
 
+def random_magnitude(rng) -> float:
+    return 10.0 ** rng.integers(-3, 4)
+
+
+def test_residual_coefficients_match_collapse_oracle(rng):
+    for _ in range(200):
+        g = rng.uniform(-10, 10, (4, 4)) * random_magnitude(rng)
+        rep = bs_residuals(g)
+        for kind in DiagonalKind:
+            d = rep.per_diagonal[kind]
+            expect = collapse_diagonal(g, kind).coeffs[:3]
+            err = np.max(np.abs(np.subtract((d.a6, d.a5, d.a4), expect)))
+            assert err <= 1e-12 * grid_scale(g)
+
+
 # ---------------------------------------------------------------------------
 # solving
 
@@ -305,6 +325,77 @@ def test_solve_input_validation():
         bs_solve([1, 2, 3], [0] * 7)
     with pytest.raises(ValueError):
         bs_solve([1, 2, 3, 4], [0] * 6)
+
+
+def exact_grid(corners, xi2: RationalMatrix) -> np.ndarray:
+    flat = np.empty(16)
+    flat[list(CORNER_INDICES)] = corners
+    flat[list(NONCORNER_INDICES)] = xi2.to_float()[:, 0]
+    return flat.reshape(4, 4)
+
+
+def exact_solve(corners, free) -> np.ndarray:
+    """bs_solve evaluated exactly through the solver's rational maps, rounded once."""
+    s = _solver()
+    xi2 = s.particular @ RationalMatrix.column(corners)
+    xi2 = xi2 + s.homogeneous @ RationalMatrix.column(free)
+    return exact_grid(corners, xi2)
+
+
+def exact_project(g) -> np.ndarray:
+    """bs_project evaluated exactly through the solver's rational maps, rounded once."""
+    s = _solver()
+    flat = np.asarray(g, dtype=float).reshape(-1)
+    corners = flat[list(CORNER_INDICES)]
+    xi1 = RationalMatrix.column(corners)
+    xi2 = RationalMatrix.column(flat[list(NONCORNER_INDICES)])
+    correction = s.gain @ (s.reduced @ xi2 + -(s.rhs @ xi1))
+    return exact_grid(corners, xi2 + -correction)
+
+
+def test_float_solve_and_project_match_exact_maps(rng):
+    for _ in range(200):
+        mag = random_magnitude(rng)
+        corners, free = rng.uniform(-10, 10, 4) * mag, rng.uniform(-10, 10, 7) * mag
+        expect = exact_solve(corners, free)
+        assert np.max(np.abs(bs_solve(corners, free) - expect)) <= 1e-13 * grid_scale(expect)
+        g = rng.uniform(-10, 10, (4, 4)) * mag
+        expect = exact_project(g)
+        assert np.max(np.abs(bs_project(g) - expect)) <= 1e-13 * grid_scale(expect)
+
+
+def test_certification_rejects_a_perturbed_map(monkeypatch):
+    s = _solver()
+    names = ("reduced", "rhs", "particular", "homogeneous", "gain")
+    maps = {name: getattr(s, name) for name in names}
+
+    def perturbed(m: RationalMatrix) -> RationalMatrix:
+        rows = [list(row) for row in m.data]
+        rows[0][0] += Fraction(1, 2**40)
+        return RationalMatrix(rows)
+
+    _certify(**maps)
+    for name in ("particular", "homogeneous", "gain"):
+        with pytest.raises(DerivationError):
+            _certify(**{**maps, name: perturbed(maps[name])})
+    # the uncached derivation runs the same certification
+    inverse = RationalMatrix.inverse
+    monkeypatch.setattr(RationalMatrix, "inverse", lambda m: perturbed(inverse(m)))
+    with pytest.raises(DerivationError):
+        _solver.__wrapped__()
+
+
+def test_run_time_operators_build_no_rational_matrices(monkeypatch, rng):
+    _solver()
+
+    def forbidden(self, rows):
+        raise AssertionError("RationalMatrix built on a run-time path")
+
+    monkeypatch.setattr(RationalMatrix, "__init__", forbidden)
+    g = rng.uniform(-10, 10, (4, 4))
+    assert not bs_residuals(g).compliant
+    assert bs_residuals(bs_project(g)).compliant
+    assert bs_residuals(bs_solve(rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 7))).compliant
 
 
 def test_solution_family_has_dimension_seven():
@@ -551,6 +642,15 @@ def test_repair_reaches_compliance_and_keeps_corners(rng):
             for i, j in CORNER_SLOTS:
                 assert g1[i, j] == g0[i, j]
     assert all(s.corner_displacement == 0.0 for s in result.per_patch)
+
+
+def test_repair_of_one_patch_is_bs_project(rng):
+    for _ in range(50):
+        p = random_patch(rng)
+        repaired = repair_patches([p]).patches[0]
+        scale = grid_scale(p.as_array)
+        for after, g in zip(repaired.grids, p.grids):
+            assert np.max(np.abs(after - bs_project(g))) <= 1e-12 * scale
 
 
 def test_repair_preserves_shared_edges_exactly(rng):

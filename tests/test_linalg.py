@@ -1,51 +1,27 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartpatch.constraints import LAMBDA_REFERENCE
-from smartpatch.linalg import RationalMatrix, mat_mul, rref_exact
-
-MB = [[-1, 3, -3, 1], [3, -6, 3, 0], [-3, 3, 0, 0], [1, 0, 0, 0]]
-
-
-def test_mat_mul_identity():
-    i4 = np.eye(4)
-    assert np.array_equal(mat_mul(i4, np.array(MB, dtype=float)), np.array(MB, dtype=float))
-
-
-def test_mat_mul_inverse_roundtrip():
-    mb = np.array(MB, dtype=float)
-    inv = RationalMatrix(MB).inverse().to_float()
-    assert np.allclose(mat_mul(mb, inv), np.eye(4), atol=1e-14)
-
-
-def test_mat_mul_row_vector_picks_first_row():
-    row = np.array([[1.0, 0.0, 0.0, 0.0]])
-    assert np.array_equal(mat_mul(row, np.array(MB, dtype=float))[0], [-1, 3, -3, 1])
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.ones((2, 3)), np.ones((2, 3)))
+from smartpatch.linalg import RationalMatrix
 
 
 def test_rref_zero_matrix():
-    _, rank, pivots = rref_exact(RationalMatrix.zeros(6, 16))
+    _, rank, pivots = RationalMatrix.zeros(6, 16).rref()
     assert rank == 0 and pivots == ()
 
 
 def test_rref_identity():
-    red, rank, pivots = rref_exact(RationalMatrix.identity(4))
+    red, rank, pivots = RationalMatrix.identity(4).rref()
     assert rank == 4
     assert pivots == (0, 1, 2, 3)
     assert red == RationalMatrix.identity(4)
 
 
 def test_rref_lambda_rank_is_five():
-    _, rank, _ = rref_exact(RationalMatrix(LAMBDA_REFERENCE))
+    _, rank, _ = RationalMatrix(LAMBDA_REFERENCE).rref()
     assert rank == 5
 
 
