@@ -233,21 +233,22 @@ def read_newell(path) -> PatchSet:
 # OBJ export
 
 
+def _rows(a: np.ndarray):
+    """Rows of ``a`` as lists of Python numbers, converted a block at a time
+    so the whole array never exists as Python objects at once."""
+    for start in range(0, len(a), 1024):
+        yield from a[start : start + 1024].tolist()
+
+
 def export_obj(mesh: TriangleMesh) -> str:
     """Serialize a mesh as ASCII OBJ (one-based indices, deterministic)."""
-    out = []
-    for v in mesh.vertices:
-        out.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    with_normals = mesh.normals is not None
-    if with_normals:
-        for nrm in mesh.normals:
-            out.append(f"vn {float(nrm[0])!r} {float(nrm[1])!r} {float(nrm[2])!r}")
-    for t in mesh.triangles:
-        i, j, k = (int(t[0]) + 1, int(t[1]) + 1, int(t[2]) + 1)
-        if with_normals:
-            out.append(f"f {i}//{i} {j}//{j} {k}//{k}")
-        else:
-            out.append(f"f {i} {j} {k}")
+    out = [f"v {x!r} {y!r} {z!r}" for x, y, z in _rows(mesh.vertices)]
+    faces = _rows(mesh.triangles + 1)
+    if mesh.normals is not None:
+        out += [f"vn {x!r} {y!r} {z!r}" for x, y, z in _rows(mesh.normals)]
+        out += [f"f {i}//{i} {j}//{j} {k}//{k}" for i, j, k in faces]
+    else:
+        out += [f"f {i} {j} {k}" for i, j, k in faces]
     return "\n".join(out) + ("\n" if out else "")
 
 

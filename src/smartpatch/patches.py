@@ -150,6 +150,13 @@ def bernstein_weights_many(ts: np.ndarray) -> np.ndarray:
     return mono @ _BB.T
 
 
+def bernstein_dweights_many(ts: np.ndarray) -> np.ndarray:
+    """Row k holds the derivatives B_i'(ts[k]); shape (len(ts), 4)."""
+    ts = np.asarray(ts, dtype=float)
+    mono = np.stack([3.0 * ts * ts, 2.0 * ts, np.ones_like(ts), np.zeros_like(ts)], axis=-1)
+    return mono @ _BB.T
+
+
 def eval_curve(p, t: float, extrapolate: bool = False) -> float:
     """Evaluate a cubic Bezier curve with control values ``p`` at ``t``."""
     _check_param(t, extrapolate)

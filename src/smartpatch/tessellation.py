@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -11,8 +12,8 @@ import numpy as np
 
 from .patches import (
     BezierPatch,
+    bernstein_dweights_many,
     bernstein_weights_many,
-    eval_patch,
     eval_patch_partials,
 )
 
@@ -90,11 +91,13 @@ def sample_grid(patch: BezierPatch, n: int) -> np.ndarray:
     return pts
 
 
-def _cell_uses_main(pattern: TessPattern, i: int, j: int) -> bool:
+def _main_diag_cells(pattern: TessPattern, n: int) -> np.ndarray:
+    """(n, n) mask of the cells (i along u, j along v) split along v=u."""
+    i, j = np.indices((n, n))
     if pattern is TessPattern.MAIN_DIAG:
-        return True
+        return np.ones((n, n), dtype=bool)
     if pattern is TessPattern.ANTI_DIAG:
-        return False
+        return np.zeros((n, n), dtype=bool)
     if pattern is TessPattern.ALTERNATING:
         return (i + j) % 2 == 0
     return i % 2 == 0  # ZIGZAG
@@ -112,24 +115,36 @@ def tessellate(
     triangles wound counter-clockwise when viewed against the parametric
     normal du x dv.
     """
-    pts = sample_grid(patch, n)
-    stride = n + 1
-    vertices = pts.reshape(-1, 3)
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a = i * stride + j
-            b = (i + 1) * stride + j
-            c = (i + 1) * stride + j + 1
-            d = i * stride + j + 1
-            if _cell_uses_main(pattern, i, j):
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-    normals = _vertex_normals(patch, n, vertices, np.array(tris)) if with_normals else None
-    return TriangleMesh(vertices=vertices, triangles=np.array(tris), normals=normals)
+    vertices = sample_grid(patch, n).reshape(-1, 3)
+    # corners of cell (i, j): a=(i, j), b=(i+1, j), c=(i+1, j+1), d=(i, j+1)
+    a = np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    main = _main_diag_cells(pattern, n)[..., None]
+    first = np.where(main, np.stack([a, b, c], axis=-1), np.stack([a, b, d], axis=-1))
+    second = np.where(main, np.stack([a, c, d], axis=-1), np.stack([b, c, d], axis=-1))
+    tris = np.stack([first, second], axis=2).reshape(-1, 3)
+    normals = _vertex_normals(patch, n, vertices, tris) if with_normals else None
+    return TriangleMesh(vertices=vertices, triangles=tris, normals=normals)
+
+
+def _grid_partials(patch: BezierPatch, us: np.ndarray, vs: np.ndarray):
+    """dP/du and dP/dv on the grid us x vs, each shaped (len(us), len(vs), 3)."""
+    a = patch.as_array
+    wu, wv = bernstein_weights_many(us), bernstein_weights_many(vs)
+    dwu, dwv = bernstein_dweights_many(us), bernstein_dweights_many(vs)
+    du = dwu @ (a @ wv.T)  # (3, len(us), len(vs))
+    dv = wu @ (a @ dwv.T)
+    return np.moveaxis(du, 0, -1), np.moveaxis(dv, 0, -1)
+
+
+def _unit_normals(du: np.ndarray, dv: np.ndarray):
+    """Unit du x dv along the last axis, and the mask of where it is defined:
+    it is not where |du x dv| <= 1e-12 * max(1, |du| |dv|)."""
+    cross = np.cross(du, dv)
+    norm = np.linalg.norm(cross, axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1))
+    ok = norm > 1e-12 * scale
+    return cross / np.where(ok, norm, 1.0)[..., None], ok
 
 
 def surface_normal(patch: BezierPatch, u: float, v: float, extrapolate: bool = False):
@@ -139,39 +154,27 @@ def surface_normal(patch: BezierPatch, u: float, v: float, extrapolate: bool = F
     relative to their magnitudes (collapsed edges, parallel partials).
     """
     _, du, dv = eval_patch_partials(patch, u, v, extrapolate)
-    cross = np.cross(du, dv)
-    norm = float(np.linalg.norm(cross))
-    scale = max(1.0, float(np.linalg.norm(du) * np.linalg.norm(dv)))
-    if norm <= 1e-12 * scale:
-        return None
-    return cross / norm
+    nrm, ok = _unit_normals(du, dv)
+    return nrm if ok else None
 
 
 def _vertex_normals(patch, n, vertices, triangles) -> np.ndarray:
     """Analytic normals per grid vertex, face-average fallback at degeneracies."""
     ts = np.linspace(0.0, 1.0, n + 1)
-    normals = np.zeros(((n + 1) ** 2, 3))
-    missing = []
-    for i, u in enumerate(ts):
-        for j, v in enumerate(ts):
-            nrm = surface_normal(patch, u, v)
-            if nrm is None:
-                missing.append(i * (n + 1) + j)
-            else:
-                normals[i * (n + 1) + j] = nrm
-    if missing:
+    du, dv = _grid_partials(patch, ts, ts)
+    normals, ok = _unit_normals(du.reshape(-1, 3), dv.reshape(-1, 3))
+    if not ok.all():
         face_n = np.cross(
             vertices[triangles[:, 1]] - vertices[triangles[:, 0]],
             vertices[triangles[:, 2]] - vertices[triangles[:, 0]],
         )
         acc = np.zeros_like(normals)
-        for t, fn in zip(triangles, face_n):
-            for k in t:
-                acc[k] += fn
-        for k in missing:
-            nrm = acc[k]
-            length = np.linalg.norm(nrm)
-            normals[k] = nrm / length if length > 1e-300 else (0.0, 0.0, 1.0)
+        np.add.at(acc, triangles, face_n[:, None, :])
+        acc = acc[~ok]
+        length = np.linalg.norm(acc, axis=1, keepdims=True)
+        normals[~ok] = np.divide(
+            acc, length, out=np.tile((0.0, 0.0, 1.0), (len(acc), 1)), where=length > 1e-300
+        )
     return normals
 
 
@@ -197,53 +200,45 @@ def merge_meshes(meshes: Sequence[TriangleMesh]) -> TriangleMesh:
 
 def edge_incidence(mesh: TriangleMesh) -> Counter:
     """Count how many triangles use each undirected edge."""
-    counts: Counter = Counter()
-    for t in mesh.triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            counts[(min(a, b), max(a, b))] += 1
-    return counts
+    nv = len(mesh.vertices)
+    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, counts = np.unique(edges[:, 0] * nv + edges[:, 1], return_counts=True)
+    lo, hi = np.divmod(keys, nv)
+    return Counter(dict(zip(zip(lo.tolist(), hi.tolist()), counts.tolist())))
 
 
 # ---------------------------------------------------------------------------
 # Edges and continuity
 
+# Where each side's control points sit in a (..., 3, 4, 4) patch array.
+_EDGE_INDEX = {
+    EdgeSide.U0: (..., 0, slice(None)),
+    EdgeSide.U1: (..., 3, slice(None)),
+    EdgeSide.V0: (..., slice(None), 0),
+    EdgeSide.V1: (..., slice(None), 3),
+}
+_NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+
+
+def _edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:
+    """(..., 4, 3) control points of one side of (..., 3, 4, 4) patch arrays."""
+    return np.swapaxes(arr[_EDGE_INDEX[side]], -1, -2)
+
 
 def edge_control_points(patch: BezierPatch, side: EdgeSide) -> np.ndarray:
     """The four xyz control points of one patch edge, in traversal order."""
-    x, y, z = patch.grids
-    if side is EdgeSide.U0:
-        sel = (slice(0, 1), slice(None))
-    elif side is EdgeSide.U1:
-        sel = (slice(3, 4), slice(None))
-    elif side is EdgeSide.V0:
-        sel = (slice(None), slice(0, 1))
-    else:
-        sel = (slice(None), slice(3, 4))
-    return np.stack([x[sel].ravel(), y[sel].ravel(), z[sel].ravel()], axis=1)
+    return _edge_points(patch.as_array, side).copy()
 
 
-def _edge_params(edge: EdgeId, t: float):
-    tau = 1.0 - t if edge.reversed else t
-    side = edge.side
-    if side is EdgeSide.U0:
-        return 0.0, tau
-    if side is EdgeSide.U1:
-        return 1.0, tau
-    if side is EdgeSide.V0:
-        return tau, 0.0
-    return tau, 1.0
-
-
-def edge_point(patch: BezierPatch, edge: EdgeId, t: float) -> np.ndarray:
-    u, v = _edge_params(edge, t)
-    return eval_patch(patch, u, v)
-
-
-def edge_cross_derivative(patch: BezierPatch, edge: EdgeId, t: float) -> np.ndarray:
-    """Partial derivative transverse to the edge (du for U edges, dv for V)."""
-    u, v = _edge_params(edge, t)
-    _, du, dv = eval_patch_partials(patch, u, v)
-    return du if edge.side in (EdgeSide.U0, EdgeSide.U1) else dv
+def _edge_frame(patch: BezierPatch, edge: EdgeId, ts: np.ndarray):
+    """Transverse partial (du on U edges, dv on V edges), unit normal and
+    its defined-mask at the matched edge parameters ``ts``, each row one t."""
+    tau = 1.0 - ts if edge.reversed else ts
+    fixed = np.array([1.0 if edge.side in (EdgeSide.U1, EdgeSide.V1) else 0.0])
+    u_edge = edge.side in (EdgeSide.U0, EdgeSide.U1)
+    du, dv = _grid_partials(patch, fixed, tau) if u_edge else _grid_partials(patch, tau, fixed)
+    du, dv = du.reshape(-1, 3), dv.reshape(-1, 3)
+    return (du if u_edge else dv), *_unit_normals(du, dv)
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,10 @@ def continuity_report(
     """Positional, derivative and tangent-plane agreement along two edges.
 
     Samples n+1 matched parameter values (each edge honours its own
-    orientation flag).  The derivative measure is the raw difference of
+    orientation flag).  Positions come from each edge's own control
+    points, taken in traversal order, so edges that carry bit-identical
+    control points report a gap of exactly 0.0 in either orientation.
+    The derivative measure is the raw difference of
     the transverse partials, i.e. parametric continuity: patches joined
     with mirrored parameterizations report a C1 mismatch even where the
     surface is geometrically smooth, and the G1 angle is the one that
@@ -275,27 +273,21 @@ def continuity_report(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    c0 = 0.0
-    c1 = 0.0
-    g1 = 0.0
-    for k in range(n + 1):
-        t = k / n
-        pa = edge_point(a, edge_a, t)
-        pb = edge_point(b, edge_b, t)
-        c0 = max(c0, float(np.linalg.norm(pa - pb)))
-        da = edge_cross_derivative(a, edge_a, t)
-        db = edge_cross_derivative(b, edge_b, t)
-        c1 = max(c1, float(np.linalg.norm(da - db)))
-        ua, va = _edge_params(edge_a, t)
-        ub, vb = _edge_params(edge_b, t)
-        na = surface_normal(a, ua, va)
-        nb = surface_normal(b, ub, vb)
-        if na is not None and nb is not None:
-            # atan2 form stays accurate for nearly parallel normals where
-            # arccos of the dot product would lose half the precision
-            angle = float(np.arctan2(np.linalg.norm(np.cross(na, nb)), np.dot(na, nb)))
-            g1 = max(g1, angle)
-    return ContinuityReport(c0_max_gap=c0, c1_max_mismatch=c1, g1_max_angle=g1, samples=n + 1)
+    ts = np.arange(n + 1) / n
+    w = bernstein_weights_many(ts)
+    qa, qb = edge_control_points(a, edge_a.side), edge_control_points(b, edge_b.side)
+    gap = w @ (qa[::-1] if edge_a.reversed else qa) - w @ (qb[::-1] if edge_b.reversed else qb)
+    da, na, ok_a = _edge_frame(a, edge_a, ts)
+    db, nb, ok_b = _edge_frame(b, edge_b, ts)
+    # atan2 form stays accurate for nearly parallel normals where
+    # arccos of the dot product would lose half the precision
+    angle = np.arctan2(np.linalg.norm(np.cross(na, nb), axis=1), np.sum(na * nb, axis=1))
+    return ContinuityReport(
+        c0_max_gap=float(np.max(np.linalg.norm(gap, axis=1))),
+        c1_max_mismatch=float(np.max(np.linalg.norm(da - db, axis=1))),
+        g1_max_angle=float(np.max(angle[ok_a & ok_b], initial=0.0)),
+        samples=n + 1,
+    )
 
 
 def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
@@ -304,31 +296,44 @@ def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     Forward matches are preferred over reversed ones; zero-length edges
     (all four control points coincident) are skipped since they bound no
     shared curve.  The tolerance is relative to the coordinate scale of
-    the whole set.
+    the whole set.  Records come in the order of (patch, side) of the
+    first edge, then of the second.
     """
     if not patches:
         return []
-    scale = max(1.0, max(float(np.max(np.abs(g))) for p in patches for g in p.grids))
-    edges = []
-    for idx, p in enumerate(patches):
-        for side in EdgeSide:
-            q = edge_control_points(p, side)
-            if np.max(np.abs(q - q[0])) <= tol * scale:
-                continue  # collapsed edge
-            edges.append((idx, side, q))
+    arr = np.stack([p.as_array for p in patches])
+    scale = max(1.0, float(np.max(np.abs(arr))))
+    # (patch, side) slot k is patch k // 4, side k % 4
+    q = np.stack([_edge_points(arr, side) for side in EdgeSide], axis=1).reshape(-1, 4, 3)
+    limit = tol * scale
+    live = np.flatnonzero(np.max(np.abs(q - q[:, :1]), axis=(1, 2)) > limit)
+    q = q[live]
+    # Two edges can match only if an endpoint pair lies within tol*scale
+    # in every coordinate, so hash endpoints to cells of that width and
+    # probe the neighbouring cells (Teschner et al., VMV 2003).  The extra
+    # 1e-12*scale keeps rounding in the quotient from putting matching
+    # endpoints two cells apart, and keeps the cell nonzero at tol = 0.
+    cell = (tol + 1e-12) * scale
+    keys = np.floor(q[:, (0, 3)] / cell).astype(np.int64).tolist()
+    starts, ends = defaultdict(list), defaultdict(list)
+    for e, (k0, k3) in enumerate(keys):
+        starts[tuple(k0)].append(e)
+        ends[tuple(k3)].append(e)
+    sides = list(EdgeSide)
     found = []
-    for i in range(len(edges)):
-        pi, si, qi = edges[i]
-        for k in range(i + 1, len(edges)):
-            pk, sk, qk = edges[k]
-            if pi == pk and si == sk:
+    for i, ((x, y, z), _) in enumerate(keys):
+        near = set()
+        for dx, dy, dz in _NEIGHBOUR_CELLS:
+            key = (x + dx, y + dy, z + dz)
+            near.update(starts.get(key, ()))  # forward: start near start
+            near.update(ends.get(key, ()))  # reversed: end near start
+        for k in sorted(e for e in near if e > i):
+            if np.max(np.abs(q[i] - q[k])) <= limit:
+                flip = False
+            elif np.max(np.abs(q[i] - q[k][::-1])) <= limit:
+                flip = True
+            else:
                 continue
-            if np.max(np.abs(qi - qk)) <= tol * scale:
-                found.append(
-                    Adjacency(a=pi, edge_a=EdgeId(si), b=pk, edge_b=EdgeId(sk))
-                )
-            elif np.max(np.abs(qi - qk[::-1])) <= tol * scale:
-                found.append(
-                    Adjacency(a=pi, edge_a=EdgeId(si), b=pk, edge_b=EdgeId(sk, reversed=True))
-                )
+            (pi, si), (pk, sk) = divmod(int(live[i]), 4), divmod(int(live[k]), 4)
+            found.append(Adjacency(pi, EdgeId(sides[si]), pk, EdgeId(sides[sk], flip)))
     return found

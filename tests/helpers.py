@@ -1,8 +1,12 @@
 """Shared construction helpers for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 
-from smartpatch import BezierPatch, bs_solve, hs_twists
+from smartpatch import BezierPatch, TessPattern, bs_solve, hs_twists
+from smartpatch.patches import eval_patch_partials
+from smartpatch.tessellation import Adjacency, EdgeId, EdgeSide, edge_control_points
 
 CORNER_SLOTS = ((0, 0), (0, 3), (3, 0), (3, 3))
 NONCORNER_SLOTS = tuple(
@@ -76,3 +80,188 @@ def shared_edge_pair(rng) -> tuple:
         gb[0, :] = ga[3, :]
         b_grids.append(gb)
     return a, BezierPatch(*b_grids)
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles for the array-form tessellation layer.  These are the
+# per-sample and per-pair implementations the library used before its
+# hot paths became array operations; tests compare the library against them.
+
+
+def _oracle_main_diag(pattern: TessPattern, i: int, j: int) -> bool:
+    if pattern is TessPattern.MAIN_DIAG:
+        return True
+    if pattern is TessPattern.ANTI_DIAG:
+        return False
+    if pattern is TessPattern.ALTERNATING:
+        return (i + j) % 2 == 0
+    return i % 2 == 0  # ZIGZAG
+
+
+def loop_triangles(n: int, pattern: TessPattern) -> np.ndarray:
+    """Triangle index array of ``tessellate``, one cell at a time."""
+    stride = n + 1
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a = i * stride + j
+            b = (i + 1) * stride + j
+            c = (i + 1) * stride + j + 1
+            d = i * stride + j + 1
+            if _oracle_main_diag(pattern, i, j):
+                tris.append((a, b, c))
+                tris.append((a, c, d))
+            else:
+                tris.append((a, b, d))
+                tris.append((b, c, d))
+    return np.array(tris)
+
+
+def scalar_surface_normal(patch: BezierPatch, u: float, v: float):
+    """Unit du x dv at one (u, v), or None where it is degenerate."""
+    _, du, dv = eval_patch_partials(patch, u, v)
+    cross = np.cross(du, dv)
+    norm = float(np.linalg.norm(cross))
+    scale = max(1.0, float(np.linalg.norm(du) * np.linalg.norm(dv)))
+    if norm <= 1e-12 * scale:
+        return None
+    return cross / norm
+
+
+def loop_vertex_normals(patch: BezierPatch, n: int, vertices, triangles) -> np.ndarray:
+    """Per-sample vertex normals with a per-triangle face-average fallback."""
+    ts = np.linspace(0.0, 1.0, n + 1)
+    normals = np.zeros(((n + 1) ** 2, 3))
+    missing = []
+    for i, u in enumerate(ts):
+        for j, v in enumerate(ts):
+            nrm = scalar_surface_normal(patch, u, v)
+            if nrm is None:
+                missing.append(i * (n + 1) + j)
+            else:
+                normals[i * (n + 1) + j] = nrm
+    if missing:
+        face_n = np.cross(
+            vertices[triangles[:, 1]] - vertices[triangles[:, 0]],
+            vertices[triangles[:, 2]] - vertices[triangles[:, 0]],
+        )
+        acc = np.zeros_like(normals)
+        for t, fn in zip(triangles, face_n):
+            for k in t:
+                acc[k] += fn
+        for k in missing:
+            nrm = acc[k]
+            length = np.linalg.norm(nrm)
+            normals[k] = nrm / length if length > 1e-300 else (0.0, 0.0, 1.0)
+    return normals
+
+
+def _oracle_edge_params(edge: EdgeId, t: float):
+    tau = 1.0 - t if edge.reversed else t
+    side = edge.side
+    if side is EdgeSide.U0:
+        return 0.0, tau
+    if side is EdgeSide.U1:
+        return 1.0, tau
+    if side is EdgeSide.V0:
+        return tau, 0.0
+    return tau, 1.0
+
+
+def loop_continuity(a, edge_a: EdgeId, b, edge_b: EdgeId, n: int) -> tuple:
+    """(C0 gap, C1 mismatch, G1 angle) of ``continuity_report``, one sample at a time."""
+    c0 = c1 = g1 = 0.0
+    for k in range(n + 1):
+        t = k / n
+        ua, va = _oracle_edge_params(edge_a, t)
+        ub, vb = _oracle_edge_params(edge_b, t)
+        pa, dua, dva = eval_patch_partials(a, ua, va)
+        pb, dub, dvb = eval_patch_partials(b, ub, vb)
+        c0 = max(c0, float(np.linalg.norm(pa - pb)))
+        da = dua if edge_a.side in (EdgeSide.U0, EdgeSide.U1) else dva
+        db = dub if edge_b.side in (EdgeSide.U0, EdgeSide.U1) else dvb
+        c1 = max(c1, float(np.linalg.norm(da - db)))
+        na = scalar_surface_normal(a, ua, va)
+        nb = scalar_surface_normal(b, ub, vb)
+        if na is not None and nb is not None:
+            angle = float(np.arctan2(np.linalg.norm(np.cross(na, nb)), np.dot(na, nb)))
+            g1 = max(g1, angle)
+    return c0, c1, g1
+
+
+def pairwise_adjacency(patches, tol: float = 1e-9) -> list:
+    """``detect_adjacency`` by comparing every pair of edges."""
+    if not patches:
+        return []
+    scale = max(1.0, max(float(np.max(np.abs(g))) for p in patches for g in p.grids))
+    edges = []
+    for idx, p in enumerate(patches):
+        for side in EdgeSide:
+            q = edge_control_points(p, side)
+            if np.max(np.abs(q - q[0])) <= tol * scale:
+                continue  # collapsed edge
+            edges.append((idx, side, q))
+    found = []
+    for i in range(len(edges)):
+        pi, si, qi = edges[i]
+        for k in range(i + 1, len(edges)):
+            pk, sk, qk = edges[k]
+            if np.max(np.abs(qi - qk)) <= tol * scale:
+                found.append(Adjacency(a=pi, edge_a=EdgeId(si), b=pk, edge_b=EdgeId(sk)))
+            elif np.max(np.abs(qi - qk[::-1])) <= tol * scale:
+                found.append(
+                    Adjacency(a=pi, edge_a=EdgeId(si), b=pk, edge_b=EdgeId(sk, reversed=True))
+                )
+    return found
+
+
+def loop_edge_incidence(mesh) -> Counter:
+    """``edge_incidence`` one triangle at a time."""
+    counts: Counter = Counter()
+    for t in mesh.triangles:
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            counts[(min(a, b), max(a, b))] += 1
+    return counts
+
+
+def loop_export_obj(mesh) -> str:
+    """``export_obj`` one line at a time."""
+    out = []
+    for v in mesh.vertices:
+        out.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    with_normals = mesh.normals is not None
+    if with_normals:
+        for nrm in mesh.normals:
+            out.append(f"vn {float(nrm[0])!r} {float(nrm[1])!r} {float(nrm[2])!r}")
+    for t in mesh.triangles:
+        i, j, k = (int(t[0]) + 1, int(t[1]) + 1, int(t[2]) + 1)
+        if with_normals:
+            out.append(f"f {i}//{i} {j}//{j} {k}//{k}")
+        else:
+            out.append(f"f {i} {j} {k}")
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def split_patch(patch: BezierPatch) -> list:
+    """The four sub-patches of a de Casteljau split at u = v = 1/2.
+
+    Every midpoint is ``(p + q) * 0.5``, which is symmetric in p and q, so
+    edges that two parents share bit-identically (in either orientation)
+    stay bit-identical between their children.  Children come in the
+    order (u low, v low), (u low, v high), (u high, v low), (u high, v high).
+    """
+
+    def halves(g, axis):
+        p = list(np.moveaxis(g, axis, 0))
+        l1 = [(p[k] + p[k + 1]) * 0.5 for k in range(3)]
+        l2 = [(l1[k] + l1[k + 1]) * 0.5 for k in range(2)]
+        mid = (l2[0] + l2[1]) * 0.5
+        low = np.stack([p[0], l1[0], l2[0], mid])
+        high = np.stack([mid, l2[1], l1[2], p[3]])
+        return np.moveaxis(low, 0, axis), np.moveaxis(high, 0, axis)
+
+    out = []
+    for half_u in halves(patch.as_array, 1):
+        for quarter in halves(half_u, 2):
+            out.append(BezierPatch(*quarter))
+    return out

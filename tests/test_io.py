@@ -11,9 +11,16 @@ from smartpatch.io import (
     load_patchset,
     read_newell,
 )
-from smartpatch.tessellation import Adjacency, EdgeId, EdgeSide, TriangleMesh, tessellate
+from smartpatch.tessellation import (
+    Adjacency,
+    EdgeId,
+    EdgeSide,
+    TriangleMesh,
+    merge_meshes,
+    tessellate,
+)
 
-from helpers import random_patch
+from helpers import loop_export_obj, random_patch
 
 
 def test_single_constant_patch_document():
@@ -190,3 +197,11 @@ def test_export_roundtrips_float_values(rng):
         if line.startswith("v ")
     ]
     assert np.array_equal(np.array(parsed), mesh.vertices)
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+def test_export_bytes_match_line_loop(teapot_path, with_normals):
+    patches = read_newell(teapot_path).patches
+    mesh = merge_meshes([tessellate(p, 4, with_normals=with_normals) for p in patches])
+    mesh.vertices[0] = (-0.0, 1e-300, 1.5e20)
+    assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()

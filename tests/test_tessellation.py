@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartpatch import (
     BezierPatch,
@@ -14,7 +16,9 @@ from smartpatch import (
     tessellate,
 )
 from smartpatch.constraints import grid_scale
+from smartpatch.io import read_newell
 from smartpatch.tessellation import (
+    Adjacency,
     EdgeId,
     EdgeSide,
     TriangleMesh,
@@ -26,9 +30,16 @@ from smartpatch.tessellation import (
 from helpers import (
     bilinear_grid,
     identity_plane_patch,
+    loop_continuity,
+    loop_edge_incidence,
+    loop_triangles,
+    loop_vertex_normals,
+    pairwise_adjacency,
     random_compliant_patch,
     random_patch,
+    scalar_surface_normal,
     shared_edge_pair,
+    split_patch,
 )
 
 
@@ -318,3 +329,181 @@ def test_merge_meshes_counts_and_offsets(rng):
     assert len(merged.triangles) == len(m1.triangles) + len(m2.triangles)
     assert merged.triangles.min() >= 0
     assert merged.triangles[len(m1.triangles):].min() == len(m1.vertices)
+
+
+# ---------------------------------------------------------------------------
+# array forms against the loop oracles in helpers
+
+
+# where each side's control points sit in a (3, 4, 4) grid stack: (3, 4) xyz-by-point
+SIDE_INDEX = {
+    EdgeSide.U0: (slice(None), 0, slice(None)),
+    EdgeSide.U1: (slice(None), 3, slice(None)),
+    EdgeSide.V0: (slice(None), slice(None), 0),
+    EdgeSide.V1: (slice(None), slice(None), 3),
+}
+
+
+def _collapsed_edge_patch(rng, side: EdgeSide) -> BezierPatch:
+    """Random patch whose ``side`` edge is squeezed to one point, like a pole."""
+    grids = rng.uniform(-10.0, 10.0, (3, 4, 4))
+    grids[SIDE_INDEX[side]] = grids[SIDE_INDEX[side]][:, :1]
+    return BezierPatch(*grids)
+
+
+@pytest.mark.parametrize("pattern", list(TessPattern))
+def test_triangles_match_cell_loop(pattern):
+    for n in range(1, 10):
+        mesh = tessellate(identity_plane_patch(), n, pattern)
+        assert np.array_equal(mesh.triangles, loop_triangles(n, pattern))
+
+
+@pytest.mark.parametrize("pattern", list(TessPattern))
+def test_vertex_normals_match_per_sample_loop(pattern, rng, teapot_path):
+    patches = [random_patch(rng) for _ in range(10)]
+    patches += [_collapsed_edge_patch(rng, side) for side in EdgeSide]
+    patches += read_newell(teapot_path).patches  # includes the lid and bottom poles
+    fallbacks = 0
+    for patch in patches:
+        for n in (1, 3, 8):
+            mesh = tessellate(patch, n, pattern, with_normals=True)
+            oracle = loop_vertex_normals(patch, n, mesh.vertices, mesh.triangles)
+            assert np.max(np.abs(mesh.normals - oracle)) <= 1e-13
+            ts = np.linspace(0.0, 1.0, n + 1)
+            fallbacks += sum(scalar_surface_normal(patch, u, v) is None for u in ts for v in ts)
+    assert fallbacks > 0
+
+
+def test_surface_normal_matches_scalar_oracle(rng):
+    for patch in [random_patch(rng) for _ in range(20)] + [
+        _collapsed_edge_patch(rng, side) for side in EdgeSide
+    ]:
+        params = [(0.0, 0.0), (0.0, 0.5), (1.0, 0.3), (0.4, 1.0)] + list(rng.uniform(0, 1, (5, 2)))
+        for u, v in params:
+            got, want = surface_normal(patch, u, v), scalar_surface_normal(patch, u, v)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _random_edge_pair(rng):
+    a, b = random_patch(rng), random_patch(rng)
+    if rng.random() < 0.3:
+        b = _collapsed_edge_patch(rng, EdgeSide(rng.choice([s.value for s in EdgeSide])))
+    sides = list(EdgeSide)
+    edge_a = EdgeId(sides[rng.integers(4)], bool(rng.integers(2)))
+    edge_b = EdgeId(sides[rng.integers(4)], bool(rng.integers(2)))
+    return a, edge_a, b, edge_b
+
+
+def test_continuity_matches_per_sample_loop(rng, teapot_path):
+    cases = [_random_edge_pair(rng) for _ in range(100)]
+    patches = read_newell(teapot_path).patches
+    cases += [(patches[r.a], r.edge_a, patches[r.b], r.edge_b) for r in detect_adjacency(patches)]
+    for a, edge_a, b, edge_b in cases:
+        scale = max(1.0, float(np.max(np.abs(a.as_array))), float(np.max(np.abs(b.as_array))))
+        for n in (2, 7, 16):
+            rep = continuity_report(a, edge_a, b, edge_b, n)
+            c0, c1, g1 = loop_continuity(a, edge_a, b, edge_b, n)
+            assert abs(rep.c0_max_gap - c0) <= 1e-13 * scale
+            assert abs(rep.c1_max_mismatch - c1) <= 1e-13 * scale
+            assert abs(rep.g1_max_angle - g1) <= 1e-13
+
+
+@pytest.mark.parametrize("side_a", list(EdgeSide))
+@pytest.mark.parametrize("side_b", list(EdgeSide))
+def test_c0_is_exactly_zero_on_bit_identical_edges(side_a, side_b, rng):
+    a = random_patch(rng)
+    q = edge_control_points(a, side_a)
+    for flip in (False, True):
+        grids = rng.uniform(-10.0, 10.0, (3, 4, 4))
+        grids[SIDE_INDEX[side_b]] = (q[::-1] if flip else q).T
+        b = BezierPatch(*grids)
+        edge_a, edge_b = EdgeId(side_a), EdgeId(side_b, reversed=flip)
+        for n in (2, 16, 33):
+            assert continuity_report(a, edge_a, b, edge_b, n).c0_max_gap == 0.0
+            assert continuity_report(b, edge_b, a, edge_a, n).c0_max_gap == 0.0
+
+
+def test_edge_incidence_matches_triangle_loop(rng, teapot_path):
+    meshes = [tessellate(random_patch(rng), 5, pattern) for pattern in TessPattern]
+    meshes.append(merge_meshes([tessellate(p, 4) for p in read_newell(teapot_path).patches]))
+    for mesh in meshes:
+        assert edge_incidence(mesh) == loop_edge_incidence(mesh)
+
+
+def test_adjacency_matches_pairwise_on_teapot_and_its_split(teapot_path):
+    patches = read_newell(teapot_path).patches
+    records = detect_adjacency(patches)
+    assert len(records) == 52
+    assert records == pairwise_adjacency(patches)
+    split = [child for p in patches for child in split_patch(p)]
+    records = detect_adjacency(split)
+    assert len(records) == 232  # twice the parents' pairs plus four inside each parent
+    assert records == pairwise_adjacency(split)
+
+
+def _edge_set(seed: int, tol: float) -> list:
+    """Random patches whose edges are copies of one another, some flipped,
+    some moved by about tol*scale per coordinate, some collapsed."""
+    rng = np.random.default_rng(seed)
+    grids = rng.uniform(-10.0, 10.0, (int(rng.integers(2, 8)), 3, 4, 4))
+    h = tol * float(np.max(np.abs(grids)))
+    slots = [(p, side) for p in range(len(grids)) for side in EdgeSide]
+    for _ in range(int(rng.integers(1, 2 * len(grids)))):
+        (pa, sa), (pb, sb) = (slots[k] for k in rng.choice(len(slots), 2, replace=False))
+        q = grids[pa][SIDE_INDEX[sa]].copy()
+        if rng.random() < 0.5:
+            q = q[:, ::-1]
+        moved = rng.random(q.shape) < 0.3
+        factor = rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0])
+        q += moved * rng.choice([-1.0, 1.0], q.shape) * factor * h
+        if tol == 0.0 and factor > 1.0:
+            q = np.where(moved, np.nextafter(q, np.inf), q)
+        grids[pb][SIDE_INDEX[sb]] = q
+    if rng.random() < 0.3:
+        p, side = slots[int(rng.integers(len(slots)))]
+        grids[p][SIDE_INDEX[side]] = grids[p][SIDE_INDEX[side]][:, :1]
+    return [BezierPatch(*g) for g in grids]
+
+
+@given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+@settings(max_examples=80, deadline=None)
+def test_adjacency_matches_pairwise_on_random_edge_sets(seed, tol):
+    patches = _edge_set(seed, tol)
+    assert detect_adjacency(patches, tol) == pairwise_adjacency(patches, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("factor, shared", [(0.999, True), (1.001, False)])
+def test_adjacency_offsets_across_a_cell_boundary(rng, tol, flip, factor, shared):
+    # a's U1 edge starts at the origin, so moving b's copy by -factor*h in
+    # every coordinate puts the two endpoints on either side of the cell
+    # boundary at 0 whatever the cell width
+    ga = rng.uniform(-5.0, 5.0, (3, 4, 4))
+    ga -= ga[:, 3:4, 0:1]
+    ga[0, 1, 1] = 10.0  # fixes scale, so h = tol * 10
+    gb = rng.uniform(-5.0, 5.0, (3, 4, 4))
+    edge = ga[SIDE_INDEX[EdgeSide.U1]] - factor * tol * 10.0
+    if flip:
+        gb[SIDE_INDEX[EdgeSide.V0]] = edge[:, ::-1]
+    else:
+        gb[SIDE_INDEX[EdgeSide.U0]] = edge
+    patches = [BezierPatch(*ga), BezierPatch(*gb)]
+    records = detect_adjacency(patches, tol)
+    assert records == pairwise_adjacency(patches, tol)
+    side_b = EdgeId(EdgeSide.V0, reversed=True) if flip else EdgeId(EdgeSide.U0)
+    expected = [Adjacency(a=0, edge_a=EdgeId(EdgeSide.U1), b=1, edge_b=side_b)]
+    assert records == (expected if shared else [])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no division by a zero-width cell
+def test_adjacency_at_zero_tolerance(rng):
+    a, b = shared_edge_pair(rng)
+    flipped = BezierPatch(*(g[:, ::-1] for g in b.grids))
+    nudged = BezierPatch(b.x, b.y, np.where(np.arange(4) == 0, np.nextafter(b.z, np.inf), b.z))
+    for patches, count in (([a, b], 1), ([a, flipped], 1), ([a, nudged], 0)):
+        records = detect_adjacency(patches, tol=0.0)
+        assert len(records) == count
+        assert records == pairwise_adjacency(patches, tol=0.0)
