@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -507,12 +508,20 @@ def cmd_teapot(args) -> int:
 # wiring
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sp, *, input_required=True, output=False):
     if input_required:
         sp.add_argument("--in", dest="in_path", required=True, help="input file")
     if output:
         sp.add_argument("--out", dest="out_path", required=True, help="output path")
-    sp.add_argument("--tol", type=float, default=constraints.DEFAULT_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=constraints.DEFAULT_TOL,
                     help="relative tolerance (default 1e-9)")
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
 

@@ -572,136 +572,68 @@ class RepairResult:
     patches: list
     per_patch: list
     max_displacement: float
-    residual: float  # worst post-repair constraint residual, relative
+    residual: float  # worst post-repair row of the 6-row system over the set's scale
 
 
-def _boundary_slots():
-    return [(i, j) for i in range(4) for j in range(4) if i in (0, 3) or j in (0, 3)]
-
-
-_BOUNDARY = _boundary_slots()
-_INNER = [(i, j) for i in range(4) for j in range(4) if (i, j) not in _BOUNDARY]
-_CORNER_SLOTS = {(0, 0), (0, 3), (3, 0), (3, 3)}
+_BOUNDARY = [k for k in range(16) if k // 4 in (0, 3) or k % 4 in (0, 3)]
+_INNER = [k for k in range(16) if k not in _BOUNDARY]
 
 
 def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     """Minimally move control points so every patch becomes compliant.
 
-    Works on the whole set at once: boundary control points that carry
-    identical coordinates in several patches are treated as one shared
-    variable, so exactly-shared edges stay exactly shared and the repair
-    never opens a gap between adjacent patches.  Corner points are held
-    fixed bit-exact.  Inner control points stay private to their patch.
+    Solves the six constraint rows of every patch as one least-squares
+    problem.  Boundary control points with bit-identical coordinates in
+    several patches are one shared variable, so exactly-shared edges stay
+    exactly shared.  Corner variables are held fixed, and every slot on one
+    keeps its own input bit-exact, sign of zero included.  Inner control
+    points stay private to their patch.  ``residual`` is the worst
+    post-repair row of that system over max(1, max |coordinate|) of the set.
 
-    The per-patch projection bs_project() is the single-grid counterpart;
-    it cannot preserve shared edges because each patch would pull the
-    common boundary its own way.
+    bs_project() is the single-grid counterpart; it cannot preserve shared
+    edges because each patch would pull the common boundary its own way.
     """
     if not patches:
         return RepairResult(patches=[], per_patch=[], max_displacement=0.0, residual=0.0)
 
-    key_to_var: dict = {}
-    slot_var = []  # per patch: dict slot -> var id
-    coords = []    # per var id: (x, y, z)
-    fixed = set()
+    n = len(patches)
+    pts = np.stack([p.as_array for p in patches]).reshape(n, 3, 16).transpose(0, 2, 1)
+    shared, inverse = np.unique(pts[:, _BOUNDARY].reshape(-1, 3), axis=0, return_inverse=True)
+    slot_var = np.empty((n, 16), dtype=np.intp)
+    slot_var[:, _BOUNDARY] = inverse.reshape(n, 12)
+    slot_var[:, _INNER] = len(shared) + np.arange(4 * n).reshape(n, 4)
+    fixed = np.zeros(len(shared) + 4 * n, dtype=bool)
+    fixed[slot_var[:, list(CORNER_INDICES)]] = True
+    free = ~fixed[slot_var]
+    p_idx, k_idx = np.nonzero(free)
+    col = (np.cumsum(~fixed) - 1)[slot_var[p_idx, k_idx]]  # unknown of each free slot
 
-    def var_for(key):
-        if key not in key_to_var:
-            key_to_var[key] = len(coords)
-            coords.append(key)
-        return key_to_var[key]
-
-    for p in patches:
-        mapping = {}
-        for (i, j) in _BOUNDARY:
-            key = (float(p.x[i, j]), float(p.y[i, j]), float(p.z[i, j]))
-            v = var_for(key)
-            mapping[(i, j)] = v
-            if (i, j) in _CORNER_SLOTS:
-                fixed.add(v)
-        for (i, j) in _INNER:
-            v = len(coords)
-            coords.append((float(p.x[i, j]), float(p.y[i, j]), float(p.z[i, j])))
-            mapping[(i, j)] = v
-        slot_var.append(mapping)
-
-    nvars = len(coords)
-    free_ids = [v for v in range(nvars) if v not in fixed]
-    free_pos = {v: k for k, v in enumerate(free_ids)}
+    # A variable repeated within one patch (a collapsed edge) adds its coefficients.
     lam = build_lambda().lam
+    a = np.zeros((6 * n, int(np.count_nonzero(~fixed))))
+    np.add.at(a, (6 * p_idx[:, None] + np.arange(6), col[:, None]), lam[:, k_idx].T)
+    b = -(lam @ np.where(free[..., None], 0.0, pts)).reshape(6 * n, 3)
 
-    rows = []
-    fixed_part = []  # per row: list of (var, coeff) on fixed variables
-    for mapping in slot_var:
-        for lam_row in lam:
-            entries_free = {}
-            entries_fixed = []
-            for k in range(16):
-                c = lam_row[k]
-                if c == 0.0:
-                    continue
-                v = mapping[divmod(k, 4)]
-                if v in fixed:
-                    entries_fixed.append((v, c))
-                else:
-                    pos = free_pos[v]
-                    entries_free[pos] = entries_free.get(pos, 0.0) + c
-            rows.append(entries_free)
-            fixed_part.append(entries_fixed)
+    current = np.empty((a.shape[1], 3))
+    current[col] = pts[p_idx, k_idx]
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    for _ in range(3):
+        r = b - a @ current
+        if np.max(np.abs(r)) <= 1e-13 * scale:
+            break
+        current = current + np.linalg.lstsq(a, r, rcond=None)[0]
 
-    nrows = len(rows)
-    a = np.zeros((nrows, len(free_ids)))
-    for r, entries in enumerate(rows):
-        for pos, c in entries.items():
-            a[r, pos] = c
-
-    values = np.array(coords, dtype=float)  # (nvars, 3)
-    scale = max(1.0, float(np.max(np.abs(values)))) if nvars else 1.0
-    new_values = values.copy()
-    worst_residual = 0.0
-    for axis in range(3):
-        v_free = values[free_ids, axis] if free_ids else np.zeros(0)
-        b = np.zeros(nrows)
-        for r, entries in enumerate(fixed_part):
-            for v, c in entries:
-                b[r] -= c * values[v, axis]
-        current = v_free
-        for _ in range(3):
-            r = b - a @ current
-            if np.max(np.abs(r), initial=0.0) <= 1e-13 * scale:
-                break
-            step, *_ = np.linalg.lstsq(a, r, rcond=None)
-            current = current + step
-        worst_residual = max(
-            worst_residual, float(np.max(np.abs(b - a @ current), initial=0.0)) / scale
-        )
-        for v, val in zip(free_ids, current):
-            new_values[v, axis] = val
-
-    repaired = []
-    per_patch = []
-    overall = 0.0
-    for p, mapping in zip(patches, slot_var):
-        grids = [np.array(g) for g in p.grids]
-        disp = 0.0
-        corner_disp = 0.0
-        for (i, j), v in mapping.items():
-            old = np.array([g[i, j] for g in grids])
-            new = new_values[v]
-            d = float(np.max(np.abs(new - old)))
-            if (i, j) in _CORNER_SLOTS:
-                corner_disp = max(corner_disp, d)
-            else:
-                disp = max(disp, d)
-            for axis in range(3):
-                grids[axis][i, j] = new[axis]
-        repaired.append(BezierPatch(*grids))
-        per_patch.append(PatchRepairStats(max_displacement=disp, corner_displacement=corner_disp))
-        overall = max(overall, disp)
-
+    out = pts.copy()
+    out[p_idx, k_idx] = current[col]
+    moved = np.max(np.abs(out - pts), axis=2)
+    disp = moved[:, _NONCORNERS].max(axis=1)
+    corner_disp = moved[:, list(CORNER_INDICES)].max(axis=1)
     return RepairResult(
-        patches=repaired,
-        per_patch=per_patch,
-        max_displacement=overall,
-        residual=worst_residual,
+        patches=[BezierPatch(*g) for g in out.transpose(0, 2, 1).reshape(n, 3, 4, 4)],
+        per_patch=[
+            PatchRepairStats(max_displacement=d, corner_displacement=c)
+            for d, c in zip(disp.tolist(), corner_disp.tolist())
+        ],
+        max_displacement=float(disp.max()),
+        residual=float(np.max(np.abs(b - a @ current))) / scale,
     )

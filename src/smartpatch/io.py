@@ -211,6 +211,8 @@ def load_newell(text: str, name: str = "newell") -> PatchSet:
             vertices[k] = [float(p) for p in parts]
         except ValueError:
             raise PatchFormatError(f"line {no}: non-numeric coordinate") from None
+        if not np.isfinite(vertices[k]).all():
+            raise PatchFormatError(f"line {no}: non-finite coordinate")
     if pos != len(lines):
         raise PatchFormatError(f"line {lines[pos][0]}: trailing content after vertex table")
 
@@ -233,24 +235,30 @@ def read_newell(path) -> PatchSet:
 # OBJ export
 
 
-def _rows(a: np.ndarray):
-    """Rows of ``a`` as lists of Python numbers, converted a block at a time
-    so the whole array never exists as Python objects at once."""
-    for start in range(0, len(a), 1024):
-        yield from a[start : start + 1024].tolist()
+def _obj_blocks(mesh: TriangleMesh):
+    """The OBJ text of ``mesh`` in blocks of up to 1024 newline-terminated lines.
+
+    Rows become Python numbers a block at a time, so neither the whole
+    array nor the whole text ever exists as Python objects at once."""
+    for tag, a in (("v", mesh.vertices), ("vn", mesh.normals), ("f", mesh.triangles + 1)):
+        if a is None:
+            continue
+        for start in range(0, len(a), 1024):
+            rows = a[start : start + 1024].tolist()
+            if tag != "f":
+                yield "".join([f"{tag} {x!r} {y!r} {z!r}\n" for x, y, z in rows])
+            elif mesh.normals is not None:
+                yield "".join([f"f {i}//{i} {j}//{j} {k}//{k}\n" for i, j, k in rows])
+            else:
+                yield "".join([f"f {i} {j} {k}\n" for i, j, k in rows])
 
 
 def export_obj(mesh: TriangleMesh) -> str:
     """Serialize a mesh as ASCII OBJ (one-based indices, deterministic)."""
-    out = [f"v {x!r} {y!r} {z!r}" for x, y, z in _rows(mesh.vertices)]
-    faces = _rows(mesh.triangles + 1)
-    if mesh.normals is not None:
-        out += [f"vn {x!r} {y!r} {z!r}" for x, y, z in _rows(mesh.normals)]
-        out += [f"f {i}//{i} {j}//{j} {k}//{k}" for i, j, k in faces]
-    else:
-        out += [f"f {i} {j} {k}" for i, j, k in faces]
-    return "\n".join(out) + ("\n" if out else "")
+    return "".join(_obj_blocks(mesh))
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:
-    Path(path).write_text(export_obj(mesh))
+    """Write ``export_obj(mesh)`` to ``path`` a block at a time."""
+    with open(path, "w") as f:
+        f.writelines(_obj_blocks(mesh))

@@ -4,7 +4,8 @@ from collections import Counter
 
 import numpy as np
 
-from smartpatch import BezierPatch, TessPattern, bs_solve, hs_twists
+from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve, hs_twists
+from smartpatch.constraints import PatchRepairStats, RepairResult
 from smartpatch.patches import eval_patch_partials
 from smartpatch.tessellation import Adjacency, EdgeId, EdgeSide, edge_control_points
 
@@ -265,3 +266,147 @@ def split_patch(patch: BezierPatch) -> list:
         for quarter in halves(half_u, 2):
             out.append(BezierPatch(*quarter))
     return out
+
+
+def height_field_patches(heights) -> list:
+    """k x k patches over a (3k+1) x (3k+1) height field on the unit grid.
+
+    Patch (a, c) takes rows 3a..3a+3 and columns 3c..3c+3 of the field, with
+    x and y the row and column index over 3, so neighbours share their common
+    edge bit-identically: the surface is C0 by construction.
+    """
+    heights = np.asarray(heights, dtype=float)
+    k = (len(heights) - 1) // 3
+    t = np.arange(3 * k + 1) / 3.0
+    out = []
+    for a in range(k):
+        for c in range(k):
+            rows, cols = slice(3 * a, 3 * a + 4), slice(3 * c, 3 * c + 4)
+            x, y = np.meshgrid(t[rows], t[cols], indexing="ij")
+            out.append(BezierPatch(x, y, heights[rows, cols]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Loop oracle for the array-form joint repair: one dict per boundary slot,
+# one dict of entries per constraint row, and one lstsq per coordinate axis.
+
+_LOOP_BOUNDARY = [(i, j) for i in range(4) for j in range(4) if i in (0, 3) or j in (0, 3)]
+_LOOP_INNER = [(i, j) for i in range(4) for j in range(4) if (i, j) not in _LOOP_BOUNDARY]
+
+
+def loop_repair_patches(patches) -> RepairResult:
+    """``repair_patches`` with Python loops over slots, rows and axes.
+
+    A fixed variable takes the coordinates of the slot that first names it,
+    so a corner written back may differ from its own input in the sign of
+    a zero.
+    """
+    if not patches:
+        return RepairResult(patches=[], per_patch=[], max_displacement=0.0, residual=0.0)
+
+    key_to_var: dict = {}
+    slot_var = []  # per patch: dict slot -> var id
+    coords = []    # per var id: (x, y, z)
+    fixed = set()
+
+    def var_for(key):
+        if key not in key_to_var:
+            key_to_var[key] = len(coords)
+            coords.append(key)
+        return key_to_var[key]
+
+    for p in patches:
+        mapping = {}
+        for (i, j) in _LOOP_BOUNDARY:
+            key = (float(p.x[i, j]), float(p.y[i, j]), float(p.z[i, j]))
+            v = var_for(key)
+            mapping[(i, j)] = v
+            if (i, j) in CORNER_SLOTS:
+                fixed.add(v)
+        for (i, j) in _LOOP_INNER:
+            v = len(coords)
+            coords.append((float(p.x[i, j]), float(p.y[i, j]), float(p.z[i, j])))
+            mapping[(i, j)] = v
+        slot_var.append(mapping)
+
+    nvars = len(coords)
+    free_ids = [v for v in range(nvars) if v not in fixed]
+    free_pos = {v: k for k, v in enumerate(free_ids)}
+    lam = build_lambda().lam
+
+    rows = []
+    fixed_part = []  # per row: list of (var, coeff) on fixed variables
+    for mapping in slot_var:
+        for lam_row in lam:
+            entries_free = {}
+            entries_fixed = []
+            for k in range(16):
+                c = lam_row[k]
+                if c == 0.0:
+                    continue
+                v = mapping[divmod(k, 4)]
+                if v in fixed:
+                    entries_fixed.append((v, c))
+                else:
+                    pos = free_pos[v]
+                    entries_free[pos] = entries_free.get(pos, 0.0) + c
+            rows.append(entries_free)
+            fixed_part.append(entries_fixed)
+
+    nrows = len(rows)
+    a = np.zeros((nrows, len(free_ids)))
+    for r, entries in enumerate(rows):
+        for pos, c in entries.items():
+            a[r, pos] = c
+
+    values = np.array(coords, dtype=float)  # (nvars, 3)
+    scale = max(1.0, float(np.max(np.abs(values)))) if nvars else 1.0
+    new_values = values.copy()
+    worst_residual = 0.0
+    for axis in range(3):
+        v_free = values[free_ids, axis] if free_ids else np.zeros(0)
+        b = np.zeros(nrows)
+        for r, entries in enumerate(fixed_part):
+            for v, c in entries:
+                b[r] -= c * values[v, axis]
+        current = v_free
+        for _ in range(3):
+            r = b - a @ current
+            if np.max(np.abs(r), initial=0.0) <= 1e-13 * scale:
+                break
+            step, *_ = np.linalg.lstsq(a, r, rcond=None)
+            current = current + step
+        worst_residual = max(
+            worst_residual, float(np.max(np.abs(b - a @ current), initial=0.0)) / scale
+        )
+        for v, val in zip(free_ids, current):
+            new_values[v, axis] = val
+
+    repaired = []
+    per_patch = []
+    overall = 0.0
+    for p, mapping in zip(patches, slot_var):
+        grids = [np.array(g) for g in p.grids]
+        disp = 0.0
+        corner_disp = 0.0
+        for (i, j), v in mapping.items():
+            old = np.array([g[i, j] for g in grids])
+            new = new_values[v]
+            d = float(np.max(np.abs(new - old)))
+            if (i, j) in CORNER_SLOTS:
+                corner_disp = max(corner_disp, d)
+            else:
+                disp = max(disp, d)
+            for axis in range(3):
+                grids[axis][i, j] = new[axis]
+        repaired.append(BezierPatch(*grids))
+        per_patch.append(PatchRepairStats(max_displacement=disp, corner_displacement=corner_disp))
+        overall = max(overall, disp)
+
+    return RepairResult(
+        patches=repaired,
+        per_patch=per_patch,
+        max_displacement=overall,
+        residual=worst_residual,
+    )

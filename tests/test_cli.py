@@ -321,3 +321,22 @@ def test_teapot_missing_input(capsys, tmp_path):
                        "--out", str(tmp_path / "out"))
     assert code == 2
     assert "ingest" in err
+
+
+def test_teapot_nonfinite_vertex_is_input_error(capsys, teapot_path, tmp_path):
+    lines = teapot_path.read_text().splitlines()
+    lines[40] = "nan,0.0,1.0"  # a vertex line
+    src = tmp_path / "bad.newell"
+    src.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "teapot", "--in", str(src), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "stage ingest failed" in err and "line 41" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_must_be_finite_and_nonnegative(capsys, teapot_path, tmp_path, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["teapot", "--in", str(teapot_path), "--out", str(tmp_path / "out"), "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -39,16 +39,20 @@ from smartpatch.constraints import (
     grid_scale,
 )
 from smartpatch.linalg import RationalMatrix
-from smartpatch.tessellation import EdgeId, EdgeSide, continuity_report
+from smartpatch.io import read_newell
+from smartpatch.tessellation import EdgeId, EdgeSide, continuity_report, detect_adjacency
 
 from helpers import (
     CORNER_SLOTS,
     NONCORNER_SLOTS,
     bilinear_grid,
+    height_field_patches,
     hs_consistent_grid,
+    loop_repair_patches,
     random_compliant_grid,
     random_patch,
     shared_edge_pair,
+    split_patch,
 )
 
 # Printed coefficient tables for the two grid-to-R maps, kept as an
@@ -661,3 +665,65 @@ def test_repair_preserves_shared_edges_exactly(rng):
         assert np.array_equal(ga[3, :], gb[0, :])
     rep = continuity_report(ra, EdgeId(EdgeSide.U1), rb, EdgeId(EdgeSide.U0), 16)
     assert rep.c0_max_gap == 0.0
+
+
+def test_repair_keeps_each_corner_sign_of_zero(rng):
+    a, b = shared_edge_pair(rng)
+    xa, xb = np.array(a.x), np.array(b.x)
+    xa[3, 0], xb[0, 0] = 0.0, -0.0  # one shared corner, two signs of zero
+    xa[3, 1], xb[0, 1] = 0.0, -0.0  # one shared non-corner point
+    ra, rb = repair_patches([BezierPatch(xa, a.y, a.z), BezierPatch(xb, b.y, b.z)]).patches
+    assert not np.signbit(ra.x[3, 0]) and np.signbit(rb.x[0, 0])
+    for ga, gb in zip(ra.grids, rb.grids):
+        assert np.array_equal(ga[3, :], gb[0, :])
+
+
+_CORNERS = (slice(None), [0, 0, 3, 3], [0, 3, 0, 3])
+
+
+def assert_repair_matches_loop(patches):
+    """Array repair within 1e-12*scale of the loop oracle, corners bit-exact."""
+    fast, slow = repair_patches(patches), loop_repair_patches(patches)
+    scale = max(grid_scale(p.as_array) for p in patches)
+    for p, f, s in zip(patches, fast.patches, slow.patches):
+        assert np.max(np.abs(f.as_array - s.as_array)) <= 1e-12 * scale
+        got, given = f.as_array[_CORNERS], p.as_array[_CORNERS]
+        assert np.array_equal(got, given) and np.array_equal(np.signbit(got), np.signbit(given))
+    for f, s in zip(fast.per_patch, slow.per_patch):
+        assert abs(f.max_displacement - s.max_displacement) <= 1e-12 * scale
+        assert f.corner_displacement == 0.0
+    assert abs(fast.max_displacement - slow.max_displacement) <= 1e-12 * scale
+    assert fast.residual <= 1e-12
+    return fast
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_repair_matches_loop_oracle_on_teapot(teapot_path, split):
+    patches = read_newell(teapot_path).patches
+    if split:
+        patches = [q for p in patches for q in split_patch(p)]
+    assert_repair_matches_loop(patches)
+
+
+def test_repair_matches_loop_oracle_on_random_sets(rng):
+    for count in range(1, 9):
+        magnitude = 10.0 ** rng.integers(-3, 4)
+        assert_repair_matches_loop([random_patch(rng, -magnitude, magnitude) for _ in range(count)])
+
+
+height_fields = st.integers(1, 3).flatmap(
+    lambda k: arrays(float, (3 * k + 1, 3 * k + 1), elements=st.floats(-50.0, 50.0))
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(heights=height_fields)
+def test_repair_keeps_height_field_grids_c0(heights):
+    patches = height_field_patches(heights)
+    k = (len(heights) - 1) // 3
+    records = detect_adjacency(patches)
+    assert len(records) == 2 * k * (k - 1)
+    repaired = assert_repair_matches_loop(patches).patches
+    for rec in records:
+        rep = continuity_report(repaired[rec.a], rec.edge_a, repaired[rec.b], rec.edge_b, 4)
+        assert rep.c0_max_gap == 0.0

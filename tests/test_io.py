@@ -10,6 +10,7 @@ from smartpatch.io import (
     load_newell,
     load_patchset,
     read_newell,
+    write_obj,
 )
 from smartpatch.tessellation import (
     Adjacency,
@@ -133,6 +134,14 @@ def test_newell_bad_coordinate_line():
         load_newell("\n".join(lines))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_newell_rejects_nonfinite_coordinate(bad):
+    lines = ["1", ",".join(str(i) for i in range(1, 17)), "16"]
+    lines += ["0,0,0"] * 15 + [f"0,{bad},0"]
+    with pytest.raises(PatchFormatError, match=f"line {len(lines)}: non-finite"):
+        load_newell("\n".join(lines))
+
+
 def test_newell_trailing_garbage():
     lines = ["1", ",".join(str(i) for i in range(1, 17)), "16"]
     lines += ["0,0,0"] * 16 + ["extra"]
@@ -205,3 +214,12 @@ def test_export_bytes_match_line_loop(teapot_path, with_normals):
     mesh = merge_meshes([tessellate(p, 4, with_normals=with_normals) for p in patches])
     mesh.vertices[0] = (-0.0, 1e-300, 1.5e20)
     assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+def test_write_obj_writes_export_obj(tmp_path, rng, with_normals):
+    # 3362 vertices and 3200 triangles: several 1024-line blocks per section
+    mesh = merge_meshes([tessellate(random_patch(rng), 40, with_normals=with_normals) for _ in range(2)])
+    path = tmp_path / "mesh.obj"
+    write_obj(mesh, path)
+    assert path.read_bytes() == export_obj(mesh).encode()
