@@ -14,6 +14,7 @@ Exit codes: 0 success/compliant, 1 validation failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constraints, io, tessellation
-from .constraints import DerivationError
+from .constraints import DerivationError, RepairError
 from .patches import BezierPatch, DomainError, HermitePatch, bezier_to_hermite, hermite_to_bezier
 
 EXIT_OK = 0
@@ -196,6 +197,15 @@ def cmd_validate(args) -> int:
 # repair
 
 
+def _system_line(system: dict) -> str:
+    steps = " ".join(f"{r:.3e}" for r in system["step_residuals"])
+    return (
+        f"repair system: {system['rows']} rows, {system['free_variables']} free variables "
+        f"({system['shared_variables']} shared), {system['fixed_variables']} fixed, "
+        f"{system['components']} components; residual before each step: {steps}"
+    )
+
+
 def cmd_repair(args) -> int:
     ps = _load_any(args.in_path)
     result = constraints.repair_patches(ps.patches)
@@ -217,6 +227,7 @@ def cmd_repair(args) -> int:
         ),
         "max_residual_after": worst_after,
         "compliant_after": worst_after <= args.tol,
+        "repair": dataclasses.asdict(result.system),
         "patches": [
             {"index": k, "max_displacement": s.max_displacement}
             for k, s in enumerate(result.per_patch)
@@ -227,6 +238,7 @@ def cmd_repair(args) -> int:
         for r in rep["patches"]:
             yield f"patch {r['index']:3d}: moved control points by up to {r['max_displacement']:.3e}"
         yield f"wrote {rep['output']}"
+        yield _system_line(rep["repair"])
         yield (
             f"max displacement {rep['max_displacement']:.3e}; corner displacement "
             f"{rep['max_corner_displacement']:.3e}; max residual after {rep['max_residual_after']:.3e}"
@@ -438,7 +450,7 @@ def cmd_teapot(args) -> int:
         io.write_obj(merged, obj_path)
         json_path = out_dir / "teapot_repaired.json"
         io.write_patchset(repaired, json_path)
-    except (io.PatchFormatError, OSError) as e:
+    except (io.PatchFormatError, OSError, RepairError) as e:
         print(f"stage {stage} failed: {e}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -469,6 +481,7 @@ def cmd_teapot(args) -> int:
         "c0_before_max": max((g["c0_max_gap"] for g in gaps_before), default=0.0),
         "c0_after_max": max((g["c0_max_gap"] for g in gaps_after), default=0.0),
         "c0_max_delta": c0_delta,
+        "repair": dataclasses.asdict(result.system),
         "mesh": {"vertices": len(merged.vertices), "triangles": len(merged.triangles)},
         "outputs": [str(obj_path), str(json_path)],
     }
@@ -490,6 +503,7 @@ def cmd_teapot(args) -> int:
             f"control points moved by up to {rep['max_displacement']:.3e}; "
             f"corner displacement {rep['max_corner_displacement']:.3e}"
         )
+        yield _system_line(rep["repair"])
         yield (
             f"shared edges: {rep['shared_edges']}; C0 before {rep['c0_before_max']:.3e}, "
             f"after {rep['c0_after_max']:.3e}, max change {rep['c0_max_delta']:.3e}"
@@ -514,6 +528,18 @@ def _tolerance(text: str) -> float:
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _count(minimum: int):
+    """argparse type of --n: an integer >= minimum."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return count
 
 
 def _add_common(sp, *, input_required=True, output=False):
@@ -557,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tessellate", help="triangulate patches and write OBJ")
     _add_common(p, output=True)
-    p.add_argument("--n", type=int, default=16, help="subdivisions per edge (default 16)")
+    p.add_argument("--n", type=_count(1), default=16, help="subdivisions per edge (default 16)")
     p.add_argument("--pattern", choices=[t.value for t in tessellation.TessPattern],
                    default="main")
     p.add_argument("--normals", action="store_true", help="include vertex normals")
@@ -567,14 +593,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continuity", help="measure C0/C1/G1 agreement along shared edges")
     _add_common(p)
-    p.add_argument("--n", type=int, default=16, help="samples per edge minus one (default 16)")
+    p.add_argument("--n", type=_count(2), default=16,
+                   help="samples per edge minus one (default 16)")
     p.add_argument("--detect", action="store_true",
                    help="derive adjacency from shared edge control points")
     p.set_defaults(func=cmd_continuity)
 
     p = sub.add_parser("teapot", help="end-to-end pipeline on a Newell-format file")
     _add_common(p, output=True)
-    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--n", type=_count(2), default=16, help="subdivisions per edge (default 16)")
     p.add_argument("--pattern", choices=[t.value for t in tessellation.TessPattern],
                    default="main")
     p.add_argument("--normals", action="store_true")
@@ -587,7 +614,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (io.PatchFormatError, DomainError) as e:
+    except (io.PatchFormatError, DomainError, RepairError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as e:

@@ -51,6 +51,7 @@ __all__ = [
     "hs_alpha_beta",
     "hs_validate",
     "repair_patches",
+    "RepairError",
     "grid_scale",
 ]
 
@@ -561,10 +562,36 @@ def hs_validate(h: HermitePatch, tol: float = DEFAULT_TOL) -> dict:
 # Joint repair of patch sets
 
 
+class RepairError(ValueError):
+    """A connected component of the joint repair system has no exact solution.
+
+    Raised when the component's Gram matrix is not positive definite (its
+    constraint rows are rank-deficient over the free variables) or when its
+    residual stays above the stop bound after the refinement steps.
+    ``patches`` holds the component's patch indices.
+    """
+
+    def __init__(self, patches, reason: str):
+        self.patches = tuple(int(p) for p in patches)
+        super().__init__(f"joint repair of patches {list(self.patches)} {reason}")
+
+
 @dataclass(frozen=True)
 class PatchRepairStats:
     max_displacement: float
     corner_displacement: float
+
+
+@dataclass(frozen=True)
+class RepairSystemStats:
+    """Size and health of the system a joint repair solved."""
+
+    rows: int = 0              # 5 reduced constraint rows per patch
+    free_variables: int = 0    # unknowns of the solve
+    shared_variables: int = 0  # free variables named by two or more patches
+    fixed_variables: int = 0   # corner variables, held at their input
+    components: int = 0        # independent blocks of patches coupled by shared variables
+    step_residuals: tuple = ()  # per step: worst reduced residual over its component's scale
 
 
 @dataclass(frozen=True)
@@ -573,25 +600,71 @@ class RepairResult:
     per_patch: list
     max_displacement: float
     residual: float  # worst post-repair row of the 6-row system over the set's scale
+    system: RepairSystemStats = RepairSystemStats()
 
 
 _BOUNDARY = [k for k in range(16) if k // 4 in (0, 3) or k % 4 in (0, 3)]
 _INNER = [k for k in range(16) if k not in _BOUNDARY]
+_REFINEMENT_STEPS = 3
+
+
+def _pairs_on_one_variable(var: np.ndarray):
+    """All ordered pairs (i, j) of entries of ``var`` with the same value.
+
+    Pairs come grouped by ascending value and, within a group, in the
+    entries' own order, so a subset whose values keep their relative order
+    enumerates its pairs in the same order alone as inside a larger set.
+    """
+    order = np.argsort(var, kind="stable")
+    starts = np.flatnonzero(np.r_[True, var[order][1:] != var[order][:-1]])
+    counts = np.diff(np.r_[starts, len(var)])
+    group_size = np.repeat(counts, counts)  # per sorted entry
+    left = np.repeat(np.arange(len(var)), group_size)
+    first = np.repeat(np.repeat(starts, counts), group_size)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(group_size) - group_size, group_size)
+    return order[left], order[first + offset]
+
+
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Smallest node index of each of ``n`` nodes' component under edges (a, b).
+
+    Min-label propagation with pointer jumping; ``a``/``b`` must list every
+    edge in both directions.
+    """
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, a, label[b])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     """Minimally move control points so every patch becomes compliant.
 
-    Solves the six constraint rows of every patch as one least-squares
-    problem.  Boundary control points with bit-identical coordinates in
-    several patches are one shared variable, so exactly-shared edges stay
-    exactly shared.  Corner variables are held fixed, and every slot on one
-    keeps its own input bit-exact, sign of zero included.  Inner control
-    points stay private to their patch.  ``residual`` is the worst
-    post-repair row of that system over max(1, max |coordinate|) of the set.
+    Boundary control points with bit-identical coordinates in several
+    patches are one shared variable, so exactly-shared edges stay exactly
+    shared.  Corner variables are held fixed, and every slot on one keeps
+    its own input bit-exact, sign of zero included.  Inner control points
+    stay private to their patch.
 
-    bs_project() is the single-grid counterpart; it cannot preserve shared
-    edges because each patch would pull the common boundary its own way.
+    The constraints are the certified full-rank reduced rows, five per
+    patch.  Patches coupled by shared free variables form connected
+    components, each solved on its own as a minimum-norm correction
+    x = A^T (A A^T)^-1 r: the Gram matrix A A^T of a component is assembled
+    from its free-slot incidences, factored once by Cholesky and reused in
+    up to three refinement steps, which stop once the reduced residual is
+    within 1e-13 times the component's scale, max(1, max |coordinate|).
+    A component whose Gram matrix is not positive definite (rank-deficient
+    rows) or whose residual stays above that bound (infeasible constraints)
+    raises RepairError naming its patches.
+
+    ``residual`` is the worst post-repair row of the 6-row system over
+    max(1, max |coordinate|) of the whole set; ``system`` reports the size
+    of the solve and the residual before each refinement step.
+    bs_project() is the one-patch case.
     """
     if not patches:
         return RepairResult(patches=[], per_patch=[], max_displacement=0.0, residual=0.0)
@@ -604,30 +677,69 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     slot_var[:, _INNER] = len(shared) + np.arange(4 * n).reshape(n, 4)
     fixed = np.zeros(len(shared) + 4 * n, dtype=bool)
     fixed[slot_var[:, list(CORNER_INDICES)]] = True
-    free = ~fixed[slot_var]
-    p_idx, k_idx = np.nonzero(free)
-    col = (np.cumsum(~fixed) - 1)[slot_var[p_idx, k_idx]]  # unknown of each free slot
+    p_idx, k_idx = np.nonzero(~fixed[slot_var])
+    var = slot_var[p_idx, k_idx]
+    reduced = _solver().reduced_f
+    coef = reduced[:, k_idx].T  # each free slot's coefficients in its patch's five rows
 
-    # A variable repeated within one patch (a collapsed edge) adds its coefficients.
-    lam = build_lambda().lam
-    a = np.zeros((6 * n, int(np.count_nonzero(~fixed))))
-    np.add.at(a, (6 * p_idx[:, None] + np.arange(6), col[:, None]), lam[:, k_idx].T)
-    b = -(lam @ np.where(free[..., None], 0.0, pts)).reshape(6 * n, 3)
+    # Two free slots on one variable couple their patches' rows in A A^T; a
+    # variable repeated within one patch (a collapsed edge) couples it to itself.
+    i, j = _pairs_on_one_variable(var)
+    _, comp = np.unique(_components(p_idx[i], p_idx[j], n), return_inverse=True)
+    members = np.split(np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp))[:-1])
+    local = np.empty(n, dtype=np.intp)
+    for m in members:
+        local[m] = np.arange(len(m))
+    by_comp = np.argsort(comp[p_idx[i]], kind="stable")
+    cuts = np.cumsum(np.bincount(comp[p_idx[i]], minlength=len(members)))[:-1]
+    factors = []
+    for m, ic, jc in zip(members, np.split(i[by_comp], cuts), np.split(j[by_comp], cuts)):
+        size = 5 * len(m)
+        row = 5 * local[p_idx[ic], None, None] + np.arange(5)[:, None]
+        col = 5 * local[p_idx[jc], None, None] + np.arange(5)
+        gram = np.bincount(
+            (row * size + col).ravel(),
+            (coef[ic, :, None] * coef[jc, None, :]).ravel(),
+            minlength=size * size,
+        ).reshape(size, size)
+        try:
+            factors.append(np.linalg.inv(np.linalg.cholesky(gram)))
+        except np.linalg.LinAlgError:
+            reason = "is rank-deficient: its Gram matrix is not positive definite"
+            raise RepairError(m, reason) from None
 
-    current = np.empty((a.shape[1], 3))
-    current[col] = pts[p_idx, k_idx]
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    for _ in range(3):
-        r = b - a @ current
-        if np.max(np.abs(r)) <= 1e-13 * scale:
-            break
-        current = current + np.linalg.lstsq(a, r, rcond=None)[0]
-
+    comp_scale = np.ones(len(members))
+    np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
     out = pts.copy()
-    out[p_idx, k_idx] = current[col]
+    history = []
+    for step in range(_REFINEMENT_STEPS + 1):
+        defect = reduced @ out  # (n, 5, 3)
+        worst = np.zeros(len(members))
+        np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
+        history.append(float(np.max(worst / comp_scale)))
+        open_comps = np.flatnonzero(worst > 1e-13 * comp_scale)
+        if not open_comps.size:
+            break
+        if step == _REFINEMENT_STEPS:
+            c = open_comps[0]
+            raise RepairError(
+                members[c],
+                f"is infeasible: its reduced residual is still {worst[c] / comp_scale[c]:.3e} "
+                f"of its scale after {_REFINEMENT_STEPS} refinement steps (bound 1e-13)",
+            )
+        y = np.zeros_like(defect)
+        for c in open_comps:
+            w, m = factors[c], members[c]
+            y[m] = (w.T @ (w @ defect[m].reshape(-1, 3))).reshape(-1, 5, 3)
+        delta = np.zeros((len(fixed), 3))
+        np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
+        out[p_idx, k_idx] -= delta[var]
+
     moved = np.max(np.abs(out - pts), axis=2)
     disp = moved[:, _NONCORNERS].max(axis=1)
     corner_disp = moved[:, list(CORNER_INDICES)].max(axis=1)
+    patch_count = np.bincount(np.unique(var * n + p_idx) // n, minlength=len(fixed))
+    scale = max(1.0, float(np.max(np.abs(pts))))
     return RepairResult(
         patches=[BezierPatch(*g) for g in out.transpose(0, 2, 1).reshape(n, 3, 4, 4)],
         per_patch=[
@@ -635,5 +747,13 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             for d, c in zip(disp.tolist(), corner_disp.tolist())
         ],
         max_displacement=float(disp.max()),
-        residual=float(np.max(np.abs(b - a @ current))) / scale,
+        residual=float(np.max(np.abs(build_lambda().lam @ out))) / scale,
+        system=RepairSystemStats(
+            rows=5 * n,
+            free_variables=int(np.count_nonzero(~fixed)),
+            shared_variables=int(np.count_nonzero(patch_count > 1)),
+            fixed_variables=int(np.count_nonzero(fixed)),
+            components=len(members),
+            step_residuals=tuple(history),
+        ),
     )

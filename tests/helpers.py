@@ -72,6 +72,18 @@ def hs_consistent_grid(rng, lo=-10.0, hi=10.0) -> np.ndarray:
     return h
 
 
+def rank_deficient_patch(rng) -> BezierPatch:
+    """A random patch whose eight non-corner boundary points equal its (0, 0) corner.
+
+    Only the four inner points stay free, and four unknowns cannot meet the
+    patch's five independent constraint rows.
+    """
+    g = random_patch(rng).as_array.copy()
+    for i, j in [(0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (2, 3), (3, 1), (3, 2)]:
+        g[:, i, j] = g[:, 0, 0]
+    return BezierPatch(*g)
+
+
 def shared_edge_pair(rng) -> tuple:
     """Two random patches whose U1/U0 edges carry identical control points."""
     a = random_patch(rng)

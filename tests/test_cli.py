@@ -7,7 +7,7 @@ from smartpatch import BezierPatch, PatchSet
 from smartpatch.cli import main
 from smartpatch.io import dump_patchset, read_patchset
 
-from helpers import bilinear_grid, random_compliant_grid, random_patch
+from helpers import bilinear_grid, random_compliant_grid, random_patch, rank_deficient_patch
 
 
 def run(capsys, *argv):
@@ -340,3 +340,65 @@ def test_tol_must_be_finite_and_nonnegative(capsys, teapot_path, tmp_path, tol):
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, n, extra",
+    [
+        (cmd, n, extra)
+        for cmd, extra in (("teapot", ["--out", "out"]), ("continuity", ["--detect"]))
+        for n in ("0", "1", "-3")
+    ]
+    + [("tessellate", n, ["--out", "out", "--merge"]) for n in ("0", "-3")],
+)
+def test_n_below_its_minimum_is_input_error(capsys, teapot_path, tmp_path, command, n, extra):
+    extra = [str(tmp_path / x) if x == "out" else x for x in extra]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--in", str(teapot_path), "--n", n, *extra])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tessellate_accepts_n_of_one(capsys, teapot_path, tmp_path):
+    code, out, _ = run(capsys, "tessellate", "--in", str(teapot_path), "--out",
+                       str(tmp_path / "t.obj"), "--merge", "--n", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["triangles"] == 32 * 2
+
+
+def test_repair_reports_its_system(capsys, teapot_path, tmp_path):
+    code, out, _ = run(capsys, "teapot", "--in", str(teapot_path), "--out", str(tmp_path), "--json")
+    assert code == 0
+    system = json.loads(out)["repair"]
+    assert system["rows"] == 160 and system["components"] == 4
+    assert system["free_variables"] > system["shared_variables"] > 0
+    assert system["fixed_variables"] > 0
+    assert system["step_residuals"][-1] <= 1e-13 < system["step_residuals"][0]
+    code, out, _ = run(capsys, "repair", "--in", str(teapot_path), "--out",
+                       str(tmp_path / "r.json"), "--json")
+    assert code == 0
+    assert json.loads(out)["repair"] == system
+    code, out, _ = run(capsys, "repair", "--in", str(teapot_path), "--out",
+                       str(tmp_path / "r.json"))
+    assert "repair system: 160 rows" in out and "4 components" in out
+
+
+def rank_deficient_newell(rng, path):
+    """A Newell file holding one patch that repair cannot make compliant."""
+    g = rank_deficient_patch(rng).as_array
+    rows = [",".join(repr(float(v)) for v in g[:, i, j]) for i in range(4) for j in range(4)]
+    indices = ",".join(str(k) for k in range(1, 17))
+    path.write_text(f"1\n{indices}\n16\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_rank_deficient_repair_is_input_error(capsys, tmp_path, rng):
+    src = rank_deficient_newell(rng, tmp_path / "bad.newell")
+    code, _, err = run(capsys, "teapot", "--in", str(src), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "stage repair failed" in err and "patches [0]" in err
+    code, _, err = run(capsys, "repair", "--in", str(src), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert "patches [0]" in err
+    assert not (tmp_path / "r.json").exists()

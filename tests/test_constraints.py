@@ -34,6 +34,7 @@ from smartpatch.constraints import (
     NONCORNER_INDICES,
     DerivationError,
     Poly,
+    RepairError,
     _certify,
     _solver,
     grid_scale,
@@ -50,7 +51,9 @@ from helpers import (
     hs_consistent_grid,
     loop_repair_patches,
     random_compliant_grid,
+    random_compliant_patch,
     random_patch,
+    rank_deficient_patch,
     shared_edge_pair,
     split_patch,
 )
@@ -727,3 +730,116 @@ def test_repair_keeps_height_field_grids_c0(heights):
     for rec in records:
         rep = continuity_report(repaired[rec.a], rec.edge_a, repaired[rec.b], rec.edge_b, 4)
         assert rep.c0_max_gap == 0.0
+
+
+def test_repair_reports_a_rank_deficient_patch(rng):
+    bad = rank_deficient_patch(rng)
+    with pytest.raises(RepairError) as exc:
+        repair_patches([bad])
+    assert exc.value.patches == (0,)
+    assert isinstance(exc.value, ValueError)
+    # The least-squares oracle hides the same system behind a large residual.
+    assert loop_repair_patches([bad]).residual > 0.1
+
+
+def test_repair_error_names_only_the_failing_component(rng):
+    a, b = shared_edge_pair(rng)
+    with pytest.raises(RepairError) as exc:
+        repair_patches([a, rank_deficient_patch(rng), b])
+    assert exc.value.patches == (1,)
+    assert "[1]" in str(exc.value)
+
+
+def test_repair_reports_a_residual_left_above_the_stop_bound(rng, monkeypatch):
+    monkeypatch.setattr("smartpatch.constraints._REFINEMENT_STEPS", 0)
+    a, b = shared_edge_pair(rng)
+    with pytest.raises(RepairError, match="infeasible") as exc:
+        repair_patches([random_compliant_patch(rng), a, b])
+    assert exc.value.patches == (1, 2)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_repair_system_diagnostics(teapot_path, split):
+    patches = read_newell(teapot_path).patches
+    if split:
+        patches = [q for p in patches for q in split_patch(p)]
+    system = repair_patches(patches).system
+    assert system.rows == 5 * len(patches)
+    assert system.components == 4
+    assert 0 < system.shared_variables < system.free_variables
+    assert system.free_variables + system.fixed_variables > 4 * len(patches)
+    steps = system.step_residuals
+    assert 2 <= len(steps) <= 4
+    assert steps[-1] <= 1e-13 < steps[0]
+
+
+def test_repair_system_counts_of_one_shared_edge(rng):
+    a, b = shared_edge_pair(rng)
+    system = repair_patches([a, b]).system
+    # 4 + 4 corners, 2 of them common; 12 free slots per patch, the 2 inner
+    # points of the common edge named by both.
+    assert system.rows == 10
+    assert system.fixed_variables == 6
+    assert system.shared_variables == 2
+    assert system.free_variables == 2 * 16 - 4 - 6
+    assert system.components == 1
+
+
+def shifted(patches, dx):
+    return [BezierPatch(p.x + dx, p.y, p.z) for p in patches]
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=height_fields, b=height_fields, dx=st.floats(4.0, 1e3))
+def test_repair_solves_components_independently(a, b, dx):
+    """Sets that share no boundary point repair bit for bit as they do alone."""
+    left, right = height_field_patches(a), shifted(height_field_patches(b), dx)
+    joint = repair_patches(left + right)
+    alone = repair_patches(left).patches + repair_patches(right).patches
+    for p, q in zip(joint.patches, alone):
+        assert p.as_array.tobytes() == q.as_array.tobytes()
+    parts = sum(repair_patches(s).system.components for s in (left, right))
+    assert joint.system.components == parts
+
+
+def test_repair_stop_test_uses_each_components_own_scale(rng):
+    """A nearly compliant set next to a large one is still refined to its own bound."""
+    small = repair_patches(height_field_patches(rng.uniform(-1, 1, (7, 7)))).patches
+    x = np.array(small[0].x)
+    x[1, 1] += 1e-11  # residual ~1e-11: above 1e-13, below 1e-13 times the large scale
+    small[0] = BezierPatch(x, small[0].y, small[0].z)
+    large = shifted([random_patch(rng, -1e3, 1e3)], 5e3)
+    joint = repair_patches(small + large)
+    assert joint.patches[0].x[1, 1] != x[1, 1]
+    for p, q in zip(joint.patches, repair_patches(small).patches):
+        assert p.as_array.tobytes() == q.as_array.tobytes()
+
+
+def test_repair_of_random_unshared_sets_is_per_patch(rng):
+    patches = [random_patch(rng, -m, m) for m in (1e-3, 1.0, 10.0, 1e3) for _ in range(3)]
+    joint = repair_patches(patches)
+    assert joint.system.components == len(patches)
+    for p, q in zip(joint.patches, patches):
+        assert p.as_array.tobytes() == repair_patches([q]).patches[0].as_array.tobytes()
+
+
+def assert_repair_idempotent(patches):
+    once = repair_patches(patches).patches
+    twice = repair_patches(once).patches
+    scale = max(grid_scale(p.as_array) for p in patches)
+    for p, q in zip(once, twice):
+        assert np.max(np.abs(p.as_array - q.as_array)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_repair_is_idempotent_on_teapot(teapot_path, split):
+    patches = read_newell(teapot_path).patches
+    if split:
+        patches = [q for p in patches for q in split_patch(p)]
+    assert_repair_idempotent(patches)
+
+
+@settings(max_examples=30, deadline=None)
+@given(heights=height_fields)
+def test_repair_is_idempotent_on_height_fields(heights):
+    assert_repair_idempotent(height_field_patches(heights))
