@@ -43,6 +43,7 @@ from .tessellation import (
     TessPattern,
     TriangleMesh,
     continuity_report,
+    continuity_reports,
     detect_adjacency,
     sample_grid,
     surface_normal,

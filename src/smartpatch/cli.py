@@ -122,17 +122,21 @@ def cmd_lambda(args) -> int:
 # validate
 
 
-def _bezier_patch_report(patch: BezierPatch, tol: float) -> dict:
-    coords = {}
-    worst = 0.0
-    for name, grid in zip("xyz", patch.grids):
-        rep = constraints.bs_residuals(grid, tol)
-        coords[name] = {
-            kind.value: [d.a6, d.a5, d.a4] for kind, d in rep.per_diagonal.items()
+def _bezier_patch_reports(patches, tol: float) -> list:
+    """Per-patch compliance reports, read from one pass over the whole set."""
+    if not patches:
+        return []
+    flat = np.stack([p.as_array for p in patches]).reshape(len(patches), 3, 16)
+    coeffs, scale = constraints._diagonal_coefficients(flat)
+    worst = np.max(np.abs(coeffs), axis=-1) / scale  # (patches, xyz)
+    out = []
+    for c, w in zip(coeffs.tolist(), worst.tolist()):
+        coords = {
+            name: {"main": cc[:3], "anti": cc[3:], "max_residual": ww}
+            for name, cc, ww in zip("xyz", c, w)
         }
-        coords[name]["max_residual"] = rep.max_residual
-        worst = max(worst, rep.max_residual)
-    return {"max_residual": worst, "compliant": worst <= tol, "coords": coords}
+        out.append({"max_residual": max(w), "compliant": max(w) <= tol, "coords": coords})
+    return out
 
 
 def _hermite_patch_report(patch: HermitePatch, tol: float) -> dict:
@@ -161,8 +165,7 @@ def cmd_validate(args) -> int:
             rep["index"] = k
             patches_report.append(rep)
     else:
-        for k, p in enumerate(ps.patches):
-            rep = _bezier_patch_report(p, args.tol)
+        for k, rep in enumerate(_bezier_patch_reports(ps.patches, args.tol)):
             rep["index"] = k
             patches_report.append(rep)
     bad = [r["index"] for r in patches_report if not r["compliant"]]
@@ -209,10 +212,9 @@ def _system_line(system: dict) -> str:
 def cmd_repair(args) -> int:
     ps = _load_any(args.in_path)
     result = constraints.repair_patches(ps.patches)
-    worst_after = 0.0
-    for p in result.patches:
-        for g in p.grids:
-            worst_after = max(worst_after, constraints.bs_residuals(g, args.tol).max_residual)
+    worst_after = max(
+        (r["max_residual"] for r in _bezier_patch_reports(result.patches, args.tol)), default=0.0
+    )
     out = io.PatchSet(name=ps.name, patches=result.patches, adjacency=ps.adjacency)
     io.write_patchset(out, args.out_path)
     report = {
@@ -354,26 +356,22 @@ def _continuity_pairs(ps: io.PatchSet, args):
 
 
 def _adjacency_report(ps: io.PatchSet, records, n: int) -> list:
-    out = []
-    for rec in records:
-        rep = tessellation.continuity_report(
-            ps.patches[rec.a], rec.edge_a, ps.patches[rec.b], rec.edge_b, n
-        )
-        out.append(
-            {
-                "a": rec.a,
-                "edge_a": rec.edge_a.side.value,
-                "reversed_a": rec.edge_a.reversed,
-                "b": rec.b,
-                "edge_b": rec.edge_b.side.value,
-                "reversed_b": rec.edge_b.reversed,
-                "c0_max_gap": rep.c0_max_gap,
-                "c1_max_mismatch": rep.c1_max_mismatch,
-                "g1_max_angle": rep.g1_max_angle,
-                "samples": rep.samples,
-            }
-        )
-    return out
+    reports = tessellation.continuity_reports(ps.patches, records, n)
+    return [
+        {
+            "a": rec.a,
+            "edge_a": rec.edge_a.side.value,
+            "reversed_a": rec.edge_a.reversed,
+            "b": rec.b,
+            "edge_b": rec.edge_b.side.value,
+            "reversed_b": rec.edge_b.reversed,
+            "c0_max_gap": rep.c0_max_gap,
+            "c1_max_mismatch": rep.c1_max_mismatch,
+            "g1_max_angle": rep.g1_max_angle,
+            "samples": rep.samples,
+        }
+        for rec, rep in zip(records, reports)
+    ]
 
 
 def cmd_continuity(args) -> int:
@@ -423,7 +421,7 @@ def cmd_teapot(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         stage = "validate"
-        before = [_bezier_patch_report(p, args.tol) for p in ps.patches]
+        before = _bezier_patch_reports(ps.patches, args.tol)
 
         stage = "adjacency"
         records = tessellation.detect_adjacency(ps.patches, tol=args.tol)
@@ -434,7 +432,7 @@ def cmd_teapot(args) -> int:
         repaired = io.PatchSet(name=ps.name, patches=result.patches)
 
         stage = "revalidate"
-        after = [_bezier_patch_report(p, args.tol) for p in result.patches]
+        after = _bezier_patch_reports(result.patches, args.tol)
         gaps_after = _adjacency_report(repaired, records, args.n)
 
         stage = "tessellate"

@@ -366,17 +366,32 @@ def _vec(g) -> np.ndarray:
     return g.reshape(-1)
 
 
+def _diagonal_coefficients(flat: np.ndarray):
+    """The six leading diagonal coefficients and the scale of every grid.
+
+    ``flat`` holds row-major grids along its last axis, (..., 16), e.g. a
+    patch set's (N, 3, 16) array.  Returns the (..., 6) coefficients (main
+    diagonal's a6, a5, a4, then the anti diagonal's) and the (...) scales
+    max(1, max |grid value|).  The certified constraint matrix is applied
+    to all grids in one stacked matrix-vector product: numpy runs the same
+    matrix-vector kernel on every grid, so each grid's coefficients equal
+    its one-grid bs_residuals() values bit for bit, whatever set it is in.
+    """
+    coeffs = (build_lambda().lam @ flat[..., None])[..., 0]
+    return coeffs, np.abs(flat).max(axis=-1, initial=1.0)
+
+
 def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Compliance report for one coordinate grid.
 
     The six leading diagonal coefficients, read as the certified constraint
     matrix applied to the grid, are reported relative to
     max(1, max |grid value|); the grid complies when the largest relative
-    magnitude stays within ``tol``.
+    magnitude stays within ``tol``.  The one-grid case of the set-wide
+    coefficients that validation reads.
     """
-    flat = _vec(g)
-    coeffs = (build_lambda().lam @ flat).tolist()
-    scale = grid_scale(flat)
+    coeffs, scale = _diagonal_coefficients(_vec(g))
+    coeffs, scale = coeffs.tolist(), float(scale)
     per = {}
     for kind, (a6, a5, a4) in zip(DiagonalKind, (coeffs[:3], coeffs[3:])):
         rel = tuple(abs(c) / scale for c in (a6, a5, a4))
@@ -565,10 +580,11 @@ def hs_validate(h: HermitePatch, tol: float = DEFAULT_TOL) -> dict:
 class RepairError(ValueError):
     """A connected component of the joint repair system has no exact solution.
 
-    Raised when the component's Gram matrix is not positive definite (its
-    constraint rows are rank-deficient over the free variables) or when its
-    residual stays above the stop bound after the refinement steps.
-    ``patches`` holds the component's patch indices.
+    Raised when its constraint rows are rank-deficient over the free
+    variables (decided exactly for each patch's own rows, or found when the
+    component's Gram matrix is not positive definite) or when its residual
+    stays above the stop bound after the refinement steps.  ``patches``
+    holds the component's patch indices.
     """
 
     def __init__(self, patches, reason: str):
@@ -641,6 +657,36 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         label = new
 
 
+@functools.lru_cache(maxsize=256)
+def _pattern_rank(pattern: tuple) -> int:
+    """Exact rank of one patch's reduced rows over its free variables.
+
+    ``pattern`` holds, for each of the 12 non-corner slots, -1 when the slot
+    is on a fixed variable, else the first non-corner slot of the patch on
+    the same variable.  A free variable's column is the sum of its slots'
+    columns of the certified reduced system.
+    """
+    reduced = _solver().reduced
+    columns = {}
+    for k, first in enumerate(pattern):
+        if first >= 0:
+            col = columns.setdefault(first, [Fraction(0)] * reduced.rows)
+            for r in range(reduced.rows):
+                col[r] += reduced[r, k]
+    return RationalMatrix(list(columns.values())).rank() if columns else 0
+
+
+def _patch_ranks(slot_var: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Exact rank of each patch's five reduced rows over its own free variables.
+
+    Patches with the same coincidence pattern share one cached rank."""
+    var = slot_var[:, _NONCORNERS]
+    first = np.argmax(var[:, :, None] == var[:, None, :], axis=2)
+    patterns, which = np.unique(np.where(fixed[var], -1, first), axis=0, return_inverse=True)
+    ranks = np.array([_pattern_rank(tuple(p)) for p in patterns.tolist()])
+    return ranks[which.reshape(-1)]
+
+
 def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     """Minimally move control points so every patch becomes compliant.
 
@@ -657,9 +703,11 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     from its free-slot incidences, factored once by Cholesky and reused in
     up to three refinement steps, which stop once the reduced residual is
     within 1e-13 times the component's scale, max(1, max |coordinate|).
-    A component whose Gram matrix is not positive definite (rank-deficient
-    rows) or whose residual stays above that bound (infeasible constraints)
-    raises RepairError naming its patches.
+    A component with rank-deficient rows or whose residual stays above that
+    bound (infeasible constraints) raises RepairError naming its patches.
+    Deficiency within one patch's rows, which comes from which of its slots
+    share a variable, is decided exactly before any float work; deficiency
+    across patches shows as a Gram matrix that is not positive definite.
 
     ``residual`` is the worst post-repair row of the 6-row system over
     max(1, max |coordinate|) of the whole set; ``system`` reports the size
@@ -690,6 +738,15 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     local = np.empty(n, dtype=np.intp)
     for m in members:
         local[m] = np.arange(len(m))
+    rank = _patch_ranks(slot_var, fixed)
+    if (rank < 5).any():
+        c = comp[rank < 5].min()
+        p = np.flatnonzero((rank < 5) & (comp == c))[0]
+        reason = (
+            f"is rank-deficient: patch {p}'s five constraint rows have exact rank "
+            f"{rank[p]} over its free variables"
+        )
+        raise RepairError(members[c], reason)
     by_comp = np.argsort(comp[p_idx[i]], kind="stable")
     cuts = np.cumsum(np.bincount(comp[p_idx[i]], minlength=len(members)))[:-1]
     factors = []

@@ -210,35 +210,26 @@ def edge_incidence(mesh: TriangleMesh) -> Counter:
 # ---------------------------------------------------------------------------
 # Edges and continuity
 
-# Where each side's control points sit in a (..., 3, 4, 4) patch array.
-_EDGE_INDEX = {
-    EdgeSide.U0: (..., 0, slice(None)),
-    EdgeSide.U1: (..., 3, slice(None)),
-    EdgeSide.V0: (..., slice(None), 0),
-    EdgeSide.V1: (..., slice(None), 3),
-}
+# Per side, in EdgeSide order: grid rows and columns of its four control
+# points in traversal order, whether u is its fixed parameter, and the
+# fixed parameter's value.
+_SIDE_CODE = {side: k for k, side in enumerate(EdgeSide)}
+_SIDE_ROWS = np.array([(0, 0, 0, 0), (3, 3, 3, 3), (0, 1, 2, 3), (0, 1, 2, 3)])
+_SIDE_COLS = np.array([(0, 1, 2, 3), (0, 1, 2, 3), (0, 0, 0, 0), (3, 3, 3, 3)])
+_SIDE_FIXES_U = np.array([True, True, False, False])
+_SIDE_FIXED_AT = np.array([0.0, 1.0, 0.0, 1.0])
 _NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
 
 
 def _edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:
     """(..., 4, 3) control points of one side of (..., 3, 4, 4) patch arrays."""
-    return np.swapaxes(arr[_EDGE_INDEX[side]], -1, -2)
+    k = _SIDE_CODE[side]
+    return np.swapaxes(arr[..., _SIDE_ROWS[k], _SIDE_COLS[k]], -1, -2)
 
 
 def edge_control_points(patch: BezierPatch, side: EdgeSide) -> np.ndarray:
     """The four xyz control points of one patch edge, in traversal order."""
-    return _edge_points(patch.as_array, side).copy()
-
-
-def _edge_frame(patch: BezierPatch, edge: EdgeId, ts: np.ndarray):
-    """Transverse partial (du on U edges, dv on V edges), unit normal and
-    its defined-mask at the matched edge parameters ``ts``, each row one t."""
-    tau = 1.0 - ts if edge.reversed else ts
-    fixed = np.array([1.0 if edge.side in (EdgeSide.U1, EdgeSide.V1) else 0.0])
-    u_edge = edge.side in (EdgeSide.U0, EdgeSide.U1)
-    du, dv = _grid_partials(patch, fixed, tau) if u_edge else _grid_partials(patch, tau, fixed)
-    du, dv = du.reshape(-1, 3), dv.reshape(-1, 3)
-    return (du if u_edge else dv), *_unit_normals(du, dv)
+    return _edge_points(patch.as_array, side)
 
 
 @dataclass(frozen=True)
@@ -259,35 +250,71 @@ def continuity_report(
 ) -> ContinuityReport:
     """Positional, derivative and tangent-plane agreement along two edges.
 
-    Samples n+1 matched parameter values (each edge honours its own
-    orientation flag).  Positions come from each edge's own control
-    points, taken in traversal order, so edges that carry bit-identical
-    control points report a gap of exactly 0.0 in either orientation.
-    The derivative measure is the raw difference of
-    the transverse partials, i.e. parametric continuity: patches joined
+    The one-record case of continuity_reports(), which describes the
+    measures.  The report carries raw measures; ``tol`` is the threshold
+    callers apply when turning them into verdicts.
+    """
+    return continuity_reports([a, b], [Adjacency(0, edge_a, 1, edge_b)], n)[0]
+
+
+def continuity_reports(
+    patches: Sequence[BezierPatch], records: Sequence[Adjacency], n: int
+) -> list:
+    """A ContinuityReport for every adjacency record, in one array pass.
+
+    Each record's two edges are sampled at n+1 matched parameter values
+    (each edge honours its own orientation flag).  The C0 gap is the
+    distance between the edge curves, taken from the difference of each
+    edge's own control points in traversal order, so edges that carry
+    bit-identical control points report exactly 0.0 in either orientation.
+    The C1 mismatch is the raw difference of the transverse partials (du
+    on U edges, dv on V edges), i.e. parametric continuity: patches joined
     with mirrored parameterizations report a C1 mismatch even where the
-    surface is geometrically smooth, and the G1 angle is the one that
-    tells those cases apart.  Samples where either normal is degenerate
-    are skipped for G1.  The report carries raw measures; ``tol`` is the
-    threshold callers apply when turning them into verdicts.
+    surface is geometrically smooth, and the G1 angle between the unit
+    normals is the one that tells those cases apart.  Samples where either
+    normal is degenerate are skipped for G1.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not records:
+        return []
+    arr = np.stack([p.as_array for p in patches])
+    # Both edges of every record, a-sides first, then b-sides.
+    which = np.array([[r.a for r in records], [r.b for r in records]]).ravel()
+    edges = [r.edge_a for r in records] + [r.edge_b for r in records]
+    side = np.array([_SIDE_CODE[e.side] for e in edges])
+    flip = np.array([e.reversed for e in edges])
+    rows, cols = _SIDE_ROWS[side], _SIDE_COLS[side]
+    rows[flip], cols[flip] = rows[flip, ::-1], cols[flip, ::-1]
+    u_edge = _SIDE_FIXES_U[side][:, None]
+
     ts = np.arange(n + 1) / n
-    w = bernstein_weights_many(ts)
-    qa, qb = edge_control_points(a, edge_a.side), edge_control_points(b, edge_b.side)
-    gap = w @ (qa[::-1] if edge_a.reversed else qa) - w @ (qb[::-1] if edge_b.reversed else qb)
-    da, na, ok_a = _edge_frame(a, edge_a, ts)
-    db, nb, ok_b = _edge_frame(b, edge_b, ts)
+    q = arr[which[:, None], :, rows, cols]  # (2E, 4, 3)
+    half = len(records)
+    gap = bernstein_weights_many(ts) @ (q[:half] - q[half:])  # (E, n+1, 3)
+
+    tau = np.where(flip[:, None], 1.0 - ts, ts)
+    fixed = _SIDE_FIXED_AT[side][:, None]
+    u, v = np.where(u_edge, fixed, tau), np.where(u_edge, tau, fixed)
+    # Rows k = 0 weigh the grid by (dB(u), B(v)) for dP/du, rows k = 1 by
+    # (B(u), dB(v)) for dP/dv; both partials of all edges in one product.
+    shape = (len(edges), 2 * (n + 1), 4)
+    wu = np.stack([bernstein_dweights_many(u), bernstein_weights_many(u)], axis=2).reshape(shape)
+    wv = np.stack([bernstein_weights_many(v), bernstein_dweights_many(v)], axis=2).reshape(shape)
+    d = np.einsum("ecmj,emj->emc", wu[:, None] @ arr[which], wv).reshape(-1, n + 1, 2, 3)
+    normal, ok = _unit_normals(d[:, :, 0], d[:, :, 1])
+    transverse = np.where(u_edge[..., None], d[:, :, 0], d[:, :, 1])
+    na, nb = normal[:half], normal[half:]
     # atan2 form stays accurate for nearly parallel normals where
     # arccos of the dot product would lose half the precision
-    angle = np.arctan2(np.linalg.norm(np.cross(na, nb), axis=1), np.sum(na * nb, axis=1))
-    return ContinuityReport(
-        c0_max_gap=float(np.max(np.linalg.norm(gap, axis=1))),
-        c1_max_mismatch=float(np.max(np.linalg.norm(da - db, axis=1))),
-        g1_max_angle=float(np.max(angle[ok_a & ok_b], initial=0.0)),
-        samples=n + 1,
-    )
+    angle = np.arctan2(np.linalg.norm(np.cross(na, nb), axis=-1), np.sum(na * nb, axis=-1))
+    c0 = np.max(np.linalg.norm(gap, axis=-1), axis=1)
+    c1 = np.max(np.linalg.norm(transverse[:half] - transverse[half:], axis=-1), axis=1)
+    g1 = np.max(np.where(ok[:half] & ok[half:], angle, 0.0), axis=1)
+    return [
+        ContinuityReport(c0_max_gap=x, c1_max_mismatch=y, g1_max_angle=z, samples=n + 1)
+        for x, y, z in zip(c0.tolist(), c1.tolist(), g1.tolist())
+    ]
 
 
 def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:

@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 
 from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve, hs_twists
-from smartpatch.constraints import PatchRepairStats, RepairResult
+from smartpatch.constraints import PatchRepairStats, RepairResult, grid_scale
+from smartpatch.io import read_newell
 from smartpatch.patches import eval_patch_partials
 from smartpatch.tessellation import Adjacency, EdgeId, EdgeSide, edge_control_points
 
@@ -422,3 +423,31 @@ def loop_repair_patches(patches) -> RepairResult:
         max_displacement=overall,
         residual=worst_residual,
     )
+
+
+def validation_sets(rng, teapot_path) -> dict:
+    """(N, 3, 4, 4) sets: the teapot, its 2x2 split, and 1000 seeded grids of
+    random, compliant and nearly compliant (perturbed around the 1e-9
+    tolerance) kinds plus a zero and a constant grid, in patches of three."""
+    teapot = read_newell(teapot_path).patches
+    grids = [rng.uniform(-10, 10, (4, 4)) * 10.0 ** rng.integers(-3, 4) for _ in range(334)]
+    grids += [random_compliant_grid(rng) * 10.0 ** rng.integers(-3, 4) for _ in range(333)]
+    for _ in range(333):
+        g = random_compliant_grid(rng) * 10.0 ** rng.integers(-3, 4)
+        g = g + rng.choice([-1.0, 1.0], (4, 4)) * rng.uniform(0.0, 2e-11) * grid_scale(g)
+        grids.append(g)
+    grids.append(np.zeros((4, 4)))
+    grids.append(np.full((4, 4), -0.5))
+    return {
+        "teapot": np.stack([p.as_array for p in teapot]),
+        "split": np.stack([q.as_array for p in teapot for q in split_patch(p)]),
+        "grids": np.array(grids).reshape(-1, 3, 4, 4),
+    }
+
+
+def newell_text(patches) -> str:
+    """Newell-format text of a patch set, one vertex per control point."""
+    points = np.stack([p.as_array for p in patches]).transpose(0, 2, 3, 1).reshape(-1, 3)
+    rows = [",".join(str(16 * k + j + 1) for j in range(16)) for k in range(len(patches))]
+    vertices = [",".join(repr(c) for c in v) for v in points.tolist()]
+    return "\n".join([str(len(patches)), *rows, str(len(vertices)), *vertices]) + "\n"

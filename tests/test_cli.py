@@ -1,13 +1,23 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from smartpatch import BezierPatch, PatchSet
+from smartpatch import BezierPatch, DiagonalKind, PatchSet, bs_residuals, repair_patches
 from smartpatch.cli import main
-from smartpatch.io import dump_patchset, read_patchset
+from smartpatch.constraints import grid_scale
+from smartpatch.io import dump_patchset, read_newell, read_patchset
 
-from helpers import bilinear_grid, random_compliant_grid, random_patch, rank_deficient_patch
+from helpers import (
+    bilinear_grid,
+    newell_text,
+    random_compliant_grid,
+    random_patch,
+    rank_deficient_patch,
+    split_patch,
+    validation_sets,
+)
 
 
 def run(capsys, *argv):
@@ -79,6 +89,36 @@ def test_validate_teapot_noncompliant(capsys, teapot_path):
         if p["coords"][coord]["max_residual"] > rep["tolerance"]
     )
     assert grids_bad == 68
+
+
+def test_validate_and_repair_read_the_per_grid_residuals(capsys, tmp_path, rng, teapot_path):
+    for name, arr in validation_sets(rng, teapot_path).items():
+        patches = [BezierPatch(*a) for a in arr]
+        code, out, _ = run(capsys, "validate", "--in", str(write_set(tmp_path, name, patches)),
+                           "--json")
+        reports = json.loads(out)["patches"]
+        assert code == (0 if all(r["compliant"] for r in reports) else 1)
+        for patch, r in zip(patches, reports):
+            grids = [bs_residuals(g) for g in patch.grids]
+            worst = max(g.max_residual for g in grids)
+            assert abs(r["max_residual"] - worst) <= 1e-14
+            assert r["compliant"] == (worst <= 1e-9) == all(g.compliant for g in grids)
+            for coord, g, grid in zip("xyz", grids, patch.grids):
+                c = r["coords"][coord]
+                assert list(c) == ["main", "anti", "max_residual"]
+                assert abs(c["max_residual"] - g.max_residual) <= 1e-14
+                for kind in DiagonalKind:
+                    d = g.per_diagonal[kind]
+                    err = np.max(np.abs(np.subtract(c[kind.value], (d.a6, d.a5, d.a4))))
+                    assert err <= 1e-14 * grid_scale(grid)
+
+    src = write_set(tmp_path, "teapot", read_newell(teapot_path).patches)
+    code, out, _ = run(capsys, "repair", "--in", str(src), "--out", str(tmp_path / "r.json"),
+                       "--json")
+    assert code == 0
+    worst = max(bs_residuals(g).max_residual for p in read_patchset(tmp_path / "r.json").patches
+                for g in p.grids)
+    assert abs(json.loads(out)["max_residual_after"] - worst) <= 1e-14
 
 
 def test_validate_empty_set(capsys, tmp_path):
@@ -314,6 +354,24 @@ def test_teapot_pipeline(capsys, teapot_path, tmp_path):
     # the repaired set must validate clean through the CLI as well
     code, _, _ = run(capsys, "validate", "--in", str(out_dir / "teapot_repaired.json"))
     assert code == 0
+
+
+def test_teapot_on_the_split_teapot(capsys, teapot_path, tmp_path):
+    patches = [q for p in read_newell(teapot_path).patches for q in split_patch(p)]
+    src = tmp_path / "split.newell"
+    src.write_text(newell_text(patches))
+    code, out, _ = run(capsys, "teapot", "--in", str(src), "--out", str(tmp_path / "out"),
+                       "--n", "4", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["patch_count"] == 128
+    assert rep["shared_edges"] == 232
+    assert rep["c0_before_max"] == rep["c0_after_max"] == rep["c0_max_delta"] == 0.0
+    result = repair_patches(patches)
+    assert rep["repair"] == json.loads(json.dumps(dataclasses.asdict(result.system)))
+    assert rep["after"]["noncompliant_patches"] == 0
+    worst = max(bs_residuals(g).max_residual for p in result.patches for g in p.grids)
+    assert abs(rep["after"]["max_residual"] - worst) <= 1e-14
 
 
 def test_teapot_missing_input(capsys, tmp_path):

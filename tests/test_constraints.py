@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from smartpatch.constraints import (
     Poly,
     RepairError,
     _certify,
+    _diagonal_coefficients,
     _solver,
     grid_scale,
 )
@@ -56,6 +58,7 @@ from helpers import (
     rank_deficient_patch,
     shared_edge_pair,
     split_patch,
+    validation_sets,
 )
 
 # Printed coefficient tables for the two grid-to-R maps, kept as an
@@ -288,6 +291,24 @@ def test_residual_coefficients_match_collapse_oracle(rng):
             expect = collapse_diagonal(g, kind).coeffs[:3]
             err = np.max(np.abs(np.subtract((d.a6, d.a5, d.a4), expect)))
             assert err <= 1e-12 * grid_scale(g)
+
+
+def test_set_coefficients_are_the_per_grid_residuals(rng, teapot_path):
+    lam = build_lambda().lam
+    verdicts = 0
+    for arr in validation_sets(rng, teapot_path).values():
+        coeffs, scale = _diagonal_coefficients(arr.reshape(len(arr), 3, 16))
+        assert coeffs.shape == (len(arr), 3, 6) and scale.shape == (len(arr), 3)
+        for p, c in np.ndindex(len(arr), 3):
+            g = arr[p, c]
+            rep = bs_residuals(g)
+            assert scale[p, c] == grid_scale(g)
+            one = [v for kind in DiagonalKind for v in astuple(rep.per_diagonal[kind])[:3]]
+            for want in (lam @ g.reshape(-1), one):
+                assert np.max(np.abs(coeffs[p, c] - want)) <= 1e-14 * grid_scale(g)
+            assert (np.max(np.abs(coeffs[p, c])) / scale[p, c] <= 1e-9) == rep.compliant
+            verdicts += rep.compliant
+    assert 0 < verdicts < 3 * (32 + 128 + 334)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +761,65 @@ def test_repair_reports_a_rank_deficient_patch(rng):
     assert isinstance(exc.value, ValueError)
     # The least-squares oracle hides the same system behind a large residual.
     assert loop_repair_patches([bad]).residual > 0.1
+
+
+_BOUNDARY_SLOTS = tuple((i, j) for i in range(4) for j in range(4) if i in (0, 3) or j in (0, 3))
+
+
+def _coincident_boundary_patch(rng) -> BezierPatch:
+    """Random patch whose non-corner boundary points are, one after another,
+    each set equal to a drawn boundary point (corners and itself included)."""
+    g = random_patch(rng).as_array.copy()
+    for i, j in (s for s in _BOUNDARY_SLOTS if s not in CORNER_SLOTS):
+        k, m = _BOUNDARY_SLOTS[rng.integers(len(_BOUNDARY_SLOTS))]
+        g[:, i, j] = g[:, k, m]
+    return BezierPatch(*g)
+
+
+def _exact_rank_over_free_variables(patch: BezierPatch) -> int:
+    """Rank of the 6-row reference matrix over the patch's free variables, exactly.
+
+    Slots with bit-identical points are one variable, a variable on a corner
+    is fixed, and a free variable's column sums its slots' columns.  The
+    reduced rows are row operations on these rows, so the rank is the same.
+    """
+    g = patch.as_array
+    key = {(i, j): tuple(g[:, i, j]) if (i, j) in _BOUNDARY_SLOTS else (i, j)
+           for i in range(4) for j in range(4)}
+    fixed = {key[c] for c in CORNER_SLOTS}
+    columns = {}
+    for (i, j), k in key.items():
+        if k not in fixed:
+            col = columns.setdefault(k, [0] * 6)
+            for r in range(6):
+                col[r] += LAMBDA_REFERENCE[r][4 * i + j]
+    return RationalMatrix(list(columns.values())).rank() if columns else 0
+
+
+def test_structural_rank_deficiency_is_decided_before_factoring(rng, monkeypatch):
+    factorizations = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factorizations.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    deficient = 0
+    for _ in range(400):
+        patch = _coincident_boundary_patch(rng)
+        factorizations.clear()
+        if _exact_rank_over_free_variables(patch) < 5:
+            deficient += 1
+            with pytest.raises(RepairError, match="is rank-deficient") as exc:
+                repair_patches([patch])
+            assert exc.value.patches == (0,)
+            assert factorizations == []  # raised before any float factorization or step
+        else:
+            result = repair_patches([patch])
+            assert result.residual <= 1e-9  # compliant at the default tolerance
+            assert len(factorizations) == 1
+    assert deficient >= 10
 
 
 def test_repair_error_names_only_the_failing_component(rng):

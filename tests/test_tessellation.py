@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from smartpatch import (
     TessPattern,
     collapse_diagonal,
     continuity_report,
+    continuity_reports,
     detect_adjacency,
     eval_patch,
     sample_grid,
@@ -423,6 +427,94 @@ def test_c0_is_exactly_zero_on_bit_identical_edges(side_a, side_b, rng):
         for n in (2, 16, 33):
             assert continuity_report(a, edge_a, b, edge_b, n).c0_max_gap == 0.0
             assert continuity_report(b, edge_b, a, edge_a, n).c0_max_gap == 0.0
+
+
+def _assert_reports_match(patches, records, n):
+    """continuity_reports against the per-sample loop and the one-record form."""
+    reports = continuity_reports(patches, records, n)
+    assert len(reports) == len(records)
+    for rec, rep in zip(records, reports):
+        a, b = patches[rec.a], patches[rec.b]
+        scale = max(1.0, float(np.max(np.abs(a.as_array))), float(np.max(np.abs(b.as_array))))
+        one = continuity_report(a, rec.edge_a, b, rec.edge_b, n)
+        for want in (loop_continuity(a, rec.edge_a, b, rec.edge_b, n), astuple(one)[:3]):
+            assert abs(rep.c0_max_gap - want[0]) <= 1e-13 * scale
+            assert abs(rep.c1_max_mismatch - want[1]) <= 1e-13 * scale
+            assert abs(rep.g1_max_angle - want[2]) <= 1e-13
+        assert rep.samples == n + 1
+    return reports
+
+
+def _twin_on(rng, patch, side_a, side_b, flip) -> BezierPatch:
+    """Random patch whose ``side_b`` carries ``patch``'s ``side_a`` control points bit for bit."""
+    q = edge_control_points(patch, side_a)
+    grids = rng.uniform(-10.0, 10.0, (3, 4, 4))
+    grids[SIDE_INDEX[side_b]] = (q[::-1] if flip else q).T
+    return BezierPatch(*grids)
+
+
+def test_continuity_reports_cover_every_side_pair_and_orientation(rng, teapot_path):
+    teapot = read_newell(teapot_path).patches
+    patches = [random_patch(rng), teapot[0], _collapsed_edge_patch(rng, EdgeSide.U0), teapot[28]]
+    records = [
+        Adjacency(k % 4, EdgeId(sa, ra), (k + 1 + k // 16) % 4, EdgeId(sb, rb))
+        for k, (sa, sb, ra, rb) in enumerate(
+            itertools.product(EdgeSide, EdgeSide, (False, True), (False, True))
+        )
+    ]
+    # the same patch on two different sides
+    records += [
+        Adjacency(k, EdgeId(sa, r), k, EdgeId(sb, not r))
+        for k in range(4)
+        for sa, sb in itertools.permutations(EdgeSide, 2)
+        for r in (False, True)
+    ]
+    assert {(r.edge_a, r.edge_b) for r in records[:64]} == {
+        (EdgeId(sa, ra), EdgeId(sb, rb))
+        for sa, sb, ra, rb in itertools.product(EdgeSide, EdgeSide, (False, True), (False, True))
+    }
+    for n in range(2, 10):
+        _assert_reports_match(patches, records, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 6), st.sampled_from(list(EdgeSide)), st.booleans(),
+            st.integers(0, 6), st.sampled_from(list(EdgeSide)), st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_continuity_reports_match_loop_on_drawn_records(teapot_path, seed, n, picks):
+    rng = np.random.default_rng(seed)
+    teapot = read_newell(teapot_path).patches
+    patches = [random_patch(rng), random_patch(rng)]
+    patches += [_collapsed_edge_patch(rng, side) for side in rng.permutation(list(EdgeSide))[:2]]
+    patches += [teapot[k] for k in rng.choice(len(teapot), 3, replace=False)]
+    records = [Adjacency(a, EdgeId(sa, ra), b, EdgeId(sb, rb)) for a, sa, ra, b, sb, rb in picks]
+    # bit-identical edges, in both argument orders, among the drawn records
+    a, sa, ra, _, sb, rb = picks[0]
+    patches.append(_twin_on(rng, patches[a], sa, sb, ra != rb))
+    twin = len(patches) - 1
+    records += [Adjacency(a, EdgeId(sa, ra), twin, EdgeId(sb, rb)),
+                Adjacency(twin, EdgeId(sb, rb), a, EdgeId(sa, ra))]
+    reports = _assert_reports_match(patches, records, n)
+    assert reports[-2].c0_max_gap == 0.0
+    assert reports[-1].c0_max_gap == 0.0
+
+
+def test_continuity_reports_of_no_records_and_too_few_samples(rng):
+    patch = random_patch(rng)
+    assert continuity_reports([patch], [], 4) == []
+    record = Adjacency(0, EdgeId(EdgeSide.U0), 0, EdgeId(EdgeSide.U1))
+    for n in (1, 0, -2):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            continuity_reports([patch], [record], n)
 
 
 def test_edge_incidence_matches_triangle_loop(rng, teapot_path):
