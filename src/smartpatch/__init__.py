@@ -48,6 +48,7 @@ from .tessellation import (
     sample_grid,
     surface_normal,
     tessellate,
+    tessellate_set,
 )
 
 __version__ = "0.1.0"

@@ -297,34 +297,31 @@ def cmd_convert(args) -> int:
 def cmd_tessellate(args) -> int:
     ps = _load_any(args.in_path)
     pattern = tessellation.TessPattern(args.pattern)
-    meshes = [
-        tessellation.tessellate(p, args.n, pattern, with_normals=args.normals)
-        for p in ps.patches
-    ]
+    mesh = tessellation.tessellate_set(ps.patches, args.n, pattern, with_normals=args.normals)
     files = []
     if args.merge:
-        merged = tessellation.merge_meshes(meshes)
-        io.write_obj(merged, args.out_path)
+        io.write_obj(mesh, args.out_path)
         files.append(str(args.out_path))
-        vertex_total, triangle_total = len(merged.vertices), len(merged.triangles)
     else:
         out_dir = Path(args.out_path)
         out_dir.mkdir(parents=True, exist_ok=True)
-        vertex_total = triangle_total = 0
-        for k, m in enumerate(meshes):
+        # patch k's mesh is vertex block k of the set mesh with patch 0's triangles
+        size, triangles = (args.n + 1) ** 2, mesh.triangles[: 2 * args.n**2]
+        for k in range(len(ps.patches)):
+            block = slice(k * size, (k + 1) * size)
+            normals = None if mesh.normals is None else mesh.normals[block]
+            part = tessellation.TriangleMesh(mesh.vertices[block], triangles, normals)
             path = out_dir / f"patch_{k:03d}.obj"
-            io.write_obj(m, path)
+            io.write_obj(part, path)
             files.append(str(path))
-            vertex_total += len(m.vertices)
-            triangle_total += len(m.triangles)
     report = {
         "command": "tessellate",
         "name": ps.name,
         "n": args.n,
         "pattern": pattern.value,
         "patch_count": len(ps.patches),
-        "vertices": vertex_total,
-        "triangles": triangle_total,
+        "vertices": len(mesh.vertices),
+        "triangles": len(mesh.triangles),
         "normals": args.normals,
         "files": files,
     }
@@ -437,11 +434,9 @@ def cmd_teapot(args) -> int:
 
         stage = "tessellate"
         pattern = tessellation.TessPattern(args.pattern)
-        meshes = [
-            tessellation.tessellate(p, args.n, pattern, with_normals=args.normals)
-            for p in result.patches
-        ]
-        merged = tessellation.merge_meshes(meshes)
+        merged = tessellation.tessellate_set(
+            result.patches, args.n, pattern, with_normals=args.normals
+        )
 
         stage = "export"
         obj_path = out_dir / "teapot.obj"

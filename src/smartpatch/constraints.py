@@ -703,8 +703,9 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     from its free-slot incidences, factored once by Cholesky and reused in
     up to three refinement steps, which stop once the reduced residual is
     within 1e-13 times the component's scale, max(1, max |coordinate|).
-    A component with rank-deficient rows or whose residual stays above that
-    bound (infeasible constraints) raises RepairError naming its patches.
+    A component already within that bound is returned untouched.  Any
+    other component with rank-deficient rows or whose residual stays above
+    that bound (infeasible constraints) raises RepairError naming its patches.
     Deficiency within one patch's rows, which comes from which of its slots
     share a variable, is decided exactly before any float work; deficiency
     across patches shows as a Gram matrix that is not positive definite.
@@ -738,7 +739,15 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     local = np.empty(n, dtype=np.intp)
     for m in members:
         local[m] = np.arange(len(m))
-    rank = _patch_ranks(slot_var, fixed)
+    comp_scale = np.ones(len(members))
+    np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
+    # A component already within the stop bound needs no correction: it is
+    # neither rank-checked nor factored, and comes back untouched.
+    worst = np.zeros(len(members))
+    np.maximum.at(worst, comp, np.abs(reduced @ pts).max(axis=(1, 2)))
+    needed = worst > 1e-13 * comp_scale
+    rank = np.full(n, 5)
+    rank[needed[comp]] = _patch_ranks(slot_var[needed[comp]], fixed)
     if (rank < 5).any():
         c = comp[rank < 5].min()
         p = np.flatnonzero((rank < 5) & (comp == c))[0]
@@ -749,8 +758,12 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
         raise RepairError(members[c], reason)
     by_comp = np.argsort(comp[p_idx[i]], kind="stable")
     cuts = np.cumsum(np.bincount(comp[p_idx[i]], minlength=len(members)))[:-1]
-    factors = []
-    for m, ic, jc in zip(members, np.split(i[by_comp], cuts), np.split(j[by_comp], cuts)):
+    factors = {}
+    pairs = zip(np.split(i[by_comp], cuts), np.split(j[by_comp], cuts))
+    for c, (ic, jc) in enumerate(pairs):
+        if not needed[c]:
+            continue
+        m = members[c]
         size = 5 * len(m)
         row = 5 * local[p_idx[ic], None, None] + np.arange(5)[:, None]
         col = 5 * local[p_idx[jc], None, None] + np.arange(5)
@@ -760,13 +773,11 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             minlength=size * size,
         ).reshape(size, size)
         try:
-            factors.append(np.linalg.inv(np.linalg.cholesky(gram)))
+            factors[c] = np.linalg.inv(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             reason = "is rank-deficient: its Gram matrix is not positive definite"
             raise RepairError(m, reason) from None
 
-    comp_scale = np.ones(len(members))
-    np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
     out = pts.copy()
     history = []
     for step in range(_REFINEMENT_STEPS + 1):

@@ -117,36 +117,45 @@ def load_patchset(text: str) -> PatchSet:
     return PatchSet(name=name, patches=patches, adjacency=adjacency)
 
 
-def _num(x: float):
-    # ints inside grids survive as ints in JSON; normalize to float for
-    # deterministic shortest-round-trip output
-    return float(x)
+# dump_patchset writes the text json.dumps(doc, indent=1) gives, from fixed
+# templates: one per patch, filled with the reprs of its 48 control values
+# (json writes floats with float.__repr__), and one per adjacency record.
+_GRID_ROWS = ",\n".join(["    [\n" + ",\n".join(["     %r"] * 4) + "\n    ]"] * 4)
+_PATCH_TEMPLATE = "  {\n" + ",\n".join(f'   "{c}": [\n{_GRID_ROWS}\n   ]' for c in "xyz") + "\n  }"
+_RECORD_KEYS = ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")
+_RECORD_TEMPLATE = "  {\n" + ",\n".join(f'   "{k}": %s' for k in _RECORD_KEYS) + "\n  }"
+
+
+def _json_list(items) -> str:
+    """An indent=1 JSON list at the document's second level, from item texts."""
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 def dump_patchset(ps: PatchSet) -> str:
-    doc = {
-        "name": ps.name,
-        "patches": [
-            {
-                coord: [[_num(v) for v in row] for row in grid.tolist()]
-                for coord, grid in zip("xyz", p.grids)
-            }
-            for p in ps.patches
-        ],
-    }
+    """The patch set as the JSON text of json.dumps(doc, indent=1).
+
+    Every control value is written as a float, so integer-valued entries
+    read back as floats and the output is deterministic."""
+    values = np.array([p.as_array for p in ps.patches], dtype=float).reshape(-1, 48)
+    fields = [
+        f' "name": {json.dumps(ps.name)}',
+        ' "patches": ' + _json_list([_PATCH_TEMPLATE % tuple(v) for v in values.tolist()]),
+    ]
     if ps.adjacency is not None:
-        doc["adjacency"] = [
-            {
-                "a": rec.a,
-                "edge_a": rec.edge_a.side.value,
-                "reversed_a": rec.edge_a.reversed,
-                "b": rec.b,
-                "edge_b": rec.edge_b.side.value,
-                "reversed_b": rec.edge_b.reversed,
-            }
+        records = [
+            _RECORD_TEMPLATE
+            % (
+                int(rec.a),
+                json.dumps(rec.edge_a.side.value),
+                json.dumps(rec.edge_a.reversed),
+                int(rec.b),
+                json.dumps(rec.edge_b.side.value),
+                json.dumps(rec.edge_b.reversed),
+            )
             for rec in ps.adjacency
         ]
-    return json.dumps(doc, indent=1)
+        fields.append(' "adjacency": ' + _json_list(records))
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def read_patchset(path) -> PatchSet:
@@ -180,13 +189,18 @@ def load_newell(text: str, name: str = "newell") -> PatchSet:
         pos += 1
         return out
 
-    no, ln = take("patch count")
-    try:
-        patch_count = int(ln)
-    except ValueError:
-        raise PatchFormatError(f"line {no}: expected patch count, got {ln!r}") from None
+    def take_count(what):
+        no, ln = take(what)
+        try:
+            value = int(ln)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise PatchFormatError(f"line {no}: expected {what}, got {ln!r}")
+        return value
+
     index_rows = []
-    for _ in range(patch_count):
+    for _ in range(take_count("patch count")):
         no, ln = take("patch indices")
         parts = ln.split(",")
         if len(parts) != 16:
@@ -196,33 +210,46 @@ def load_newell(text: str, name: str = "newell") -> PatchSet:
         except ValueError:
             raise PatchFormatError(f"line {no}: non-integer patch index") from None
         index_rows.append((no, idx))
-    no, ln = take("vertex count")
+    vertex_count = take_count("vertex count")
+    first = pos
+    coords = []
+
+    def finite_vertices():
+        """The vertices parsed so far; raises for the first non-finite one's line."""
+        vertices = np.array(coords, dtype=float).reshape(-1, 3)
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            raise PatchFormatError(f"line {lines[first + bad[0]][0]}: non-finite coordinate")
+        return vertices
+
     try:
-        vertex_count = int(ln)
-    except ValueError:
-        raise PatchFormatError(f"line {no}: expected vertex count, got {ln!r}") from None
-    vertices = np.empty((vertex_count, 3))
-    for k in range(vertex_count):
-        no, ln = take("vertex coordinates")
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise PatchFormatError(f"line {no}: expected 3 coordinates, got {len(parts)}")
-        try:
-            vertices[k] = [float(p) for p in parts]
-        except ValueError:
-            raise PatchFormatError(f"line {no}: non-numeric coordinate") from None
-        if not np.isfinite(vertices[k]).all():
-            raise PatchFormatError(f"line {no}: non-finite coordinate")
+        for _ in range(vertex_count):
+            no, ln = take("vertex coordinates")
+            parts = ln.split(",")
+            if len(parts) != 3:
+                raise PatchFormatError(f"line {no}: expected 3 coordinates, got {len(parts)}")
+            try:
+                coords.append([float(p) for p in parts])
+            except ValueError:
+                raise PatchFormatError(f"line {no}: non-numeric coordinate") from None
+    except PatchFormatError:
+        finite_vertices()  # an earlier line's error comes first
+        raise
+    vertices = finite_vertices()
     if pos != len(lines):
         raise PatchFormatError(f"line {lines[pos][0]}: trailing content after vertex table")
 
-    patches = []
-    for no, idx in index_rows:
-        for i in idx:
-            if not (1 <= i <= vertex_count):
-                raise PatchFormatError(f"line {no}: vertex index {i} out of range 1..{vertex_count}")
-        pts = vertices[np.array(idx) - 1].reshape(4, 4, 3)
-        patches.append(BezierPatch(pts[:, :, 0], pts[:, :, 1], pts[:, :, 2]))
+    # Python ints in an object array, so no index can overflow the check
+    idx = np.array([row for _, row in index_rows], dtype=object).reshape(-1, 16)
+    bad = np.flatnonzero((idx < 1) | (idx > vertex_count))
+    if bad.size:
+        row, col = divmod(int(bad[0]), 16)
+        no = index_rows[row][0]
+        raise PatchFormatError(
+            f"line {no}: vertex index {idx[row, col]} out of range 1..{vertex_count}"
+        )
+    pts = vertices[idx.astype(np.intp) - 1].reshape(-1, 4, 4, 3)
+    patches = [BezierPatch(p[:, :, 0], p[:, :, 1], p[:, :, 2]) for p in pts]
     return PatchSet(name=name, patches=patches)
 
 

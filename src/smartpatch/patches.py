@@ -185,19 +185,6 @@ def eval_patch_partials(patch: BezierPatch, u: float, v: float, extrapolate: boo
     return a @ wv @ wu, a @ wv @ du, a @ dv @ wu
 
 
-def de_casteljau(points, t: float):
-    """Reference Bezier evaluator by repeated linear interpolation.
-
-    Kept as an independent cross-check for the matrix-form evaluation;
-    works for scalar or vector control points of any count.
-    """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    while len(pts) > 1:
-        pts = [(1.0 - t) * a + t * b for a, b in zip(pts[:-1], pts[1:])]
-    out = pts[0]
-    return float(out) if out.ndim == 0 else out
-
-
 def hermite_to_bezier(h: HermitePatch) -> BezierPatch:
     """Convert corner/tangent/twist grids to Bezier control grids."""
     c, _ = _conversion_matrices()

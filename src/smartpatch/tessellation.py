@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -103,6 +103,17 @@ def _main_diag_cells(pattern: TessPattern, n: int) -> np.ndarray:
     return i % 2 == 0  # ZIGZAG
 
 
+def _triangles(n: int, pattern: TessPattern) -> np.ndarray:
+    """(2n^2, 3) triangles of one (n+1)^2-vertex grid, two per cell in cell order."""
+    # corners of cell (i, j): a=(i, j), b=(i+1, j), c=(i+1, j+1), d=(i, j+1)
+    a = np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    main = _main_diag_cells(pattern, n)[..., None]
+    first = np.where(main, np.stack([a, b, c], axis=-1), np.stack([a, b, d], axis=-1))
+    second = np.where(main, np.stack([a, c, d], axis=-1), np.stack([b, c, d], axis=-1))
+    return np.stack([first, second], axis=2).reshape(-1, 3)
+
+
 def tessellate(
     patch: BezierPatch,
     n: int,
@@ -113,28 +124,56 @@ def tessellate(
 
     Produces (n+1)^2 vertices in row-major (u-major) order and 2*n^2
     triangles wound counter-clockwise when viewed against the parametric
-    normal du x dv.
+    normal du x dv.  The one-patch case of tessellate_set().
     """
-    vertices = sample_grid(patch, n).reshape(-1, 3)
-    # corners of cell (i, j): a=(i, j), b=(i+1, j), c=(i+1, j+1), d=(i, j+1)
-    a = np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]
-    b, c, d = a + n + 1, a + n + 2, a + 1
-    main = _main_diag_cells(pattern, n)[..., None]
-    first = np.where(main, np.stack([a, b, c], axis=-1), np.stack([a, b, d], axis=-1))
-    second = np.where(main, np.stack([a, c, d], axis=-1), np.stack([b, c, d], axis=-1))
-    tris = np.stack([first, second], axis=2).reshape(-1, 3)
-    normals = _vertex_normals(patch, n, vertices, tris) if with_normals else None
+    return tessellate_set([patch], n, pattern, with_normals)
+
+
+def tessellate_set(
+    patches: Sequence[BezierPatch],
+    n: int,
+    pattern: TessPattern = TessPattern.MAIN_DIAG,
+    with_normals: bool = False,
+) -> TriangleMesh:
+    """Triangulate every patch on an n-by-n parameter grid, as one mesh.
+
+    Patch p's vertices, triangles and normals are those tessellate() gives
+    it alone, bit for bit, with its vertex indices offset by p*(n+1)^2 and
+    its blocks in patch order.  Samples and partials of all patches come
+    from one stacked product each.  Where du x dv is degenerate (see
+    surface_normal) the normal is the normalized sum of the patch's
+    adjacent face normals, or +z where those cancel.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    arr = np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
+    per_patch = (n + 1) ** 2
+    ts = np.linspace(0.0, 1.0, n + 1)
+    w = bernstein_weights_many(ts)  # (n+1, 4)
+    vertices = np.moveaxis(w @ arr @ w.T, 1, -1).reshape(-1, 3)
+    offsets = per_patch * np.arange(len(arr))[:, None, None]
+    tris = (_triangles(n, pattern) + offsets).reshape(-1, 3)
+    normals = None
+    if with_normals:
+        dw = bernstein_dweights_many(ts)
+        du = np.moveaxis(dw @ (arr @ w.T), 1, -1).reshape(-1, 3)
+        dv = np.moveaxis(w @ (arr @ dw.T), 1, -1).reshape(-1, 3)
+        normals, ok = _unit_normals(du, dv)
+        if not ok.all():
+            # face-average fallback over the triangles of the patches that need it
+            bad = ~ok.reshape(len(arr), per_patch).all(axis=1)
+            t = tris.reshape(len(arr), -1, 3)[bad].reshape(-1, 3)
+            face_n = np.cross(
+                vertices[t[:, 1]] - vertices[t[:, 0]], vertices[t[:, 2]] - vertices[t[:, 0]]
+            )
+            acc = np.zeros_like(normals)
+            np.add.at(acc, t, face_n[:, None, :])
+            acc = acc[~ok]
+            length = np.linalg.norm(acc, axis=1, keepdims=True)
+            normals[~ok] = np.divide(
+                acc, length, out=np.tile((0.0, 0.0, 1.0), (len(acc), 1)), where=length > 1e-300
+            )
     return TriangleMesh(vertices=vertices, triangles=tris, normals=normals)
-
-
-def _grid_partials(patch: BezierPatch, us: np.ndarray, vs: np.ndarray):
-    """dP/du and dP/dv on the grid us x vs, each shaped (len(us), len(vs), 3)."""
-    a = patch.as_array
-    wu, wv = bernstein_weights_many(us), bernstein_weights_many(vs)
-    dwu, dwv = bernstein_dweights_many(us), bernstein_dweights_many(vs)
-    du = dwu @ (a @ wv.T)  # (3, len(us), len(vs))
-    dv = wu @ (a @ dwv.T)
-    return np.moveaxis(du, 0, -1), np.moveaxis(dv, 0, -1)
 
 
 def _unit_normals(du: np.ndarray, dv: np.ndarray):
@@ -158,28 +197,12 @@ def surface_normal(patch: BezierPatch, u: float, v: float, extrapolate: bool = F
     return nrm if ok else None
 
 
-def _vertex_normals(patch, n, vertices, triangles) -> np.ndarray:
-    """Analytic normals per grid vertex, face-average fallback at degeneracies."""
-    ts = np.linspace(0.0, 1.0, n + 1)
-    du, dv = _grid_partials(patch, ts, ts)
-    normals, ok = _unit_normals(du.reshape(-1, 3), dv.reshape(-1, 3))
-    if not ok.all():
-        face_n = np.cross(
-            vertices[triangles[:, 1]] - vertices[triangles[:, 0]],
-            vertices[triangles[:, 2]] - vertices[triangles[:, 0]],
-        )
-        acc = np.zeros_like(normals)
-        np.add.at(acc, triangles, face_n[:, None, :])
-        acc = acc[~ok]
-        length = np.linalg.norm(acc, axis=1, keepdims=True)
-        normals[~ok] = np.divide(
-            acc, length, out=np.tile((0.0, 0.0, 1.0), (len(acc), 1)), where=length > 1e-300
-        )
-    return normals
-
-
 def merge_meshes(meshes: Sequence[TriangleMesh]) -> TriangleMesh:
-    """Concatenate meshes, offsetting indices; input order is preserved."""
+    """Concatenate meshes, offsetting indices; input order is preserved.
+
+    The pipeline tessellates whole sets with tessellate_set(); this stays
+    as the per-patch reference and because bench/tracing.py wraps it by name.
+    """
     if not meshes:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     verts, tris, normals = [], [], []
@@ -218,7 +241,7 @@ _SIDE_ROWS = np.array([(0, 0, 0, 0), (3, 3, 3, 3), (0, 1, 2, 3), (0, 1, 2, 3)])
 _SIDE_COLS = np.array([(0, 1, 2, 3), (0, 1, 2, 3), (0, 0, 0, 0), (3, 3, 3, 3)])
 _SIDE_FIXES_U = np.array([True, True, False, False])
 _SIDE_FIXED_AT = np.array([0.0, 1.0, 0.0, 1.0])
-_NEIGHBOUR_CELLS = tuple(itertools.product((-1, 0, 1), repeat=3))
+_NEIGHBOUR_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 
 def _edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:
@@ -317,6 +340,22 @@ def continuity_reports(
     ]
 
 
+def _key_codes(keys: np.ndarray) -> np.ndarray:
+    """One int64 code per row of an (N, d) integer array; equal rows, equal codes.
+
+    Each column is replaced by its rank among that column's values, and the
+    partial code is re-ranked before each column after the second is folded
+    in, so no code reaches N^2 whatever the keys' range.
+    """
+    code = np.zeros(len(keys), dtype=np.int64)
+    for axis, column in enumerate(keys.T):
+        if axis > 1:
+            _, code = np.unique(code, return_inverse=True)
+        _, rank = np.unique(column, return_inverse=True)
+        code = code * len(keys) + rank
+    return code
+
+
 def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     """Find patch edges that carry the same control points, either orientation.
 
@@ -340,27 +379,35 @@ def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     # probe the neighbouring cells (Teschner et al., VMV 2003).  The extra
     # 1e-12*scale keeps rounding in the quotient from putting matching
     # endpoints two cells apart, and keeps the cell nonzero at tol = 0.
+    # The probe is a join: every edge's start key shifted into each of the
+    # 27 neighbouring cells, looked up in the table of all start keys
+    # (forward: start near start) and end keys (reversed: end near start).
     cell = (tol + 1e-12) * scale
-    keys = np.floor(q[:, (0, 3)] / cell).astype(np.int64).tolist()
-    starts, ends = defaultdict(list), defaultdict(list)
-    for e, (k0, k3) in enumerate(keys):
-        starts[tuple(k0)].append(e)
-        ends[tuple(k3)].append(e)
-    sides = list(EdgeSide)
-    found = []
-    for i, ((x, y, z), _) in enumerate(keys):
-        near = set()
-        for dx, dy, dz in _NEIGHBOUR_CELLS:
-            key = (x + dx, y + dy, z + dz)
-            near.update(starts.get(key, ()))  # forward: start near start
-            near.update(ends.get(key, ()))  # reversed: end near start
-        for k in sorted(e for e in near if e > i):
-            if np.max(np.abs(q[i] - q[k])) <= limit:
-                flip = False
-            elif np.max(np.abs(q[i] - q[k][::-1])) <= limit:
-                flip = True
-            else:
-                continue
-            (pi, si), (pk, sk) = divmod(int(live[i]), 4), divmod(int(live[k]), 4)
-            found.append(Adjacency(pi, EdgeId(sides[si]), pk, EdgeId(sides[sk], flip)))
-    return found
+    keys = np.floor(q[:, (0, 3)] / cell).astype(np.int64)  # (E, 2, 3)
+    count = len(q)
+    table = keys.transpose(1, 0, 2).reshape(-1, 3)  # starts, then ends
+    probes = (keys[:, None, 0] + _NEIGHBOUR_OFFSETS).reshape(-1, 3)
+    codes = _key_codes(np.concatenate([table, probes]))
+    table_codes, probe_codes = codes[: 2 * count], codes[2 * count :]
+    order = np.argsort(table_codes, kind="stable")
+    ranked = table_codes[order]
+    lo = np.searchsorted(ranked, probe_codes, side="left")
+    hits = np.searchsorted(ranked, probe_codes, side="right") - lo
+    first = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
+    i = np.repeat(np.arange(len(probes)) // len(_NEIGHBOUR_OFFSETS), hits)
+    k = order[first] % count
+    # distinct candidate pairs (i, k), k > i, in the order of i, then k (an
+    # edge is in the table twice); a plain np.unique would import numpy.ma
+    pair = np.sort(i[k > i] * count + k[k > i])
+    pair = pair[np.diff(pair, prepend=-1) > 0]
+    i, k = np.divmod(pair, count)
+    forward = np.max(np.abs(q[i] - q[k]), axis=(1, 2)) <= limit
+    backward = np.max(np.abs(q[i] - q[k, ::-1]), axis=(1, 2)) <= limit
+    match = forward | backward
+    ids = [[EdgeId(side, flip) for side in EdgeSide] for flip in (False, True)]
+    return [
+        Adjacency(pi // 4, ids[0][pi % 4], pk // 4, ids[flip][pk % 4])
+        for pi, pk, flip in zip(
+            live[i[match]].tolist(), live[k[match]].tolist(), (~forward[match]).tolist()
+        )
+    ]

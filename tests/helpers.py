@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,11 @@ import numpy as np
 from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve, hs_twists
 from smartpatch.constraints import PatchRepairStats, RepairResult, grid_scale
 from smartpatch.io import read_newell
-from smartpatch.patches import eval_patch_partials
+from smartpatch.patches import (
+    bernstein_dweights_many,
+    bernstein_weights_many,
+    eval_patch_partials,
+)
 from smartpatch.tessellation import Adjacency, EdgeId, EdgeSide, edge_control_points
 
 CORNER_SLOTS = ((0, 0), (0, 3), (3, 0), (3, 3))
@@ -96,6 +101,19 @@ def shared_edge_pair(rng) -> tuple:
     return a, BezierPatch(*b_grids)
 
 
+def de_casteljau(points, t: float):
+    """Reference Bezier evaluator by repeated linear interpolation.
+
+    An independent cross-check for the matrix-form evaluation; works for
+    scalar or vector control points of any count.
+    """
+    pts = [np.asarray(p, dtype=float) for p in points]
+    while len(pts) > 1:
+        pts = [(1.0 - t) * a + t * b for a, b in zip(pts[:-1], pts[1:])]
+    out = pts[0]
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # Loop oracles for the array-form tessellation layer.  These are the
 # per-sample and per-pair implementations the library used before its
@@ -167,6 +185,34 @@ def loop_vertex_normals(patch: BezierPatch, n: int, vertices, triangles) -> np.n
             nrm = acc[k]
             length = np.linalg.norm(nrm)
             normals[k] = nrm / length if length > 1e-300 else (0.0, 0.0, 1.0)
+    return normals
+
+
+def per_patch_normals(patch: BezierPatch, n: int, vertices, triangles) -> np.ndarray:
+    """Vertex normals of one patch's grid from its own partials and faces,
+    the per-patch arithmetic ``tessellate_set`` must reproduce bit for bit."""
+    ts = np.linspace(0.0, 1.0, n + 1)
+    w, dw = bernstein_weights_many(ts), bernstein_dweights_many(ts)
+    a = patch.as_array
+    du = np.moveaxis(dw @ (a @ w.T), 0, -1).reshape(-1, 3)
+    dv = np.moveaxis(w @ (a @ dw.T), 0, -1).reshape(-1, 3)
+    cross = np.cross(du, dv)
+    norm = np.linalg.norm(cross, axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1))
+    ok = norm > 1e-12 * scale
+    normals = cross / np.where(ok, norm, 1.0)[:, None]
+    if not ok.all():
+        face_n = np.cross(
+            vertices[triangles[:, 1]] - vertices[triangles[:, 0]],
+            vertices[triangles[:, 2]] - vertices[triangles[:, 0]],
+        )
+        acc = np.zeros_like(normals)
+        np.add.at(acc, triangles, face_n[:, None, :])
+        length = np.linalg.norm(acc[~ok], axis=1, keepdims=True)
+        normals[~ok] = np.divide(
+            acc[~ok], length, out=np.tile((0.0, 0.0, 1.0), (len(length), 1)),
+            where=length > 1e-300,
+        )
     return normals
 
 
@@ -254,6 +300,30 @@ def loop_export_obj(mesh) -> str:
         else:
             out.append(f"f {i} {j} {k}")
     return "\n".join(out) + ("\n" if out else "")
+
+
+def patchset_json(ps) -> str:
+    """``dump_patchset`` as a document of Python lists through json.dumps."""
+    doc = {
+        "name": ps.name,
+        "patches": [
+            {c: [[float(v) for v in row] for row in g.tolist()] for c, g in zip("xyz", p.grids)}
+            for p in ps.patches
+        ],
+    }
+    if ps.adjacency is not None:
+        doc["adjacency"] = [
+            {
+                "a": rec.a,
+                "edge_a": rec.edge_a.side.value,
+                "reversed_a": rec.edge_a.reversed,
+                "b": rec.b,
+                "edge_b": rec.edge_b.side.value,
+                "reversed_b": rec.edge_b.reversed,
+            }
+            for rec in ps.adjacency
+        ]
+    return json.dumps(doc, indent=1)
 
 
 def split_patch(patch: BezierPatch) -> list:

@@ -8,10 +8,13 @@ from smartpatch import BezierPatch, DiagonalKind, PatchSet, bs_residuals, repair
 from smartpatch.cli import main
 from smartpatch.constraints import grid_scale
 from smartpatch.io import dump_patchset, read_newell, read_patchset
+from smartpatch.tessellation import TessPattern, merge_meshes, tessellate
 
 from helpers import (
     bilinear_grid,
+    loop_export_obj,
     newell_text,
+    patchset_json,
     random_compliant_grid,
     random_patch,
     rank_deficient_patch,
@@ -182,6 +185,18 @@ def test_repair_teapot_validates_after(capsys, teapot_path, tmp_path):
     assert code == 0
 
 
+def test_repair_of_a_compliant_degenerate_patch_succeeds(capsys, tmp_path, rng):
+    constant = BezierPatch(np.full((4, 4), 1.0), np.full((4, 4), 2.0), np.full((4, 4), -3.0))
+    src = write_set(tmp_path, "flat", [constant, random_patch(rng)])
+    dst = tmp_path / "out.json"
+    code, out, _ = run(capsys, "repair", "--in", str(src), "--out", str(dst), "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["compliant_after"] is True
+    assert rep["patches"][0]["max_displacement"] == 0.0
+    assert np.array_equal(read_patchset(dst).patches[0].as_array, constant.as_array)
+
+
 # ---------------------------------------------------------------------------
 # convert
 
@@ -263,6 +278,18 @@ def test_tessellate_per_patch_files(capsys, tmp_path, rng):
     rep = json.loads(out)
     assert len(rep["files"]) == 2
     assert (out_dir / "patch_000.obj").exists() and (out_dir / "patch_001.obj").exists()
+
+
+def test_tessellate_per_patch_files_are_the_per_patch_meshes(capsys, tmp_path, teapot_path):
+    patches = read_newell(teapot_path).patches[:5]
+    src = write_set(tmp_path, "five", patches)
+    out_dir = tmp_path / "meshes"
+    code, _, _ = run(capsys, "tessellate", "--in", str(src), "--out", str(out_dir),
+                     "--n", "3", "--pattern", "zigzag", "--normals")
+    assert code == 0
+    for k, p in enumerate(patches):
+        mesh = tessellate(p, 3, TessPattern.ZIGZAG, with_normals=True)
+        assert (out_dir / f"patch_{k:03d}.obj").read_bytes() == loop_export_obj(mesh).encode()
 
 
 def test_tessellate_teapot_counts(capsys, teapot_path, tmp_path):
@@ -372,6 +399,36 @@ def test_teapot_on_the_split_teapot(capsys, teapot_path, tmp_path):
     assert rep["after"]["noncompliant_patches"] == 0
     worst = max(bs_residuals(g).max_residual for p in result.patches for g in p.grids)
     assert abs(rep["after"]["max_residual"] - worst) <= 1e-14
+
+
+def _assert_teapot_outputs_match_oracle(capsys, src, out_dir, patches, n, pattern, normals):
+    argv = ["teapot", "--in", str(src), "--out", str(out_dir), "--n", str(n),
+            "--pattern", pattern] + (["--normals"] if normals else [])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    repaired = repair_patches(patches).patches
+    pattern = TessPattern(pattern)
+    mesh = merge_meshes([tessellate(p, n, pattern, with_normals=normals) for p in repaired])
+    assert (out_dir / "teapot.obj").read_bytes() == loop_export_obj(mesh).encode()
+    expect = patchset_json(PatchSet(name=src.stem, patches=repaired)) + "\n"
+    assert (out_dir / "teapot_repaired.json").read_bytes() == expect.encode()
+
+
+@pytest.mark.parametrize("pattern", [t.value for t in TessPattern])
+def test_teapot_outputs_match_the_per_patch_oracle(capsys, teapot_path, tmp_path, pattern):
+    patches = read_newell(teapot_path).patches
+    _assert_teapot_outputs_match_oracle(
+        capsys, teapot_path, tmp_path / "out", patches, 16, pattern, normals=True
+    )
+
+
+def test_teapot_outputs_on_the_split_match_the_per_patch_oracle(capsys, teapot_path, tmp_path):
+    patches = [q for p in read_newell(teapot_path).patches for q in split_patch(p)]
+    src = tmp_path / "split.newell"
+    src.write_text(newell_text(patches))
+    _assert_teapot_outputs_match_oracle(
+        capsys, src, tmp_path / "out", patches, 4, "main", normals=False
+    )
 
 
 def test_teapot_missing_input(capsys, tmp_path):

@@ -923,3 +923,35 @@ def test_repair_is_idempotent_on_teapot(teapot_path, split):
 @given(heights=height_fields)
 def test_repair_is_idempotent_on_height_fields(heights):
     assert_repair_idempotent(height_field_patches(heights))
+
+
+def _constant_patch() -> BezierPatch:
+    return BezierPatch(np.full((4, 4), 1.0), np.full((4, 4), 2.0), np.full((4, 4), -3.0))
+
+
+def test_compliant_degenerate_patch_repairs_untouched(monkeypatch):
+    # all 16 points on one fixed variable: the patch's rows have exact rank 0
+    # over its four free inner points, but it needs no correction
+    factorizations = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(a) or cholesky(a))
+    patch = _constant_patch()
+    result = repair_patches([patch])
+    assert factorizations == []
+    assert np.array_equal(result.patches[0].as_array, patch.as_array)
+    assert result.max_displacement == 0.0 and result.residual == 0.0
+    assert len(result.system.step_residuals) == 1
+
+
+def test_compliant_degenerate_patch_beside_a_noncompliant_one(rng):
+    constant, other = _constant_patch(), random_patch(rng)
+    result = repair_patches([constant, other])
+    assert result.system.components == 2
+    assert np.array_equal(result.patches[0].as_array, constant.as_array)
+    assert result.per_patch[0].max_displacement == 0.0
+    assert result.per_patch[1].max_displacement > 0.0
+    assert all(bs_residuals(g).compliant for g in result.patches[1].grids)
+    # a deficient component that does need a correction still raises
+    with pytest.raises(RepairError, match="is rank-deficient") as exc:
+        repair_patches([constant, rank_deficient_patch(rng), other])
+    assert exc.value.patches == (1,)

@@ -17,11 +17,12 @@ from smartpatch.tessellation import (
     EdgeId,
     EdgeSide,
     TriangleMesh,
+    detect_adjacency,
     merge_meshes,
     tessellate,
 )
 
-from helpers import loop_export_obj, random_patch
+from helpers import loop_export_obj, patchset_json, random_patch, split_patch
 
 
 def test_single_constant_patch_document():
@@ -83,6 +84,25 @@ def test_save_load_roundtrip_bit_exact(rng):
     assert dump_patchset(back) == text  # deterministic re-serialization
 
 
+def test_dump_is_the_indented_json_document(teapot_path):
+    teapot = read_newell(teapot_path)
+    split = PatchSet("split", [q for p in teapot.patches for q in split_patch(p)])
+    edges = [EdgeId(side, flip) for side in EdgeSide for flip in (False, True)]
+    records = [Adjacency(k, edges[k % 8], k + 1, edges[(3 * k) % 8]) for k in range(8)]
+    special = np.array([[-0.0, 1e-300, 1.5e20, 3], [0, -2, 1e16, -1.5e-7]] * 2)
+    sets = [
+        teapot,
+        split,
+        PatchSet(split.name, split.patches, detect_adjacency(split.patches)),
+        PatchSet('quote " back \\ tab \t', teapot.patches[:9], records),
+        PatchSet("Kanne \u00e9\u00fc \u2603", [BezierPatch(special, special.T, -special)], []),
+        PatchSet("", []),
+    ]
+    assert any(r.edge_b.reversed for r in sets[2].adjacency)
+    for ps in sets:
+        assert dump_patchset(ps).encode() == patchset_json(ps).encode()
+
+
 def test_adjacency_validation():
     grid = [[0.0] * 4 for _ in range(4)]
     base = {"name": "x", "patches": [{"x": grid, "y": grid, "z": grid}]}
@@ -139,6 +159,33 @@ def test_newell_rejects_nonfinite_coordinate(bad):
     lines = ["1", ",".join(str(i) for i in range(1, 17)), "16"]
     lines += ["0,0,0"] * 15 + [f"0,{bad},0"]
     with pytest.raises(PatchFormatError, match=f"line {len(lines)}: non-finite"):
+        load_newell("\n".join(lines))
+
+
+def test_newell_reports_the_first_bad_vertex_line():
+    lines = ["1", ",".join(str(i) for i in range(1, 17)), "16"]
+    lines += ["0,0,0"] * 3 + ["0,nan,0"] + ["0,0,0"] * 2 + ["0,x,0", "0,0"]
+    with pytest.raises(PatchFormatError, match="^line 7: non-finite"):
+        load_newell("\n".join(lines))  # before the later non-numeric line
+    with pytest.raises(PatchFormatError, match="^line 7: non-finite"):
+        load_newell("\n".join(lines[:8]))  # before the end of the file
+
+
+@pytest.mark.parametrize("index", ["0", "-3", "17", "9" * 30, "-" + "9" * 30])
+def test_newell_reports_the_first_index_out_of_range(index):
+    rows = [[str(i) for i in range(1, 17)] for _ in range(3)]
+    rows[1][5] = index
+    rows[2][0] = "18"
+    lines = ["3"] + [",".join(r) for r in rows] + ["16"] + ["0,0,0"] * 16
+    with pytest.raises(PatchFormatError, match=f"^line 3: vertex index {index} out of range 1..16"):
+        load_newell("\n".join(lines))
+
+
+@pytest.mark.parametrize("what, line", [("patch count", 1), ("vertex count", 3)])
+def test_newell_rejects_negative_counts(what, line):
+    lines = ["1", ",".join(str(i) for i in range(1, 17)), "16"] + ["0,0,0"] * 16
+    lines[line - 1] = "-1"
+    with pytest.raises(PatchFormatError, match=f"^line {line}: expected {what}, got '-1'"):
         load_newell("\n".join(lines))
 
 

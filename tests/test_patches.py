@@ -14,9 +14,9 @@ from smartpatch import (
     hermite_to_bezier,
     reparam_T,
 )
-from smartpatch.patches import as_grid, de_casteljau, eval_curve, eval_patch_partials
+from smartpatch.patches import as_grid, eval_curve, eval_patch_partials
 
-from helpers import bilinear_grid, random_patch
+from helpers import bilinear_grid, de_casteljau, random_patch
 
 
 def test_bezier_basis_rows():

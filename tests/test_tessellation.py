@@ -18,6 +18,7 @@ from smartpatch import (
     sample_grid,
     surface_normal,
     tessellate,
+    tessellate_set,
 )
 from smartpatch.constraints import grid_scale
 from smartpatch.io import read_newell
@@ -26,6 +27,7 @@ from smartpatch.tessellation import (
     EdgeId,
     EdgeSide,
     TriangleMesh,
+    _key_codes,
     edge_control_points,
     edge_incidence,
     merge_meshes,
@@ -39,6 +41,7 @@ from helpers import (
     loop_triangles,
     loop_vertex_normals,
     pairwise_adjacency,
+    per_patch_normals,
     random_compliant_patch,
     random_patch,
     scalar_surface_normal,
@@ -363,6 +366,36 @@ def test_triangles_match_cell_loop(pattern):
 
 
 @pytest.mark.parametrize("pattern", list(TessPattern))
+def test_tessellate_set_is_each_patch_tessellated_and_merged(pattern, rng, teapot_path):
+    patches = [random_patch(rng) for _ in range(6)]
+    patches += [_collapsed_edge_patch(rng, side) for side in EdgeSide]
+    patches += read_newell(teapot_path).patches  # includes the lid and bottom poles
+    for n in range(1, 10):
+        samples = [sample_grid(p, n).reshape(-1, 3) for p in patches]
+        tris = loop_triangles(n, pattern)
+        normals = [per_patch_normals(p, n, v, tris) for p, v in zip(patches, samples)]
+        for with_normals in (False, True):
+            mesh = tessellate_set(patches, n, pattern, with_normals)
+            oracle = merge_meshes([tessellate(p, n, pattern, with_normals) for p in patches])
+            assert np.array_equal(mesh.vertices, oracle.vertices)
+            assert np.array_equal(mesh.vertices, np.concatenate(samples))
+            assert np.array_equal(mesh.triangles, oracle.triangles)
+            if with_normals:
+                assert np.array_equal(mesh.normals, oracle.normals)
+                assert np.array_equal(mesh.normals, np.concatenate(normals))
+            else:
+                assert mesh.normals is None
+
+
+def test_tessellate_set_of_no_patches():
+    mesh = tessellate_set([], 3, with_normals=True)
+    assert mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
+    assert mesh.normals.shape == (0, 3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        tessellate_set([], 0)
+
+
+@pytest.mark.parametrize("pattern", list(TessPattern))
 def test_vertex_normals_match_per_sample_loop(pattern, rng, teapot_path):
     patches = [random_patch(rng) for _ in range(10)]
     patches += [_collapsed_edge_patch(rng, side) for side in EdgeSide]
@@ -599,3 +632,62 @@ def test_adjacency_at_zero_tolerance(rng):
         records = detect_adjacency(patches, tol=0.0)
         assert len(records) == count
         assert records == pairwise_adjacency(patches, tol=0.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+    exponent=st.integers(-300, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_adjacency_matches_pairwise_at_any_scale(seed, tol, exponent):
+    scale = 10.0 ** exponent
+    patches = [BezierPatch(*(g * scale for g in p.grids)) for p in _edge_set(seed, tol)]
+    assert detect_adjacency(patches, tol) == pairwise_adjacency(patches, tol)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    flip=st.booleans(),
+    offset=st.sampled_from([(0.999, True), (1.001, False)]),
+    exponent=st.integers(-300, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_adjacency_offsets_across_a_cell_boundary_at_any_scale(seed, tol, flip, offset, exponent):
+    # the layout of test_adjacency_offsets_across_a_cell_boundary, scaled by 10^exponent
+    rng = np.random.default_rng(seed)
+    factor, shared = offset
+    size = 10.0 ** exponent
+    ga = rng.uniform(-5.0, 5.0, (3, 4, 4)) * size
+    ga -= ga[:, 3:4, 0:1]
+    ga[0, 1, 1] = 10.0 * size
+    gb = rng.uniform(-5.0, 5.0, (3, 4, 4)) * size
+    edge = ga[SIDE_INDEX[EdgeSide.U1]] - factor * tol * 10.0 * size
+    if flip:
+        gb[SIDE_INDEX[EdgeSide.V0]] = edge[:, ::-1]
+    else:
+        gb[SIDE_INDEX[EdgeSide.U0]] = edge
+    patches = [BezierPatch(*ga), BezierPatch(*gb)]
+    records = detect_adjacency(patches, tol)
+    assert records == pairwise_adjacency(patches, tol)
+    if 10.0 * size >= 1.0:  # below that the set's scale is 1, not 10 * size
+        assert len(records) == shared
+
+
+def test_key_codes_are_exact_where_a_naive_code_would_overflow(rng):
+    big = 2**62
+    keys = np.array(
+        [[0, 0, 0], [2**40, 0, 0], [0, 2**40, 0], [big, -big, big], [big, -big, big - 1],
+         [-big, big, -big], [big, -big, big], [0, 0, 1], [1, 0, 0], [0, 0, 0]],
+        dtype=np.int64,
+    )
+    pool = np.array([-big, -(2**40), -1, 0, 1, 2**40, big])
+    keys = np.concatenate([keys, pool[rng.integers(0, len(pool), (300, 3))]])
+    span = int(keys.max()) - int(keys.min()) + 1
+    assert span**3 > 2**63  # x*R^2 + y*R + z would not fit in int64
+    codes = _key_codes(keys)
+    assert codes.dtype == np.int64
+    same_rows = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
+    assert np.array_equal(codes[:, None] == codes[None, :], same_rows)
+    assert 0 <= codes.min() and codes.max() < len(keys) ** 2
