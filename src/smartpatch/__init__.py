@@ -30,7 +30,6 @@ from .patches import (
     HermitePatch,
     bezier_basis,
     bezier_to_hermite,
-    eval_curve,
     eval_patch,
     hermite_to_bezier,
     reparam_T,

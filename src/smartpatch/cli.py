@@ -205,7 +205,8 @@ def _system_line(system: dict) -> str:
     return (
         f"repair system: {system['rows']} rows, {system['free_variables']} free variables "
         f"({system['shared_variables']} shared), {system['fixed_variables']} fixed, "
-        f"{system['components']} components; residual before each step: {steps}"
+        f"{system['components']} components, factored in up to {system['levels']} levels "
+        f"of at most {system['max_level_patches']} patches; residual before each step: {steps}"
     )
 
 

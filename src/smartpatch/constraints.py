@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import _BB_ROWS, _T_ROWS, BezierPatch, HermitePatch, as_grid
+from .patches import _BB_ROWS, _T_ROWS, BezierPatch, HermitePatch, as_grid, bezier_patches
 from .patches import bezier_basis, reparam_T
 
 __all__ = [
@@ -607,6 +607,8 @@ class RepairSystemStats:
     shared_variables: int = 0  # free variables named by two or more patches
     fixed_variables: int = 0   # corner variables, held at their input
     components: int = 0        # independent blocks of patches coupled by shared variables
+    levels: int = 0            # most breadth-first levels in one factored component
+    max_level_patches: int = 0  # patches in the widest factored level
     step_residuals: tuple = ()  # per step: worst reduced residual over its component's scale
 
 
@@ -641,6 +643,19 @@ def _pairs_on_one_variable(var: np.ndarray):
     return order[left], order[first + offset]
 
 
+def _point_ids(points: np.ndarray) -> np.ndarray:
+    """Rank of each point among the distinct points in lexicographic order.
+
+    Equal to ``np.unique(points, axis=0, return_inverse=True)[1]``, with
+    0.0 and -0.0 equal, at a fraction of its cost.
+    """
+    order = np.lexsort(points.T[::-1])
+    ordered = points[order]
+    ids = np.empty(len(points), dtype=np.intp)
+    ids[order] = np.cumsum(np.r_[False, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    return ids
+
+
 def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Smallest node index of each of ``n`` nodes' component under edges (a, b).
 
@@ -655,6 +670,54 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def _bfs_levels(roots: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Breadth-first distance of each of ``n`` nodes from its component's root.
+
+    All roots grow at once; nodes no root reaches read -1.  ``a``/``b`` must
+    list every edge in both directions.
+    """
+    level = np.full(n, -1)
+    level[roots] = 0
+    frontier = level == 0
+    depth = 0
+    while True:
+        reach = np.zeros(n, dtype=bool)
+        reach[b[frontier[a]]] = True
+        frontier = reach & (level < 0)
+        if not frontier.any():
+            return level
+        depth += 1
+        level[frontier] = depth
+
+
+def _level_sets(a: np.ndarray, b: np.ndarray, comp: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Level of each node in a rooted level structure of its component.
+
+    The root is pseudo-peripheral (George & Liu, 1981, ch. 4): starting
+    from ``roots[c]``, each component moves its root to the least-degree,
+    then lowest-index node of its deepest level for as long as that
+    deepens the structure.  Edges join only nodes of one level or of
+    adjacent levels, and each component's levels depend on it alone.
+    """
+    n = len(comp)
+    degree = np.bincount(a, minlength=n)
+    level = _bfs_levels(roots, a, b, n)
+    depth = np.zeros(len(roots), dtype=level.dtype)
+    np.maximum.at(depth, comp, level)
+    searching = np.ones(len(roots), dtype=bool)
+    while searching.any():
+        last = np.flatnonzero((level == depth[comp]) & searching[comp])
+        last = last[np.lexsort((last, degree[last], comp[last]))]
+        _, first = np.unique(comp[last], return_index=True)
+        trial = _bfs_levels(last[first], a, b, n)
+        trial_depth = np.full(len(roots), -1)
+        np.maximum.at(trial_depth, comp, trial)
+        searching = trial_depth > depth
+        level = np.where(searching[comp], trial, level)
+        depth = np.maximum(depth, trial_depth)
+    return level
 
 
 @functools.lru_cache(maxsize=256)
@@ -682,9 +745,11 @@ def _patch_ranks(slot_var: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     Patches with the same coincidence pattern share one cached rank."""
     var = slot_var[:, _NONCORNERS]
     first = np.argmax(var[:, :, None] == var[:, None, :], axis=2)
-    patterns, which = np.unique(np.where(fixed[var], -1, first), axis=0, return_inverse=True)
-    ranks = np.array([_pattern_rank(tuple(p)) for p in patterns.tolist()])
-    return ranks[which.reshape(-1)]
+    pattern = np.where(fixed[var], -1, first)
+    code = (pattern + 1) @ 13 ** np.arange(12)  # one int64 per pattern, digits -1..11
+    _, index, which = np.unique(code, return_index=True, return_inverse=True)
+    ranks = np.array([_pattern_rank(tuple(p)) for p in pattern[index].tolist()])
+    return ranks[which]
 
 
 def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
@@ -699,20 +764,27 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     The constraints are the certified full-rank reduced rows, five per
     patch.  Patches coupled by shared free variables form connected
     components, each solved on its own as a minimum-norm correction
-    x = A^T (A A^T)^-1 r: the Gram matrix A A^T of a component is assembled
-    from its free-slot incidences, factored once by Cholesky and reused in
-    up to three refinement steps, which stop once the reduced residual is
-    within 1e-13 times the component's scale, max(1, max |coordinate|).
-    A component already within that bound is returned untouched.  Any
-    other component with rank-deficient rows or whose residual stays above
-    that bound (infeasible constraints) raises RepairError naming its patches.
-    Deficiency within one patch's rows, which comes from which of its slots
-    share a variable, is decided exactly before any float work; deficiency
-    across patches shows as a Gram matrix that is not positive definite.
+    x = A^T (A A^T)^-1 r.  A component's patches are ordered by the
+    breadth-first level sets of its patch graph from a pseudo-peripheral
+    patch (the envelope method of George & Liu, 1981, ch. 4), so its Gram
+    matrix A A^T is block tridiagonal with one block row per level.  Only
+    the diagonal and sub-diagonal blocks are assembled from the free-slot
+    incidences, in memory linear in the patches times the widest level;
+    they are factored once, level by level, by block Cholesky.  Up to three
+    refinement steps, each one forward and one backward block substitution,
+    stop once the reduced residual is within 1e-13 times the component's
+    scale, max(1, max |coordinate|).  A component already within that bound
+    is returned untouched.  Any other component with rank-deficient rows or
+    whose residual stays above that bound (infeasible constraints) raises
+    RepairError naming its patches.  Deficiency within one patch's rows,
+    which comes from which of its slots share a variable, is decided exactly
+    before any float work; deficiency across patches shows as a level whose
+    Cholesky factorization fails.
 
     ``residual`` is the worst post-repair row of the 6-row system over
     max(1, max |coordinate|) of the whole set; ``system`` reports the size
-    of the solve and the residual before each refinement step.
+    of the solve, its level structure and the residual before each
+    refinement step.
     bs_project() is the one-patch case.
     """
     if not patches:
@@ -720,11 +792,11 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
 
     n = len(patches)
     pts = np.stack([p.as_array for p in patches]).reshape(n, 3, 16).transpose(0, 2, 1)
-    shared, inverse = np.unique(pts[:, _BOUNDARY].reshape(-1, 3), axis=0, return_inverse=True)
+    boundary = _point_ids(pts[:, _BOUNDARY].reshape(-1, 3))
     slot_var = np.empty((n, 16), dtype=np.intp)
-    slot_var[:, _BOUNDARY] = inverse.reshape(n, 12)
-    slot_var[:, _INNER] = len(shared) + np.arange(4 * n).reshape(n, 4)
-    fixed = np.zeros(len(shared) + 4 * n, dtype=bool)
+    slot_var[:, _BOUNDARY] = boundary.reshape(n, 12)
+    slot_var[:, _INNER] = boundary.max() + 1 + np.arange(4 * n).reshape(n, 4)
+    fixed = np.zeros(boundary.max() + 1 + 4 * n, dtype=bool)
     fixed[slot_var[:, list(CORNER_INDICES)]] = True
     p_idx, k_idx = np.nonzero(~fixed[slot_var])
     var = slot_var[p_idx, k_idx]
@@ -734,16 +806,13 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     # Two free slots on one variable couple their patches' rows in A A^T; a
     # variable repeated within one patch (a collapsed edge) couples it to itself.
     i, j = _pairs_on_one_variable(var)
-    _, comp = np.unique(_components(p_idx[i], p_idx[j], n), return_inverse=True)
-    members = np.split(np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp))[:-1])
-    local = np.empty(n, dtype=np.intp)
-    for m in members:
-        local[m] = np.arange(len(m))
-    comp_scale = np.ones(len(members))
+    pa, pb = p_idx[i], p_idx[j]
+    roots, comp = np.unique(_components(pa, pb, n), return_inverse=True)
+    comp_scale = np.ones(len(roots))
     np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
     # A component already within the stop bound needs no correction: it is
     # neither rank-checked nor factored, and comes back untouched.
-    worst = np.zeros(len(members))
+    worst = np.zeros(len(roots))
     np.maximum.at(worst, comp, np.abs(reduced @ pts).max(axis=(1, 2)))
     needed = worst > 1e-13 * comp_scale
     rank = np.full(n, 5)
@@ -755,50 +824,87 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             f"is rank-deficient: patch {p}'s five constraint rows have exact rank "
             f"{rank[p]} over its free variables"
         )
-        raise RepairError(members[c], reason)
-    by_comp = np.argsort(comp[p_idx[i]], kind="stable")
-    cuts = np.cumsum(np.bincount(comp[p_idx[i]], minlength=len(members)))[:-1]
-    factors = {}
-    pairs = zip(np.split(i[by_comp], cuts), np.split(j[by_comp], cuts))
-    for c, (ic, jc) in enumerate(pairs):
-        if not needed[c]:
-            continue
-        m = members[c]
-        size = 5 * len(m)
-        row = 5 * local[p_idx[ic], None, None] + np.arange(5)[:, None]
-        col = 5 * local[p_idx[jc], None, None] + np.arange(5)
-        gram = np.bincount(
-            (row * size + col).ravel(),
-            (coef[ic, :, None] * coef[jc, None, :]).ravel(),
-            minlength=size * size,
-        ).reshape(size, size)
+        raise RepairError(np.flatnonzero(comp == c), reason)
+
+    # Ordered by component, then breadth-first level, then index, A A^T is
+    # block tridiagonal: a diagonal block per level and a block coupling it to
+    # the level before.  Only these blocks are assembled, into one flat buffer.
+    link = np.unique(pa * n + pb)
+    link = link[link // n != link % n]
+    level_key, group, count = np.unique(
+        comp * n + _level_sets(link // n, link % n, comp, roots),
+        return_inverse=True, return_counts=True,
+    )
+    order = np.argsort(group, kind="stable")
+    offset = np.empty(n, dtype=np.intp)  # first row of each patch within its level
+    offset[order] = 5 * (np.arange(n) - np.repeat(np.cumsum(count) - count, count))
+    level_comp, level = np.divmod(level_key, n)
+    first = level == 0  # the first level of its component
+    width = 5 * count  # rows per level
+    solved = needed[level_comp]
+    # (diagonal, sub-diagonal) block of each level: its size and its start in the buffer
+    sizes = solved[:, None] * width[:, None] * np.c_[width, np.r_[0, width[:-1]] * ~first]
+    base = (np.cumsum(sizes) - sizes.ravel()).reshape(-1, 2)
+    gi, gj = group[pa], group[pb]
+    keep = (gj <= gi) & solved[gi]
+    i, j, gi, gj = i[keep], j[keep], gi[keep], gj[keep]
+    cell = (
+        base[gi, (gj < gi).astype(np.intp), None, None]
+        + (offset[p_idx[i], None, None] + np.arange(5)[:, None]) * width[gj, None, None]
+        + offset[p_idx[j], None, None] + np.arange(5)
+    )
+    blocks = np.bincount(
+        cell.ravel(), (coef[i, :, None] * coef[j, None, :]).ravel(), minlength=int(sizes.sum())
+    )
+
+    # Block Cholesky, one level after another: L_k = chol(G_kk - B_k B_k^T)
+    # with B_k = G_k,k-1 L_k-1^-T; each L_k is kept as its inverse.
+    bounds = np.r_[0, np.cumsum(width)].tolist()  # level rows in level order
+    first, width, base = first.tolist(), width.tolist(), base.tolist()
+    inv_factor, below = {}, {}
+    for g in np.flatnonzero(solved).tolist():
+        w, (diag, sub) = width[g], base[g]
+        schur = blocks[diag:diag + w * w].reshape(w, w)
+        if not first[g]:
+            below[g] = blocks[sub:sub + w * width[g - 1]].reshape(w, -1) @ inv_factor[g - 1].T
+            schur = schur - below[g] @ below[g].T
         try:
-            factors[c] = np.linalg.inv(np.linalg.cholesky(gram))
+            inv_factor[g] = np.linalg.inv(np.linalg.cholesky(schur))
         except np.linalg.LinAlgError:
             reason = "is rank-deficient: its Gram matrix is not positive definite"
-            raise RepairError(m, reason) from None
+            raise RepairError(np.flatnonzero(comp == level_comp[g]), reason) from None
 
     out = pts.copy()
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
         defect = reduced @ out  # (n, 5, 3)
-        worst = np.zeros(len(members))
+        worst = np.zeros(len(roots))
         np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
         history.append(float(np.max(worst / comp_scale)))
-        open_comps = np.flatnonzero(worst > 1e-13 * comp_scale)
-        if not open_comps.size:
+        open_comps = worst > 1e-13 * comp_scale
+        if not open_comps.any():
             break
         if step == _REFINEMENT_STEPS:
-            c = open_comps[0]
+            c = np.flatnonzero(open_comps)[0]
             raise RepairError(
-                members[c],
+                np.flatnonzero(comp == c),
                 f"is infeasible: its reduced residual is still {worst[c] / comp_scale[c]:.3e} "
                 f"of its scale after {_REFINEMENT_STEPS} refinement steps (bound 1e-13)",
             )
-        y = np.zeros_like(defect)
-        for c in open_comps:
-            w, m = factors[c], members[c]
-            y[m] = (w.T @ (w @ defect[m].reshape(-1, 3))).reshape(-1, 5, 3)
+        # One forward and one backward block substitution: y = (A A^T)^-1 defect.
+        open_levels = np.flatnonzero(open_comps[level_comp]).tolist()
+        r = defect[order].reshape(-1, 3)
+        z = np.zeros_like(r)
+        for g in open_levels:
+            lo, hi = bounds[g], bounds[g + 1]
+            t = r[lo:hi] if first[g] else r[lo:hi] - below[g] @ z[bounds[g - 1]:lo]
+            z[lo:hi] = inv_factor[g] @ t
+        for g in reversed(open_levels):
+            lo, hi = bounds[g], bounds[g + 1]
+            t = z[lo:hi] if g + 1 not in below else z[lo:hi] - below[g + 1].T @ z[hi:bounds[g + 2]]
+            z[lo:hi] = inv_factor[g].T @ t
+        y = np.empty_like(defect)
+        y[order] = z.reshape(n, 5, 3)
         delta = np.zeros((len(fixed), 3))
         np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
         out[p_idx, k_idx] -= delta[var]
@@ -809,7 +915,7 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     patch_count = np.bincount(np.unique(var * n + p_idx) // n, minlength=len(fixed))
     scale = max(1.0, float(np.max(np.abs(pts))))
     return RepairResult(
-        patches=[BezierPatch(*g) for g in out.transpose(0, 2, 1).reshape(n, 3, 4, 4)],
+        patches=bezier_patches(out.transpose(0, 2, 1).reshape(n, 3, 4, 4)),
         per_patch=[
             PatchRepairStats(max_displacement=d, corner_displacement=c)
             for d, c in zip(disp.tolist(), corner_disp.tolist())
@@ -821,7 +927,9 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             free_variables=int(np.count_nonzero(~fixed)),
             shared_variables=int(np.count_nonzero(patch_count > 1)),
             fixed_variables=int(np.count_nonzero(fixed)),
-            components=len(members),
+            components=len(roots),
+            levels=int(np.bincount(level_comp[solved]).max(initial=0)),
+            max_level_patches=int(count[solved].max(initial=0)),
             step_residuals=tuple(history),
         ),
     )

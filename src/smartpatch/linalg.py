@@ -1,7 +1,7 @@
 """Exact rational matrices.
 
 Everything that certifies structure - ranks, pivot sets, reduced systems,
-nullspaces - runs on Fraction-valued matrices so the answers are exact
+inverses - runs on Fraction-valued matrices so the answers are exact
 instead of tolerance-based.  Run-time paths use float copies made with
 ``to_float`` once the exact matrices are certified.
 """
@@ -160,16 +160,3 @@ class RationalMatrix:
         if pivots[:n] != tuple(range(n)) or len(pivots) != n:
             raise ValueError("matrix is singular")
         return aug.take_cols(range(n, 2 * n))
-
-    def nullspace(self) -> "list[tuple[Fraction, ...]]":
-        """Basis vectors of the right nullspace, one per free column."""
-        red, _, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red[r, f]
-            basis.append(tuple(v))
-        return basis

@@ -102,6 +102,26 @@ class BezierPatch:
         return np.array([self.x[i, j], self.y[i, j], self.z[i, j]])
 
 
+def bezier_patches(points) -> list:
+    """One BezierPatch per row of an (N, 3, 4, 4) array.
+
+    The array is copied and checked once, as ``as_grid`` checks one grid;
+    each patch's grids and ``as_array`` are read-only views of that copy.
+    """
+    arr = np.array(points, dtype=float)
+    if arr.ndim != 4 or arr.shape[1:] != (3, 4, 4):
+        raise ValueError(f"patch array must be (N, 3, 4, 4), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("grid contains non-finite values")
+    arr.flags.writeable = False
+    out = []
+    for row in arr:
+        patch = object.__new__(BezierPatch)
+        patch.__dict__.update(x=row[0], y=row[1], z=row[2], as_array=row)
+        out.append(patch)
+    return out
+
+
 @dataclass(frozen=True)
 class HermitePatch:
     """Bicubic Hermite patch, grids in corner/tangent/twist block layout.
@@ -155,15 +175,6 @@ def bernstein_dweights_many(ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     mono = np.stack([3.0 * ts * ts, 2.0 * ts, np.ones_like(ts), np.zeros_like(ts)], axis=-1)
     return mono @ _BB.T
-
-
-def eval_curve(p, t: float, extrapolate: bool = False) -> float:
-    """Evaluate a cubic Bezier curve with control values ``p`` at ``t``."""
-    _check_param(t, extrapolate)
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("curve needs exactly 4 control values")
-    return float(p @ bernstein_weights(t))
 
 
 def eval_patch(patch: BezierPatch, u: float, v: float, extrapolate: bool = False) -> np.ndarray:

@@ -2,14 +2,18 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
 from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve, hs_twists
+from smartpatch import constraints
 from smartpatch.constraints import PatchRepairStats, RepairResult, grid_scale
 from smartpatch.io import read_newell
 from smartpatch.patches import (
+    _check_param,
     bernstein_dweights_many,
+    bernstein_weights,
     bernstein_weights_many,
     eval_patch_partials,
 )
@@ -99,6 +103,29 @@ def shared_edge_pair(rng) -> tuple:
         gb[0, :] = ga[3, :]
         b_grids.append(gb)
     return a, BezierPatch(*b_grids)
+
+
+def eval_curve(p, t: float, extrapolate: bool = False) -> float:
+    """Evaluate a cubic Bezier curve with control values ``p`` at ``t``."""
+    _check_param(t, extrapolate)
+    p = np.asarray(p, dtype=float)
+    if p.shape != (4,):
+        raise ValueError("curve needs exactly 4 control values")
+    return float(p @ bernstein_weights(t))
+
+
+def nullspace(m) -> "list[tuple[Fraction, ...]]":
+    """Basis vectors of the right nullspace of a RationalMatrix, one per free column."""
+    red, _, pivots = m.rref()
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r, f]
+        basis.append(tuple(v))
+    return basis
 
 
 def de_casteljau(points, t: float):
@@ -493,6 +520,66 @@ def loop_repair_patches(patches) -> RepairResult:
         max_displacement=overall,
         residual=worst_residual,
     )
+
+
+def dense_repair_patches(patches) -> list:
+    """Repaired patches from one dense Gram matrix per component.
+
+    The solve ``repair_patches`` used before its level-set factorization:
+    each component's full ``5n_c x 5n_c`` Gram matrix A A^T, summed from the
+    slot pairs, inverted as ``inv(cholesky(gram))``, with the same variables,
+    components, stop bound and refinement steps.  O(n_c^2) memory and
+    O(n_c^3) time, so only for small sets.
+    """
+    n = len(patches)
+    pts = np.stack([p.as_array for p in patches]).reshape(n, 3, 16).transpose(0, 2, 1)
+    boundary = pts[:, constraints._BOUNDARY].reshape(-1, 3)
+    shared, inverse = np.unique(boundary, axis=0, return_inverse=True)
+    slot_var = np.empty((n, 16), dtype=np.intp)
+    slot_var[:, constraints._BOUNDARY] = inverse.reshape(n, 12)
+    slot_var[:, constraints._INNER] = len(shared) + np.arange(4 * n).reshape(n, 4)
+    fixed = np.zeros(len(shared) + 4 * n, dtype=bool)
+    fixed[slot_var[:, [0, 3, 12, 15]]] = True
+    p_idx, k_idx = np.nonzero(~fixed[slot_var])
+    var = slot_var[p_idx, k_idx]
+    reduced = constraints._solver().reduced_f
+    coef = reduced[:, k_idx].T
+
+    i, j = constraints._pairs_on_one_variable(var)
+    _, comp = np.unique(constraints._components(p_idx[i], p_idx[j], n), return_inverse=True)
+    members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
+    local = np.empty(n, dtype=np.intp)
+    for m in members:
+        local[m] = np.arange(len(m))
+    comp_scale = np.ones(len(members))
+    np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
+    factors = {}
+    for c, m in enumerate(members):
+        size = 5 * len(m)
+        mine = comp[p_idx[i]] == c
+        ic, jc = i[mine], j[mine]
+        row = 5 * local[p_idx[ic], None, None] + np.arange(5)[:, None]
+        col = 5 * local[p_idx[jc], None, None] + np.arange(5)
+        gram = np.bincount(
+            (row * size + col).ravel(),
+            (coef[ic, :, None] * coef[jc, None, :]).ravel(),
+            minlength=size * size,
+        ).reshape(size, size)
+        factors[c] = np.linalg.inv(np.linalg.cholesky(gram))
+
+    out = pts.copy()
+    for _ in range(3):
+        defect = reduced @ out
+        worst = np.zeros(len(members))
+        np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
+        y = np.zeros_like(defect)
+        for c in np.flatnonzero(worst > 1e-13 * comp_scale):
+            w, m = factors[c], members[c]
+            y[m] = (w.T @ (w @ defect[m].reshape(-1, 3))).reshape(-1, 5, 3)
+        delta = np.zeros((len(fixed), 3))
+        np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
+        out[p_idx, k_idx] -= delta[var]
+    return [BezierPatch(*g) for g in out.transpose(0, 2, 1).reshape(n, 3, 4, 4)]
 
 
 def validation_sets(rng, teapot_path) -> dict:

@@ -499,6 +499,16 @@ def test_repair_reports_its_system(capsys, teapot_path, tmp_path):
     assert "repair system: 160 rows" in out and "4 components" in out
 
 
+def test_repair_reports_its_level_structure(capsys, teapot_path, tmp_path):
+    code, out, _ = run(capsys, "teapot", "--in", str(teapot_path), "--out", str(tmp_path), "--json")
+    assert code == 0
+    system = json.loads(out)["repair"]
+    assert (system["levels"], system["max_level_patches"]) == (6, 4)
+    code, out, _ = run(capsys, "repair", "--in", str(teapot_path), "--out",
+                       str(tmp_path / "r.json"))
+    assert "factored in up to 6 levels of at most 4 patches" in out
+
+
 def rank_deficient_newell(rng, path):
     """A Newell file holding one patch that repair cannot make compliant."""
     g = rank_deficient_patch(rng).as_array

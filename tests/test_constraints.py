@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from smartpatch.constraints import (
     RepairError,
     _certify,
     _diagonal_coefficients,
+    _level_sets,
     _solver,
     grid_scale,
 )
@@ -49,11 +51,13 @@ from helpers import (
     CORNER_SLOTS,
     NONCORNER_SLOTS,
     bilinear_grid,
+    dense_repair_patches,
     height_field_patches,
     hs_consistent_grid,
     loop_repair_patches,
     random_compliant_grid,
     random_compliant_patch,
+    nullspace,
     random_patch,
     rank_deficient_patch,
     shared_edge_pair,
@@ -231,7 +235,7 @@ def test_lambda_first_row_and_negation():
 def test_lambda_rank_and_nullity():
     system = build_lambda()
     assert system.rank == 5
-    assert len(RationalMatrix(LAMBDA_REFERENCE).nullspace()) == 11
+    assert len(nullspace(RationalMatrix(LAMBDA_REFERENCE))) == 11
 
 
 def test_lambda_column_partition():
@@ -955,3 +959,93 @@ def test_compliant_degenerate_patch_beside_a_noncompliant_one(rng):
     with pytest.raises(RepairError, match="is rank-deficient") as exc:
         repair_patches([constant, rank_deficient_patch(rng), other])
     assert exc.value.patches == (1,)
+
+
+def _repair_input(teapot_path, source, seed):
+    """The teapot, its 2x2 split or a seeded k x k height field, patch order shuffled."""
+    if source in ("teapot", "split"):
+        patches = read_newell(teapot_path).patches
+        if source == "split":
+            patches = [q for p in patches for q in split_patch(p)]
+    else:
+        rng = np.random.default_rng(seed)
+        heights = rng.uniform(-50.0, 50.0, (3 * source + 1, 3 * source + 1))
+        patches = height_field_patches(heights * 10.0 ** rng.integers(-3, 4))
+    return [patches[k] for k in np.random.default_rng(seed).permutation(len(patches))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    source=st.one_of(st.sampled_from(["teapot", "split"]), st.integers(2, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repair_matches_the_dense_and_loop_oracles(teapot_path, source, seed):
+    """The level-set factorization gives the dense per-component solve's answer."""
+    patches = _repair_input(teapot_path, source, seed)
+    fast = assert_repair_matches_loop(patches)
+    scale = max(grid_scale(p.as_array) for p in patches)
+    for f, d in zip(fast.patches, dense_repair_patches(patches)):
+        assert np.max(np.abs(f.as_array - d.as_array)) <= 1e-12 * scale
+
+
+def test_level_sets_start_from_a_pseudo_peripheral_node():
+    """A path 0..4 and a 3 x 3 grid 5..13, each searched from its middle node,
+    end up rooted at an end and at a corner: levels 0..4 and r + c."""
+    edges = [(k, k + 1) for k in range(4)]
+    edges += [(5 + 3 * r + c, 5 + 3 * r + c + 1) for r in range(3) for c in range(2)]
+    edges += [(5 + 3 * r + c, 5 + 3 * (r + 1) + c) for r in range(2) for c in range(3)]
+    a, b = np.array(edges + [(q, p) for p, q in edges]).T
+    comp = np.array([0] * 5 + [1] * 9)
+    level = _level_sets(a, b, comp, np.array([2, 9]))
+    assert level.tolist() == [0, 1, 2, 3, 4] + [r + c for r in range(3) for c in range(3)]
+    grid = (a >= 5) & (b >= 5)
+    alone = _level_sets(a[grid] - 5, b[grid] - 5, np.zeros(9, dtype=int), np.array([4]))
+    assert alone.tolist() == level[5:].tolist()
+
+
+@pytest.mark.parametrize("split, levels, widest", [(False, 6, 4), (True, 12, 8)])
+def test_repair_reports_its_level_structure(teapot_path, split, levels, widest):
+    patches = read_newell(teapot_path).patches
+    if split:
+        patches = [q for p in patches for q in split_patch(p)]
+    system = repair_patches(patches).system
+    assert (system.levels, system.max_level_patches) == (levels, widest)
+    single = repair_patches([patches[0]]).system
+    assert (single.levels, single.max_level_patches) == (1, 1)
+    compliant = repair_patches(repair_patches(patches).patches).system
+    assert (compliant.levels, compliant.max_level_patches) == (0, 0)
+
+
+def test_repair_of_a_duplicated_patch(rng):
+    """[p, p] shares every boundary point; p's four inner columns have rank 4
+    in five rows, so (x, -x) with x in their left null space is in the kernel
+    of A A^T.  The system is singular but consistent, and it still repairs
+    to the least-squares answer."""
+    for _ in range(20):
+        magnitude = 10.0 ** rng.integers(-3, 4)
+        p = random_patch(rng, -magnitude, magnitude)
+        fast = assert_repair_matches_loop([p, p])
+        assert fast.system.components == 1 and fast.system.levels == 2
+        a, b = fast.patches
+        scale = grid_scale(p.as_array)
+        assert np.max(np.abs(a.as_array - b.as_array)) <= 1e-13 * scale
+
+
+def test_repair_memory_is_linear_on_one_component():
+    """A 24 x 24 height field is one 576-patch component.  Its dense 2880^2 Gram
+    matrix alone took 66 MB; the level blocks need a fraction of that."""
+    heights = np.random.default_rng(24).uniform(-1.0, 1.0, (73, 73))
+    patches = height_field_patches(heights)
+    for p in patches:
+        p.as_array  # the input's own stacked grids are not the solve's memory
+    repair_patches(height_field_patches(heights[:10, :10]))  # exact caches filled
+    tracemalloc.start()
+    try:
+        result = repair_patches(patches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.system.components == 1
+    # breadth-first from a corner patch: 47 anti-diagonal levels, 24 patches at most
+    assert (result.system.levels, result.system.max_level_patches) == (47, 24)
+    assert peak < 32e6

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from smartpatch.constraints import LAMBDA_REFERENCE
 from smartpatch.linalg import RationalMatrix
 
+from helpers import nullspace
+
 
 def test_rref_zero_matrix():
     _, rank, pivots = RationalMatrix.zeros(6, 16).rref()
@@ -33,7 +35,7 @@ def test_inverse_of_singular_raises():
 
 def test_nullspace_vectors_annihilate():
     m = RationalMatrix(LAMBDA_REFERENCE)
-    basis = m.nullspace()
+    basis = nullspace(m)
     assert len(basis) == 16 - 5
     for v in basis:
         col = RationalMatrix.column(v)

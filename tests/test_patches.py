@@ -14,9 +14,9 @@ from smartpatch import (
     hermite_to_bezier,
     reparam_T,
 )
-from smartpatch.patches import as_grid, eval_curve, eval_patch_partials
+from smartpatch.patches import as_grid, bezier_patches, eval_patch_partials
 
-from helpers import bilinear_grid, de_casteljau, random_patch
+from helpers import bilinear_grid, de_casteljau, eval_curve, random_patch
 
 
 def test_bezier_basis_rows():
@@ -117,6 +117,22 @@ def test_as_grid_validation():
         as_grid(np.full((4, 4), np.nan))
     g = as_grid(np.ones((4, 4)))
     assert not g.flags.writeable
+
+
+def test_bezier_patches_are_the_one_patch_constructor(rng):
+    arr = rng.uniform(-10, 10, (5, 3, 4, 4))
+    made = bezier_patches(arr)
+    for p, g in zip(made, arr):
+        q = BezierPatch(*g)
+        for a, b in zip(p.grids + (p.as_array,), q.grids + (q.as_array,)):
+            assert a.shape == b.shape and np.array_equal(a, b) and not a.flags.writeable
+    arr[:] = 0.0  # the patches hold their own copy
+    assert all(np.any(p.as_array != 0.0) for p in made)
+    assert bezier_patches(np.empty((0, 3, 4, 4))) == []
+    with pytest.raises(ValueError, match="non-finite"):
+        bezier_patches(np.where(np.arange(48).reshape(1, 3, 4, 4) == 7, np.inf, 1.0))
+    with pytest.raises(ValueError):
+        bezier_patches(np.ones((2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
