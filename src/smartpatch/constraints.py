@@ -148,27 +148,22 @@ def collapse_diagonal(g, kind: DiagonalKind) -> Poly:
     return Poly(coeffs)
 
 
-_MB_Q = RationalMatrix(_BB_ROWS)
-_T_Q = RationalMatrix(_T_ROWS)
-
-
 @functools.lru_cache(maxsize=None)
 def _omega_exact(kind: DiagonalKind) -> RationalMatrix:
     """Exact 16x16 map from grid values (row-major) to R entries (row-major).
 
-    Derived by pushing each basis grid E_ij through the R construction,
-    never hand-typed: column 4i+j of the result is vec(R(E_ij)).
+    Derived from the basis matrices, never hand-typed: column 4i+j is
+    vec(R(E_ij)), and R(E_ij) = Mb^T E_ij N is the outer product of row i
+    of Mb and row j of N, with N = Mb, or Mb T on the anti diagonal.  So
+    entry (4a+b, 4i+j) is Mb[i][a] * N[j][b].
     """
-    cols = []
-    for i in range(4):
-        for j in range(4):
-            e = [[0] * 4 for _ in range(4)]
-            e[i][j] = 1
-            r = _MB_Q.transpose() @ RationalMatrix(e) @ _MB_Q
-            if kind is DiagonalKind.ANTI:
-                r = r @ _T_Q
-            cols.append([r[a, b] for a in range(4) for b in range(4)])
-    return RationalMatrix(list(zip(*cols)))
+    mb = _BB_ROWS
+    if kind is DiagonalKind.MAIN:
+        n = mb
+    else:
+        n = [[sum(r[q] * _T_ROWS[q][b] for q in range(4)) for b in range(4)] for r in mb]
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return RationalMatrix([[mb[i][a] * n[j][b] for i, j in cells] for a, b in cells])
 
 
 def build_omega(kind: DiagonalKind) -> np.ndarray:
@@ -189,13 +184,9 @@ _LEADING_GROUPS = (
 def _lambda_exact() -> RationalMatrix:
     rows = []
     for kind in (DiagonalKind.MAIN, DiagonalKind.ANTI):
-        omega = _omega_exact(kind)
+        omega = _omega_exact(kind).numerators  # an integer map: denominator 1
         for group in _LEADING_GROUPS:
-            acc = [Fraction(0)] * 16
-            for (a, b) in group:
-                row = omega.row(4 * a + b)
-                acc = [s + v for s, v in zip(acc, row)]
-            rows.append(acc)
+            rows.append([sum(col) for col in zip(*(omega[4 * a + b] for a, b in group))])
     return RationalMatrix(rows)
 
 
@@ -280,15 +271,11 @@ def _solver() -> _Solver:
     rhs = aug.take_rows(range(rank)).take_cols(range(12, 16))
     free = tuple(c for c in range(12) if c not in pivots)
 
-    zero = Fraction(0)
-    part = [[zero] * 4 for _ in range(12)]
-    homo = [[zero] * 7 for _ in range(12)]
-    for r, p in enumerate(pivots):
-        part[p] = list(rhs.row(r))
-        homo[p] = [-reduced[r, f] for f in free]
-    for k, f in enumerate(free):
-        homo[f][k] = Fraction(1)
-    particular, homogeneous = RationalMatrix(part), RationalMatrix(homo)
+    # 0/1 maps placing the pivot and free unknowns in the 12-vector
+    place = RationalMatrix([[int(k == p) for p in pivots] for k in range(12)])
+    pick = RationalMatrix([[int(k == f) for f in free] for k in range(12)])
+    particular = place @ rhs
+    homogeneous = pick + -(place @ reduced.take_cols(free))
 
     gram_inv = (reduced @ reduced.transpose()).inverse()
     gain = reduced.transpose() @ gram_inv
@@ -460,32 +447,28 @@ class InnerIdentityResolution:
     corner_coefficient: Fraction
 
 
-def _in_row_space(lam_q: RationalMatrix, vec) -> bool:
-    base = lam_q.transpose()
-    augmented = base.hstack(RationalMatrix.column(vec))
-    return augmented.rref()[1] == base.rref()[1]
-
-
 @functools.lru_cache(maxsize=1)
 def resolve_inner_identity() -> InnerIdentityResolution:
     """Certify which sign of the inner-point identity the system implies.
 
     A candidate identity holds for every compliant grid exactly when its
-    coefficient vector lies in the row space of the constraint matrix;
-    both membership tests run in exact rational arithmetic.
+    coefficient vector lies in the row space of the constraint matrix,
+    i.e. when appending it as a column to lam^T keeps the rank; lam^T is
+    reduced once and every rank is exact.
     """
-    lam_q = _lambda_exact()
+    base = _lambda_exact().transpose()
+    rank = base.rank()
     ninth = Fraction(1, 9)
 
-    def candidate(x22_sign: int):
-        w = [Fraction(0)] * 16
-        w[5], w[6], w[9], w[10] = Fraction(1), Fraction(-1), Fraction(-1), Fraction(x22_sign)
+    def holds(x22_sign: int) -> bool:
+        w = [0] * 16
+        w[5], w[6], w[9], w[10] = 1, -1, -1, x22_sign
         w[0], w[3], w[12], w[15] = -ninth, ninth, ninth, -ninth
-        return w
+        return base.hstack(RationalMatrix.column(w)).rank() == rank
 
     return InnerIdentityResolution(
-        plus_variant_holds=_in_row_space(lam_q, candidate(+1)),
-        minus_variant_holds=_in_row_space(lam_q, candidate(-1)),
+        plus_variant_holds=holds(+1),
+        minus_variant_holds=holds(-1),
         corner_coefficient=ninth,
     )
 
@@ -733,9 +716,10 @@ def _pattern_rank(pattern: tuple) -> int:
     columns = {}
     for k, first in enumerate(pattern):
         if first >= 0:
-            col = columns.setdefault(first, [Fraction(0)] * reduced.rows)
-            for r in range(reduced.rows):
-                col[r] += reduced[r, k]
+            col = columns.setdefault(first, [0] * reduced.rows)
+            for r, row in enumerate(reduced.numerators):
+                col[r] += row[k]
+    # the numerators are the rows scaled by one common denominator: same rank
     return RationalMatrix(list(columns.values())).rank() if columns else 0
 
 

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .patches import BezierPatch
+from .patches import BezierPatch, bezier_patches
 from .tessellation import Adjacency, EdgeId, EdgeSide, TriangleMesh
 
 
@@ -249,8 +249,7 @@ def load_newell(text: str, name: str = "newell") -> PatchSet:
             f"line {no}: vertex index {idx[row, col]} out of range 1..{vertex_count}"
         )
     pts = vertices[idx.astype(np.intp) - 1].reshape(-1, 4, 4, 3)
-    patches = [BezierPatch(p[:, :, 0], p[:, :, 1], p[:, :, 2]) for p in pts]
-    return PatchSet(name=name, patches=patches)
+    return PatchSet(name=name, patches=bezier_patches(pts.transpose(0, 3, 1, 2)))
 
 
 def read_newell(path) -> PatchSet:
@@ -266,18 +265,24 @@ def _obj_blocks(mesh: TriangleMesh):
     """The OBJ text of ``mesh`` in blocks of up to 1024 newline-terminated lines.
 
     Rows become Python numbers a block at a time, so neither the whole
-    array nor the whole text ever exists as Python objects at once."""
-    for tag, a in (("v", mesh.vertices), ("vn", mesh.normals), ("f", mesh.triangles + 1)):
+    array nor the whole text ever exists as Python objects at once.  Each
+    vertex and normal block is one %-format of a repeated line template.
+    A face block is filled from one token ("i//i" or "i") per vertex in
+    the block's index range, so each vertex index is formatted once per
+    block that uses it, not once per use."""
+    for tag, a in (("v", mesh.vertices), ("vn", mesh.normals)):
         if a is None:
             continue
         for start in range(0, len(a), 1024):
-            rows = a[start : start + 1024].tolist()
-            if tag != "f":
-                yield "".join([f"{tag} {x!r} {y!r} {z!r}\n" for x, y, z in rows])
-            elif mesh.normals is not None:
-                yield "".join([f"f {i}//{i} {j}//{j} {k}//{k}\n" for i, j, k in rows])
-            else:
-                yield "".join([f"f {i} {j} {k}\n" for i, j, k in rows])
+            values = a[start : start + 1024].ravel().tolist()
+            yield (f"{tag} %r %r %r\n" * (len(values) // 3)) % tuple(values)
+    token = "{0}//{0}" if mesh.normals is not None else "{0}"
+    for start in range(0, len(mesh.triangles), 1024):
+        block = mesh.triangles[start : start + 1024]
+        lo = int(block.min())
+        tokens = [token.format(i) for i in range(lo + 1, int(block.max()) + 2)]
+        corners = (block - lo).ravel().tolist()
+        yield ("f %s %s %s\n" * len(block)) % tuple([tokens[i] for i in corners])
 
 
 def export_obj(mesh: TriangleMesh) -> str:

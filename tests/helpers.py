@@ -8,9 +8,11 @@ import numpy as np
 
 from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve, hs_twists
 from smartpatch import constraints
-from smartpatch.constraints import PatchRepairStats, RepairResult, grid_scale
+from smartpatch.constraints import DiagonalKind, PatchRepairStats, RepairResult, grid_scale
 from smartpatch.io import read_newell
 from smartpatch.patches import (
+    _BB_ROWS,
+    _T_ROWS,
     _check_param,
     bernstein_dweights_many,
     bernstein_weights,
@@ -126,6 +128,159 @@ def nullspace(m) -> "list[tuple[Fraction, ...]]":
             v[p] = -red[r, f]
         basis.append(tuple(v))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Exact-arithmetic oracles.  FractionMatrix is the Fraction-entry matrix the
+# library used before RationalMatrix became integer-backed; tests compare
+# RationalMatrix against it entry for entry.
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
+    if isinstance(x, (float, np.floating)):
+        # binary floats convert exactly
+        return Fraction(float(x))
+    if isinstance(x, str):
+        return Fraction(x)
+    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+
+
+class FractionMatrix:
+    """Immutable matrix stored as a tuple of row tuples of ``Fraction``."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows_of_entries):
+        data = tuple(tuple(_frac(x) for x in row) for row in rows_of_entries)
+        if not data or not data[0]:
+            raise ValueError("matrix must be nonempty")
+        width = len(data[0])
+        if any(len(row) != width for row in data):
+            raise ValueError("inconsistent row width")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", width)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionMatrix is immutable")
+
+    @classmethod
+    def identity(cls, n: int) -> "FractionMatrix":
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def __getitem__(self, ij) -> Fraction:
+        i, j = ij
+        return self.data[i][j]
+
+    def row(self, i):
+        return self.data[i]
+
+    def __eq__(self, other):
+        return isinstance(other, FractionMatrix) and self.data == other.data
+
+    def __hash__(self):
+        return hash(self.data)
+
+    def __matmul__(self, other: "FractionMatrix") -> "FractionMatrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        cols = tuple(zip(*other.data))
+        return FractionMatrix(
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data]
+        )
+
+    def __add__(self, other: "FractionMatrix") -> "FractionMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return FractionMatrix(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        )
+
+    def __neg__(self) -> "FractionMatrix":
+        return FractionMatrix([[-x for x in row] for row in self.data])
+
+    def transpose(self) -> "FractionMatrix":
+        return FractionMatrix(list(zip(*self.data)))
+
+    def hstack(self, other: "FractionMatrix") -> "FractionMatrix":
+        if self.rows != other.rows:
+            raise ValueError("row count mismatch")
+        return FractionMatrix([r1 + r2 for r1, r2 in zip(self.data, other.data)])
+
+    def take_cols(self, indices) -> "FractionMatrix":
+        return FractionMatrix([[row[j] for j in indices] for row in self.data])
+
+    def take_rows(self, indices) -> "FractionMatrix":
+        return FractionMatrix([self.data[i] for i in indices])
+
+    def to_float(self) -> np.ndarray:
+        out = np.array([[float(x) for x in row] for row in self.data], dtype=float)
+        out.flags.writeable = False
+        return out
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for row in self.data for x in row)
+
+    def rref(self):
+        """Reduced row-echelon form by Gauss-Jordan elimination on Fractions.
+
+        The pivot in each column is the first row (top to bottom) with a
+        nonzero entry.  Returns (rref, rank, pivot_cols).
+        """
+        m = [list(row) for row in self.data]
+        nrows, ncols = self.rows, self.cols
+        pivot_cols = []
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            pv = m[r][c]
+            m[r] = [x / pv for x in m[r]]
+            for i in range(nrows):
+                if i != r and m[i][c] != 0:
+                    f = m[i][c]
+                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            pivot_cols.append(c)
+            r += 1
+        return FractionMatrix(m), len(pivot_cols), tuple(pivot_cols)
+
+    def rank(self) -> int:
+        return self.rref()[1]
+
+    def inverse(self) -> "FractionMatrix":
+        if self.rows != self.cols:
+            raise ValueError("inverse needs a square matrix")
+        n = self.rows
+        aug, _, pivots = self.hstack(FractionMatrix.identity(n)).rref()
+        if pivots[:n] != tuple(range(n)) or len(pivots) != n:
+            raise ValueError("matrix is singular")
+        return aug.take_cols(range(n, 2 * n))
+
+
+def omega_by_triple_products(kind: DiagonalKind) -> FractionMatrix:
+    """The grid-to-R map of ``_omega_exact``, one basis grid at a time.
+
+    Column 4i+j is vec(R(E_ij)) with R(E_ij) = Mb^T E_ij Mb (times T on the
+    anti diagonal), computed as a product of Fraction matrices."""
+    mb, t = FractionMatrix(_BB_ROWS), FractionMatrix(_T_ROWS)
+    cols = []
+    for i in range(4):
+        for j in range(4):
+            e = [[0] * 4 for _ in range(4)]
+            e[i][j] = 1
+            r = mb.transpose() @ FractionMatrix(e) @ mb
+            if kind is DiagonalKind.ANTI:
+                r = r @ t
+            cols.append([r[a, b] for a in range(4) for b in range(4)])
+    return FractionMatrix(list(zip(*cols)))
 
 
 def de_casteljau(points, t: float):

@@ -58,6 +58,7 @@ from helpers import (
     random_compliant_grid,
     random_compliant_patch,
     nullspace,
+    omega_by_triple_products,
     random_patch,
     rank_deficient_patch,
     shared_edge_pair,
@@ -207,17 +208,26 @@ def test_omega_reproduces_diagonal_matrix(rng):
 
 def test_omega_reproduces_diagonal_matrix_exactly():
     # same consistency check in exact arithmetic on a rational grid
-    from smartpatch.constraints import _MB_Q, _T_Q, _omega_exact
+    from smartpatch.constraints import _omega_exact
+    from smartpatch.patches import _BB_ROWS, _T_ROWS
 
+    mb, t = RationalMatrix(_BB_ROWS), RationalMatrix(_T_ROWS)
     entries = [[(3 * i - 2 * j + 1, 7) for j in range(4)] for i in range(4)]
     g = RationalMatrix([[f"{n}/{d}" for n, d in row] for row in entries])
     for kind in DiagonalKind:
-        r = _MB_Q.transpose() @ g @ _MB_Q
+        r = mb.transpose() @ g @ mb
         if kind is DiagonalKind.ANTI:
-            r = r @ _T_Q
+            r = r @ t
         xi = RationalMatrix.column([g[i, j] for i in range(4) for j in range(4)])
         rho = _omega_exact(kind) @ xi
         assert all(rho[4 * a + b, 0] == r[a, b] for a in range(4) for b in range(4))
+
+
+def test_closed_form_omega_matches_the_triple_products():
+    from smartpatch.constraints import _omega_exact
+
+    for kind in DiagonalKind:
+        assert _omega_exact(kind).data == omega_by_triple_products(kind).data
 
 
 def test_lambda_matches_reference():
@@ -420,10 +430,12 @@ def test_certification_rejects_a_perturbed_map(monkeypatch):
 def test_run_time_operators_build_no_rational_matrices(monkeypatch, rng):
     _solver()
 
-    def forbidden(self, rows):
+    def forbidden(*args):
         raise AssertionError("RationalMatrix built on a run-time path")
 
+    # every construction goes through one of the two
     monkeypatch.setattr(RationalMatrix, "__init__", forbidden)
+    monkeypatch.setattr(RationalMatrix, "_from_ints", forbidden)
     g = rng.uniform(-10, 10, (4, 4))
     assert not bs_residuals(g).compliant
     assert bs_residuals(bs_project(g)).compliant

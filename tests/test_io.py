@@ -196,6 +196,16 @@ def test_newell_trailing_garbage():
         load_newell("\n".join(lines))
 
 
+def test_newell_patches_are_views_of_one_checked_array(teapot_path):
+    patches = read_newell(teapot_path).patches
+    base = patches[0].as_array.base
+    assert base is not None and base.shape == (32, 3, 4, 4)
+    for p in patches:
+        q = BezierPatch(*p.grids)
+        for a, b in zip(p.grids + (p.as_array,), q.grids + (q.as_array,)):
+            assert a.base is base and not a.flags.writeable and np.array_equal(a, b)
+
+
 def test_teapot_counts(teapot_path):
     ps = read_newell(teapot_path)
     assert len(ps.patches) == 32
@@ -260,6 +270,15 @@ def test_export_bytes_match_line_loop(teapot_path, with_normals):
     patches = read_newell(teapot_path).patches
     mesh = merge_meshes([tessellate(p, 4, with_normals=with_normals) for p in patches])
     mesh.vertices[0] = (-0.0, 1e-300, 1.5e20)
+    assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+def test_export_bytes_match_line_loop_over_many_blocks(rng, with_normals):
+    # triangles in random order, so each face block indexes vertices across the mesh
+    mesh = merge_meshes([tessellate(random_patch(rng), 30, with_normals=with_normals) for _ in range(2)])
+    mesh.triangles = mesh.triangles[rng.permutation(len(mesh.triangles))]
+    assert len(mesh.vertices) > 1024 and len(mesh.triangles) > 2048
     assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
 
 
