@@ -28,6 +28,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+from bench_setup import cpu_model
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf32", "hf48"]
 
@@ -46,15 +48,6 @@ def build(name: str):
     for _ in range(int(name[5:]) if name.startswith("split") else 0):
         patches = [q for p in patches for q in split_patch(p)]
     return patches
-
-
-def cpu_model() -> str:
-    cpuinfo = Path("/proc/cpuinfo")
-    if cpuinfo.exists():
-        for line in cpuinfo.read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    return platform.processor() or platform.machine()
 
 
 def measure(patches, repair) -> dict:

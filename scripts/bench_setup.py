@@ -73,12 +73,17 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def run_once(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def one_blas_thread(**extra) -> dict:
+    """This process's environment plus ``extra``, with BLAS on one thread."""
+    env = dict(os.environ, **extra)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    out = subprocess.run([sys.executable, "-c", CHILD], env=env, cwd=src,
-                         capture_output=True, text=True, check=True)
+    return env
+
+
+def run_once(src: Path) -> dict:
+    out = subprocess.run([sys.executable, "-c", CHILD], env=one_blas_thread(PYTHONPATH=str(src)),
+                         cwd=src, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 

@@ -32,6 +32,115 @@ class PatchFormatError(ValueError):
     """Malformed patch-set or mesh input."""
 
 
+# ---------------------------------------------------------------------------
+# Float text: repr(x) for every value, with the digits decided in array passes
+
+# built from Python ints: exact, and no numpy ufunc runs at import
+_POW10 = np.array([float(10**k) for k in range(23)])
+_IPOW10 = np.array([10**k for k in range(18)], dtype=np.int64)
+# Indexed by sign, whole part (0-9 written out, 10 for a "%d" field) and
+# width w of the digits after the point: a "%0{w}d" field, or "%d" (w = 0)
+# when the first of them is not a zero.
+_FRAGMENTS = np.array(
+    [
+        f"{sign}{whole}.%0{w}d" if w else f"{sign}{whole}.%d"
+        for sign in ("", "-")
+        for whole in [*"0123456789", "%d"]
+        for w in range(21)
+    ],
+    dtype=object,
+).reshape(2, 11, 21)
+
+
+def _split(v):
+    """Dekker's split of doubles into two halves of at most 26 bits."""
+    t = v * 134217729.0
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _two_product(a, b):
+    """hi + lo == a·b exactly, with hi = fl(a·b) (Dekker's TwoProduct)."""
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    hi = a * b
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _shortest(a):
+    """The digits D, the count of digits after the point and a "decided"
+    mask for each of ``a``'s values (|x|), with |x| = D·10^-point.
+
+    With e the decimal exponent of |x| and s = 16 - e, X = |x|·10^s is
+    formed exactly as hi + lo (10^s is exact for s <= 22), so hi is a
+    17-digit integer.  The 17-, 16- and 15-digit candidates are X rounded
+    to a multiple of 1, 10 and 100.  The shortest one strictly inside x's
+    half-ulp interval, scaled by 10^s, less its trailing zeros, is
+    ``repr``'s digit string (Gay's shortest round trip: the nearest of the
+    shortest).  Shorter forms need no more candidates: the interval is
+    narrower than 100, so it holds at most one multiple of 100, and every
+    shorter form is one.  Undecided: zeros, non-finite values, exponents
+    outside repr's positional range -4 <= e < 16 (subnormals included),
+    exponents log10 misjudged, powers of two (whose interval is not
+    symmetric) and any decision within 1e-9 of its threshold."""
+    mantissa, exponent = np.frexp(a)
+    fast = (a >= 1e-4) & (a < 1e16) & (mantissa != 0.5)
+    a = np.where(fast, a, 3.0)
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _two_product(a, _POW10[s])
+    fast &= (hi > 1e16) & (hi < 1e17)  # log10 may misjudge e by one
+    half_ulp = np.ldexp(_POW10[s], exponent - 54)  # > 0.55: the 17-digit candidate is inside
+    f100, r100 = np.divmod(hi.astype(np.int64), 100)
+    t = r100 + lo  # X - 100·f100
+    digits, point = 0, s + 1
+    for unit in (1, 10, 100):
+        n = np.rint(t / unit)  # the nearest multiple, in units
+        d = np.abs(t - n * unit)
+        inside = d < half_ulp
+        fast &= (np.abs(d - half_ulp) > 1e-9) & ~(inside & (np.abs(d - unit / 2) <= 1e-9))
+        n = f100 * (100 // unit) + n.astype(np.int64)
+        digits = np.where(inside, n, digits)
+        point -= inside
+    short = n.astype(float)  # the 15-digit candidate, < 2**53, so exact
+    for z in (8, 4, 2, 1):  # strip its trailing zeros
+        q = short / _POW10[z]
+        strip = inside & (q == np.floor(q))
+        short = np.where(strip, q, short)
+        point -= z * strip
+    return np.where(inside, short.astype(np.int64), digits), point, fast
+
+
+def _fields(x):
+    """One fragment of ``_FRAGMENTS`` per value of the float64 vector ``x``
+    (its literal repr where ``_shortest`` leaves it undecided), and the
+    "%d" values that fill them, as lists."""
+    digits, point, fast = _shortest(np.abs(x))
+    zero = x == 0
+    digits[zero], point[zero] = 0, 1
+    fast |= zero
+    whole, frac = np.divmod(digits, _IPOW10[np.clip(point, 0, 17)])
+    whole *= _IPOW10[np.clip(-point, 0, 17)]  # point <= 0: "D0.0"
+    width = np.clip(point, 1, 20)
+    padded = frac < _IPOW10[np.minimum(width - 1, 17)]
+    frags = _FRAGMENTS[np.signbit(x).astype(np.intp), np.minimum(whole, 10), padded * width]
+    slow = np.flatnonzero(~fast)
+    frags[slow] = [repr(v) for v in x[slow].tolist()]
+    ints = np.stack((whole, frac), axis=1)[np.stack((fast & (whole > 9), fast), axis=1)]
+    return frags.tolist(), ints.tolist()
+
+
+def _reprs(values) -> list:
+    """``[repr(x) for x in values.ravel().tolist()]`` for a float64 array.
+
+    ``_shortest`` decides the digits in array passes and ``_fields``
+    turns them into fragments; one %-format fills them all.  The arrays
+    are freed when ``_fields`` returns, before the text is built."""
+    x = np.asarray(values, dtype=float).ravel()
+    if not x.size:
+        return []
+    frags, ints = _fields(x)
+    return ("\n".join(frags) % tuple(ints)).split("\n")
+
+
 @dataclass
 class PatchSet:
     name: str
@@ -66,13 +175,22 @@ def _grid_from_json(values, patch_idx: int, coord: str):
     return values
 
 
-def _edge_from_json(rec: dict, which: str, idx: int) -> EdgeId:
+def _side_from_json(rec: dict, which: str, idx: int):
+    """Record ``idx``'s patch index and edge on side ``which`` ("a" or "b")."""
+    patch = rec[which]
+    if isinstance(patch, bool) or not isinstance(patch, int):
+        raise PatchFormatError(f"adjacency {idx}: '{which}' must be an integer, got {patch!r}")
     side = rec.get(f"edge_{which}")
     try:
         side = EdgeSide(side)
     except ValueError:
         raise PatchFormatError(f"adjacency {idx}: bad edge_{which} {side!r}") from None
-    return EdgeId(side=side, reversed=bool(rec.get(f"reversed_{which}", False)))
+    reversed_ = rec.get(f"reversed_{which}", False)
+    if not isinstance(reversed_, bool):
+        raise PatchFormatError(
+            f"adjacency {idx}: 'reversed_{which}' must be true or false, got {reversed_!r}"
+        )
+    return patch, EdgeId(side=side, reversed=reversed_)
 
 
 def load_patchset(text: str) -> PatchSet:
@@ -106,21 +224,16 @@ def load_patchset(text: str) -> PatchSet:
         for k, rec in enumerate(doc["adjacency"]):
             if not isinstance(rec, dict) or "a" not in rec or "b" not in rec:
                 raise PatchFormatError(f"adjacency {k}: must be an object with 'a' and 'b'")
-            adjacency.append(
-                Adjacency(
-                    a=int(rec["a"]),
-                    edge_a=_edge_from_json(rec, "a", k),
-                    b=int(rec["b"]),
-                    edge_b=_edge_from_json(rec, "b", k),
-                )
-            )
+            (a, edge_a), (b, edge_b) = _side_from_json(rec, "a", k), _side_from_json(rec, "b", k)
+            adjacency.append(Adjacency(a=a, edge_a=edge_a, b=b, edge_b=edge_b))
     return PatchSet(name=name, patches=patches, adjacency=adjacency)
 
 
 # dump_patchset writes the text json.dumps(doc, indent=1) gives, from fixed
-# templates: one per patch, filled with the reprs of its 48 control values
-# (json writes floats with float.__repr__), and one per adjacency record.
-_GRID_ROWS = ",\n".join(["    [\n" + ",\n".join(["     %r"] * 4) + "\n    ]"] * 4)
+# templates: one per patch, filled with the ``_reprs`` of its 48 control
+# values (json writes floats with float.__repr__), and one per adjacency
+# record.
+_GRID_ROWS = ",\n".join(["    [\n" + ",\n".join(["     %s"] * 4) + "\n    ]"] * 4)
 _PATCH_TEMPLATE = "  {\n" + ",\n".join(f'   "{c}": [\n{_GRID_ROWS}\n   ]' for c in "xyz") + "\n  }"
 _RECORD_KEYS = ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")
 _RECORD_TEMPLATE = "  {\n" + ",\n".join(f'   "{k}": %s' for k in _RECORD_KEYS) + "\n  }"
@@ -137,10 +250,13 @@ def dump_patchset(ps: PatchSet) -> str:
     Every control value is written as a float, so integer-valued entries
     read back as floats and the output is deterministic."""
     values = np.array([p.as_array for p in ps.patches], dtype=float).reshape(-1, 48)
-    fields = [
-        f' "name": {json.dumps(ps.name)}',
-        ' "patches": ' + _json_list([_PATCH_TEMPLATE % tuple(v) for v in values.tolist()]),
-    ]
+    # 64 patches (3072 values) per _reprs call, like an OBJ block, so the
+    # arrays stay small whatever the size of the set
+    groups = (
+        ",\n".join([_PATCH_TEMPLATE] * len(v)) % tuple(_reprs(v))
+        for v in (values[start : start + 64] for start in range(0, len(values), 64))
+    )
+    fields = [f' "name": {json.dumps(ps.name)}', ' "patches": ' + _json_list(list(groups))]
     if ps.adjacency is not None:
         records = [
             _RECORD_TEMPLATE
@@ -266,23 +382,25 @@ def _obj_blocks(mesh: TriangleMesh):
 
     Rows become Python numbers a block at a time, so neither the whole
     array nor the whole text ever exists as Python objects at once.  Each
-    vertex and normal block is one %-format of a repeated line template.
-    A face block is filled from one token ("i//i" or "i") per vertex in
-    the block's index range, so each vertex index is formatted once per
-    block that uses it, not once per use."""
+    vertex and normal block is one %-format of a repeated line template,
+    filled with ``_reprs`` of its values.  A face block is filled from one
+    token ("i//i" or "i") per vertex in the block's index range, taken
+    with one object-array gather, so each vertex index is formatted once
+    per block that uses it, not once per use."""
     for tag, a in (("v", mesh.vertices), ("vn", mesh.normals)):
         if a is None:
             continue
         for start in range(0, len(a), 1024):
-            values = a[start : start + 1024].ravel().tolist()
-            yield (f"{tag} %r %r %r\n" * (len(values) // 3)) % tuple(values)
-    token = "{0}//{0}" if mesh.normals is not None else "{0}"
+            block = a[start : start + 1024]
+            yield (f"{tag} %s %s %s\n" * len(block)) % tuple(_reprs(block))
+    token = "%d//%d " if mesh.normals is not None else "%d "
     for start in range(0, len(mesh.triangles), 1024):
         block = mesh.triangles[start : start + 1024]
         lo = int(block.min())
-        tokens = [token.format(i) for i in range(lo + 1, int(block.max()) + 2)]
-        corners = (block - lo).ravel().tolist()
-        yield ("f %s %s %s\n" * len(block)) % tuple([tokens[i] for i in corners])
+        ids = np.arange(lo + 1, int(block.max()) + 2)
+        tokens = (token * len(ids)) % tuple(ids.repeat(token.count("%")).tolist())
+        tokens = np.array(tokens.split(), dtype=object)
+        yield ("f %s %s %s\n" * len(block)) % tuple(tokens[block - lo].ravel().tolist())
 
 
 def export_obj(mesh: TriangleMesh) -> str:

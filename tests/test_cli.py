@@ -342,6 +342,21 @@ def test_continuity_offset_pair(capsys, tmp_path, rng):
     assert rep["pairs"][0]["c0_max_gap"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("field, value", [("a", "x"), ("a", None), ("b", [1]), ("b", 1.7),
+                                          ("a", True), ("reversed_a", "no")])
+def test_continuity_rejects_malformed_adjacency_records(capsys, tmp_path, rng, field, value):
+    patch = random_patch(rng)
+    record = {"a": 0, "edge_a": "U1", "reversed_a": False, "b": 1, "edge_b": "U0", "reversed_b": False}
+    record[field] = value
+    doc = json.loads(dump_patchset(PatchSet(name="pair", patches=[patch, patch])))
+    doc["adjacency"] = [record]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "continuity", "--in", str(path))
+    assert code == 2 and out == ""
+    assert f"adjacency 0: '{field}' must be" in err
+
+
 def test_continuity_needs_adjacency(capsys, bilinear_set):
     code, _, err = run(capsys, "continuity", "--in", str(bilinear_set))
     assert code == 2

@@ -1,10 +1,15 @@
 import json
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smartpatch import BezierPatch, PatchFormatError, PatchSet
+from smartpatch import BezierPatch, PatchFormatError, PatchSet, io
 from smartpatch.io import (
+    _reprs,
     dump_patchset,
     export_obj,
     load_newell,
@@ -20,6 +25,7 @@ from smartpatch.tessellation import (
     detect_adjacency,
     merge_meshes,
     tessellate,
+    tessellate_set,
 )
 
 from helpers import loop_export_obj, patchset_json, random_patch, split_patch
@@ -115,6 +121,154 @@ def test_adjacency_validation():
     doc = dict(base, adjacency=[{"a": 0, "edge_a": "XX", "b": 0, "edge_b": "U1"}])
     with pytest.raises(PatchFormatError, match="edge_a"):
         load_patchset(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("a", "x", "adjacency 1: 'a' must be an integer"),
+        ("a", None, "adjacency 1: 'a' must be an integer"),
+        ("b", [1], "adjacency 1: 'b' must be an integer"),
+        ("b", 1.7, "adjacency 1: 'b' must be an integer"),
+        ("a", 1.0, "adjacency 1: 'a' must be an integer"),
+        ("a", True, "adjacency 1: 'a' must be an integer"),
+        ("reversed_a", "no", "adjacency 1: 'reversed_a' must be true or false"),
+        ("reversed_b", 0, "adjacency 1: 'reversed_b' must be true or false"),
+        ("reversed_b", None, "adjacency 1: 'reversed_b' must be true or false"),
+    ],
+)
+def test_adjacency_record_types(field, value, match):
+    grid = [[0.0] * 4 for _ in range(4)]
+    good = {"a": 0, "edge_a": "U1", "b": 1, "edge_b": "U0"}
+    doc = {"patches": [{"x": grid, "y": grid, "z": grid}] * 2, "adjacency": [good, dict(good)]}
+    doc["adjacency"][1][field] = value
+    with pytest.raises(PatchFormatError, match=match):
+        load_patchset(json.dumps(doc))
+
+
+def test_adjacency_record_flags_are_kept():
+    grid = [[0.0] * 4 for _ in range(4)]
+    rec = {"a": 0, "edge_a": "U1", "reversed_a": True, "b": 1, "edge_b": "U0", "reversed_b": False}
+    doc = {"patches": [{"x": grid, "y": grid, "z": grid}] * 2, "adjacency": [rec]}
+    (got,) = load_patchset(json.dumps(doc)).adjacency
+    assert (got.a, got.edge_a.reversed, got.b, got.edge_b.reversed) == (0, True, 1, False)
+    assert type(got.a) is int and type(got.b) is int
+
+
+# ---------------------------------------------------------------------------
+# Float text
+
+
+def assert_reprs(values):
+    values = np.asarray(values, dtype=float)
+    assert _reprs(values) == [repr(x) for x in values.ravel().tolist()]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_reprs_of_arbitrary_bit_patterns(bits):
+    assert_reprs(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@given(
+    st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.floats(1e-4, 1e16)
+        | st.floats(-1e16, -1e-4)
+        | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308]),
+        max_size=300,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_reprs_of_floats_in_and_out_of_the_positional_range(values):
+    assert_reprs(values)
+
+
+def test_reprs_next_to_the_range_limits():
+    for edge in (1e-4, 1e-5, 1e16, 2.0**53):
+        below, above = [edge], [edge]
+        for _ in range(40):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        values = np.array(below[::-1] + above[1:])
+        assert_reprs(values)
+        assert_reprs(-values)
+
+
+def test_reprs_of_powers_of_two_and_integers(rng):
+    powers = 2.0 ** np.arange(-1074, 1024)
+    assert_reprs(np.concatenate([powers, -powers]))
+    ints = rng.integers(-(2**53), 2**53, 5000, endpoint=True).astype(float)
+    assert_reprs(np.concatenate([ints, np.arange(-3000.0, 3000.0), [2.0**53 - 1, 2.0**53]]))
+
+
+@pytest.mark.parametrize("ndigits", [14, 15, 16, 17])
+def test_reprs_by_shortest_digit_count(rng, ndigits):
+    # random decimal strings of ndigits significant digits over the
+    # positional exponents; their shortest forms have ndigits or fewer
+    mantissas = rng.integers(10 ** (ndigits - 1), 10**ndigits, 2000)
+    exponents = rng.integers(-4 - ndigits + 1, 16 - ndigits + 1, 2000)
+    values = np.array([float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())])
+    lengths = {len(repr(x).lstrip("-0.").replace(".", "").rstrip("0")) for x in values.tolist()}
+    assert ndigits in lengths
+    assert_reprs(values * rng.choice([-1.0, 1.0], len(values)))
+
+
+def test_reprs_on_rounding_ties(rng):
+    # |x|·10^s ends in exactly .5: two 17-digit candidates are equally near
+    values = []
+    for low, high, q in ((1e15, 2.0**51, -2), (2.0**49, 1e15, -3)):
+        odd = rng.integers(int(low * 2**-q), int(high * 2**-q), 1000) | 1
+        values.append(odd * 2.0**q)
+    assert_reprs(np.concatenate(values))
+
+
+def test_reprs_where_log10_misjudges_the_exponent():
+    # log10 is off by at most a couple of ulps of its result, so every
+    # misjudged value lies within 200 steps of a power of ten
+    values = []
+    for k in range(-4, 17):
+        below, above = [10.0**k], [10.0**k]
+        for _ in range(200):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        values += below + above[1:]
+    misjudged = [x for x in values if np.floor(np.log10(x)) != Decimal(x).adjusted()]
+    assert len(misjudged) > 50
+    assert_reprs(values)
+    assert_reprs(-np.array(values))
+
+
+def test_reprs_of_empty_and_shaped_arrays(rng):
+    assert _reprs(np.zeros(0)) == []
+    assert_reprs(rng.normal(size=(7, 5, 3)))
+    assert_reprs(rng.normal(size=(8, 6))[:, ::2])
+
+
+def test_reprs_decide_most_values_in_array_passes(monkeypatch, rng):
+    calls = []
+    monkeypatch.setattr(io, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    magnitudes = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 3000))
+    values = np.concatenate([rng.uniform(-10, 10, 3000), magnitudes * rng.choice([-1, 1], 3000)])
+    assert_reprs(values)
+    # left to repr: mostly values whose shortest form has 14 or fewer digits
+    assert len(calls) < 0.02 * len(values)
+
+
+def test_exports_mixing_array_and_repr_values_match_the_oracles(rng):
+    special = [0.0, -0.0, 1.0, -2.0, 0.5, 1e-300, -1e20, 2.0**53, 0.1, 1e-5, 1e16, 12345.0, 5e-324]
+    patches = []
+    for k in range(5):
+        grid = rng.normal(size=(3, 4, 4)) * 10.0 ** rng.integers(-3, 6)
+        grid.flat[rng.choice(48, 12, replace=False)] = rng.choice(special, 12)
+        patches.append(BezierPatch(*grid))
+    ps = PatchSet(name="mixed", patches=patches)
+    assert dump_patchset(ps).encode() == patchset_json(ps).encode()
+    mesh = merge_meshes([tessellate(p, 30, with_normals=True) for p in patches[:2]])
+    mesh.vertices.flat[rng.choice(mesh.vertices.size, 500, replace=False)] = rng.choice(special, 500)
+    mesh.normals.flat[rng.choice(mesh.normals.size, 500, replace=False)] = rng.choice(special, 500)
+    assert len(mesh.vertices) > 1024
+    assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +443,17 @@ def test_write_obj_writes_export_obj(tmp_path, rng, with_normals):
     path = tmp_path / "mesh.obj"
     write_obj(mesh, path)
     assert path.read_bytes() == export_obj(mesh).encode()
+
+
+def test_write_obj_memory_stays_flat(tmp_path, teapot_path):
+    # 9248 vertices, normals and 16384 faces, written a 1024-line block at a
+    # time: the peak is a few blocks' worth (measured 0.46 MB), not the text
+    mesh = tessellate_set(read_newell(teapot_path).patches, 16, with_normals=True)
+    tracemalloc.start()
+    try:
+        write_obj(mesh, tmp_path / "teapot.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "teapot.obj").stat().st_size > 1_500_000
+    assert peak < 0.6 * 2**20
