@@ -240,7 +240,13 @@ def build_lambda() -> ConstraintSystem:
     lam_q = _lambda_exact()
     reference = RationalMatrix(LAMBDA_REFERENCE)
     if lam_q != reference:
-        raise DerivationError("derived constraint matrix does not match the reference table")
+        entries = "; ".join(
+            f"entry ({i},{j}): derived {lam_q[i, j]} != reference {reference[i, j]}"
+            for i in range(6) for j in range(16) if lam_q[i, j] != reference[i, j]
+        )
+        raise DerivationError(
+            f"derived constraint matrix does not match the reference table: {entries}"
+        )
     red, rank, pivots = lam_q.rref()
     if rank != 5:
         raise DerivationError(f"constraint matrix rank is {rank}, expected 5")

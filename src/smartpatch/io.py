@@ -239,13 +239,18 @@ _RECORD_KEYS = ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")
 _RECORD_TEMPLATE = "  {\n" + ",\n".join(f'   "{k}": %s' for k in _RECORD_KEYS) + "\n  }"
 
 
-def _json_list(items) -> str:
-    """An indent=1 JSON list at the document's second level, from item texts."""
-    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+def _json_list(items):
+    """The pieces of an indent=1 JSON list at the document's second level."""
+    sep = "[\n"
+    for item in items:
+        yield from (sep, item)
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n ]"
 
 
-def dump_patchset(ps: PatchSet) -> str:
-    """The patch set as the JSON text of json.dumps(doc, indent=1).
+def _patchset_pieces(ps: PatchSet):
+    """The text json.dumps(doc, indent=1) gives for the patch set, in pieces
+    of at most 64 patches, so a writer never holds the whole document.
 
     Every control value is written as a float, so integer-valued entries
     read back as floats and the output is deterministic."""
@@ -256,9 +261,11 @@ def dump_patchset(ps: PatchSet) -> str:
         ",\n".join([_PATCH_TEMPLATE] * len(v)) % tuple(_reprs(v))
         for v in (values[start : start + 64] for start in range(0, len(values), 64))
     )
-    fields = [f' "name": {json.dumps(ps.name)}', ' "patches": ' + _json_list(list(groups))]
+    yield f'{{\n "name": {json.dumps(ps.name)},\n "patches": '
+    yield from _json_list(groups)
     if ps.adjacency is not None:
-        records = [
+        yield ',\n "adjacency": '
+        yield from _json_list(
             _RECORD_TEMPLATE
             % (
                 int(rec.a),
@@ -269,9 +276,13 @@ def dump_patchset(ps: PatchSet) -> str:
                 json.dumps(rec.edge_b.reversed),
             )
             for rec in ps.adjacency
-        ]
-        fields.append(' "adjacency": ' + _json_list(records))
-    return "{\n" + ",\n".join(fields) + "\n}"
+        )
+    yield "\n}"
+
+
+def dump_patchset(ps: PatchSet) -> str:
+    """The patch set as the JSON text of json.dumps(doc, indent=1)."""
+    return "".join(_patchset_pieces(ps))
 
 
 def read_patchset(path) -> PatchSet:
@@ -279,7 +290,10 @@ def read_patchset(path) -> PatchSet:
 
 
 def write_patchset(ps: PatchSet, path) -> None:
-    Path(path).write_text(dump_patchset(ps) + "\n")
+    """Write ``dump_patchset(ps)`` and a newline to ``path`` a piece at a time."""
+    with open(path, "w") as f:
+        f.writelines(_patchset_pieces(ps))
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

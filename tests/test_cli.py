@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from smartpatch import BezierPatch, DiagonalKind, PatchSet, bs_residuals, repair_patches
+from smartpatch import constraints
 from smartpatch.cli import main
 from smartpatch.constraints import grid_scale
 from smartpatch.io import dump_patchset, read_newell, read_patchset
@@ -65,6 +67,22 @@ def test_lambda_json_report(capsys):
     assert rep["inner_identity"]["plus_variant_in_row_space"] is True
     assert rep["inner_identity"]["minus_variant_in_row_space"] is False
     assert len(rep["matrix"]) == 6 and len(rep["matrix"][0]) == 16
+
+
+def test_lambda_reference_mismatch_is_internal_error(capsys, monkeypatch):
+    table = [list(row) for row in constraints.LAMBDA_REFERENCE]
+    table[2][5] += 1
+    monkeypatch.setattr(constraints, "LAMBDA_REFERENCE", tuple(map(tuple, table)))
+    constraints.build_lambda.cache_clear()
+    try:
+        code, out, err = run(capsys, "lambda")
+    finally:
+        constraints.build_lambda.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: derived constraint matrix does not match")
+    assert "entry (2,5): derived 54 != reference 55" in err
+    assert err.count("entry (") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +462,64 @@ def test_teapot_outputs_on_the_split_match_the_per_patch_oracle(capsys, teapot_p
     _assert_teapot_outputs_match_oracle(
         capsys, src, tmp_path / "out", patches, 4, "main", normals=False
     )
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["teapot", "split"])
+def test_teapot_report_agrees_with_the_single_commands(capsys, teapot_path, tmp_path, split):
+    src = teapot_path
+    if split:
+        patches = [q for p in read_newell(teapot_path).patches for q in split_patch(p)]
+        src = tmp_path / "split.newell"
+        src.write_text(newell_text(patches))
+
+    def report(*argv):
+        _, out, _ = run(capsys, *argv, "--json")
+        return json.loads(out)
+
+    tea = report("teapot", "--in", str(src), "--out", str(tmp_path / "tea"), "--n", "4")
+    repaired = tmp_path / "tea" / "teapot_repaired.json"
+    for key, path in (("before", src), ("after", repaired)):
+        single = report("validate", "--in", str(path))
+        assert tea[key] == {
+            "noncompliant_patches": len(single["noncompliant_patches"]),
+            "max_residual": max(p["max_residual"] for p in single["patches"]),
+        }
+    single = report("repair", "--in", str(src), "--out", str(tmp_path / "repaired.json"))
+    for key in ("max_displacement", "max_corner_displacement", "repair"):
+        assert tea[key] == single[key]
+    assert (tmp_path / "repaired.json").read_bytes() == repaired.read_bytes()
+    single = report("continuity", "--in", str(src), "--detect", "--n", "4")
+    assert tea["shared_edges"] == single["pair_count"]
+    assert tea["c0_before_max"] == single["worst"]["c0_max_gap"]
+
+
+def test_teapot_on_an_empty_newell_file(capsys, tmp_path):
+    src = tmp_path / "empty.newell"
+    src.write_text("0\n0\n")
+    code, out, err = run(capsys, "teapot", "--in", str(src), "--out", str(tmp_path / "out"),
+                         "--json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["patch_count"] == rep["shared_edges"] == 0
+    assert rep["before"] == rep["after"] == {"noncompliant_patches": 0, "max_residual": 0.0}
+    assert rep["mesh"] == {"vertices": 0, "triangles": 0}
+    assert json.loads((tmp_path / "out" / "teapot_report.json").read_text()) == rep | {
+        "outputs": rep["outputs"][:2]
+    }
+
+
+def test_committed_teapot_outputs_are_current(capsys, teapot_path, tmp_path, monkeypatch):
+    """out/teapot/ is what the README's teapot command writes from the
+    repository root; rerun that command there when this test fails."""
+    (tmp_path / "data").mkdir()
+    shutil.copy(teapot_path, tmp_path / "data" / "teapot.newell")
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "teapot", "--in", "data/teapot.newell", "--out", "out/teapot",
+                     "--n", "16")
+    assert code == 0
+    committed = teapot_path.parent.parent / "out" / "teapot"
+    for name in ("teapot.obj", "teapot_repaired.json", "teapot_report.json"):
+        assert (tmp_path / "out" / "teapot" / name).read_bytes() == (committed / name).read_bytes()
 
 
 def test_teapot_missing_input(capsys, tmp_path):
