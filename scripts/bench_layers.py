@@ -1,0 +1,300 @@
+#!/usr/bin/env python3
+"""Time smartpatch's set-up, joint repair and I/O layers in fresh interpreters.
+
+Usage::
+
+    python scripts/bench_layers.py [--checkout LABEL=ROOT_DIR ...] [--note LABEL=TEXT ...]
+
+Each ``ROOT_DIR`` is a repository root (default: ``change=<this checkout>``).
+Every measurement is a child program in a new interpreter with one BLAS
+thread, working directory ``ROOT_DIR`` and ``ROOT_DIR/src`` then
+``ROOT_DIR/tests`` first on its path; a child whose ``smartpatch`` is not
+``ROOT_DIR/src/smartpatch`` stops the run.  The checkouts alternate, their
+order flipped every round.  Column LABEL of each file of ``LAYERS``, in the
+root of this script's checkout, is replaced; other labels' columns stay.
+
+Set-up times ``import smartpatch`` (numpy's import included), the exact
+derivation and certification every process pays before its first operation
+(``build_lambda``, ``bs_free_cells``, ``resolve_inner_identity``),
+``patches._conversion_matrices`` and the first ``_pattern_rank`` (a patch
+whose 12 non-corner slots are 12 free variables).  With
+``PYTHONDONTWRITEBYTECODE`` set (``dont_write_bytecode``), every import
+compiles smartpatch from source; ``compile_ms``, that share, is the min over
+the runs of one ``compile()`` of each module after the steps and an untimed one.
+
+Joint repair: the bundled teapot, the teapot split 2x2 by de Casteljau
+once, twice and three times, and seeded k x k height fields (one connected
+component of k^2 patches) for k = 8, 16, 24, 32, 48.  The untimed call also
+fills the exact-rank caches; tracemalloc counts numpy's arrays too.
+
+I/O: ``write_obj`` of the bundled teapot at n=16 with normals (as
+``smartpatch teapot --normals`` writes it) and of its 2x2 de Casteljau split
+(128 patches) at n=4 (as the ``split-teapot`` benchmark workload does),
+``dump_patchset`` of that split and ``load_newell`` of the teapot text.
+``peak_rss_mb`` is the worker's own peak resident set size: the probe is
+started from this script, which never imports numpy, so no larger parent
+process raises the reading.  Each probe's input is in a new directory.
+"""
+
+import argparse
+import json
+import os
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CHECKOUT_FILES = ("src/smartpatch/__init__.py", "data/teapot.newell", "bench/probe.py")
+SETUP_RUNS = 15
+IO_RUNS = 9
+CALLS = 15
+RSS_SECONDS = 2.0
+DERIVATION = ("build_lambda", "bs_free_cells", "resolve_inner_identity")
+ALTERNATED = "checkouts alternated with the order flipped every round; one BLAS thread"
+
+# Every child starts with PRELUDE, fills ``result`` and ends with EPILOGUE,
+# which prints it as one JSON line with the smartpatch and numpy it ran on.
+# Before the set-up clock starts, only json, sys and time are imported.
+PRELUDE = r"""
+import json, sys, time
+sys.path[:0] = ["src", "tests"]
+
+def timed(op):
+    start = time.perf_counter()
+    op()
+    return time.perf_counter() - start
+
+def best(op, calls):
+    op()  # untimed
+    return min(timed(op) for _ in range(calls))
+
+def traced(op):
+    import tracemalloc
+    tracemalloc.start()
+    value = op()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return value, peak
+"""
+EPILOGUE = r"""
+import smartpatch
+result.update(module=smartpatch.__file__, numpy=sys.modules["numpy"].__version__)
+print(json.dumps(result))
+"""
+
+SETUP = r"""
+steps = {"import smartpatch": timed(lambda: __import__("smartpatch"))}
+from smartpatch import constraints, patches
+for name, call in (
+    ("build_lambda", constraints.build_lambda),
+    ("bs_free_cells", constraints.bs_free_cells),
+    ("resolve_inner_identity", constraints.resolve_inner_identity),
+    ("patches._conversion_matrices", patches._conversion_matrices),
+    ("first _pattern_rank", lambda: constraints._pattern_rank(tuple(range(12)))),
+):
+    steps[name] = timed(call)
+from pathlib import Path
+sources = [(p, p.read_text()) for p in sorted(Path("src/smartpatch").glob("*.py"))]
+compile_all = lambda: [compile(text, str(p), "exec", dont_inherit=True) for p, text in sources]
+result = {"steps": steps, "compile_s": best(compile_all, 1),
+          "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
+"""
+
+REPAIR = r"""
+import numpy as np
+from helpers import height_field_patches, split_patch
+from smartpatch import repair_patches
+from smartpatch.io import read_newell
+
+def build(name):
+    if name.startswith("hf"):
+        k = int(name[2:])
+        return height_field_patches(np.random.default_rng(k).uniform(-1.0, 1.0, (3 * k + 1,) * 2))
+    patches = read_newell("data/teapot.newell").patches
+    for _ in range(int(name[5:]) if name.startswith("split") else 0):
+        patches = [q for p in patches for q in split_patch(p)]
+    return patches
+
+repair_patches(build("teapot"))  # derive and certify the exact maps once
+result = {"inputs": {}}
+for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf32", "hf48"]:
+    patches = build(name)
+    for p in patches:
+        p.as_array  # the input's stacked grids are not the repair's work
+    min_s = best(lambda: repair_patches(patches), 3)
+    repaired, peak = traced(lambda: repair_patches(patches))
+    result["inputs"][name] = {
+        "patches": len(patches), "components": repaired.system.components,
+        "min_s": round(min_s, 6), "tracemalloc_peak_mb": round(peak / 1e6, 2),
+    }
+"""
+
+# argv: the timed calls per operation, and the directory that receives the
+# seed-10 input of the teapot benchmark workload for the RSS probe.
+IO = r"""
+import os
+from pathlib import Path
+from helpers import split_patch
+from smartpatch.io import PatchSet, dump_patchset, load_newell, write_obj
+from smartpatch.tessellation import tessellate_set
+
+text = open("data/teapot.newell").read()
+teapot = load_newell(text, name="teapot").patches
+split = [q for p in teapot for q in split_patch(p)]
+teapot_mesh = tessellate_set(teapot, 16, with_normals=True)
+split_mesh = tessellate_set(split, 4)
+split_set = PatchSet(name="split", patches=split)
+ops = {
+    "write_obj teapot n=16 normals": lambda: write_obj(teapot_mesh, os.devnull),
+    "write_obj split n=4": lambda: write_obj(split_mesh, os.devnull),
+    "dump_patchset split": lambda: dump_patchset(split_set),
+    "load_newell teapot": lambda: load_newell(text),
+}
+result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()},
+          "tracemalloc_peak": traced(ops["write_obj teapot n=16 normals"])[1]}
+sys.path.append("bench")
+import generators
+generators.write_inputs("teapot", Path.cwd(), Path(sys.argv[2]), 10)
+"""
+
+
+def run(root: Path, cmd: list) -> str:
+    """Stdout of ``cmd`` run in ``root`` with BLAS on one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"error: a child program failed in {root}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def child(root: Path, code: str, *args) -> dict:
+    """The result of one child program on the checkout ``root``."""
+    result = json.loads(run(root, [sys.executable, "-c", PRELUDE + code + EPILOGUE, *args]))
+    module = (root / result.pop("module")).resolve()
+    if (root / "src" / "smartpatch").resolve() not in module.parents:
+        sys.exit(f"error: a child on {root} imported smartpatch from {module}")
+    return result
+
+
+def io_run(root: Path) -> dict:
+    """One I/O child, then the RSS probe on the input that child wrote."""
+    with tempfile.TemporaryDirectory() as inputs:
+        result = child(root, IO, str(CALLS), inputs)
+        cmd = shlex.join([sys.executable, str(root / "bench" / "probe.py"), "ops", "teapot",
+                          inputs, f"{RSS_SECONDS:g}"])
+        probe = run(root, ["sh", "-c", f"exec {cmd}"]).strip().splitlines()[-1]
+    return result | {"peak_rss_mb": json.loads(probe)["peak_rss_mb"]}
+
+
+def summary(values) -> dict:
+    return {"min_ms": round(1e3 * min(values), 3),
+            "median_ms": round(1e3 * statistics.median(values), 3)}
+
+
+def setup_column(runs: list) -> dict:
+    return {
+        "runs": len(runs),
+        "dont_write_bytecode": runs[0]["dont_write_bytecode"],
+        "steps": {name: summary([r["steps"][name] for r in runs]) for name in runs[0]["steps"]},
+        "exact_derivation": summary([sum(r["steps"][s] for s in DERIVATION) for r in runs]),
+        "compile_ms": round(1e3 * min(r["compile_s"] for r in runs), 3),
+    }
+
+
+def io_column(runs: list) -> dict:
+    rss = [r["peak_rss_mb"] for r in runs]
+    peak = max(r["tracemalloc_peak"] for r in runs)
+    return {
+        "runs": len(runs),
+        "steps": {name: summary([r["best"][name] for r in runs]) for name in runs[0]["best"]},
+        "write_obj_tracemalloc_peak_mb": round(peak / 2**20, 3),
+        "peak_rss_mb": {"min": round(min(rss), 2), "median": round(statistics.median(rss), 2)},
+    }
+
+
+# Per file: the runs per checkout, one run on a checkout root, the column
+# made from one checkout's runs, and the file's method.
+LAYERS = {
+    "BENCH_setup.json": (
+        SETUP_RUNS, lambda root: child(root, SETUP), setup_column,
+        f"fresh interpreter per run, steps timed in order with perf_counter; {SETUP_RUNS} runs "
+        f"per checkout after one untimed run, {ALTERNATED}; min and median per step; "
+        f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run"),
+    "BENCH_repair.json": (
+        1, lambda root: child(root, REPAIR), lambda runs: {"inputs": runs[0]["inputs"]},
+        "repair_patches in process, one fresh interpreter per checkout: one untimed call, then "
+        "min of 3 timed calls; tracemalloc peak of a fourth call; one BLAS thread"),
+    "BENCH_io.json": (
+        IO_RUNS, io_run, io_column,
+        f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "
+        f"run; {IO_RUNS} runs per checkout, {ALTERNATED}; min and median of the per-run minima; "
+        "OBJ written to os.devnull; tracemalloc peak of one teapot write_obj; peak_rss_mb from "
+        f"bench/probe.py ops teapot (seed 10, {RSS_SECONDS:g} s) started through sh"),
+}
+
+
+def write_record(path: Path, method: str, columns: dict, hosts: dict) -> None:
+    """Set ``method``, and each label's column and host, in the JSON file ``path``."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc["method"] = method
+    doc.setdefault("host", {}).update(hosts)
+    doc.setdefault("columns", {}).update(columns)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def cpu_model() -> str:
+    for line in Path("/proc/cpuinfo").read_text().splitlines():
+        if line.startswith("model name"):
+            return line.split(":", 1)[1].strip()
+    return platform.machine()
+
+
+def label_value(item: str) -> tuple:
+    label, sep, value = item.partition("=")
+    if not sep or not label:
+        raise argparse.ArgumentTypeError(f"must be LABEL=VALUE, got {item!r}")
+    return label, value
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--checkout", action="append", type=label_value,
+                    help="LABEL=ROOT_DIR, repeatable (default: change=<this checkout>)")
+    ap.add_argument("--note", action="append", type=label_value, default=[],
+                    help="LABEL=TEXT stored with that label's columns, repeatable")
+    args = ap.parse_args(argv)
+    checkouts = {label: Path(root).resolve()
+                 for label, root in args.checkout or [("change", REPO_ROOT)]}
+    for label, root in checkouts.items():
+        missing = [name for name in CHECKOUT_FILES if not (root / name).is_file()]
+        if missing:
+            ap.error(f"--checkout {label}={root} is not a smartpatch repository root (no "
+                     f"{', '.join(missing)}); give the root, not its src directory")
+
+    labels = list(checkouts)
+    runs = {name: {label: [] for label in labels} for name in LAYERS}
+    for label in labels:
+        child(checkouts[label], SETUP)  # untimed: compiles bytecode where it may be written
+    for k in range(max(count for count, *_ in LAYERS.values())):
+        for label in labels if k % 2 == 0 else labels[::-1]:
+            for name, (count, measure, *_) in LAYERS.items():
+                if k < count:
+                    runs[name][label].append(measure(checkouts[label]))
+
+    host = {"cpu": cpu_model(), "cores": os.cpu_count(), "python": platform.python_version()}
+    hosts = {label: host | {"numpy": runs["BENCH_setup.json"][label][0]["numpy"]}
+             for label in labels}
+    for name, (_, _, column, method) in LAYERS.items():
+        columns = {label: {"note": dict(args.note).get(label, "")} | column(runs[name][label])
+                   for label in labels}
+        write_record(REPO_ROOT / name, method, columns, hosts)
+        print(f"wrote {name}: {', '.join(labels)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -166,7 +167,7 @@ def cmd_validate(args) -> int:
 
 
 def _system_line(system: dict) -> str:
-    steps = " ".join(f"{r:.3e}" for r in system["step_residuals"])
+    steps = " ".join(f"{r:.3e}" for r in system["step_residuals"]) or "none"
     return (
         f"repair system: {system['rows']} rows, {system['free_variables']} free variables "
         f"({system['shared_variables']} shared), {system['fixed_variables']} fixed, "
@@ -495,6 +496,7 @@ def _add_mesh(sp, low: int):
     sp.add_argument("--normals", action="store_true", help="include vertex normals")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smartpatch",

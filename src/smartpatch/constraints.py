@@ -800,11 +800,20 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     roots, comp = np.unique(_components(pa, pb, n), return_inverse=True)
     comp_scale = np.ones(len(roots))
     np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
+    bound = 1e-13 * comp_scale
+
+    def component_worst(defect):
+        worst = np.zeros(len(roots))
+        np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
+        return worst
+
     # A component already within the stop bound needs no correction: it is
-    # neither rank-checked nor factored, and comes back untouched.
-    worst = np.zeros(len(roots))
-    np.maximum.at(worst, comp, np.abs(reduced @ pts).max(axis=(1, 2)))
-    needed = worst > 1e-13 * comp_scale
+    # neither rank-checked nor factored, and comes back untouched.  The
+    # defect is taken on a contiguous copy, as in every refinement step.
+    out = pts.copy()
+    defect = reduced @ out  # (n, 5, 3)
+    worst = component_worst(defect)
+    needed = worst > bound
     rank = np.full(n, 5)
     rank[needed[comp]] = _patch_ranks(slot_var[needed[comp]], fixed)
     if (rank < 5).any():
@@ -864,14 +873,10 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             reason = "is rank-deficient: its Gram matrix is not positive definite"
             raise RepairError(np.flatnonzero(comp == level_comp[g]), reason) from None
 
-    out = pts.copy()
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
-        defect = reduced @ out  # (n, 5, 3)
-        worst = np.zeros(len(roots))
-        np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
         history.append(float(np.max(worst / comp_scale)))
-        open_comps = worst > 1e-13 * comp_scale
+        open_comps = worst > bound
         if not open_comps.any():
             break
         if step == _REFINEMENT_STEPS:
@@ -898,6 +903,8 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
         delta = np.zeros((len(fixed), 3))
         np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
         out[p_idx, k_idx] -= delta[var]
+        defect = reduced @ out
+        worst = component_worst(defect)
 
     moved = np.max(np.abs(out - pts), axis=2)
     disp = moved[:, _NONCORNERS].max(axis=1)

@@ -506,6 +506,9 @@ def test_teapot_on_an_empty_newell_file(capsys, tmp_path):
     assert json.loads((tmp_path / "out" / "teapot_report.json").read_text()) == rep | {
         "outputs": rep["outputs"][:2]
     }
+    code, out, err = run(capsys, "teapot", "--in", str(src), "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert "; residual before each step: none\n" in out
 
 
 def test_committed_teapot_outputs_are_current(capsys, teapot_path, tmp_path, monkeypatch):
