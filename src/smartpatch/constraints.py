@@ -762,9 +762,10 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     incidences, in memory linear in the patches times the widest level;
     they are factored once, level by level, by block Cholesky.  Up to three
     refinement steps, each one forward and one backward block substitution,
-    stop once the reduced residual is within 1e-13 times the component's
-    scale, max(1, max |coordinate|).  A component already within that bound
-    is returned untouched.  Any other component with rank-deficient rows or
+    stop once the reduced residual and the 6-row residual (the one reported)
+    are both within 1e-13 times the component's scale, max(1, max
+    |coordinate|).  A component already within that bound is returned
+    untouched.  Any other component with rank-deficient rows or
     whose residual stays above that bound (infeasible constraints) raises
     RepairError naming its patches.  Deficiency within one patch's rows,
     which comes from which of its slots share a variable, is decided exactly
@@ -801,19 +802,24 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     comp_scale = np.ones(len(roots))
     np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
     bound = 1e-13 * comp_scale
+    lam = build_lambda().lam
 
-    def component_worst(defect):
-        worst = np.zeros(len(roots))
+    def defects(out):
+        """The reduced defect, and each component's worst reduced row and
+        worst row of the reduced and 6-row systems together: the stop rule
+        holds both, so the reported 6-row residual is within the bound too."""
+        defect = reduced @ out  # (n, 5, 3)
+        worst, both = np.zeros(len(roots)), np.zeros(len(roots))
         np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
-        return worst
+        np.maximum.at(both, comp, np.abs(lam @ out).max(axis=(1, 2)))
+        return defect, worst, np.maximum(worst, both)
 
     # A component already within the stop bound needs no correction: it is
     # neither rank-checked nor factored, and comes back untouched.  The
     # defect is taken on a contiguous copy, as in every refinement step.
     out = pts.copy()
-    defect = reduced @ out  # (n, 5, 3)
-    worst = component_worst(defect)
-    needed = worst > bound
+    defect, worst, both = defects(out)
+    needed = both > bound
     rank = np.full(n, 5)
     rank[needed[comp]] = _patch_ranks(slot_var[needed[comp]], fixed)
     if (rank < 5).any():
@@ -876,14 +882,14 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
         history.append(float(np.max(worst / comp_scale)))
-        open_comps = worst > bound
+        open_comps = both > bound
         if not open_comps.any():
             break
         if step == _REFINEMENT_STEPS:
             c = np.flatnonzero(open_comps)[0]
             raise RepairError(
                 np.flatnonzero(comp == c),
-                f"is infeasible: its reduced residual is still {worst[c] / comp_scale[c]:.3e} "
+                f"is infeasible: its residual is still {both[c] / comp_scale[c]:.3e} "
                 f"of its scale after {_REFINEMENT_STEPS} refinement steps (bound 1e-13)",
             )
         # One forward and one backward block substitution: y = (A A^T)^-1 defect.
@@ -903,8 +909,7 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
         delta = np.zeros((len(fixed), 3))
         np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
         out[p_idx, k_idx] -= delta[var]
-        defect = reduced @ out
-        worst = component_worst(defect)
+        defect, worst, both = defects(out)
 
     moved = np.max(np.abs(out - pts), axis=2)
     disp = moved[:, _NONCORNERS].max(axis=1)
@@ -918,7 +923,7 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             for d, c in zip(disp.tolist(), corner_disp.tolist())
         ],
         max_displacement=float(disp.max()),
-        residual=float(np.max(np.abs(build_lambda().lam @ out))) / scale,
+        residual=float(np.max(np.abs(lam @ out))) / scale,
         system=RepairSystemStats(
             rows=5 * n,
             free_variables=int(np.count_nonzero(~fixed)),

@@ -16,6 +16,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,107 +39,172 @@ class PatchFormatError(ValueError):
 # built from Python ints: exact, and no numpy ufunc runs at import
 _POW10 = np.array([float(10**k) for k in range(23)])
 _IPOW10 = np.array([10**k for k in range(18)], dtype=np.int64)
-# Indexed by sign, whole part (0-9 written out, 10 for a "%d" field) and
-# width w of the digits after the point: a "%0{w}d" field, or "%d" (w = 0)
-# when the first of them is not a zero.
-_FRAGMENTS = np.array(
-    [
-        f"{sign}{whole}.%0{w}d" if w else f"{sign}{whole}.%d"
-        for sign in ("", "-")
-        for whole in [*"0123456789", "%d"]
-        for w in range(21)
-    ],
-    dtype=object,
-).reshape(2, 11, 21)
+# A rendered value: its sign, the 22 digits (10^21 .. 10^0) of its digits
+# with a "0" inserted where the point goes, a column that only the longest
+# repr fills and one for a caller's separator.
+_FIELD = 25
 
 
 def _split(v):
     """Dekker's split of doubles into two halves of at most 26 bits."""
-    t = v * 134217729.0
-    hi = t - (t - v)
+    hi = v * 134217729.0
+    hi -= hi - v
     return hi, v - hi
 
 
 def _two_product(a, b):
-    """hi + lo == a·b exactly, with hi = fl(a·b) (Dekker's TwoProduct)."""
+    """hi + lo == a·b exactly, with hi = fl(a·b) (Dekker's TwoProduct):
+    lo = ((ah·bh - hi) + ah·bl + al·bh) + al·bl, summed in place."""
     (ah, al), (bh, bl) = _split(a), _split(b)
     hi = a * b
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    lo = ah * bh
+    lo -= hi
+    lo += ah * bl
+    lo += al * bh
+    lo += al * bl
+    return hi, lo
 
 
-def _shortest(a):
-    """The digits D, the count of digits after the point and a "decided"
-    mask for each of ``a``'s values (|x|), with |x| = D·10^-point.
+def _shortest(x):
+    """The digits of ``repr`` for each of ``x``'s values, |x|: X, s and z
+    with |x| = X·10^-s, where repr(|x|) is X's digits with a point before
+    the last s of them, without its last z digits (zeros, z < s) and
+    without the leading zeros before the digit next to the point; and a
+    "decided" mask.
 
-    With e the decimal exponent of |x| and s = 16 - e, X = |x|·10^s is
-    formed exactly as hi + lo (10^s is exact for s <= 22), so hi is a
-    17-digit integer.  The 17-, 16- and 15-digit candidates are X rounded
-    to a multiple of 1, 10 and 100.  The shortest one strictly inside x's
-    half-ulp interval, scaled by 10^s, less its trailing zeros, is
-    ``repr``'s digit string (Gay's shortest round trip: the nearest of the
-    shortest).  Shorter forms need no more candidates: the interval is
-    narrower than 100, so it holds at most one multiple of 100, and every
-    shorter form is one.  Undecided: zeros, non-finite values, exponents
-    outside repr's positional range -4 <= e < 16 (subnormals included),
-    exponents log10 misjudged, powers of two (whose interval is not
-    symmetric) and any decision within 1e-9 of its threshold."""
+    With e the decimal exponent of |x| and s = 16 - e, |x|·10^s is formed
+    exactly as hi + lo (10^s is exact for s <= 22), so hi is a 17-digit
+    integer.  The 17-, 16- and 15-digit candidates are that rounded to a
+    multiple of 1, 10 and 100.  The shortest one strictly inside x's
+    half-ulp interval, less its trailing zeros, is ``repr``'s digit string
+    (Gay's shortest round trip: the nearest of the shortest).  Shorter
+    forms need no more candidates: the interval is narrower than 100, so it
+    holds at most one multiple of 100, and every shorter form is one.
+    Zeros are decided (X = 0, s = 1, z = 0: "0.0").  Undecided, and given
+    the same X, s and z: non-finite values, exponents outside repr's
+    positional range -4 <= e < 16 (subnormals included), exponents log10
+    misjudged, powers of two (whose interval is not symmetric) and any
+    decision within 1e-9 of its threshold."""
+    a = np.abs(x)
     mantissa, exponent = np.frexp(a)
-    fast = (a >= 1e-4) & (a < 1e16) & (mantissa != 0.5)
-    a = np.where(fast, a, 3.0)
-    s = 16 - np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _two_product(a, _POW10[s])
-    fast &= (hi > 1e16) & (hi < 1e17)  # log10 may misjudge e by one
-    half_ulp = np.ldexp(_POW10[s], exponent - 54)  # > 0.55: the 17-digit candidate is inside
-    f100, r100 = np.divmod(hi.astype(np.int64), 100)
-    t = r100 + lo  # X - 100·f100
-    digits, point = 0, s + 1
-    for unit in (1, 10, 100):
-        n = np.rint(t / unit)  # the nearest multiple, in units
-        d = np.abs(t - n * unit)
+    decided = (a >= 1e-4) & (a < 1e16) & (mantissa != 0.5)
+    zero = a == 0
+    a = np.where(decided, a, 3.0)
+    del mantissa  # every array is dropped as soon as it is used up
+    s = np.log10(a)
+    s = 16 - np.floor(s, out=s).astype(np.intp)
+    scale = _POW10[s]
+    half_ulp = np.ldexp(scale, exponent - 54)  # in (0.55, 11.1)
+    del exponent
+    hi, lo = _two_product(a, scale)
+    del a, scale
+    decided &= (hi > 1e16) & (hi < 1e17)  # log10 may misjudge e by one
+    hi = hi.astype(np.int64)
+    f100 = hi // 100
+    t = (hi - 100 * f100) + lo  # |x|·10^s - 100·f100
+    del hi, lo
+    # The 17-digit candidate is always inside (|t - tail| <= 0.5); a tie
+    # leaves it undecided.  Inside 100 means inside 10; no tie at 100 is.
+    tail = np.rint(t)
+    decided &= np.abs(np.abs(t - tail) - 0.5) > 1e-9
+    z = np.zeros(len(x), dtype=np.intp)
+    for unit in (10, 100):
+        n = np.rint(t / unit) * unit
+        d = np.abs(t - n)
         inside = d < half_ulp
-        fast &= (np.abs(d - half_ulp) > 1e-9) & ~(inside & (np.abs(d - unit / 2) <= 1e-9))
-        n = f100 * (100 // unit) + n.astype(np.int64)
-        digits = np.where(inside, n, digits)
-        point -= inside
-    short = n.astype(float)  # the 15-digit candidate, < 2**53, so exact
-    for z in (8, 4, 2, 1):  # strip its trailing zeros
-        q = short / _POW10[z]
-        strip = inside & (q == np.floor(q))
+        decided &= np.abs(d - half_ulp) > 1e-9
+        if unit == 10:
+            decided &= ~inside | (np.abs(d - 5) > 1e-9)
+        tail = np.where(inside, n, tail)
+        z += inside
+    # The 15-digit candidate's own trailing zeros, counted 8, 4, 2, 1 at a time
+    fifteen = np.flatnonzero(inside)
+    short = f100[fifteen] + tail[fifteen] / 100  # < 10^15, so exact
+    for k in (8, 4, 2, 1):
+        q = short / _POW10[k]
+        strip = q == np.floor(q)
         short = np.where(strip, q, short)
-        point -= z * strip
-    return np.where(inside, short.astype(np.int64), digits), point, fast
+        z[fifteen] += k * strip
+    digits = 100 * f100 + tail.astype(np.int64)
+    return (
+        digits * decided,
+        np.where(decided, s, 1),
+        np.where(decided, np.minimum(z, s - 1), 0),
+        decided | zero,
+    )
 
 
-def _fields(x):
-    """One fragment of ``_FRAGMENTS`` per value of the float64 vector ``x``
-    (its literal repr where ``_shortest`` leaves it undecided), and the
-    "%d" values that fill them, as lists."""
-    digits, point, fast = _shortest(np.abs(x))
-    zero = x == 0
-    digits[zero], point[zero] = 0, 1
-    fast |= zero
-    whole, frac = np.divmod(digits, _IPOW10[np.clip(point, 0, 17)])
-    whole *= _IPOW10[np.clip(-point, 0, 17)]  # point <= 0: "D0.0"
-    width = np.clip(point, 1, 20)
-    padded = frac < _IPOW10[np.minimum(width - 1, 17)]
-    frags = _FRAGMENTS[np.signbit(x).astype(np.intp), np.minimum(whole, 10), padded * width]
-    slow = np.flatnonzero(~fast)
-    frags[slow] = [repr(v) for v in x[slow].tolist()]
-    ints = np.stack((whole, frac), axis=1)[np.stack((fast & (whole > 9), fast), axis=1)]
-    return frags.tolist(), ints.tolist()
+@functools.cache
+def _quads():
+    """"dddd" for 0..9999, as one native uint32 word each: 40 KB built on
+    first use from the 100 two-digit pairs by two broadcast copies."""
+    pairs = np.frombuffer(
+        b"0001020304050607080910111213141516171819"
+        b"2021222324252627282930313233343536373839"
+        b"4041424344454647484950515253545556575859"
+        b"6061626364656667686970717273747576777879"
+        b"8081828384858687888990919293949596979899",
+        dtype=np.uint8,
+    ).reshape(100, 2)
+    quads = np.empty((100, 100, 4), dtype=np.uint8)
+    quads[..., :2] = pairs[:, None]
+    quads[..., 2:] = pairs
+    quads.flags.writeable = False  # one array for every caller
+    return quads.reshape(-1).view(np.uint32)
 
 
-def _reprs(values) -> list:
-    """``[repr(x) for x in values.ravel().tolist()]`` for a float64 array.
+@functools.cache
+def _bands(cols):
+    """Masks of ``cols`` digit columns (10^cols-1 .. 10^0), the row
+    first·cols + top holding 1 for the digits first..top."""
+    k = np.arange(cols - 1, -1, -1)
+    mask = (np.arange(cols)[:, None, None] <= k) & (k <= np.arange(cols)[:, None])
+    mask.flags.writeable = False  # one array for every caller
+    return mask.view(np.uint8).reshape(-1, cols)
 
-    ``_shortest`` decides the digits in array passes and ``_fields``
-    turns them into fragments; one %-format fills them all.  The arrays
-    are freed when ``_fields`` returns, before the text is built."""
-    x = np.asarray(values, dtype=float).ravel()
-    if not x.size:
-        return []
-    frags, ints = _fields(x)
-    return ("\n".join(frags) % tuple(ints)).split("\n")
+
+def _digits(m, out, first=0, at_least=0):
+    """Write the decimal digits of the non-negative int64 vector ``m`` into
+    the uint8 matrix ``out`` (one row per value, column j for the digit of
+    10^k with k = columns - 1 - j) as ASCII, those of 10^first up to
+    10^max(at_least, highest nonzero digit); the others are zero bytes.
+
+    The digits come four at a time from ``_quads()``."""
+    cols = out.shape[1]
+    top = np.maximum(np.searchsorted(_IPOW10, m, side="right") - 1, at_least)
+    quads = _quads()
+    words = np.empty((len(m), -(-cols // 4)), dtype=np.uint32)
+    for j in range(words.shape[1] - 1, -1, -1):
+        q = m // 10000
+        words[:, j] = quads[m - q * 10000]
+        m = q
+    shown = np.take(_bands(cols), first * cols + top, axis=0)
+    np.multiply(words.view(np.uint8)[:, -cols:], shown, out=out)
+
+
+def _float_text(x, lead=0):
+    """``repr(v)`` of each value of the float64 vector ``x`` as a
+    ``(len(x), lead + _FIELD)`` uint8 row whose nonzero bytes, in order,
+    are that text: the rows' first ``lead`` columns and last column are
+    left zero for the caller's separators.
+
+    ``_shortest`` decides the digits X and the s after the point.  X with
+    a 0 inserted before its last s digits, X + 9·10^s·(X // 10^s) < 10^18,
+    is rendered by ``_digits``, and that 0 becomes the point.  A value
+    ``_shortest`` leaves undecided is written from its ``repr``."""
+    digits, s, z, decided = _shortest(x)
+    scale = _IPOW10[np.minimum(s, 17)]  # X < 10^17, so X // 10^s is 0 for s >= 17
+    digits += 9 * scale * (digits // scale)
+    del scale
+    text = np.zeros((len(x), lead + _FIELD), dtype=np.uint8)
+    np.multiply(np.signbit(x), np.uint8(45), out=text[:, lead])  # "-"
+    _digits(digits, text[:, lead + 1 : lead + 23], first=z, at_least=s + 1)
+    text.reshape(-1)[np.arange(lead + 22, text.size, text.shape[1]) - s] = 46  # "."
+    slow = np.flatnonzero(~decided)
+    if slow.size:
+        literal = b"".join(repr(v).encode().ljust(24, b"\0") for v in x[slow].tolist())
+        text[slow, lead : lead + 24] = np.frombuffer(literal, dtype=np.uint8).reshape(-1, 24)
+    return text
 
 
 @dataclass
@@ -229,10 +295,11 @@ def load_patchset(text: str) -> PatchSet:
     return PatchSet(name=name, patches=patches, adjacency=adjacency)
 
 
-# dump_patchset writes the text json.dumps(doc, indent=1) gives, from fixed
-# templates: one per patch, filled with the ``_reprs`` of its 48 control
-# values (json writes floats with float.__repr__), and one per adjacency
-# record.
+# dump_patchset writes the text json.dumps(doc, indent=1) gives (json
+# writes floats with float.__repr__).  Each of a patch's 48 control values
+# follows its piece of the patch template; the piece before a patch's first
+# value also closes the patch before it.  An adjacency record fills its own
+# template.
 _GRID_ROWS = ",\n".join(["    [\n" + ",\n".join(["     %s"] * 4) + "\n    ]"] * 4)
 _PATCH_TEMPLATE = "  {\n" + ",\n".join(f'   "{c}": [\n{_GRID_ROWS}\n   ]' for c in "xyz") + "\n  }"
 _RECORD_KEYS = ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")
@@ -241,31 +308,46 @@ _RECORD_TEMPLATE = "  {\n" + ",\n".join(f'   "{k}": %s' for k in _RECORD_KEYS) +
 
 def _json_list(items):
     """The pieces of an indent=1 JSON list at the document's second level."""
-    sep = "[\n"
+    sep = b"[\n"
     for item in items:
         yield from (sep, item)
-        sep = ",\n"
-    yield "[]" if sep == "[\n" else "\n ]"
+        sep = b",\n"
+    yield b"[]" if sep == b"[\n" else b"\n ]"
+
+
+def _patch_groups(patches):
+    """The text of the list of ``patches``, as uint8 arrays of at most 64
+    patches (3072 values, like an OBJ block), so the arrays stay small
+    whatever the size of the set."""
+    opening, *between, closing = _PATCH_TEMPLATE.split("%s")
+    pieces = ["[\n" + opening, closing + ",\n" + opening, *between]
+    lead = max(map(len, pieces))
+    pieces = np.frombuffer("".join(t.ljust(lead, "\0") for t in pieces).encode(), np.uint8)
+    pieces = pieces.reshape(-1, lead)
+    for start in range(0, len(patches), 64):
+        values = np.array([p.as_array for p in patches[start : start + 64]], dtype=float)
+        text = _float_text(values.ravel(), lead)
+        cells = text.reshape(-1, 48, lead + _FIELD)
+        cells[:, 0, :lead] = pieces[1]
+        cells[:, 1:, :lead] = pieces[2:]
+        if start == 0:
+            cells[0, 0, :lead] = pieces[0]
+        yield text[text != 0]
+    yield (closing + "\n ]").encode() if patches else b"[]"
 
 
 def _patchset_pieces(ps: PatchSet):
-    """The text json.dumps(doc, indent=1) gives for the patch set, in pieces
-    of at most 64 patches, so a writer never holds the whole document.
+    """The bytes of the text json.dumps(doc, indent=1) gives for the patch
+    set, in pieces of at most 64 patches, so a writer never holds the whole
+    document.
 
     Every control value is written as a float, so integer-valued entries
     read back as floats and the output is deterministic."""
-    values = np.array([p.as_array for p in ps.patches], dtype=float).reshape(-1, 48)
-    # 64 patches (3072 values) per _reprs call, like an OBJ block, so the
-    # arrays stay small whatever the size of the set
-    groups = (
-        ",\n".join([_PATCH_TEMPLATE] * len(v)) % tuple(_reprs(v))
-        for v in (values[start : start + 64] for start in range(0, len(values), 64))
-    )
-    yield f'{{\n "name": {json.dumps(ps.name)},\n "patches": '
-    yield from _json_list(groups)
+    yield f'{{\n "name": {json.dumps(ps.name)},\n "patches": '.encode()
+    yield from _patch_groups(ps.patches)
     if ps.adjacency is not None:
-        yield ',\n "adjacency": '
-        yield from _json_list(
+        yield b',\n "adjacency": '
+        records = (
             _RECORD_TEMPLATE
             % (
                 int(rec.a),
@@ -277,12 +359,13 @@ def _patchset_pieces(ps: PatchSet):
             )
             for rec in ps.adjacency
         )
-    yield "\n}"
+        yield from _json_list(record.encode() for record in records)
+    yield b"\n}"
 
 
 def dump_patchset(ps: PatchSet) -> str:
     """The patch set as the JSON text of json.dumps(doc, indent=1)."""
-    return "".join(_patchset_pieces(ps))
+    return b"".join(_patchset_pieces(ps)).decode()
 
 
 def read_patchset(path) -> PatchSet:
@@ -291,9 +374,9 @@ def read_patchset(path) -> PatchSet:
 
 def write_patchset(ps: PatchSet, path) -> None:
     """Write ``dump_patchset(ps)`` and a newline to ``path`` a piece at a time."""
-    with open(path, "w") as f:
+    with open(path, "wb") as f:
         f.writelines(_patchset_pieces(ps))
-        f.write("\n")
+        f.write(b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -391,38 +474,53 @@ def read_newell(path) -> PatchSet:
 # OBJ export
 
 
-def _obj_blocks(mesh: TriangleMesh):
-    """The OBJ text of ``mesh`` in blocks of up to 1024 newline-terminated lines.
+def _vector_lines(tag, rows):
+    """The OBJ lines "tag x y z" of the float rows (N, 3): their
+    ``_float_text`` with the tag, spaces and newline put in the columns
+    left for them, less its zero bytes."""
+    text = _float_text(rows.ravel(), len(tag))
+    cells = text.reshape(-1, 3, text.shape[1])
+    cells[:, 0, : len(tag)] = np.frombuffer(tag, dtype=np.uint8)
+    cells[:, 1:, 0] = 32  # " "
+    cells[:, 2, -1] = 10  # "\n"
+    return text[text != 0]
 
-    Rows become Python numbers a block at a time, so neither the whole
-    array nor the whole text ever exists as Python objects at once.  Each
-    vertex and normal block is one %-format of a repeated line template,
-    filled with ``_reprs`` of its values.  A face block is filled from one
-    token ("i//i" or "i") per vertex in the block's index range, taken
-    with one object-array gather, so each vertex index is formatted once
-    per block that uses it, not once per use."""
-    for tag, a in (("v", mesh.vertices), ("vn", mesh.normals)):
-        if a is None:
-            continue
-        for start in range(0, len(a), 1024):
-            block = a[start : start + 1024]
-            yield (f"{tag} %s %s %s\n" * len(block)) % tuple(_reprs(block))
-    token = "%d//%d " if mesh.normals is not None else "%d "
+
+def _face_lines(triangles, normals):
+    """The OBJ lines "f i j k" (or "f i//i j//j k//k") of the zero-based
+    triangles (N, 3).  One token (" i" or " i//i") is rendered per vertex
+    in their index range and gathered by the triangles, so each vertex
+    index is rendered once per block that uses it, not once per use."""
+    lo, hi = int(triangles.min()), int(triangles.max())
+    width = len(str(hi + 1))
+    tokens = np.zeros((hi - lo + 1, 2 * width + 3 if normals else width + 1), dtype=np.uint8)
+    tokens[:, 0] = 32  # " "
+    _digits(np.arange(lo + 1, hi + 2), tokens[:, 1 : width + 1])
+    if normals:
+        tokens[:, width + 1 : width + 3] = 47  # "//"
+        tokens[:, width + 3 :] = tokens[:, 1 : width + 1]
+    line = np.empty((len(triangles), 3 * tokens.shape[1] + 2), dtype=np.uint8)
+    line[:, 0], line[:, -1] = 102, 10  # "f", "\n"
+    line[:, 1:-1] = tokens[triangles - lo].reshape(len(triangles), -1)
+    return line[line != 0]
+
+
+def _obj_blocks(mesh: TriangleMesh):
+    """The OBJ text of ``mesh`` as uint8 arrays of up to 1024 lines each."""
+    for tag, a in ((b"v ", mesh.vertices), (b"vn ", mesh.normals)):
+        if a is not None:
+            for start in range(0, len(a), 1024):
+                yield _vector_lines(tag, a[start : start + 1024])
     for start in range(0, len(mesh.triangles), 1024):
-        block = mesh.triangles[start : start + 1024]
-        lo = int(block.min())
-        ids = np.arange(lo + 1, int(block.max()) + 2)
-        tokens = (token * len(ids)) % tuple(ids.repeat(token.count("%")).tolist())
-        tokens = np.array(tokens.split(), dtype=object)
-        yield ("f %s %s %s\n" * len(block)) % tuple(tokens[block - lo].ravel().tolist())
+        yield _face_lines(mesh.triangles[start : start + 1024], mesh.normals is not None)
 
 
 def export_obj(mesh: TriangleMesh) -> str:
     """Serialize a mesh as ASCII OBJ (one-based indices, deterministic)."""
-    return "".join(_obj_blocks(mesh))
+    return b"".join(_obj_blocks(mesh)).decode()
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:
     """Write ``export_obj(mesh)`` to ``path`` a block at a time."""
-    with open(path, "w") as f:
+    with open(path, "wb") as f:
         f.writelines(_obj_blocks(mesh))

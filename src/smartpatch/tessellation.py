@@ -166,9 +166,11 @@ def tessellate_set(
             face_n = np.cross(
                 vertices[t[:, 1]] - vertices[t[:, 0]], vertices[t[:, 2]] - vertices[t[:, 0]]
             )
-            acc = np.zeros_like(normals)
-            np.add.at(acc, t, face_n[:, None, :])
-            acc = acc[~ok]
+            # each bin sums its faces in triangle order, as np.add.at would
+            acc = np.stack(
+                [np.bincount(t.ravel(), f.repeat(3), minlength=len(normals)) for f in face_n.T],
+                axis=1,
+            )[~ok]
             length = np.linalg.norm(acc, axis=1, keepdims=True)
             normals[~ok] = np.divide(
                 acc, length, out=np.tile((0.0, 0.0, 1.0), (len(acc), 1)), where=length > 1e-300

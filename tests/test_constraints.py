@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -991,6 +991,14 @@ def _repair_input(teapot_path, source, seed):
     source=st.one_of(st.sampled_from(["teapot", "split"]), st.integers(2, 12)),
     seed=st.integers(0, 2**32 - 1),
 )
+# height fields whose 6-row residual stayed at 1.0-1.26e-12 when repair
+# stopped on the reduced residual alone
+@example(source=8, seed=63)
+@example(source=9, seed=847)
+@example(source=10, seed=1610)
+@example(source=10, seed=1750)
+@example(source=11, seed=980)
+@example(source=11, seed=1666)
 def test_repair_matches_the_dense_and_loop_oracles(teapot_path, source, seed):
     """The level-set factorization gives the dense per-component solve's answer."""
     patches = _repair_input(teapot_path, source, seed)

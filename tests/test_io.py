@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from smartpatch import BezierPatch, PatchFormatError, PatchSet, io
 from smartpatch.io import (
-    _reprs,
+    _float_text,
     dump_patchset,
     export_obj,
     load_newell,
     load_patchset,
     read_newell,
     write_obj,
+    write_patchset,
 )
 from smartpatch.tessellation import (
     Adjacency,
@@ -159,9 +160,16 @@ def test_adjacency_record_flags_are_kept():
 # Float text
 
 
+def rendered(values, lead=0):
+    """The text of each row of ``_float_text``: its nonzero bytes."""
+    text = _float_text(np.asarray(values, dtype=float).ravel(), lead)
+    assert not text[:, :lead].any() and not text[:, -1].any()  # the caller's columns
+    return [bytes(row[row != 0]).decode() for row in text]
+
+
 def assert_reprs(values):
     values = np.asarray(values, dtype=float)
-    assert _reprs(values) == [repr(x) for x in values.ravel().tolist()]
+    assert rendered(values) == [repr(x) for x in values.ravel().tolist()]
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=300))
@@ -240,7 +248,9 @@ def test_reprs_where_log10_misjudges_the_exponent():
 
 
 def test_reprs_of_empty_and_shaped_arrays(rng):
-    assert _reprs(np.zeros(0)) == []
+    assert _float_text(np.zeros(0), 3).shape == (0, 3 + io._FIELD)
+    values = rng.normal(size=40) * 10.0 ** rng.integers(-6, 18, 40)
+    assert rendered(values, lead=5) == [repr(x) for x in values.tolist()]
     assert_reprs(rng.normal(size=(7, 5, 3)))
     assert_reprs(rng.normal(size=(8, 6))[:, ::2])
 
@@ -445,9 +455,55 @@ def test_write_obj_writes_export_obj(tmp_path, rng, with_normals):
     assert path.read_bytes() == export_obj(mesh).encode()
 
 
+@pytest.mark.parametrize("with_normals", [False, True])
+def test_face_text_across_digit_counts(rng, with_normals):
+    # one-based vertex ids on both sides of 9/10, 99/100, 9999/10000 and
+    # 99999/100000: a block of ids 99 990..100 000 only (its largest id has
+    # a digit more than the one before), a block mixing all four crossings
+    # and a block over the whole range
+    count = 100_001
+    edges = np.array([b - 3 + k for b in (10, 100, 10_000, 100_000) for k in range(4)])
+
+    def block(ids):
+        t = ids[rng.integers(0, len(ids), (2000, 3))]
+        return t[(t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 0] != t[:, 2])][:1024]
+
+    narrow, wide = np.arange(count - 12, count - 1), np.arange(count)
+    triangles = np.concatenate([block(narrow), block(edges), block(wide)])
+    vertices = np.zeros((count, 3))
+    mesh = TriangleMesh(vertices, triangles, vertices + 1.0 if with_normals else None)
+    assert len(mesh.triangles) == 3072 and mesh.triangles.max() == count - 1 == edges[-1]
+    assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
+
+
+def test_empty_blocks():
+    assert io._vector_lines(b"v ", np.zeros((0, 3))).size == 0
+    mesh = TriangleMesh([[0.5, -0.25, 3.0]], np.zeros((0, 3), dtype=int), [[0.0, -0.0, 1.0]])
+    assert export_obj(mesh) == "v 0.5 -0.25 3.0\nvn 0.0 -0.0 1.0\n" == loop_export_obj(mesh)
+    assert b"".join(io._patch_groups([])) == b"[]"
+
+
+def test_write_patchset_memory_stays_flat(tmp_path, teapot_path):
+    # the teapot split three times (2048 patches), written 64 patches at a
+    # time: the peak is a block's worth (measured 0.75 MiB), not the 2.4 MB text
+    patches = read_newell(teapot_path).patches
+    for _ in range(3):
+        patches = [q for p in patches for q in split_patch(p)]
+    ps = PatchSet("split", patches, detect_adjacency(patches))
+    tracemalloc.start()
+    try:
+        write_patchset(ps, tmp_path / "split.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "split.json").read_bytes() == (dump_patchset(ps) + "\n").encode()
+    assert (tmp_path / "split.json").stat().st_size > 2_000_000
+    assert peak < 1.3 * 2**20
+
+
 def test_write_obj_memory_stays_flat(tmp_path, teapot_path):
     # 9248 vertices, normals and 16384 faces, written a 1024-line block at a
-    # time: the peak is a few blocks' worth (measured 0.46 MB), not the text
+    # time: the peak is a few blocks' worth (measured 0.39 MiB), not the text
     mesh = tessellate_set(read_newell(teapot_path).patches, 16, with_normals=True)
     tracemalloc.start()
     try:
