@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import RationalMatrix
 from .patches import _BB_ROWS, _T_ROWS, BezierPatch, HermitePatch, as_grid, bezier_patches
 from .patches import bezier_basis, reparam_T
+from .tessellation import _key_codes
 
 __all__ = [
     "DiagonalKind",
@@ -192,39 +193,25 @@ def _lambda_exact() -> RationalMatrix:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """The 6x16 cubic-diagonal condition matrix with certified structure.
+    """The 6x16 cubic-diagonal condition matrix, derived and certified once.
 
-    ``lam1`` holds the four corner columns, ``lam2`` the remaining twelve
-    (row-major grid order); ``rref``/``pivot_cols``/``free_cols`` describe
-    the exact reduced form of the full matrix.
-    """
-
-    lam: np.ndarray
-    lam1: np.ndarray
-    lam2: np.ndarray
-    rank: int
-    rref: RationalMatrix
-    pivot_cols: tuple
-    free_cols: tuple
-
-
-@dataclass(frozen=True)
-class _Solver:
-    """Reduced machinery shared by bs_solve and bs_project.
-
-    ``reduced @ xi2 == rhs @ xi1`` is the full-rank (5-row) form of the
-    constraint system with corners moved to the right-hand side.
+    ``pivot_cols``/``free_cols`` describe the exact reduced form of ``lam``.
+    ``reduced @ xi2 == rhs @ xi1`` is its full-rank (5-row) form with the
+    four corners xi1 (row-major grid order) moved to the right-hand side.
     ``particular``/``homogeneous`` give the affine solution map used by
     bs_solve; ``gain`` is the least-squares correction map used by
     bs_project (gain = reduced^T (reduced reduced^T)^-1).  These exact
-    maps are derived and certified once; bs_solve and bs_project run on
-    the read-only float copies in the ``_f`` fields.
+    maps are certified once; bs_solve, bs_project and repair_patches run
+    on the read-only float copies in the ``_f`` fields.
     """
 
+    lam: np.ndarray
+    rank: int
+    pivot_cols: tuple
+    free_cols: tuple
     reduced: RationalMatrix     # 5 x 12
     rhs: RationalMatrix         # 5 x 4
-    pivot_cols: tuple           # pivots of lam2, indices into the 12-vector
-    free_cols: tuple            # the 7 free indices into the 12-vector
+    solver_free_cols: tuple     # the 7 free indices into the 12-vector xi2
     particular: RationalMatrix  # 12 x 4: xi2 from corners with free values 0
     homogeneous: RationalMatrix # 12 x 7: contribution of the free values
     gain: RationalMatrix        # 12 x 5
@@ -236,7 +223,13 @@ class _Solver:
 
 @functools.lru_cache(maxsize=1)
 def build_lambda() -> ConstraintSystem:
-    """Derive the constraint system and certify its structure exactly."""
+    """Derive the constraint system and certify its structure exactly.
+
+    The derived matrix must match the reference table and have rank 5; the
+    corner system must be solvable for every corner choice, and the
+    solution and projection maps must pass _certify.  Any failure raises
+    DerivationError.
+    """
     lam_q = _lambda_exact()
     reference = RationalMatrix(LAMBDA_REFERENCE)
     if lam_q != reference:
@@ -247,38 +240,22 @@ def build_lambda() -> ConstraintSystem:
         raise DerivationError(
             f"derived constraint matrix does not match the reference table: {entries}"
         )
-    red, rank, pivots = lam_q.rref()
+    _, rank, pivots = lam_q.rref()
     if rank != 5:
         raise DerivationError(f"constraint matrix rank is {rank}, expected 5")
-    lam = lam_q.to_float()
-    return ConstraintSystem(
-        lam=lam,
-        lam1=lam_q.take_cols(CORNER_INDICES).to_float(),
-        lam2=lam_q.take_cols(NONCORNER_INDICES).to_float(),
-        rank=rank,
-        rref=red,
-        pivot_cols=pivots,
-        free_cols=tuple(c for c in range(16) if c not in pivots),
-    )
-
-
-@functools.lru_cache(maxsize=1)
-def _solver() -> _Solver:
-    build_lambda()  # certify first
-    lam_q = _lambda_exact()
-    lam2 = lam_q.take_cols(NONCORNER_INDICES)
+    # [lam2 | -lam1] is lam with its columns permuted and some negated, so
+    # its rank is 5 too.  Its pivots must live in the lam2 block: the system
+    # lam2 xi2 = -lam1 xi1 is solvable for every corner choice.
     lam1_neg = -lam_q.take_cols(CORNER_INDICES)
-    aug, rank, pivots = lam2.hstack(lam1_neg).rref()
-    # Pivots of the augmented reduction must live in the lam2 block: the
-    # system lam2 xi2 = -lam1 xi1 is solvable for every corner choice.
-    if rank != 5 or any(p >= 12 for p in pivots):
+    aug, _, aug_pivots = lam_q.take_cols(NONCORNER_INDICES).hstack(lam1_neg).rref()
+    if any(p >= 12 for p in aug_pivots):
         raise DerivationError("reduced corner system is not solvable for all corners")
     reduced = aug.take_rows(range(rank)).take_cols(range(12))
     rhs = aug.take_rows(range(rank)).take_cols(range(12, 16))
-    free = tuple(c for c in range(12) if c not in pivots)
+    free = tuple(c for c in range(12) if c not in aug_pivots)
 
     # 0/1 maps placing the pivot and free unknowns in the 12-vector
-    place = RationalMatrix([[int(k == p) for p in pivots] for k in range(12)])
+    place = RationalMatrix([[int(k == p) for p in aug_pivots] for k in range(12)])
     pick = RationalMatrix([[int(k == f) for f in free] for k in range(12)])
     particular = place @ rhs
     homogeneous = pick + -(place @ reduced.take_cols(free))
@@ -295,11 +272,14 @@ def _solver() -> _Solver:
     reduced_f[:, list(CORNER_INDICES)] = -rhs.to_float()
     for m in (solve_f, reduced_f):
         m.flags.writeable = False
-    return _Solver(
+    return ConstraintSystem(
+        lam=lam_q.to_float(),
+        rank=rank,
+        pivot_cols=pivots,
+        free_cols=tuple(c for c in range(16) if c not in pivots),
         reduced=reduced,
         rhs=rhs,
-        pivot_cols=pivots,
-        free_cols=free,
+        solver_free_cols=free,
         particular=particular,
         homogeneous=homogeneous,
         gain=gain,
@@ -325,8 +305,7 @@ def _certify(reduced, rhs, particular, homogeneous, gain) -> None:
 
 def bs_free_cells() -> tuple:
     """Grid cells (i, j) owned by the 7 free parameters of bs_solve, in order."""
-    s = _solver()
-    return tuple(divmod(NONCORNER_INDICES[f], 4) for f in s.free_cols)
+    return tuple(divmod(NONCORNER_INDICES[f], 4) for f in build_lambda().solver_free_cols)
 
 
 @dataclass(frozen=True)
@@ -408,7 +387,7 @@ def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
         raise ValueError("need exactly 4 corner values")
     if len(free) != 7:
         raise ValueError("need exactly 7 free values")
-    s = _solver()
+    s = build_lambda()
     given = np.array([*corners, *free], dtype=float)
     flat = s.solve_f @ given
     flat[s.given_idx] = given
@@ -425,7 +404,7 @@ def bs_project(g) -> np.ndarray:
     rounding and projecting twice is the identity to the same accuracy.
     """
     flat = _vec(g)
-    s = _solver()
+    s = build_lambda()
     out = flat.copy()
     out[_NONCORNERS] -= s.gain_f @ (s.reduced_f @ flat)
     return as_grid(out.reshape(4, 4))
@@ -499,28 +478,14 @@ def hs_twists(phi: float, alpha: float, beta: float):
     )
 
 
-def _hs_tangent_sums(h: np.ndarray):
-    # a couples the v-tangents at (0,1)/(1,1) with the u-tangents at u=1;
-    # b does the same for the v-tangents at (0,0)/(1,0); c is the pure
-    # u-tangent combination entering the third twist equation.
-    a = h[0, 3] - h[1, 3] + h[3, 0] - h[3, 1]
-    b = h[0, 2] - h[1, 2] + h[3, 0] - h[3, 1]
-    c = h[2, 0] - h[2, 1] - h[3, 0] + h[3, 1]
-    return float(a), float(b), float(c)
-
-
-def hs_alpha_beta(h_grid, degeneracy_tol: float = PHI_DEGENERACY_TOL) -> Optional[tuple]:
+def hs_alpha_beta(h_grid) -> Optional[tuple]:
     """Twist weights (alpha, beta) implied by the boundary data.
 
-    Returns None when phi is degenerate (|phi| <= tol * scale): the twist
-    equations divide by 2*phi, so the weights are undetermined there.
+    Returns None when phi is degenerate (|phi| <= PHI_DEGENERACY_TOL * scale):
+    the twist equations divide by 2*phi, so the weights are undetermined there.
     """
-    h = np.asarray(h_grid, dtype=float)
-    phi = hs_phi(h)
-    if abs(phi) <= degeneracy_tol * grid_scale(h):
-        return None
-    a, b, _ = _hs_tangent_sums(h)
-    return (-(a + phi) / (2.0 * phi), -(b + phi) / (2.0 * phi))
+    rep = _hs_report(np.asarray(h_grid, dtype=float), DEFAULT_TOL)
+    return None if rep.degenerate_phi else (rep.alpha, rep.beta)
 
 
 @dataclass(frozen=True)
@@ -541,19 +506,22 @@ def _hs_report(h: np.ndarray, tol: float) -> HsReport:
     phi = hs_phi(h)
     twist1 = float(h[2, 2] + h[3, 3] - 2.0 * phi)
     twist2 = float(h[2, 3] + h[3, 2] - 2.0 * phi)
-    a, b, c = _hs_tangent_sums(h)
+    # a couples the v-tangents at (0,1)/(1,1) with the u-tangents at u=1;
+    # b does the same for the v-tangents at (0,0)/(1,0); c is the pure
+    # u-tangent combination entering the third twist equation.
+    a = float(h[0, 3] - h[1, 3] + h[3, 0] - h[3, 1])
+    b = float(h[0, 2] - h[1, 2] + h[3, 0] - h[3, 1])
+    c = float(h[2, 0] - h[2, 1] - h[3, 0] + h[3, 1])
     tangent = a + b + c + 4.0 * phi
-    ab = hs_alpha_beta(h)
-    degenerate = ab is None
-    compliant = max(abs(twist1), abs(twist2), abs(tangent)) <= tol * scale
+    degenerate = abs(phi) <= PHI_DEGENERACY_TOL * scale
     return HsReport(
         phi=phi,
         twist_sum_residuals=(twist1, twist2),
         tangent_residual=tangent,
-        alpha=None if degenerate else ab[0],
-        beta=None if degenerate else ab[1],
+        alpha=None if degenerate else -(a + phi) / (2.0 * phi),
+        beta=None if degenerate else -(b + phi) / (2.0 * phi),
         degenerate_phi=degenerate,
-        compliant=compliant,
+        compliant=max(abs(twist1), abs(twist2), abs(tangent)) <= tol * scale,
     )
 
 
@@ -632,19 +600,6 @@ def _pairs_on_one_variable(var: np.ndarray):
     return order[left], order[first + offset]
 
 
-def _point_ids(points: np.ndarray) -> np.ndarray:
-    """Rank of each point among the distinct points in lexicographic order.
-
-    Equal to ``np.unique(points, axis=0, return_inverse=True)[1]``, with
-    0.0 and -0.0 equal, at a fraction of its cost.
-    """
-    order = np.lexsort(points.T[::-1])
-    ordered = points[order]
-    ids = np.empty(len(points), dtype=np.intp)
-    ids[order] = np.cumsum(np.r_[False, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    return ids
-
-
 def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Smallest node index of each of ``n`` nodes' component under edges (a, b).
 
@@ -718,7 +673,7 @@ def _pattern_rank(pattern: tuple) -> int:
     the same variable.  A free variable's column is the sum of its slots'
     columns of the certified reduced system.
     """
-    reduced = _solver().reduced
+    reduced = build_lambda().reduced
     columns = {}
     for k, first in enumerate(pattern):
         if first >= 0:
@@ -783,7 +738,7 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
 
     n = len(patches)
     pts = np.stack([p.as_array for p in patches]).reshape(n, 3, 16).transpose(0, 2, 1)
-    boundary = _point_ids(pts[:, _BOUNDARY].reshape(-1, 3))
+    boundary = np.unique(_key_codes(pts[:, _BOUNDARY].reshape(-1, 3)), return_inverse=True)[1]
     slot_var = np.empty((n, 16), dtype=np.intp)
     slot_var[:, _BOUNDARY] = boundary.reshape(n, 12)
     slot_var[:, _INNER] = boundary.max() + 1 + np.arange(4 * n).reshape(n, 4)
@@ -791,7 +746,8 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     fixed[slot_var[:, list(CORNER_INDICES)]] = True
     p_idx, k_idx = np.nonzero(~fixed[slot_var])
     var = slot_var[p_idx, k_idx]
-    reduced = _solver().reduced_f
+    system = build_lambda()
+    reduced, lam = system.reduced_f, system.lam
     coef = reduced[:, k_idx].T  # each free slot's coefficients in its patch's five rows
 
     # Two free slots on one variable couple their patches' rows in A A^T; a
@@ -802,7 +758,6 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     comp_scale = np.ones(len(roots))
     np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
     bound = 1e-13 * comp_scale
-    lam = build_lambda().lam
 
     def defects(out):
         """The reduced defect, and each component's worst reduced row and

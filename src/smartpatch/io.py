@@ -299,11 +299,13 @@ def load_patchset(text: str) -> PatchSet:
 # writes floats with float.__repr__).  Each of a patch's 48 control values
 # follows its piece of the patch template; the piece before a patch's first
 # value also closes the patch before it.  An adjacency record fills its own
-# template.
+# template; edge side names are letters and digits, so need no escaping.
 _GRID_ROWS = ",\n".join(["    [\n" + ",\n".join(["     %s"] * 4) + "\n    ]"] * 4)
 _PATCH_TEMPLATE = "  {\n" + ",\n".join(f'   "{c}": [\n{_GRID_ROWS}\n   ]' for c in "xyz") + "\n  }"
-_RECORD_KEYS = ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")
-_RECORD_TEMPLATE = "  {\n" + ",\n".join(f'   "{k}": %s' for k in _RECORD_KEYS) + "\n  }"
+_RECORD_FIELDS = (("a", "%d"), ("edge_a", '"%s"'), ("reversed_a", "%s"),
+                  ("b", "%d"), ("edge_b", '"%s"'), ("reversed_b", "%s"))
+_RECORD_TEMPLATE = "  {\n" + ",\n".join(f'   "{k}": {v}' for k, v in _RECORD_FIELDS) + "\n  }"
+_JSON_BOOL = ("false", "true")
 
 
 def _json_list(items):
@@ -350,12 +352,12 @@ def _patchset_pieces(ps: PatchSet):
         records = (
             _RECORD_TEMPLATE
             % (
-                int(rec.a),
-                json.dumps(rec.edge_a.side.value),
-                json.dumps(rec.edge_a.reversed),
-                int(rec.b),
-                json.dumps(rec.edge_b.side.value),
-                json.dumps(rec.edge_b.reversed),
+                rec.a,
+                rec.edge_a.side.value,
+                _JSON_BOOL[rec.edge_a.reversed],
+                rec.b,
+                rec.edge_b.side.value,
+                _JSON_BOOL[rec.edge_b.reversed],
             )
             for rec in ps.adjacency
         )

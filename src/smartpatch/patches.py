@@ -70,13 +70,12 @@ def as_grid(values) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class BezierPatch:
-    """Bicubic Bezier patch: one control-value grid per coordinate.
+@dataclass(frozen=True, eq=False)
+class _PatchGrids:
+    """Three read-only 4x4 grids, one per coordinate.
 
-    Grid indexing is ``g[i][j]`` with ``i`` along u and ``j`` along v, so
-    ``g[0][0]`` is the control point at (u,v) = (0,0) and ``g[3][0]`` the
-    one at (1,0).
+    Patches compare and hash by identity: equality of their float grids is
+    the caller's choice of tolerance, and an ndarray field has no truth value.
     """
 
     x: np.ndarray
@@ -90,6 +89,15 @@ class BezierPatch:
     @property
     def grids(self):
         return (self.x, self.y, self.z)
+
+
+class BezierPatch(_PatchGrids):
+    """Bicubic Bezier patch: one control-value grid per coordinate.
+
+    Grid indexing is ``g[i][j]`` with ``i`` along u and ``j`` along v, so
+    ``g[0][0]`` is the control point at (u,v) = (0,0) and ``g[3][0]`` the
+    one at (1,0).
+    """
 
     @functools.cached_property
     def as_array(self) -> np.ndarray:
@@ -122,8 +130,7 @@ def bezier_patches(points) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class HermitePatch:
+class HermitePatch(_PatchGrids):
     """Bicubic Hermite patch, grids in corner/tangent/twist block layout.
 
     Per coordinate, with rows/cols written 1..4:
@@ -133,18 +140,6 @@ class HermitePatch:
     * ``h31 h32 / h41 h42``  u-tangents at those corners
     * ``h33 h34 / h43 h44``  twists (mixed uv second derivatives)
     """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, as_grid(getattr(self, name)))
-
-    @property
-    def grids(self):
-        return (self.x, self.y, self.z)
 
 
 def _check_param(t: float, extrapolate: bool):

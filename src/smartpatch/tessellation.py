@@ -271,13 +271,12 @@ def continuity_report(
     b: BezierPatch,
     edge_b: EdgeId,
     n: int,
-    tol: float = 1e-9,
 ) -> ContinuityReport:
     """Positional, derivative and tangent-plane agreement along two edges.
 
     The one-record case of continuity_reports(), which describes the
-    measures.  The report carries raw measures; ``tol`` is the threshold
-    callers apply when turning them into verdicts.
+    measures.  The report carries raw measures; callers apply thresholds
+    when turning them into verdicts.
     """
     return continuity_reports([a, b], [Adjacency(0, edge_a, 1, edge_b)], n)[0]
 
@@ -343,7 +342,11 @@ def continuity_reports(
 
 
 def _key_codes(keys: np.ndarray) -> np.ndarray:
-    """One int64 code per row of an (N, d) integer array; equal rows, equal codes.
+    """One int64 code per row of an (N, d) array; equal rows, equal codes.
+
+    Codes ascend with the rows' lexicographic order, and rows compare by
+    ``==`` (0.0 and -0.0 are equal), so ranking the codes with np.unique
+    gives the ids of ``np.unique(keys, axis=0, return_inverse=True)``.
 
     Each column is replaced by its rank among that column's values, and the
     partial code is re-ranked before each column after the second is folded

@@ -697,7 +697,7 @@ def dense_repair_patches(patches) -> list:
     fixed[slot_var[:, [0, 3, 12, 15]]] = True
     p_idx, k_idx = np.nonzero(~fixed[slot_var])
     var = slot_var[p_idx, k_idx]
-    reduced = constraints._solver().reduced_f
+    reduced = build_lambda().reduced_f
     coef = reduced[:, k_idx].T
 
     i, j = constraints._pairs_on_one_variable(var)

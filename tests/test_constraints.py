@@ -40,7 +40,6 @@ from smartpatch.constraints import (
     _certify,
     _diagonal_coefficients,
     _level_sets,
-    _solver,
     grid_scale,
 )
 from smartpatch.linalg import RationalMatrix
@@ -248,12 +247,6 @@ def test_lambda_rank_and_nullity():
     assert len(nullspace(RationalMatrix(LAMBDA_REFERENCE))) == 11
 
 
-def test_lambda_column_partition():
-    system = build_lambda()
-    assert np.array_equal(system.lam1, system.lam[:, list(CORNER_INDICES)])
-    assert np.array_equal(system.lam2, system.lam[:, list(NONCORNER_INDICES)])
-
-
 def test_lambda_rows_split_by_diagonal():
     # first three rows are the v=u conditions, last three the v=1-u ones
     omega_main = build_omega(DiagonalKind.MAIN)
@@ -378,7 +371,7 @@ def exact_grid(corners, xi2: RationalMatrix) -> np.ndarray:
 
 def exact_solve(corners, free) -> np.ndarray:
     """bs_solve evaluated exactly through the solver's rational maps, rounded once."""
-    s = _solver()
+    s = build_lambda()
     xi2 = s.particular @ RationalMatrix.column(corners)
     xi2 = xi2 + s.homogeneous @ RationalMatrix.column(free)
     return exact_grid(corners, xi2)
@@ -386,7 +379,7 @@ def exact_solve(corners, free) -> np.ndarray:
 
 def exact_project(g) -> np.ndarray:
     """bs_project evaluated exactly through the solver's rational maps, rounded once."""
-    s = _solver()
+    s = build_lambda()
     flat = np.asarray(g, dtype=float).reshape(-1)
     corners = flat[list(CORNER_INDICES)]
     xi1 = RationalMatrix.column(corners)
@@ -407,7 +400,7 @@ def test_float_solve_and_project_match_exact_maps(rng):
 
 
 def test_certification_rejects_a_perturbed_map(monkeypatch):
-    s = _solver()
+    s = build_lambda()
     names = ("reduced", "rhs", "particular", "homogeneous", "gain")
     maps = {name: getattr(s, name) for name in names}
 
@@ -424,11 +417,11 @@ def test_certification_rejects_a_perturbed_map(monkeypatch):
     inverse = RationalMatrix.inverse
     monkeypatch.setattr(RationalMatrix, "inverse", lambda m: perturbed(inverse(m)))
     with pytest.raises(DerivationError):
-        _solver.__wrapped__()
+        build_lambda.__wrapped__()
 
 
 def test_run_time_operators_build_no_rational_matrices(monkeypatch, rng):
-    _solver()
+    build_lambda()
 
     def forbidden(*args):
         raise AssertionError("RationalMatrix built on a run-time path")
@@ -443,9 +436,9 @@ def test_run_time_operators_build_no_rational_matrices(monkeypatch, rng):
 
 
 def test_solution_family_has_dimension_seven():
-    s = _solver()
+    s = build_lambda()
     assert s.homogeneous.rank() == 7
-    assert len(s.free_cols) == 7 and len(s.pivot_cols) == 5
+    assert len(s.solver_free_cols) == 7 and s.reduced.rows == 5
 
 
 @given(

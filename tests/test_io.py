@@ -105,6 +105,7 @@ def test_dump_is_the_indented_json_document(teapot_path):
         PatchSet("Kanne \u00e9\u00fc \u2603", [BezierPatch(special, special.T, -special)], []),
         PatchSet("", []),
     ]
+    assert any(r.edge_a.reversed for r in records)  # a reversed_a written as true
     assert any(r.edge_b.reversed for r in sets[2].adjacency)
     for ps in sets:
         assert dump_patchset(ps).encode() == patchset_json(ps).encode()

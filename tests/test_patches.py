@@ -135,6 +135,18 @@ def test_bezier_patches_are_the_one_patch_constructor(rng):
         bezier_patches(np.ones((2, 3, 4)))
 
 
+def test_patches_compare_and_hash_by_identity(rng):
+    grids = rng.uniform(-10, 10, (3, 4, 4))
+    for cls in (BezierPatch, HermitePatch):
+        a, b = cls(*grids), cls(*grids)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        assert a in [b, a] and b not in [a]
+        assert repr(a).startswith(cls.__name__ + "(x=array(")
+    made = bezier_patches(grids[None])[0]
+    assert made == made and made != BezierPatch(*grids) and made in {made}
+
+
 # ---------------------------------------------------------------------------
 # Hermite conversion
 

@@ -691,3 +691,17 @@ def test_key_codes_are_exact_where_a_naive_code_would_overflow(rng):
     same_rows = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
     assert np.array_equal(codes[:, None] == codes[None, :], same_rows)
     assert 0 <= codes.min() and codes.max() < len(keys) ** 2
+
+
+def test_key_codes_rank_float_rows_as_unique_rows_do(rng):
+    # repair names each shared control point by these ranks; 0.0 and -0.0
+    # are one point, as they are for np.unique
+    rows = np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [2.0, -1.0, 3.0], [0.0, 1.0, 0.0],
+                     [-1.5, 0.0, 2.0], [2.0, -1.0, 3.0], [0.0, -0.0, -0.0], [-1.5, -0.0, 2.0]])
+    pool = np.array([-0.0, 0.0, -1.5, 1e-300, 2.0, 3.0])
+    for keys in (rows, pool[rng.integers(0, len(pool), (500, 3))]):
+        ids = np.unique(_key_codes(keys), return_inverse=True)[1]
+        assert np.array_equal(ids, np.unique(keys, axis=0, return_inverse=True)[1])
+    ids = np.unique(_key_codes(rows), return_inverse=True)[1]
+    assert ids[0] == ids[1] == ids[3] and ids[2] == ids[5] and ids[4] == ids[7]
+    assert len(set(ids.tolist())) == 4
