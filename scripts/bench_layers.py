@@ -22,15 +22,19 @@ whose 12 non-corner slots are 12 free variables).  With
 compiles smartpatch from source; ``compile_ms``, that share, is the min over
 the runs of one ``compile()`` of each module after the steps and an untimed one.
 
-Joint repair: the bundled teapot, the teapot split 2x2 by de Casteljau
-once, twice and three times, and seeded k x k height fields (one connected
-component of k^2 patches) for k = 8, 16, 24, 32, 48.  The untimed call also
-fills the exact-rank caches; tracemalloc counts numpy's arrays too.
+Joint repair and adjacency: ``repair_patches`` and ``detect_adjacency`` of
+the bundled teapot, the teapot split 2x2 by de Casteljau once, twice and
+three times, and seeded k x k height fields (one connected component of k^2
+patches) for k = 8, 16, 24, 32, 48.  Each operation is timed over at least
+REPAIR_CALLS calls and at least REPAIR_SECONDS of calls, so the small inputs
+get hundreds of calls.  The untimed call also fills the exact-rank caches;
+tracemalloc counts numpy's arrays too.
 
 I/O: ``write_obj`` of the bundled teapot at n=16 with normals (as
 ``smartpatch teapot --normals`` writes it) and of its 2x2 de Casteljau split
 (128 patches) at n=4 (as the ``split-teapot`` benchmark workload does),
-``dump_patchset`` of that split and ``load_newell`` of the teapot text.
+``dump_patchset`` of that split, and ``load_newell`` of the teapot text and
+of the split's (one vertex per control point, 2048 vertices).
 ``peak_rss_mb`` is the worker's own peak resident set size: the probe is
 started from this script, which never imports numpy, so no larger parent
 process raises the reading.  Each probe's input is in a new directory.
@@ -50,8 +54,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CHECKOUT_FILES = ("src/smartpatch/__init__.py", "data/teapot.newell", "bench/probe.py")
 SETUP_RUNS = 15
+REPAIR_RUNS = 3
 IO_RUNS = 9
 CALLS = 15
+REPAIR_CALLS = 5
+REPAIR_SECONDS = 0.5
 RSS_SECONDS = 2.0
 DERIVATION = ("build_lambda", "bs_free_cells", "resolve_inner_identity")
 ALTERNATED = "checkouts alternated with the order flipped every round; one BLAS thread"
@@ -68,9 +75,13 @@ def timed(op):
     op()
     return time.perf_counter() - start
 
-def best(op, calls):
+def best(op, calls, seconds=0.0):
+    # the fastest of at least calls timed calls, and more until they take seconds
     op()  # untimed
-    return min(timed(op) for _ in range(calls))
+    times = []
+    while len(times) < calls or sum(times) < seconds:
+        times.append(timed(op))
+    return min(times)
 
 def traced(op):
     import tracemalloc
@@ -104,10 +115,11 @@ result = {"steps": steps, "compile_s": best(compile_all, 1),
           "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 """
 
+# argv: the least timed calls and the least seconds of calls per operation.
 REPAIR = r"""
 import numpy as np
 from helpers import height_field_patches, split_patch
-from smartpatch import repair_patches
+from smartpatch import detect_adjacency, repair_patches
 from smartpatch.io import read_newell
 
 def build(name):
@@ -119,17 +131,20 @@ def build(name):
         patches = [q for p in patches for q in split_patch(p)]
     return patches
 
+calls, seconds = int(sys.argv[1]), float(sys.argv[2])
 repair_patches(build("teapot"))  # derive and certify the exact maps once
 result = {"inputs": {}}
 for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf32", "hf48"]:
     patches = build(name)
     for p in patches:
-        p.as_array  # the input's stacked grids are not the repair's work
-    min_s = best(lambda: repair_patches(patches), 3)
+        p.as_array  # the input's stacked grids are not the layers' work
+    repair_s = best(lambda: repair_patches(patches), calls, seconds)
+    adjacency_s = best(lambda: detect_adjacency(patches), calls, seconds)
     repaired, peak = traced(lambda: repair_patches(patches))
     result["inputs"][name] = {
         "patches": len(patches), "components": repaired.system.components,
-        "min_s": round(min_s, 6), "tracemalloc_peak_mb": round(peak / 1e6, 2),
+        "records": len(detect_adjacency(patches)), "repair_s": repair_s,
+        "adjacency_s": adjacency_s, "tracemalloc_peak_mb": round(peak / 1e6, 2),
     }
 """
 
@@ -138,7 +153,7 @@ for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf3
 IO = r"""
 import os
 from pathlib import Path
-from helpers import split_patch
+from helpers import newell_text, split_patch
 from smartpatch.io import PatchSet, dump_patchset, load_newell, write_obj
 from smartpatch.tessellation import tessellate_set
 
@@ -148,11 +163,13 @@ split = [q for p in teapot for q in split_patch(p)]
 teapot_mesh = tessellate_set(teapot, 16, with_normals=True)
 split_mesh = tessellate_set(split, 4)
 split_set = PatchSet(name="split", patches=split)
+split_text = newell_text(split)
 ops = {
     "write_obj teapot n=16 normals": lambda: write_obj(teapot_mesh, os.devnull),
     "write_obj split n=4": lambda: write_obj(split_mesh, os.devnull),
     "dump_patchset split": lambda: dump_patchset(split_set),
     "load_newell teapot": lambda: load_newell(text),
+    "load_newell split": lambda: load_newell(split_text),
 }
 result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()},
           "tracemalloc_peak": traced(ops["write_obj teapot n=16 normals"])[1]}
@@ -205,6 +222,19 @@ def setup_column(runs: list) -> dict:
     }
 
 
+def repair_column(runs: list) -> dict:
+    inputs = {}
+    for name, first in runs[0]["inputs"].items():
+        each = [r["inputs"][name] for r in runs]
+        inputs[name] = {
+            **{key: first[key] for key in ("patches", "components", "records")},
+            "repair_patches": summary([r["repair_s"] for r in each]),
+            "detect_adjacency": summary([r["adjacency_s"] for r in each]),
+            "tracemalloc_peak_mb": max(r["tracemalloc_peak_mb"] for r in each),
+        }
+    return {"runs": len(runs), "inputs": inputs}
+
+
 def io_column(runs: list) -> dict:
     rss = [r["peak_rss_mb"] for r in runs]
     peak = max(r["tracemalloc_peak"] for r in runs)
@@ -225,9 +255,13 @@ LAYERS = {
         f"per checkout after one untimed run, {ALTERNATED}; min and median per step; "
         f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run"),
     "BENCH_repair.json": (
-        1, lambda root: child(root, REPAIR), lambda runs: {"inputs": runs[0]["inputs"]},
-        "repair_patches in process, one fresh interpreter per checkout: one untimed call, then "
-        "min of 3 timed calls; tracemalloc peak of a fourth call; one BLAS thread"),
+        REPAIR_RUNS, lambda root: child(root, REPAIR, str(REPAIR_CALLS), str(REPAIR_SECONDS)),
+        repair_column,
+        f"repair_patches and detect_adjacency in process, fresh interpreter per run: one "
+        f"untimed call, then the min of at least {REPAIR_CALLS} timed calls and at least "
+        f"{REPAIR_SECONDS:g} s of calls per operation; {REPAIR_RUNS} runs per checkout, "
+        f"{ALTERNATED}; min and median of the per-run minima; tracemalloc peak of one more "
+        "repair_patches call, the largest over the runs"),
     "BENCH_io.json": (
         IO_RUNS, io_run, io_column,
         f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "

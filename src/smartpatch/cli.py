@@ -105,36 +105,39 @@ def cmd_lambda(args) -> int:
 # validate
 
 
-def _validation(patches, tol: float, form: str = "bezier"):
-    """Validation stage: per-patch reports (with their index), the indices of
-    the noncompliant patches, and the worst Bezier residual (0.0 for no
-    patches or the Hermite form).  Bezier reports come from one pass."""
-    reports = []
-    if form == "hermite":
-        for p in patches:
-            hs = constraints.hs_validate(HermitePatch(*p.grids), tol)
-            coords = {name: dataclasses.asdict(rep) for name, rep in hs.items()}
-            compliant = all(c["compliant"] for c in coords.values())
-            reports.append({"compliant": compliant, "coords": coords})
-    elif patches:
-        flat = np.stack([p.as_array for p in patches]).reshape(len(patches), 3, 16)
-        coeffs, scale = constraints._diagonal_coefficients(flat)
-        worst = np.max(np.abs(coeffs), axis=-1) / scale  # (patches, xyz)
-        for c, w in zip(coeffs.tolist(), worst.tolist()):
-            coords = {
-                name: {"main": cc[:3], "anti": cc[3:], "max_residual": ww}
-                for name, cc, ww in zip("xyz", c, w)
-            }
-            reports.append({"max_residual": max(w), "compliant": max(w) <= tol, "coords": coords})
-    for k, rep in enumerate(reports):
-        rep["index"] = k
-    bad = [r["index"] for r in reports if not r["compliant"]]
-    return reports, bad, max((r.get("max_residual", 0.0) for r in reports), default=0.0)
+def _validation(patches, tol: float):
+    """Validation stage, in one pass over the set: each patch's six diagonal
+    coefficients per coordinate (patches, 3, 6) and their largest magnitude
+    relative to the grid's scale (patches, 3), the indices of the
+    noncompliant patches and the worst residual (0.0 for no patches)."""
+    flat = np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
+    coeffs, scale = constraints._diagonal_coefficients(flat.reshape(len(patches), 3, 16))
+    residual = np.max(np.abs(coeffs), axis=-1) / scale
+    bad = np.flatnonzero(~(residual.max(axis=1) <= tol))
+    return coeffs, residual, bad, float(residual.max(initial=0.0))
 
 
 def cmd_validate(args) -> int:
     ps = _load_any(args.in_path)
-    patches_report, bad, _ = _validation(ps.patches, args.tol, args.form)
+    patches_report = []
+    if args.form == "hermite":
+        for k, p in enumerate(ps.patches):
+            hs = constraints.hs_validate(HermitePatch(*p.grids), args.tol)
+            coords = {name: dataclasses.asdict(rep) for name, rep in hs.items()}
+            compliant = all(c["compliant"] for c in coords.values())
+            patches_report.append({"compliant": compliant, "coords": coords, "index": k})
+    else:
+        coeffs, residual, _, _ = _validation(ps.patches, args.tol)
+        for k, (c, w) in enumerate(zip(coeffs.tolist(), residual.tolist())):
+            coords = {
+                name: {"main": cc[:3], "anti": cc[3:], "max_residual": ww}
+                for name, cc, ww in zip("xyz", c, w)
+            }
+            patches_report.append(
+                {"max_residual": max(w), "compliant": max(w) <= args.tol, "coords": coords,
+                 "index": k}
+            )
+    bad = [r["index"] for r in patches_report if not r["compliant"]]
     report = {
         "command": "validate",
         "name": ps.name,
@@ -186,7 +189,7 @@ def _repair(patches, tol: float):
 
 def cmd_repair(args) -> int:
     ps = _load_any(args.in_path)
-    result, corner, system, (_, _, worst_after) = _repair(ps.patches, args.tol)
+    result, corner, system, (*_, worst_after) = _repair(ps.patches, args.tol)
     io.write_patchset(dataclasses.replace(ps, patches=result.patches), args.out_path)
     report = {
         "command": "repair",
@@ -317,9 +320,21 @@ def _continuity_pairs(ps: io.PatchSet, args):
     )
 
 
+_MEASURES = ("c0_max_gap", "c1_max_mismatch", "g1_max_angle")
+
+
 def _continuity(patches, records, n: int):
-    """Continuity stage: one report per adjacency record, and the worst C0,
-    C1 and G1 over them (0.0 for no records)."""
+    """Continuity stage: the (records, 3) array of each record's C0 gap, C1
+    mismatch and G1 angle, and the worst of each by name (0.0 for no
+    records)."""
+    measures = tessellation.continuity_measures(patches, records, n)
+    return measures, dict(zip(_MEASURES, measures.max(axis=0, initial=0.0).tolist()))
+
+
+def cmd_continuity(args) -> int:
+    ps = _load_any(args.in_path)
+    records = _continuity_pairs(ps, args)
+    measures, worst = _continuity(ps.patches, records, args.n)
     pairs = [
         {
             "a": rec.a,
@@ -328,17 +343,11 @@ def _continuity(patches, records, n: int):
             "b": rec.b,
             "edge_b": rec.edge_b.side.value,
             "reversed_b": rec.edge_b.reversed,
-            **vars(rep),  # its fields in order; asdict's deep copy costs ~5 us a record
+            **dict(zip(_MEASURES, row)),
+            "samples": args.n + 1,
         }
-        for rec, rep in zip(records, tessellation.continuity_reports(patches, records, n))
+        for rec, row in zip(records, measures.tolist())
     ]
-    keys = ("c0_max_gap", "c1_max_mismatch", "g1_max_angle")
-    return pairs, {key: max((p[key] for p in pairs), default=0.0) for key in keys}
-
-
-def cmd_continuity(args) -> int:
-    ps = _load_any(args.in_path)
-    pairs, worst = _continuity(ps.patches, _continuity_pairs(ps, args), args.n)
     report = {
         "command": "continuity",
         "name": ps.name,
@@ -378,14 +387,14 @@ def cmd_teapot(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         stage = "validate"
-        _, bad_before, worst_before = _validation(ps.patches, args.tol)
+        *_, bad_before, worst_before = _validation(ps.patches, args.tol)
 
         stage = "adjacency"
         records = tessellation.detect_adjacency(ps.patches, tol=args.tol)
         gaps_before, worst_gaps_before = _continuity(ps.patches, records, args.n)
 
         stage = "repair"
-        result, corner, system, (_, bad_after, worst_after) = _repair(ps.patches, args.tol)
+        result, corner, system, (*_, bad_after, worst_after) = _repair(ps.patches, args.tol)
 
         stage = "revalidate"
         gaps_after, worst_gaps_after = _continuity(result.patches, records, args.n)
@@ -405,10 +414,7 @@ def cmd_teapot(args) -> int:
         print(f"stage {stage} failed: {e}", file=sys.stderr)
         return EXIT_INPUT
 
-    c0_delta = max(
-        (abs(a["c0_max_gap"] - b["c0_max_gap"]) for a, b in zip(gaps_before, gaps_after)),
-        default=0.0,
-    )
+    c0_delta = float(np.abs(gaps_before[:, 0] - gaps_after[:, 0]).max(initial=0.0))
     report = {
         "command": "teapot",
         "name": ps.name,
@@ -424,6 +430,11 @@ def cmd_teapot(args) -> int:
         "c0_before_max": worst_gaps_before["c0_max_gap"],
         "c0_after_max": worst_gaps_after["c0_max_gap"],
         "c0_max_delta": c0_delta,
+        "c1_before_max": worst_gaps_before["c1_max_mismatch"],
+        "c1_after_max": worst_gaps_after["c1_max_mismatch"],
+        "g1_before_max": worst_gaps_before["g1_max_angle"],
+        "g1_after_max": worst_gaps_after["g1_max_angle"],
+        "g1_after_worst_pair": int(np.argmax(gaps_after[:, 2])) if records else None,
         "repair": system,
         "mesh": {"vertices": len(merged.vertices), "triangles": len(merged.triangles)},
         "outputs": [str(obj_path), str(json_path)],
@@ -448,12 +459,18 @@ def cmd_teapot(args) -> int:
             f"shared edges: {rep['shared_edges']}; C0 before {rep['c0_before_max']:.3e}, "
             f"after {rep['c0_after_max']:.3e}, max change {rep['c0_max_delta']:.3e}"
         )
+        worst = rep["g1_after_worst_pair"]
+        yield (
+            f"C1 before {rep['c1_before_max']:.3e}, after {rep['c1_after_max']:.3e}; "
+            f"G1 before {rep['g1_before_max']:.3e}, after {rep['g1_after_max']:.3e} rad"
+            + ("" if worst is None else f" (shared edge {worst})")
+        )
         yield f"mesh: {rep['mesh']['vertices']} vertices, {rep['mesh']['triangles']} triangles"
         for f in rep["outputs"]:
             yield f"wrote {f}"
 
     _emit(report, args, render)
-    return EXIT_INTERNAL if bad_after else EXIT_OK
+    return EXIT_INTERNAL if len(bad_after) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

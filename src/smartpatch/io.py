@@ -20,6 +20,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import List, Optional
 
@@ -385,85 +386,94 @@ def write_patchset(ps: PatchSet, path) -> None:
 # Newell-format ingestion
 
 
+def _fields(rows, width, convert):
+    """The ``width`` comma-separated fields of every line of ``rows``,
+    converted in one pass over their joined text, or None when a line
+    holds another number of fields or a field does not convert."""
+    if not rows:
+        return []
+    fields = ",".join(rows).split(",")
+    # width fields per line on average, and no line with more: width on each
+    if len(fields) != width * len(rows) or max(map(str.count, rows, repeat(","))) >= width:
+        return None
+    try:
+        return list(map(convert, fields))
+    except ValueError:
+        return None
+
+
+def _first_bad_row(rows, width, convert, noun, bad, finite):
+    """The position of the first of ``rows`` that does not hold ``width``
+    fields that convert (and are finite, when ``finite``), and its message."""
+    for k, ln in enumerate(rows):
+        parts = ln.split(",")
+        if len(parts) != width:
+            return k, f"expected {width} {noun}, got {len(parts)}"
+        try:
+            values = list(map(convert, parts))
+        except ValueError:
+            return k, bad
+        if finite and not all(map(math.isfinite, values)):
+            return k, "non-finite coordinate"
+    raise AssertionError("every line is well formed")
+
+
 def load_newell(text: str, name: str = "newell") -> PatchSet:
     """Parse the classic teapot interchange format.
 
     A patch count, then one line of 16 comma-separated one-based vertex
     indices per patch (row-major in u), then a vertex count, then one
-    comma-separated x,y,z line per vertex.
-    """
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(no, ln) for no, ln in lines if ln]
-    pos = 0
+    comma-separated x,y,z line per vertex.  Blank lines are skipped.
 
-    def take(what):
-        nonlocal pos
+    The index and vertex blocks are each converted in one pass over their
+    joined text, with Python's ``int`` or ``float`` per field.  Only when
+    that pass fails are the block's lines read one at a time, to name the
+    first bad line.
+    """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+
+    def fail(pos, message):
+        """Raise ``message`` for the non-blank line ``pos``, named by its number."""
+        numbers = [no for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        raise PatchFormatError(f"line {numbers[pos]}: {message}")
+
+    def count(pos, what):
         if pos >= len(lines):
             raise PatchFormatError(f"unexpected end of file while reading {what}")
-        out = lines[pos]
-        pos += 1
-        return out
-
-    def take_count(what):
-        no, ln = take(what)
         try:
-            value = int(ln)
+            value = int(lines[pos])
         except ValueError:
             value = -1
         if value < 0:
-            raise PatchFormatError(f"line {no}: expected {what}, got {ln!r}")
+            fail(pos, f"expected {what}, got {lines[pos]!r}")
         return value
 
-    index_rows = []
-    for _ in range(take_count("patch count")):
-        no, ln = take("patch indices")
-        parts = ln.split(",")
-        if len(parts) != 16:
-            raise PatchFormatError(f"line {no}: expected 16 indices, got {len(parts)}")
-        try:
-            idx = [int(p) for p in parts]
-        except ValueError:
-            raise PatchFormatError(f"line {no}: non-integer patch index") from None
-        index_rows.append((no, idx))
-    vertex_count = take_count("vertex count")
-    first = pos
-    coords = []
+    def block(first, size, what, width, convert, noun, bad, finite=False):
+        """The converted fields of the ``size`` lines from ``first`` on."""
+        rows = lines[first : first + size]
+        fields = _fields(rows, width, convert)
+        if fields is None or finite and not all(map(math.isfinite, fields)):
+            k, message = _first_bad_row(rows, width, convert, noun, bad, finite)
+            fail(first + k, message)
+        if len(rows) < size:
+            raise PatchFormatError(f"unexpected end of file while reading {what}")
+        return fields
 
-    def finite_vertices():
-        """The vertices parsed so far; raises for the first non-finite one's line."""
-        vertices = np.array(coords, dtype=float).reshape(-1, 3)
-        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-        if bad.size:
-            raise PatchFormatError(f"line {lines[first + bad[0]][0]}: non-finite coordinate")
-        return vertices
-
-    try:
-        for _ in range(vertex_count):
-            no, ln = take("vertex coordinates")
-            parts = ln.split(",")
-            if len(parts) != 3:
-                raise PatchFormatError(f"line {no}: expected 3 coordinates, got {len(parts)}")
-            try:
-                coords.append([float(p) for p in parts])
-            except ValueError:
-                raise PatchFormatError(f"line {no}: non-numeric coordinate") from None
-    except PatchFormatError:
-        finite_vertices()  # an earlier line's error comes first
-        raise
-    vertices = finite_vertices()
-    if pos != len(lines):
-        raise PatchFormatError(f"line {lines[pos][0]}: trailing content after vertex table")
-
-    # Python ints in an object array, so no index can overflow the check
-    idx = np.array([row for _, row in index_rows], dtype=object).reshape(-1, 16)
-    bad = np.flatnonzero((idx < 1) | (idx > vertex_count))
-    if bad.size:
-        row, col = divmod(int(bad[0]), 16)
-        no = index_rows[row][0]
-        raise PatchFormatError(
-            f"line {no}: vertex index {idx[row, col]} out of range 1..{vertex_count}"
-        )
-    pts = vertices[idx.astype(np.intp) - 1].reshape(-1, 4, 4, 3)
+    patch_count = count(0, "patch count")
+    indices = block(1, patch_count, "patch indices", 16, int, "indices",
+                    "non-integer patch index")
+    vertex_count = count(1 + patch_count, "vertex count")
+    first = 2 + patch_count
+    coords = block(first, vertex_count, "vertex coordinates", 3, float, "coordinates",
+                   "non-numeric coordinate", finite=True)
+    if first + vertex_count < len(lines):
+        fail(first + vertex_count, "trailing content after vertex table")
+    # Python ints, so no index can overflow the check
+    if indices and not (min(indices) >= 1 and max(indices) <= vertex_count):
+        k = next(k for k, i in enumerate(indices) if not 1 <= i <= vertex_count)
+        fail(1 + k // 16, f"vertex index {indices[k]} out of range 1..{vertex_count}")
+    vertices = np.array(coords, dtype=float).reshape(-1, 3)
+    pts = vertices[np.array(indices, dtype=np.intp) - 1].reshape(-1, 4, 4, 3)
     return PatchSet(name=name, patches=bezier_patches(pts.transpose(0, 3, 1, 2)))
 
 

@@ -298,10 +298,21 @@ def continuity_reports(
     normals is the one that tells those cases apart.  Samples where either
     normal is degenerate are skipped for G1.
     """
+    return [
+        ContinuityReport(c0_max_gap=x, c1_max_mismatch=y, g1_max_angle=z, samples=n + 1)
+        for x, y, z in continuity_measures(patches, records, n).tolist()
+    ]
+
+
+def continuity_measures(
+    patches: Sequence[BezierPatch], records: Sequence[Adjacency], n: int
+) -> np.ndarray:
+    """The (len(records), 3) array of every record's C0 gap, C1 mismatch
+    and G1 angle: the fields of its continuity_reports() report."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not records:
-        return []
+        return np.zeros((0, 3))
     arr = np.stack([p.as_array for p in patches])
     # Both edges of every record, a-sides first, then b-sides.
     which = np.array([[r.a for r in records], [r.b for r in records]]).ravel()
@@ -335,10 +346,7 @@ def continuity_reports(
     c0 = np.max(np.linalg.norm(gap, axis=-1), axis=1)
     c1 = np.max(np.linalg.norm(transverse[:half] - transverse[half:], axis=-1), axis=1)
     g1 = np.max(np.where(ok[:half] & ok[half:], angle, 0.0), axis=1)
-    return [
-        ContinuityReport(c0_max_gap=x, c1_max_mismatch=y, g1_max_angle=z, samples=n + 1)
-        for x, y, z in zip(c0.tolist(), c1.tolist(), g1.tolist())
-    ]
+    return np.stack([c0, c1, g1], axis=1)
 
 
 def _key_codes(keys: np.ndarray) -> np.ndarray:
@@ -359,6 +367,45 @@ def _key_codes(keys: np.ndarray) -> np.ndarray:
         _, rank = np.unique(column, return_inverse=True)
         code = code * len(keys) + rank
     return code
+
+
+def _neighbour_codes(table: np.ndarray, starts: np.ndarray):
+    """int64 codes of the rows of the (N, 3) int64 ``table`` and of the 27
+    neighbours ``start + offset`` of each row of ``starts`` (M, 3), offsets
+    in ``_NEIGHBOUR_OFFSETS`` order: (N,) and (M, 27).  A neighbour's code
+    equals a table row's code exactly when the two rows are equal.  It is
+    -1 when its value on some axis, or its first two values together, are
+    in no table row.
+
+    Only the table is ranked: per axis, np.unique of its column, in which
+    each start's three neighbouring values are looked up with searchsorted.
+    The ranks are folded into one code per row as ``_key_codes`` folds
+    them, with the table's partial codes re-ranked before the third axis,
+    so no code reaches N^2 whatever the keys' range.  The neighbours fold
+    in the same ranks, broadcast over the offsets of the axes so far.
+    """
+    table_codes = np.zeros(len(table), dtype=np.int64)
+    codes = np.zeros((len(starts), 1), dtype=np.int64)
+    miss = np.zeros((len(starts), 1), dtype=bool)
+    for axis in range(3):
+        if axis > 1:
+            ranked, table_codes = np.unique(table_codes, return_inverse=True)
+            codes, absent = _rank_of(ranked, codes)
+            miss |= absent
+        values, table_rank = np.unique(table[:, axis], return_inverse=True)
+        rank, absent = _rank_of(values, starts[:, axis, None] + np.arange(-1, 2))  # (M, 3)
+        table_codes = table_codes * len(values) + table_rank
+        shape = (len(starts), 3 ** (axis + 1))
+        codes = (codes[..., None] * len(values) + rank[:, None]).reshape(shape)
+        miss = (miss[..., None] | absent[:, None]).reshape(shape)
+    return table_codes, np.where(miss, -1, codes)
+
+
+def _rank_of(ranked: np.ndarray, values: np.ndarray):
+    """The position of each of ``values`` in the sorted array ``ranked``,
+    and the mask of the values that are not in it."""
+    rank = np.searchsorted(ranked, values)
+    return rank, ranked[np.minimum(rank, len(ranked) - 1)] != values
 
 
 def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
@@ -391,15 +438,16 @@ def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     keys = np.floor(q[:, (0, 3)] / cell).astype(np.int64)  # (E, 2, 3)
     count = len(q)
     table = keys.transpose(1, 0, 2).reshape(-1, 3)  # starts, then ends
-    probes = (keys[:, None, 0] + _NEIGHBOUR_OFFSETS).reshape(-1, 3)
-    codes = _key_codes(np.concatenate([table, probes]))
-    table_codes, probe_codes = codes[: 2 * count], codes[2 * count :]
+    table_codes, probe_codes = _neighbour_codes(table, keys[:, 0])
+    # probe k, the start of edge k // 27 shifted by offset k % 27, unless a miss
+    probes = np.flatnonzero(probe_codes >= 0)
+    probe_codes = probe_codes.reshape(-1)[probes]
     order = np.argsort(table_codes, kind="stable")
     ranked = table_codes[order]
     lo = np.searchsorted(ranked, probe_codes, side="left")
     hits = np.searchsorted(ranked, probe_codes, side="right") - lo
     first = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
-    i = np.repeat(np.arange(len(probes)) // len(_NEIGHBOUR_OFFSETS), hits)
+    i = np.repeat(probes // len(_NEIGHBOUR_OFFSETS), hits)
     k = order[first] % count
     # distinct candidate pairs (i, k), k > i, in the order of i, then k (an
     # edge is in the table twice); a plain np.unique would import numpy.ma

@@ -9,7 +9,7 @@ import numpy as np
 from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve, hs_twists
 from smartpatch import constraints
 from smartpatch.constraints import DiagonalKind, PatchRepairStats, RepairResult, grid_scale
-from smartpatch.io import read_newell
+from smartpatch.io import PatchFormatError, PatchSet, read_newell
 from smartpatch.patches import (
     _BB_ROWS,
     _T_ROWS,
@@ -17,9 +17,18 @@ from smartpatch.patches import (
     bernstein_dweights_many,
     bernstein_weights,
     bernstein_weights_many,
+    bezier_patches,
     eval_patch_partials,
 )
-from smartpatch.tessellation import Adjacency, EdgeId, EdgeSide, edge_control_points
+from smartpatch.tessellation import (
+    _NEIGHBOUR_OFFSETS,
+    Adjacency,
+    EdgeId,
+    EdgeSide,
+    _edge_points,
+    _key_codes,
+    edge_control_points,
+)
 
 CORNER_SLOTS = ((0, 0), (0, 3), (3, 0), (3, 3))
 NONCORNER_SLOTS = tuple(
@@ -457,6 +466,50 @@ def pairwise_adjacency(patches, tol: float = 1e-9) -> list:
     return found
 
 
+def key_codes_adjacency(patches, tol: float = 1e-9) -> list:
+    """``detect_adjacency`` with its neighbour probes joined by
+    ``_key_codes`` over the table and the 27 probes of every edge."""
+    if not patches:
+        return []
+    arr = np.stack([p.as_array for p in patches])
+    scale = max(1.0, float(np.max(np.abs(arr))))
+    # (patch, side) slot k is patch k // 4, side k % 4
+    q = np.stack([_edge_points(arr, side) for side in EdgeSide], axis=1).reshape(-1, 4, 3)
+    limit = tol * scale
+    live = np.flatnonzero(np.max(np.abs(q - q[:, :1]), axis=(1, 2)) > limit)
+    q = q[live]
+    # cells, table and pairs as in detect_adjacency
+    cell = (tol + 1e-12) * scale
+    keys = np.floor(q[:, (0, 3)] / cell).astype(np.int64)  # (E, 2, 3)
+    count = len(q)
+    table = keys.transpose(1, 0, 2).reshape(-1, 3)  # starts, then ends
+    probes = (keys[:, None, 0] + _NEIGHBOUR_OFFSETS).reshape(-1, 3)
+    codes = _key_codes(np.concatenate([table, probes]))
+    table_codes, probe_codes = codes[: 2 * count], codes[2 * count :]
+    order = np.argsort(table_codes, kind="stable")
+    ranked = table_codes[order]
+    lo = np.searchsorted(ranked, probe_codes, side="left")
+    hits = np.searchsorted(ranked, probe_codes, side="right") - lo
+    first = np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
+    i = np.repeat(np.arange(len(probes)) // len(_NEIGHBOUR_OFFSETS), hits)
+    k = order[first] % count
+    # distinct candidate pairs (i, k), k > i, in the order of i, then k (an
+    # edge is in the table twice); a plain np.unique would import numpy.ma
+    pair = np.sort(i[k > i] * count + k[k > i])
+    pair = pair[np.diff(pair, prepend=-1) > 0]
+    i, k = np.divmod(pair, count)
+    forward = np.max(np.abs(q[i] - q[k]), axis=(1, 2)) <= limit
+    backward = np.max(np.abs(q[i] - q[k, ::-1]), axis=(1, 2)) <= limit
+    match = forward | backward
+    ids = [[EdgeId(side, flip) for side in EdgeSide] for flip in (False, True)]
+    return [
+        Adjacency(pi // 4, ids[0][pi % 4], pk // 4, ids[flip][pk % 4])
+        for pi, pk, flip in zip(
+            live[i[match]].tolist(), live[k[match]].tolist(), (~forward[match]).tolist()
+        )
+    ]
+
+
 def loop_edge_incidence(mesh) -> Counter:
     """``edge_incidence`` one triangle at a time."""
     counts: Counter = Counter()
@@ -763,3 +816,81 @@ def newell_text(patches) -> str:
     rows = [",".join(str(16 * k + j + 1) for j in range(16)) for k in range(len(patches))]
     vertices = [",".join(repr(c) for c in v) for v in points.tolist()]
     return "\n".join([str(len(patches)), *rows, str(len(vertices)), *vertices]) + "\n"
+
+
+def loop_load_newell(text: str, name: str = "newell") -> PatchSet:
+    """``load_newell`` one line at a time: each line is stripped, split and
+    converted on its own, and each error is raised at the line that has it."""
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(no, ln) for no, ln in lines if ln]
+    pos = 0
+
+    def take(what):
+        nonlocal pos
+        if pos >= len(lines):
+            raise PatchFormatError(f"unexpected end of file while reading {what}")
+        out = lines[pos]
+        pos += 1
+        return out
+
+    def take_count(what):
+        no, ln = take(what)
+        try:
+            value = int(ln)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise PatchFormatError(f"line {no}: expected {what}, got {ln!r}")
+        return value
+
+    index_rows = []
+    for _ in range(take_count("patch count")):
+        no, ln = take("patch indices")
+        parts = ln.split(",")
+        if len(parts) != 16:
+            raise PatchFormatError(f"line {no}: expected 16 indices, got {len(parts)}")
+        try:
+            idx = [int(p) for p in parts]
+        except ValueError:
+            raise PatchFormatError(f"line {no}: non-integer patch index") from None
+        index_rows.append((no, idx))
+    vertex_count = take_count("vertex count")
+    first = pos
+    coords = []
+
+    def finite_vertices():
+        """The vertices parsed so far; raises for the first non-finite one's line."""
+        vertices = np.array(coords, dtype=float).reshape(-1, 3)
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            raise PatchFormatError(f"line {lines[first + bad[0]][0]}: non-finite coordinate")
+        return vertices
+
+    try:
+        for _ in range(vertex_count):
+            no, ln = take("vertex coordinates")
+            parts = ln.split(",")
+            if len(parts) != 3:
+                raise PatchFormatError(f"line {no}: expected 3 coordinates, got {len(parts)}")
+            try:
+                coords.append([float(p) for p in parts])
+            except ValueError:
+                raise PatchFormatError(f"line {no}: non-numeric coordinate") from None
+    except PatchFormatError:
+        finite_vertices()  # an earlier line's error comes first
+        raise
+    vertices = finite_vertices()
+    if pos != len(lines):
+        raise PatchFormatError(f"line {lines[pos][0]}: trailing content after vertex table")
+
+    # Python ints in an object array, so no index can overflow the check
+    idx = np.array([row for _, row in index_rows], dtype=object).reshape(-1, 16)
+    bad = np.flatnonzero((idx < 1) | (idx > vertex_count))
+    if bad.size:
+        row, col = divmod(int(bad[0]), 16)
+        no = index_rows[row][0]
+        raise PatchFormatError(
+            f"line {no}: vertex index {idx[row, col]} out of range 1..{vertex_count}"
+        )
+    pts = vertices[idx.astype(np.intp) - 1].reshape(-1, 4, 4, 3)
+    return PatchSet(name=name, patches=bezier_patches(pts.transpose(0, 3, 1, 2)))

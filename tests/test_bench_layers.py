@@ -66,3 +66,16 @@ def test_a_child_that_imports_another_smartpatch_stops_the_run(tmp_path):
     code = f"sys.path[:0] = [{str(REPO_ROOT / 'src')!r}]\nresult = {{}}\n"
     with pytest.raises(SystemExit, match="imported smartpatch from"):
         bench_layers.child(tmp_path, code)
+
+
+def test_repair_column_summarises_each_input_over_the_runs():
+    runs = [{"inputs": {"teapot": {"patches": 32, "components": 4, "records": 52,
+                                   "repair_s": s, "adjacency_s": s / 10,
+                                   "tracemalloc_peak_mb": mb}}}
+            for s, mb in ((0.003, 0.5), (0.002, 0.49), (0.004, 0.48))]
+    assert bench_layers.repair_column(runs) == {"runs": 3, "inputs": {"teapot": {
+        "patches": 32, "components": 4, "records": 52,
+        "repair_patches": {"min_ms": 2.0, "median_ms": 3.0},
+        "detect_adjacency": {"min_ms": 0.2, "median_ms": 0.3},
+        "tracemalloc_peak_mb": 0.5,
+    }}}

@@ -489,8 +489,18 @@ def test_teapot_report_agrees_with_the_single_commands(capsys, teapot_path, tmp_
         assert tea[key] == single[key]
     assert (tmp_path / "repaired.json").read_bytes() == repaired.read_bytes()
     single = report("continuity", "--in", str(src), "--detect", "--n", "4")
+    after = report("continuity", "--in", str(repaired), "--detect", "--n", "4")
     assert tea["shared_edges"] == single["pair_count"]
-    assert tea["c0_before_max"] == single["worst"]["c0_max_gap"]
+    records = [{k: p[k] for k in ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")}
+               for p in single["pairs"]]
+    assert [{k: p[k] for k in records[0]} for p in after["pairs"]] == records  # same seams
+    for key, rep in (("before", single), ("after", after)):
+        assert tea[f"c0_{key}_max"] == rep["worst"]["c0_max_gap"]
+        assert tea[f"c1_{key}_max"] == rep["worst"]["c1_max_mismatch"]
+        assert tea[f"g1_{key}_max"] == rep["worst"]["g1_max_angle"]
+    g1 = [p["g1_max_angle"] for p in after["pairs"]]
+    assert tea["g1_after_worst_pair"] == g1.index(max(g1))
+    assert tea["g1_after_max"] > 0.1  # repair creases the surface (ROADMAP item 2)
 
 
 def test_teapot_on_an_empty_newell_file(capsys, tmp_path):
@@ -502,6 +512,8 @@ def test_teapot_on_an_empty_newell_file(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["patch_count"] == rep["shared_edges"] == 0
     assert rep["before"] == rep["after"] == {"noncompliant_patches": 0, "max_residual": 0.0}
+    assert rep["c1_after_max"] == rep["g1_after_max"] == 0.0
+    assert rep["g1_after_worst_pair"] is None
     assert rep["mesh"] == {"vertices": 0, "triangles": 0}
     assert json.loads((tmp_path / "out" / "teapot_report.json").read_text()) == rep | {
         "outputs": rep["outputs"][:2]

@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartpatch import BezierPatch, PatchFormatError, PatchSet, io
@@ -29,7 +29,7 @@ from smartpatch.tessellation import (
     tessellate_set,
 )
 
-from helpers import loop_export_obj, patchset_json, random_patch, split_patch
+from helpers import loop_export_obj, loop_load_newell, patchset_json, random_patch, split_patch
 
 
 def test_single_constant_patch_document():
@@ -359,6 +359,102 @@ def test_newell_trailing_garbage():
     lines += ["0,0,0"] * 16 + ["extra"]
     with pytest.raises(PatchFormatError, match="trailing"):
         load_newell("\n".join(lines))
+
+
+_DIGITS = "0123456789"
+_NON_ASCII_ZERO = (0x660, 0x6F0, 0x966, 0xFF10)  # Arabic-Indic, Persian, Devanagari, fullwidth
+
+
+def _edit_field(kind, field, pick):
+    """``field`` with one edit of ``kind``; ``pick`` draws an index below its argument."""
+    digits = [k for k, c in enumerate(field) if c in _DIGITS]
+    if kind == "space":
+        return (" ", "\t", "  ")[pick(3)] + field + (" ", "")[pick(2)]
+    if kind == "inner space" and len(field) > 1:
+        k = 1 + pick(len(field) - 1)
+        return field[:k] + " " + field[k:]
+    if kind == "plus":
+        return "+" + field.lstrip("-")
+    if kind == "underscore" and digits:
+        k = digits[pick(len(digits))]
+        return field[:k] + ("_", "__")[pick(2)] + field[k:]
+    if kind == "non-ascii digit" and digits:
+        k = digits[pick(len(digits))]
+        return field[:k] + chr(_NON_ASCII_ZERO[pick(4)] + int(field[k])) + field[k + 1 :]
+    if kind == "non-finite":
+        return ("nan", "inf", "-inf", "Infinity", "-NaN", "1e999")[pick(6)]
+    if kind == "number":
+        return ("0", "-3", "-0", "17", "21", "007")[pick(6)]
+    if kind == "long":
+        return ("9" * 30, "-" + "9" * 30, "0" * 29 + "7", "1" + "0" * 29)[pick(4)]
+    if kind == "word":
+        return ("x", "", "0x1", "1e3", "1.5", "1,", "\u0663")[pick(7)]
+    return field
+
+
+_LINE_EDITS = ("drop field", "add field", "shift field", "blank before", "space", "inner space",
+               "plus", "underscore", "non-ascii digit", "non-finite", "number", "long", "word")
+
+
+@st.composite
+def newell_texts(draw):
+    """Newell texts with random edits: valid ones (blank lines, CRLF,
+    spaces, +, _ and non-ASCII digits in fields) and malformed ones (wrong
+    field counts, non-numbers, non-finite values, 30-digit indices,
+    truncation and trailing content)."""
+    pick = lambda n: draw(st.integers(0, n - 1))
+    patches = draw(st.integers(0, 3))
+    vertices = draw(st.integers(16 if patches else 0, 20))
+    rows = [[str(draw(st.integers(1, vertices))) for _ in range(16)] for _ in range(patches)]
+    coord = st.one_of(
+        st.floats(-1e3, 1e3).map(repr),
+        st.integers(-5, 5).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    points = [[draw(coord) for _ in range(3)] for _ in range(vertices)]
+    lines = [[str(patches)], *rows, [str(vertices)], *points]
+    for _ in range(draw(st.integers(0, 3))):
+        k = pick(len(lines) if draw(st.booleans()) else patches + 2)  # half on counts, indices
+        kind = _LINE_EDITS[pick(len(_LINE_EDITS))]
+        if kind == "drop field":
+            lines[k] = lines[k][:-1]
+        elif kind == "add field":
+            lines[k] = lines[k] + ["1"]
+        elif kind == "shift field" and k + 1 < len(lines):  # the block keeps its field count
+            lines[k], lines[k + 1] = lines[k][:-1], lines[k][-1:] + lines[k + 1]
+        elif kind == "blank before":
+            lines.insert(k, [("", " ", "\t ")[pick(3)]])
+        elif lines[k]:
+            j = pick(len(lines[k]))
+            lines[k] = lines[k][:j] + [_edit_field(kind, lines[k][j], pick)] + lines[k][j + 1 :]
+    breaks = ("\n", "\r\n", "\r", "\u2028", "\n \n")  # str.splitlines splits at each
+    text = breaks[pick(5)].join(",".join(f) for f in lines) + "\n"
+    if pick(4) == 0:
+        text = text[: pick(len(text) + 1)]
+    if pick(4) == 0:
+        text += ("extra\n", "0,0,0\n", "\n\n", "1\n")[pick(4)]
+    return text
+
+
+def _newell_outcome(load, text):
+    try:
+        ps = load(text)
+    except PatchFormatError as e:
+        return "error", str(e)
+    return "ok", len(ps.patches), b"".join(p.as_array.tobytes() for p in ps.patches)
+
+
+_ROW = ",".join(str(i) for i in range(1, 17))
+
+
+@given(text=newell_texts())
+@example(text="\n".join(["2", _ROW, _ROW, "17"] + ["0,0,0"] * 16 + ["0,nan,0"]))
+@example(text="\n".join(["2", _ROW[:-3], _ROW + ",1", "16"] + ["0,0,0"] * 16))
+@example(text="\n".join(["1", _ROW, "16"] + ["0,0,0"] * 14 + ["1,2", "3,4,5,6"]))
+@example(text="\r\n".join(["1", _ROW.replace("1", "+1_0", 1), " 16 ", ""] + ["0,\u0663,0"] * 16))
+@settings(max_examples=200, deadline=None)
+def test_newell_matches_the_line_loop_on_edited_texts(text):
+    assert _newell_outcome(load_newell, text) == _newell_outcome(loop_load_newell, text)
 
 
 def test_newell_patches_are_views_of_one_checked_array(teapot_path):

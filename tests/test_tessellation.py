@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import astuple
 
@@ -27,7 +28,9 @@ from smartpatch.tessellation import (
     EdgeId,
     EdgeSide,
     TriangleMesh,
+    _NEIGHBOUR_OFFSETS,
     _key_codes,
+    _neighbour_codes,
     edge_control_points,
     edge_incidence,
     merge_meshes,
@@ -35,7 +38,9 @@ from smartpatch.tessellation import (
 
 from helpers import (
     bilinear_grid,
+    height_field_patches,
     identity_plane_patch,
+    key_codes_adjacency,
     loop_continuity,
     loop_edge_incidence,
     loop_triangles,
@@ -673,6 +678,71 @@ def test_adjacency_offsets_across_a_cell_boundary_at_any_scale(seed, tol, flip, 
     assert records == pairwise_adjacency(patches, tol)
     if 10.0 * size >= 1.0:  # below that the set's scale is 1, not 10 * size
         assert len(records) == shared
+
+
+@functools.cache
+def _split_teapot(teapot_path) -> np.ndarray:
+    patches = [q for p in read_newell(teapot_path).patches for q in split_patch(p)]
+    return np.stack([p.as_array for p in patches])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.sampled_from(["split", "hf2", "hf5"]),
+    tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+    moves=st.integers(1, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_adjacency_matches_the_key_codes_join_on_moved_shared_edges(
+    teapot_path, seed, base, tol, moves
+):
+    # Boundary control points of a teapot split or a height field (whose
+    # shared edges are bit-identical) moved by 0 to 2 tol*scale in one
+    # coordinate, or put on either side of a cell border of detect_adjacency.
+    rng = np.random.default_rng(seed)
+    if base == "split":
+        arr = _split_teapot(teapot_path).copy()
+    else:
+        k = int(base[2:])
+        heights = rng.uniform(-1.0, 1.0, (3 * k + 1, 3 * k + 1))
+        arr = np.stack([p.as_array for p in height_field_patches(heights)])
+    h = tol * max(1.0, float(np.max(np.abs(arr))))
+    cell = h + 1e-12 * max(1.0, float(np.max(np.abs(arr))))
+    boundary = [(i, j) for i in range(4) for j in range(4) if i in (0, 3) or j in (0, 3)]
+    for _ in range(moves):
+        p, axis = rng.integers(len(arr)), rng.integers(3)
+        i, j = boundary[rng.integers(len(boundary))]
+        value = arr[p, axis, i, j]
+        if rng.random() < 0.5:
+            arr[p, axis, i, j] = value + rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2.0) * h
+        else:  # just below or above the nearest cell border
+            arr[p, axis, i, j] = np.round(value / cell) * cell + rng.choice([-1, 1]) * h / 4
+    patches = [BezierPatch(*g) for g in arr]
+    records = detect_adjacency(patches, tol)
+    assert records == key_codes_adjacency(patches, tol)
+
+
+def test_neighbour_codes_are_exact_where_a_naive_code_would_overflow(rng):
+    big = 2**62
+    pool = np.array([-big - 1, -big, -big + 1, -(2**40), -1, 0, 1, 2**40, 2**40 + 1,
+                     big - 1, big, big + 1])
+    # keys from a pool of neighbouring values (many hits), and keys with
+    # 200 distinct values per axis, whose rank product 200^3 exceeds 200^2
+    for table in (pool[rng.integers(0, len(pool), (200, 3))], rng.integers(-big, big, (200, 3))):
+        starts = np.concatenate([table[:40], pool[rng.integers(0, len(pool), (40, 3))]])
+        span = int(table.max()) - int(table.min()) + 1
+        assert span**3 > 2**63  # x*R^2 + y*R + z would not fit in int64
+        table_codes, codes = _neighbour_codes(table, starts)
+        assert table_codes.dtype == codes.dtype == np.int64
+        assert codes.shape == (len(starts), 27)
+        neighbours = (starts[:, None] + _NEIGHBOUR_OFFSETS).reshape(-1, 3)
+        same = (neighbours[:, None, :] == table[None, :, :]).all(axis=2)
+        assert np.array_equal(codes.reshape(-1)[:, None] == table_codes[None, :], same)
+        assert not same[codes.reshape(-1) == -1].any()  # a miss is no table row
+        assert np.array_equal(table_codes[:, None] == table_codes[None, :],
+                              (table[:, None, :] == table[None, :, :]).all(axis=2))
+        assert 0 <= table_codes.min() and max(table_codes.max(), codes.max()) < len(table) ** 2
+        assert same.any(axis=1).sum() >= len(starts) // 2  # the starts' own rows at least
 
 
 def test_key_codes_are_exact_where_a_naive_code_would_overflow(rng):
