@@ -13,11 +13,11 @@ thread, working directory ``ROOT_DIR`` and ``ROOT_DIR/src`` then
 order flipped every round.  Column LABEL of each file of ``LAYERS``, in the
 root of this script's checkout, is replaced; other labels' columns stay.
 
-Set-up times ``import smartpatch`` (numpy's import included), the exact
-derivation and certification every process pays before its first operation
-(``build_lambda``, ``bs_free_cells``, ``resolve_inner_identity``),
-``patches._conversion_matrices`` and the first ``_pattern_rank`` (a patch
-whose 12 non-corner slots are 12 free variables).  With
+Set-up times ``import numpy``, then ``import smartpatch`` and ``import
+smartpatch.cli`` on top of it, the exact derivation and certification every
+process pays before its first operation (``build_lambda``, ``bs_free_cells``,
+``resolve_inner_identity``), ``patches._conversion_matrices`` and the first
+``_pattern_rank`` (a patch whose 12 non-corner slots are 12 free variables).  With
 ``PYTHONDONTWRITEBYTECODE`` set (``dont_write_bytecode``), every import
 compiles smartpatch from source; ``compile_ms``, that share, is the min over
 the runs of one ``compile()`` of each module after the steps and an untimed one.
@@ -98,7 +98,8 @@ print(json.dumps(result))
 """
 
 SETUP = r"""
-steps = {"import smartpatch": timed(lambda: __import__("smartpatch"))}
+steps = {f"import {name}": timed(lambda: __import__(name))
+         for name in ("numpy", "smartpatch", "smartpatch.cli")}
 from smartpatch import constraints, patches
 for name, call in (
     ("build_lambda", constraints.build_lambda),
@@ -260,7 +261,8 @@ LAYERS = {
         f"repair_patches and detect_adjacency in process, fresh interpreter per run: one "
         f"untimed call, then the min of at least {REPAIR_CALLS} timed calls and at least "
         f"{REPAIR_SECONDS:g} s of calls per operation; {REPAIR_RUNS} runs per checkout, "
-        f"{ALTERNATED}; min and median of the per-run minima; tracemalloc peak of one more "
+        f"{ALTERNATED}; min and median of the per-run minima, of which the minima are the ones "
+        "to compare, since medians carry host drift; tracemalloc peak of one more "
         "repair_patches call, the largest over the runs"),
     "BENCH_io.json": (
         IO_RUNS, io_run, io_column,

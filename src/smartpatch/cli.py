@@ -8,13 +8,12 @@ One binary, subcommand style::
                [--json] [--normals] [--merge]
 
 Exit codes: 0 success/compliant, 1 validation failure, 2 input error,
-3 internal assertion failure.
+3 internal assertion failure, 4 a JSON report holding a non-finite number.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -31,6 +30,11 @@ EXIT_OK = 0
 EXIT_NONCOMPLIANT = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_NONFINITE = 4
+
+
+class NonFiniteReport(ValueError):
+    """A report holds a NaN or an infinity, which JSON (RFC 8259) cannot hold."""
 
 
 def _load_any(path: str) -> io.PatchSet:
@@ -45,9 +49,33 @@ def _load_any(path: str) -> io.PatchSet:
     return io.load_newell(text, name=Path(path).stem)
 
 
+def _nonfinite_field(value, path="report"):
+    """(path, value) of the first non-finite number in a report, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{k}]", v) for k, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_nonfinite_field(v, sub) for sub, v in items)), None)
+
+
+def _json_text(report: dict) -> str:
+    """The report as strict JSON; a non-finite number raises NonFiniteReport."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        found = _nonfinite_field(report)
+        if found is None:
+            raise
+        raise NonFiniteReport(f"{found[0]} is {found[1]}, which JSON cannot hold") from None
+
+
 def _emit(report: dict, args, render):
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         for line in render(report):
             print(line)
@@ -123,7 +151,7 @@ def cmd_validate(args) -> int:
     if args.form == "hermite":
         for k, p in enumerate(ps.patches):
             hs = constraints.hs_validate(HermitePatch(*p.grids), args.tol)
-            coords = {name: dataclasses.asdict(rep) for name, rep in hs.items()}
+            coords = {name: rep._asdict() for name, rep in hs.items()}
             compliant = all(c["compliant"] for c in coords.values())
             patches_report.append({"compliant": compliant, "coords": coords, "index": k})
     else:
@@ -184,13 +212,13 @@ def _repair(patches, tol: float):
     system statistics as a dict, and the validation of the repaired set."""
     result = constraints.repair_patches(patches)
     corner = max((s.corner_displacement for s in result.per_patch), default=0.0)
-    return result, corner, dataclasses.asdict(result.system), _validation(result.patches, tol)
+    return result, corner, result.system._asdict(), _validation(result.patches, tol)
 
 
 def cmd_repair(args) -> int:
     ps = _load_any(args.in_path)
     result, corner, system, (*_, worst_after) = _repair(ps.patches, args.tol)
-    io.write_patchset(dataclasses.replace(ps, patches=result.patches), args.out_path)
+    io.write_patchset(io.PatchSet(ps.name, result.patches, ps.adjacency), args.out_path)
     report = {
         "command": "repair",
         "name": ps.name,
@@ -409,7 +437,7 @@ def cmd_teapot(args) -> int:
         obj_path = out_dir / "teapot.obj"
         io.write_obj(merged, obj_path)
         json_path = out_dir / "teapot_repaired.json"
-        io.write_patchset(dataclasses.replace(ps, patches=result.patches), json_path)
+        io.write_patchset(io.PatchSet(ps.name, result.patches, ps.adjacency), json_path)
     except (io.PatchFormatError, OSError, RepairError) as e:
         print(f"stage {stage} failed: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -440,7 +468,7 @@ def cmd_teapot(args) -> int:
         "outputs": [str(obj_path), str(json_path)],
     }
     report_path = out_dir / "teapot_report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(_json_text(report) + "\n")
     report["outputs"].append(str(report_path))
 
     def render(rep):
@@ -576,6 +604,9 @@ def main(argv=None) -> int:
     except DerivationError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except NonFiniteReport as e:
+        print(f"error: {e}; no report written", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ here as well.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,16 +87,33 @@ LAMBDA_REFERENCE = (
 )
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Univariate real polynomial, coefficients stored highest degree first."""
+    """Univariate real polynomial, coefficients stored highest degree first.
 
-    coeffs: tuple
+    Immutable; equal and alike in hash when the coefficients are."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        coeffs = tuple(float(c) for c in coeffs)
+        if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
+        self.__dict__["coeffs"] = coeffs
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
+    def __repr__(self):
+        return f"Poly(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def nominal_degree(self) -> int:
@@ -191,8 +207,7 @@ def _lambda_exact() -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """The 6x16 cubic-diagonal condition matrix, derived and certified once.
 
     ``pivot_cols``/``free_cols`` describe the exact reduced form of ``lam``.
@@ -308,8 +323,7 @@ def bs_free_cells() -> tuple:
     return tuple(divmod(NONCORNER_INDICES[f], 4) for f in build_lambda().solver_free_cols)
 
 
-@dataclass(frozen=True)
-class DiagonalResiduals:
+class DiagonalResiduals(NamedTuple):
     """Leading collapsed-diagonal coefficients that must vanish."""
 
     a6: float
@@ -322,8 +336,7 @@ class DiagonalResiduals:
         return max(self.rel)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     per_diagonal: Mapping[DiagonalKind, DiagonalResiduals]
     max_residual: float
     compliant: bool
@@ -423,8 +436,7 @@ def bs_inner_identity(g) -> float:
     return float(inner - corner / 9.0)
 
 
-@dataclass(frozen=True)
-class InnerIdentityResolution:
+class InnerIdentityResolution(NamedTuple):
     """Row-space membership of the two sign variants of the inner identity."""
 
     plus_variant_holds: bool   # x11 - x12 - x21 + x22 == (corner combo)/9
@@ -488,8 +500,7 @@ def hs_alpha_beta(h_grid) -> Optional[tuple]:
     return None if rep.degenerate_phi else (rep.alpha, rep.beta)
 
 
-@dataclass(frozen=True)
-class HsReport:
+class HsReport(NamedTuple):
     """Residuals of the Hermite-form smoothness conditions for one grid."""
 
     phi: float
@@ -549,14 +560,12 @@ class RepairError(ValueError):
         super().__init__(f"joint repair of patches {list(self.patches)} {reason}")
 
 
-@dataclass(frozen=True)
-class PatchRepairStats:
+class PatchRepairStats(NamedTuple):
     max_displacement: float
     corner_displacement: float
 
 
-@dataclass(frozen=True)
-class RepairSystemStats:
+class RepairSystemStats(NamedTuple):
     """Size and health of the system a joint repair solved."""
 
     rows: int = 0              # 5 reduced constraint rows per patch
@@ -569,8 +578,7 @@ class RepairSystemStats:
     step_residuals: tuple = ()  # per step: worst reduced residual over its component's scale
 
 
-@dataclass(frozen=True)
-class RepairResult:
+class RepairResult(NamedTuple):
     patches: list
     per_patch: list
     max_displacement: float

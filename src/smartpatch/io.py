@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import List, Optional
@@ -208,22 +207,41 @@ def _float_text(x, lead=0):
     return text
 
 
-@dataclass
 class PatchSet:
-    name: str
-    patches: List[BezierPatch]
-    adjacency: Optional[List[Adjacency]] = None
+    """A named list of patches and their adjacency records (None when not given).
 
-    def __post_init__(self):
-        if self.adjacency is not None:
-            for rec in self.adjacency:
+    Each adjacency index must name a patch of the set.  Its fields may be
+    reassigned; two sets compare equal field by field, and are not hashable.
+    """
+
+    __hash__ = None
+
+    def __init__(
+        self, name: str, patches: List[BezierPatch], adjacency: Optional[List[Adjacency]] = None
+    ):
+        self.name, self.patches, self.adjacency = name, patches, adjacency
+        if adjacency is not None:
+            for rec in adjacency:
                 for idx in (rec.a, rec.b):
-                    if not (0 <= idx < len(self.patches)):
+                    if not (0 <= idx < len(patches)):
                         raise PatchFormatError(f"adjacency index {idx} out of range")
                 if rec.a == rec.b and rec.edge_a.side == rec.edge_b.side:
                     raise PatchFormatError(
                         f"patch {rec.a} edge {rec.edge_a.side.value} marked adjacent to itself"
                     )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.patches, self.adjacency) == (
+            other.name, other.patches, other.adjacency
+        )
+
+    def __repr__(self):
+        return (
+            f"PatchSet(name={self.name!r}, patches={self.patches!r}, "
+            f"adjacency={self.adjacency!r})"
+        )
 
 
 def _grid_from_json(values, patch_idx: int, coord: str):

@@ -10,7 +10,6 @@ once, exactly, from the two cubic bases.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,21 +69,25 @@ def as_grid(values) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True, eq=False)
 class _PatchGrids:
     """Three read-only 4x4 grids, one per coordinate.
 
-    Patches compare and hash by identity: equality of their float grids is
-    the caller's choice of tolerance, and an ndarray field has no truth value.
+    A patch is immutable.  Patches compare and hash by identity: equality of
+    their float grids is the caller's choice of tolerance, and an ndarray
+    field has no truth value.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    def __init__(self, x, y, z):
+        self.__dict__.update(x=as_grid(x), y=as_grid(y), z=as_grid(z))
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, as_grid(getattr(self, name)))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @property
     def grids(self):

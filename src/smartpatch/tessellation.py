@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,16 +33,14 @@ class EdgeSide(Enum):
     V1 = "V1"
 
 
-@dataclass(frozen=True)
-class EdgeId:
+class EdgeId(NamedTuple):
     """One of the four patch edges plus the traversal orientation."""
 
     side: EdgeSide
     reversed: bool = False
 
 
-@dataclass(frozen=True)
-class Adjacency:
+class Adjacency(NamedTuple):
     """Shared edge between two patches of a set (indices into the set)."""
 
     a: int
@@ -52,19 +49,19 @@ class Adjacency:
     edge_b: EdgeId
 
 
-@dataclass
 class TriangleMesh:
-    """Indexed triangle soup; vertices (N,3), triangles (M,3) int, optional unit normals."""
+    """Indexed triangle soup; vertices (N,3), triangles (M,3) int, optional unit normals.
 
-    vertices: np.ndarray
-    triangles: np.ndarray
-    normals: Optional[np.ndarray] = None
+    Its fields may be reassigned; two meshes compare equal field by field,
+    and are not hashable.
+    """
 
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+    __hash__ = None
+
+    def __init__(self, vertices, triangles, normals: Optional[np.ndarray] = None):
+        self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
+        self.triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        self.normals = None if normals is None else np.asarray(normals, dtype=float).reshape(-1, 3)
         if self.triangles.size:
             if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
                 raise ValueError("triangle index out of range")
@@ -77,6 +74,19 @@ class TriangleMesh:
                 raise ValueError("degenerate triangle with repeated vertex index")
         if self.normals is not None and len(self.normals) != len(self.vertices):
             raise ValueError("need one normal per vertex")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.triangles, self.normals) == (
+            other.vertices, other.triangles, other.normals
+        )
+
+    def __repr__(self):
+        return (
+            f"TriangleMesh(vertices={self.vertices!r}, triangles={self.triangles!r}, "
+            f"normals={self.normals!r})"
+        )
 
 
 def sample_grid(patch: BezierPatch, n: int) -> np.ndarray:
@@ -257,8 +267,7 @@ def edge_control_points(patch: BezierPatch, side: EdgeSide) -> np.ndarray:
     return _edge_points(patch.as_array, side)
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     c0_max_gap: float
     c1_max_mismatch: float
     g1_max_angle: float

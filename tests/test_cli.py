@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 
 from smartpatch import BezierPatch, DiagonalKind, PatchSet, bs_residuals, repair_patches
 from smartpatch import constraints
-from smartpatch.cli import main
+from smartpatch.cli import _nonfinite_field, main
 from smartpatch.constraints import grid_scale
 from smartpatch.io import dump_patchset, read_newell, read_patchset
 from smartpatch.tessellation import TessPattern, merge_meshes, tessellate
@@ -428,7 +428,7 @@ def test_teapot_on_the_split_teapot(capsys, teapot_path, tmp_path):
     assert rep["shared_edges"] == 232
     assert rep["c0_before_max"] == rep["c0_after_max"] == rep["c0_max_delta"] == 0.0
     result = repair_patches(patches)
-    assert rep["repair"] == json.loads(json.dumps(dataclasses.asdict(result.system)))
+    assert rep["repair"] == json.loads(json.dumps(result.system._asdict()))
     assert rep["after"]["noncompliant_patches"] == 0
     worst = max(bs_residuals(g).max_residual for p in result.patches for g in p.grids)
     assert abs(rep["after"]["max_residual"] - worst) <= 1e-14
@@ -633,3 +633,50 @@ def test_rank_deficient_repair_is_input_error(capsys, tmp_path, rng):
     assert code == 2
     assert "patches [0]" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity tokens RFC 8259 does not allow."""
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_report_holding_a_nonfinite_number_is_not_written(capsys, tmp_path, rng):
+    patch = random_patch(rng, -1.0, 1.0)
+    code, out, _ = run(capsys, "validate", "--in", str(write_set(tmp_path, "unit", [patch])),
+                       "--json")
+    assert code == 1 and strict_json(out)["noncompliant_patches"] == [0]
+    # near the end of the float range the diagonal coefficients overflow
+    big = BezierPatch(*(1.7e308 * g for g in patch.grids))
+    src = write_set(tmp_path, "big", [big])
+    newell = tmp_path / "big.newell"
+    newell.write_text(newell_text([big]))
+    for argv in (
+        ["validate", "--in", str(src)],
+        ["validate", "--in", str(src), "--form", "hermite"],
+        ["repair", "--in", str(src), "--out", str(tmp_path / "r.json")],
+        ["teapot", "--in", str(newell), "--out", str(tmp_path / "t")],
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: report.") and "which JSON cannot hold" in err
+    assert not (tmp_path / "t" / "teapot_report.json").exists()
+    # text reports print the non-finite residuals as before
+    code, out, _ = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and "max residual nan  NONCOMPLIANT" in out
+    code, out, _ = run(capsys, "repair", "--in", str(src), "--out", str(tmp_path / "r.json"))
+    assert code == 3 and "max residual after nan" in out
+    # teapot's report file is JSON in either mode
+    code, out, err = run(capsys, "teapot", "--in", str(newell), "--out", str(tmp_path / "t"))
+    assert (code, out) == (4, "") and "which JSON cannot hold" in err
+
+
+def test_nonfinite_field_names_the_first_nonfinite_number():
+    report = {"a": [1.0, {"b": 2.0, "c": (3.0, math.inf)}], "d": math.nan, "e": "nan"}
+    assert _nonfinite_field(report) == ("report.a[1].c[1]", math.inf)
+    assert _nonfinite_field({"a": [1.0, None, True, "x"]}) is None

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -310,7 +309,7 @@ def test_set_coefficients_are_the_per_grid_residuals(rng, teapot_path):
             g = arr[p, c]
             rep = bs_residuals(g)
             assert scale[p, c] == grid_scale(g)
-            one = [v for kind in DiagonalKind for v in astuple(rep.per_diagonal[kind])[:3]]
+            one = [v for kind in DiagonalKind for v in tuple(rep.per_diagonal[kind])[:3]]
             for want in (lam @ g.reshape(-1), one):
                 assert np.max(np.abs(coeffs[p, c] - want)) <= 1e-14 * grid_scale(g)
             assert (np.max(np.abs(coeffs[p, c])) / scale[p, c] <= 1e-9) == rep.compliant

@@ -1,6 +1,5 @@
 import functools
 import itertools
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -475,7 +474,7 @@ def _assert_reports_match(patches, records, n):
         a, b = patches[rec.a], patches[rec.b]
         scale = max(1.0, float(np.max(np.abs(a.as_array))), float(np.max(np.abs(b.as_array))))
         one = continuity_report(a, rec.edge_a, b, rec.edge_b, n)
-        for want in (loop_continuity(a, rec.edge_a, b, rec.edge_b, n), astuple(one)[:3]):
+        for want in (loop_continuity(a, rec.edge_a, b, rec.edge_b, n), tuple(one)[:3]):
             assert abs(rep.c0_max_gap - want[0]) <= 1e-13 * scale
             assert abs(rep.c1_max_mismatch - want[1]) <= 1e-13 * scale
             assert abs(rep.g1_max_angle - want[2]) <= 1e-13
