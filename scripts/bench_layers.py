@@ -17,7 +17,9 @@ Set-up times ``import numpy``, then ``import smartpatch`` and ``import
 smartpatch.cli`` on top of it, the exact derivation and certification every
 process pays before its first operation (``build_lambda``, ``bs_free_cells``,
 ``resolve_inner_identity``), ``patches._conversion_matrices`` and the first
-``_pattern_rank`` (a patch whose 12 non-corner slots are 12 free variables).  With
+``_pattern_rank`` (a patch whose 12 non-corner slots are 12 free variables).
+``gc.collect()`` runs before each step, so no step times a collection that
+the allocations of earlier steps set off.  With
 ``PYTHONDONTWRITEBYTECODE`` set (``dont_write_bytecode``), every import
 compiles smartpatch from source; ``compile_ms``, that share, is the min over
 the runs of one ``compile()`` of each module after the steps and an untimed one.
@@ -65,7 +67,8 @@ ALTERNATED = "checkouts alternated with the order flipped every round; one BLAS 
 
 # Every child starts with PRELUDE, fills ``result`` and ends with EPILOGUE,
 # which prints it as one JSON line with the smartpatch and numpy it ran on.
-# Before the set-up clock starts, only json, sys and time are imported.
+# Before the set-up clock starts, only json, sys, time and the built-in gc
+# are imported.
 PRELUDE = r"""
 import json, sys, time
 sys.path[:0] = ["src", "tests"]
@@ -98,7 +101,14 @@ print(json.dumps(result))
 """
 
 SETUP = r"""
-steps = {f"import {name}": timed(lambda: __import__(name))
+import gc
+
+def step(op):
+    # untimed: a collection that earlier steps' allocations made due runs here
+    gc.collect()
+    return timed(op)
+
+steps = {f"import {name}": step(lambda: __import__(name))
          for name in ("numpy", "smartpatch", "smartpatch.cli")}
 from smartpatch import constraints, patches
 for name, call in (
@@ -108,7 +118,7 @@ for name, call in (
     ("patches._conversion_matrices", patches._conversion_matrices),
     ("first _pattern_rank", lambda: constraints._pattern_rank(tuple(range(12)))),
 ):
-    steps[name] = timed(call)
+    steps[name] = step(call)
 from pathlib import Path
 sources = [(p, p.read_text()) for p in sorted(Path("src/smartpatch").glob("*.py"))]
 compile_all = lambda: [compile(text, str(p), "exec", dont_inherit=True) for p, text in sources]
@@ -252,8 +262,9 @@ def io_column(runs: list) -> dict:
 LAYERS = {
     "BENCH_setup.json": (
         SETUP_RUNS, lambda root: child(root, SETUP), setup_column,
-        f"fresh interpreter per run, steps timed in order with perf_counter; {SETUP_RUNS} runs "
-        f"per checkout after one untimed run, {ALTERNATED}; min and median per step; "
+        f"fresh interpreter per run, steps timed in order with perf_counter after a "
+        f"gc.collect() each; {SETUP_RUNS} runs per checkout after one untimed run, "
+        f"{ALTERNATED}; min and median per step; "
         f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run"),
     "BENCH_repair.json": (
         REPAIR_RUNS, lambda root: child(root, REPAIR, str(REPAIR_CALLS), str(REPAIR_SECONDS)),

@@ -12,12 +12,9 @@ from .constraints import (
     bs_residuals,
     bs_solve,
     build_lambda,
-    build_omega,
     collapse_diagonal,
     diagonal_matrix,
-    hs_alpha_beta,
     hs_phi,
-    hs_twists,
     hs_validate,
     repair_patches,
     resolve_inner_identity,
@@ -44,7 +41,6 @@ from .tessellation import (
     continuity_report,
     continuity_reports,
     detect_adjacency,
-    sample_grid,
     surface_normal,
     tessellate,
     tessellate_set,

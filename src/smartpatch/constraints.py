@@ -25,36 +25,6 @@ from .patches import _BB_ROWS, _T_ROWS, BezierPatch, HermitePatch, as_grid, bezi
 from .patches import bezier_basis, reparam_T
 from .tessellation import _key_codes
 
-__all__ = [
-    "DiagonalKind",
-    "Poly",
-    "ConstraintSystem",
-    "ConstraintReport",
-    "DiagonalResiduals",
-    "HsReport",
-    "InnerIdentityResolution",
-    "DerivationError",
-    "DEFAULT_TOL",
-    "LAMBDA_REFERENCE",
-    "diagonal_matrix",
-    "collapse_diagonal",
-    "build_omega",
-    "build_lambda",
-    "bs_residuals",
-    "bs_solve",
-    "bs_free_cells",
-    "bs_project",
-    "bs_inner_identity",
-    "resolve_inner_identity",
-    "hs_phi",
-    "hs_twists",
-    "hs_alpha_beta",
-    "hs_validate",
-    "repair_patches",
-    "RepairError",
-    "grid_scale",
-]
-
 DEFAULT_TOL = 1e-9
 PHI_DEGENERACY_TOL = 1e-12
 
@@ -181,11 +151,6 @@ def _omega_exact(kind: DiagonalKind) -> RationalMatrix:
         n = [[sum(r[q] * _T_ROWS[q][b] for q in range(4)) for b in range(4)] for r in mb]
     cells = [(i, j) for i in range(4) for j in range(4)]
     return RationalMatrix([[mb[i][a] * n[j][b] for i, j in cells] for a, b in cells])
-
-
-def build_omega(kind: DiagonalKind) -> np.ndarray:
-    """Float view of the exact grid-to-R coefficient map (integer entries)."""
-    return _omega_exact(kind).to_float()
 
 
 # R-entry groups (0-based flat indices into vec(R)) whose sums form the
@@ -478,26 +443,6 @@ def hs_phi(h_grid) -> float:
     """Corner combination h11 - h12 - h21 + h22 of a Hermite-layout grid."""
     h = np.asarray(h_grid, dtype=float)
     return float(h[0, 0] - h[0, 1] - h[1, 0] + h[1, 1])
-
-
-def hs_twists(phi: float, alpha: float, beta: float):
-    """Twist block (h33, h34, h43, h44) from phi and the two twist weights."""
-    return (
-        2.0 * phi * (1.0 - alpha),
-        2.0 * phi * (1.0 - beta),
-        2.0 * phi * beta,
-        2.0 * phi * alpha,
-    )
-
-
-def hs_alpha_beta(h_grid) -> Optional[tuple]:
-    """Twist weights (alpha, beta) implied by the boundary data.
-
-    Returns None when phi is degenerate (|phi| <= PHI_DEGENERACY_TOL * scale):
-    the twist equations divide by 2*phi, so the weights are undetermined there.
-    """
-    rep = _hs_report(np.asarray(h_grid, dtype=float), DEFAULT_TOL)
-    return None if rep.degenerate_phi else (rep.alpha, rep.beta)
 
 
 class HsReport(NamedTuple):

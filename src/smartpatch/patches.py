@@ -17,7 +17,7 @@ from .linalg import RationalMatrix
 
 
 class DomainError(ValueError):
-    """Parameter outside the unit square in strict evaluation mode."""
+    """Parameter outside the unit square."""
 
 
 # Cubic Bernstein basis in monomial form: basis_i(t) = row i . [t^3,t^2,t,1].
@@ -145,9 +145,9 @@ class HermitePatch(_PatchGrids):
     """
 
 
-def _check_param(t: float, extrapolate: bool):
-    if not extrapolate and not (0.0 <= t <= 1.0):
-        raise DomainError(f"parameter {t} outside [0, 1] (pass extrapolate=True to allow)")
+def _check_param(t: float):
+    if not (0.0 <= t <= 1.0):
+        raise DomainError(f"parameter {t} outside [0, 1]")
 
 
 def bernstein_weights(t: float) -> np.ndarray:
@@ -175,19 +175,19 @@ def bernstein_dweights_many(ts: np.ndarray) -> np.ndarray:
     return mono @ _BB.T
 
 
-def eval_patch(patch: BezierPatch, u: float, v: float, extrapolate: bool = False) -> np.ndarray:
+def eval_patch(patch: BezierPatch, u: float, v: float) -> np.ndarray:
     """Point on the patch at (u, v) as an xyz array."""
-    _check_param(u, extrapolate)
-    _check_param(v, extrapolate)
+    _check_param(u)
+    _check_param(v)
     wu = bernstein_weights(u)
     wv = bernstein_weights(v)
     return patch.as_array @ wv @ wu  # (3,4,4)@(4,)->(3,4), then @(4,)->(3,)
 
 
-def eval_patch_partials(patch: BezierPatch, u: float, v: float, extrapolate: bool = False):
+def eval_patch_partials(patch: BezierPatch, u: float, v: float):
     """Return (point, dP/du, dP/dv) at (u, v)."""
-    _check_param(u, extrapolate)
-    _check_param(v, extrapolate)
+    _check_param(u)
+    _check_param(v)
     wu, wv = bernstein_weights(u), bernstein_weights(v)
     du, dv = bernstein_dweights(u), bernstein_dweights(v)
     a = patch.as_array

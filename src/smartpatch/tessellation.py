@@ -52,11 +52,9 @@ class Adjacency(NamedTuple):
 class TriangleMesh:
     """Indexed triangle soup; vertices (N,3), triangles (M,3) int, optional unit normals.
 
-    Its fields may be reassigned; two meshes compare equal field by field,
-    and are not hashable.
+    Its fields may be reassigned.  Meshes compare and hash by identity, as
+    patches do: an ndarray field has no truth value.
     """
-
-    __hash__ = None
 
     def __init__(self, vertices, triangles, normals: Optional[np.ndarray] = None):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
@@ -75,30 +73,11 @@ class TriangleMesh:
         if self.normals is not None and len(self.normals) != len(self.vertices):
             raise ValueError("need one normal per vertex")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.triangles, self.normals) == (
-            other.vertices, other.triangles, other.normals
-        )
-
     def __repr__(self):
         return (
             f"TriangleMesh(vertices={self.vertices!r}, triangles={self.triangles!r}, "
             f"normals={self.normals!r})"
         )
-
-
-def sample_grid(patch: BezierPatch, n: int) -> np.ndarray:
-    """(n+1, n+1, 3) array of patch points at (i/n, j/n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ts = np.linspace(0.0, 1.0, n + 1)
-    w = bernstein_weights_many(ts)  # (n+1, 4)
-    pts = np.empty((n + 1, n + 1, 3))
-    for axis, g in enumerate(patch.grids):
-        pts[:, :, axis] = w @ g @ w.T
-    return pts
 
 
 def _main_diag_cells(pattern: TessPattern, n: int) -> np.ndarray:
@@ -198,13 +177,13 @@ def _unit_normals(du: np.ndarray, dv: np.ndarray):
     return cross / np.where(ok, norm, 1.0)[..., None], ok
 
 
-def surface_normal(patch: BezierPatch, u: float, v: float, extrapolate: bool = False):
+def surface_normal(patch: BezierPatch, u: float, v: float):
     """Unit normal du x dv at (u, v), or None where the patch is degenerate.
 
     Degeneracy means the cross product of the partials is negligible
     relative to their magnitudes (collapsed edges, parallel partials).
     """
-    _, du, dv = eval_patch_partials(patch, u, v, extrapolate)
+    _, du, dv = eval_patch_partials(patch, u, v)
     nrm, ok = _unit_normals(du, dv)
     return nrm if ok else None
 
@@ -260,11 +239,6 @@ def _edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:
     """(..., 4, 3) control points of one side of (..., 3, 4, 4) patch arrays."""
     k = _SIDE_CODE[side]
     return np.swapaxes(arr[..., _SIDE_ROWS[k], _SIDE_COLS[k]], -1, -2)
-
-
-def edge_control_points(patch: BezierPatch, side: EdgeSide) -> np.ndarray:
-    """The four xyz control points of one patch edge, in traversal order."""
-    return _edge_points(patch.as_array, side)
 
 
 class ContinuityReport(NamedTuple):

@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve, hs_twists
+from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve
 from smartpatch import constraints
-from smartpatch.constraints import DiagonalKind, PatchRepairStats, RepairResult, grid_scale
+from smartpatch.constraints import (
+    DEFAULT_TOL,
+    DiagonalKind,
+    PatchRepairStats,
+    RepairResult,
+    _hs_report,
+    grid_scale,
+)
 from smartpatch.io import PatchFormatError, PatchSet, read_newell
 from smartpatch.patches import (
     _BB_ROWS,
@@ -27,7 +34,6 @@ from smartpatch.tessellation import (
     EdgeSide,
     _edge_points,
     _key_codes,
-    edge_control_points,
 )
 
 CORNER_SLOTS = ((0, 0), (0, 3), (3, 0), (3, 3))
@@ -73,6 +79,16 @@ def random_compliant_patch(rng, lo=-10.0, hi=10.0) -> BezierPatch:
     return BezierPatch(*(random_compliant_grid(rng, lo, hi) for _ in range(3)))
 
 
+def hs_twists(phi: float, alpha: float, beta: float):
+    """Twist block (h33, h34, h43, h44) from phi and the two twist weights."""
+    return (
+        2.0 * phi * (1.0 - alpha),
+        2.0 * phi * (1.0 - beta),
+        2.0 * phi * beta,
+        2.0 * phi * alpha,
+    )
+
+
 def hs_consistent_grid(rng, lo=-10.0, hi=10.0) -> np.ndarray:
     """Hermite-layout grid satisfying all twist and tangent conditions.
 
@@ -91,6 +107,13 @@ def hs_consistent_grid(rng, lo=-10.0, hi=10.0) -> np.ndarray:
     h[0, 2] = b_t + h[1, 2] - h[3, 0] + h[3, 1]  # b = h13 - h23 + h41 - h42
     h[2, 0] = c_t + h[2, 1] + h[3, 0] - h[3, 1]  # c = h31 - h32 - h41 + h42
     return h
+
+
+def hs_alpha_beta(h_grid):
+    """Twist weights (alpha, beta) of a Hermite-layout grid's report, or None
+    where phi is degenerate and the weights are undetermined."""
+    rep = _hs_report(np.asarray(h_grid, dtype=float), DEFAULT_TOL)
+    return None if rep.degenerate_phi else (rep.alpha, rep.beta)
 
 
 def rank_deficient_patch(rng) -> BezierPatch:
@@ -118,7 +141,8 @@ def shared_edge_pair(rng) -> tuple:
 
 def eval_curve(p, t: float, extrapolate: bool = False) -> float:
     """Evaluate a cubic Bezier curve with control values ``p`` at ``t``."""
-    _check_param(t, extrapolate)
+    if not extrapolate:
+        _check_param(t)
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise ValueError("curve needs exactly 4 control values")
@@ -321,6 +345,18 @@ def _oracle_main_diag(pattern: TessPattern, i: int, j: int) -> bool:
     return i % 2 == 0  # ZIGZAG
 
 
+def sample_grid(patch: BezierPatch, n: int) -> np.ndarray:
+    """(n+1, n+1, 3) array of patch points at (i/n, j/n), one coordinate grid at a time."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ts = np.linspace(0.0, 1.0, n + 1)
+    w = bernstein_weights_many(ts)  # (n+1, 4)
+    pts = np.empty((n + 1, n + 1, 3))
+    for axis, g in enumerate(patch.grids):
+        pts[:, :, axis] = w @ g @ w.T
+    return pts
+
+
 def loop_triangles(n: int, pattern: TessPattern) -> np.ndarray:
     """Triangle index array of ``tessellate``, one cell at a time."""
     stride = n + 1
@@ -448,7 +484,7 @@ def pairwise_adjacency(patches, tol: float = 1e-9) -> list:
     edges = []
     for idx, p in enumerate(patches):
         for side in EdgeSide:
-            q = edge_control_points(p, side)
+            q = _edge_points(p.as_array, side)
             if np.max(np.abs(q - q[0])) <= tol * scale:
                 continue  # collapsed edge
             edges.append((idx, side, q))

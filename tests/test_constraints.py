@@ -17,14 +17,11 @@ from smartpatch import (
     bs_residuals,
     bs_solve,
     build_lambda,
-    build_omega,
     collapse_diagonal,
     diagonal_matrix,
     eval_patch,
     hermite_to_bezier,
-    hs_alpha_beta,
     hs_phi,
-    hs_twists,
     hs_validate,
     repair_patches,
     resolve_inner_identity,
@@ -39,6 +36,7 @@ from smartpatch.constraints import (
     _certify,
     _diagonal_coefficients,
     _level_sets,
+    _omega_exact,
     grid_scale,
 )
 from smartpatch.linalg import RationalMatrix
@@ -51,7 +49,9 @@ from helpers import (
     bilinear_grid,
     dense_repair_patches,
     height_field_patches,
+    hs_alpha_beta,
     hs_consistent_grid,
+    hs_twists,
     loop_repair_patches,
     random_compliant_grid,
     random_compliant_patch,
@@ -179,12 +179,13 @@ def test_collapse_is_linear_in_grid_scaling(g, s):
 
 
 def test_omega_matches_reference_tables():
-    assert np.array_equal(build_omega(DiagonalKind.MAIN), np.array(OMEGA_MAIN_REFERENCE, float))
-    assert np.array_equal(build_omega(DiagonalKind.ANTI), np.array(OMEGA_ANTI_REFERENCE, float))
+    for kind, reference in ((DiagonalKind.MAIN, OMEGA_MAIN_REFERENCE),
+                            (DiagonalKind.ANTI, OMEGA_ANTI_REFERENCE)):
+        assert np.array_equal(_omega_exact(kind).to_float(), np.array(reference, float))
 
 
 def test_omega_named_rows():
-    omega = build_omega(DiagonalKind.MAIN)
+    omega = _omega_exact(DiagonalKind.MAIN).to_float()
     r42 = omega[4 * 3 + 1]  # row of R entry (4,2) in 1-based speak
     expect = np.zeros(16)
     expect[0], expect[1], expect[2] = 3, -6, 3
@@ -197,7 +198,7 @@ def test_omega_named_rows():
 
 def test_omega_reproduces_diagonal_matrix(rng):
     for kind in DiagonalKind:
-        omega = build_omega(kind)
+        omega = _omega_exact(kind).to_float()
         for _ in range(25):
             g = rng.uniform(-10, 10, (4, 4))
             via_omega = (omega @ g.reshape(-1)).reshape(4, 4)
@@ -206,7 +207,6 @@ def test_omega_reproduces_diagonal_matrix(rng):
 
 def test_omega_reproduces_diagonal_matrix_exactly():
     # same consistency check in exact arithmetic on a rational grid
-    from smartpatch.constraints import _omega_exact
     from smartpatch.patches import _BB_ROWS, _T_ROWS
 
     mb, t = RationalMatrix(_BB_ROWS), RationalMatrix(_T_ROWS)
@@ -222,8 +222,6 @@ def test_omega_reproduces_diagonal_matrix_exactly():
 
 
 def test_closed_form_omega_matches_the_triple_products():
-    from smartpatch.constraints import _omega_exact
-
     for kind in DiagonalKind:
         assert _omega_exact(kind).data == omega_by_triple_products(kind).data
 
@@ -248,8 +246,8 @@ def test_lambda_rank_and_nullity():
 
 def test_lambda_rows_split_by_diagonal():
     # first three rows are the v=u conditions, last three the v=1-u ones
-    omega_main = build_omega(DiagonalKind.MAIN)
-    omega_anti = build_omega(DiagonalKind.ANTI)
+    omega_main = _omega_exact(DiagonalKind.MAIN).to_float()
+    omega_anti = _omega_exact(DiagonalKind.ANTI).to_float()
     lam = build_lambda().lam
     assert np.array_equal(lam[0], omega_main[0])
     assert np.array_equal(lam[1], omega_main[1] + omega_main[4])

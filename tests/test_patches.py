@@ -15,6 +15,7 @@ from smartpatch import (
     reparam_T,
 )
 from smartpatch.patches import as_grid, bezier_patches, eval_patch_partials
+from smartpatch.tessellation import surface_normal
 
 from helpers import bilinear_grid, de_casteljau, eval_curve, random_patch
 
@@ -58,6 +59,14 @@ def test_eval_curve_strict_domain():
     with pytest.raises(DomainError):
         eval_curve([0.0, 1.0, 1.0, 0.0], 1.5)
     assert eval_curve([0.0, 0.0, 0.0, 1.0], 2.0, extrapolate=True) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("evaluate", [eval_patch, eval_patch_partials, surface_normal])
+def test_patch_evaluation_rejects_parameters_outside_the_unit_square(evaluate, rng):
+    patch = random_patch(rng)
+    for u, v in ((-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]$"):
+            evaluate(patch, u, v)
 
 
 def test_eval_curve_matches_de_casteljau(rng):

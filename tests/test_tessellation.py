@@ -15,7 +15,6 @@ from smartpatch import (
     continuity_reports,
     detect_adjacency,
     eval_patch,
-    sample_grid,
     surface_normal,
     tessellate,
     tessellate_set,
@@ -28,9 +27,9 @@ from smartpatch.tessellation import (
     EdgeSide,
     TriangleMesh,
     _NEIGHBOUR_OFFSETS,
+    _edge_points,
     _key_codes,
     _neighbour_codes,
-    edge_control_points,
     edge_incidence,
     merge_meshes,
 )
@@ -48,6 +47,7 @@ from helpers import (
     per_patch_normals,
     random_compliant_patch,
     random_patch,
+    sample_grid,
     scalar_surface_normal,
     shared_edge_pair,
     split_patch,
@@ -324,10 +324,10 @@ def test_detect_adjacency_skips_collapsed_edges():
 
 def test_edge_control_points_orientation(rng):
     patch = random_patch(rng)
-    q = edge_control_points(patch, EdgeSide.V0)
+    q = _edge_points(patch.as_array, EdgeSide.V0)
     expect = np.stack([g[:, 0] for g in patch.grids], axis=1)
     assert np.array_equal(q, expect)
-    q = edge_control_points(patch, EdgeSide.U1)
+    q = _edge_points(patch.as_array, EdgeSide.U1)
     expect = np.stack([g[3, :] for g in patch.grids], axis=1)
     assert np.array_equal(q, expect)
 
@@ -455,7 +455,7 @@ def test_continuity_matches_per_sample_loop(rng, teapot_path):
 @pytest.mark.parametrize("side_b", list(EdgeSide))
 def test_c0_is_exactly_zero_on_bit_identical_edges(side_a, side_b, rng):
     a = random_patch(rng)
-    q = edge_control_points(a, side_a)
+    q = _edge_points(a.as_array, side_a)
     for flip in (False, True):
         grids = rng.uniform(-10.0, 10.0, (3, 4, 4))
         grids[SIDE_INDEX[side_b]] = (q[::-1] if flip else q).T
@@ -484,7 +484,7 @@ def _assert_reports_match(patches, records, n):
 
 def _twin_on(rng, patch, side_a, side_b, flip) -> BezierPatch:
     """Random patch whose ``side_b`` carries ``patch``'s ``side_a`` control points bit for bit."""
-    q = edge_control_points(patch, side_a)
+    q = _edge_points(patch.as_array, side_a)
     grids = rng.uniform(-10.0, 10.0, (3, 4, 4))
     grids[SIDE_INDEX[side_b]] = (q[::-1] if flip else q).T
     return BezierPatch(*grids)
