@@ -64,6 +64,9 @@ REPAIR_SECONDS = 0.5
 RSS_SECONDS = 2.0
 DERIVATION = ("build_lambda", "bs_free_cells", "resolve_inner_identity")
 ALTERNATED = "checkouts alternated with the order flipped every round; one BLAS thread"
+SPREAD = ("min_ms, median_ms and max_ms are the fastest, median and slowest of the runs' "
+          "values; a difference that lies inside both columns' min_ms to max_ms range is not "
+          "resolved")
 
 # Every child starts with PRELUDE, fills ``result`` and ends with EPILOGUE,
 # which prints it as one JSON line with the smartpatch and numpy it ran on.
@@ -220,7 +223,8 @@ def io_run(root: Path) -> dict:
 
 def summary(values) -> dict:
     return {"min_ms": round(1e3 * min(values), 3),
-            "median_ms": round(1e3 * statistics.median(values), 3)}
+            "median_ms": round(1e3 * statistics.median(values), 3),
+            "max_ms": round(1e3 * max(values), 3)}
 
 
 def setup_column(runs: list) -> dict:
@@ -264,23 +268,24 @@ LAYERS = {
         SETUP_RUNS, lambda root: child(root, SETUP), setup_column,
         f"fresh interpreter per run, steps timed in order with perf_counter after a "
         f"gc.collect() each; {SETUP_RUNS} runs per checkout after one untimed run, "
-        f"{ALTERNATED}; min and median per step; "
-        f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run"),
+        f"{ALTERNATED}; min, median and max per step; "
+        f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run; {SPREAD}"),
     "BENCH_repair.json": (
         REPAIR_RUNS, lambda root: child(root, REPAIR, str(REPAIR_CALLS), str(REPAIR_SECONDS)),
         repair_column,
         f"repair_patches and detect_adjacency in process, fresh interpreter per run: one "
         f"untimed call, then the min of at least {REPAIR_CALLS} timed calls and at least "
         f"{REPAIR_SECONDS:g} s of calls per operation; {REPAIR_RUNS} runs per checkout, "
-        f"{ALTERNATED}; min and median of the per-run minima, of which the minima are the ones "
-        "to compare, since medians carry host drift; tracemalloc peak of one more "
-        "repair_patches call, the largest over the runs"),
+        f"{ALTERNATED}; min, median and max of the per-run minima, of which the minima are the "
+        "ones to compare, since medians carry host drift; tracemalloc peak of one more "
+        f"repair_patches call, the largest over the runs; {SPREAD}"),
     "BENCH_io.json": (
         IO_RUNS, io_run, io_column,
         f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "
-        f"run; {IO_RUNS} runs per checkout, {ALTERNATED}; min and median of the per-run minima; "
-        "OBJ written to os.devnull; tracemalloc peak of one teapot write_obj; peak_rss_mb from "
-        f"bench/probe.py ops teapot (seed 10, {RSS_SECONDS:g} s) started through sh"),
+        f"run; {IO_RUNS} runs per checkout, {ALTERNATED}; min, median and max of the per-run "
+        "minima; OBJ written to os.devnull; tracemalloc peak of one teapot write_obj; "
+        f"peak_rss_mb from bench/probe.py ops teapot (seed 10, {RSS_SECONDS:g} s) started "
+        f"through sh; {SPREAD}"),
 }
 
 

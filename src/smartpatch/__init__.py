@@ -39,7 +39,6 @@ from .tessellation import (
     TessPattern,
     TriangleMesh,
     continuity_report,
-    continuity_reports,
     detect_adjacency,
     surface_normal,
     tessellate,

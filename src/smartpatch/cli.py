@@ -7,6 +7,10 @@ One binary, subcommand style::
                [--pattern main|anti|alt|zigzag] [--direction b2h|h2b]
                [--json] [--normals] [--merge]
 
+Every command but ``lambda`` loads ``--in`` with ``io.read_patchset``;
+continuity and teapot measure the file's adjacency records, else the
+detected ones.  Only the commands that read ``--tol`` take it.
+
 Exit codes: 0 success/compliant, 1 validation failure, 2 input error,
 3 internal assertion failure, 4 a JSON report holding a non-finite number.
 """
@@ -35,18 +39,6 @@ EXIT_NONFINITE = 4
 
 class NonFiniteReport(ValueError):
     """A report holds a NaN or an infinity, which JSON (RFC 8259) cannot hold."""
-
-
-def _load_any(path: str) -> io.PatchSet:
-    """Load a patch JSON or Newell file, sniffing by leading character."""
-    text = Path(path).read_text()
-    head = text.lstrip()[:1]
-    if head == "{":
-        ps = io.load_patchset(text)
-        if not ps.name:
-            ps.name = Path(path).stem
-        return ps
-    return io.load_newell(text, name=Path(path).stem)
 
 
 def _nonfinite_field(value, path="report"):
@@ -146,7 +138,7 @@ def _validation(patches, tol: float):
 
 
 def cmd_validate(args) -> int:
-    ps = _load_any(args.in_path)
+    ps = io.read_patchset(args.in_path)
     patches_report = []
     if args.form == "hermite":
         for k, p in enumerate(ps.patches):
@@ -216,7 +208,7 @@ def _repair(patches, tol: float):
 
 
 def cmd_repair(args) -> int:
-    ps = _load_any(args.in_path)
+    ps = io.read_patchset(args.in_path)
     result, corner, system, (*_, worst_after) = _repair(ps.patches, args.tol)
     io.write_patchset(io.PatchSet(ps.name, result.patches, ps.adjacency), args.out_path)
     report = {
@@ -255,17 +247,20 @@ def cmd_repair(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ps = _load_any(args.in_path)
+    ps = io.read_patchset(args.in_path)
     forward, backward = bezier_to_hermite, hermite_to_bezier
     if args.direction == "h2b":
         forward, backward = backward, forward
     converted = []
     roundtrip_err = 0.0
-    for p in ps.patches:
-        out = forward(p if args.direction == "b2h" else HermitePatch(*p.grids))
-        if args.roundtrip:
-            for a, b in zip(p.grids, backward(out).grids):
-                roundtrip_err = max(roundtrip_err, float(np.max(np.abs(a - b))))
+    for k, p in enumerate(ps.patches):
+        try:  # a grid near the end of the float range converts to inf or nan
+            out = forward(p if args.direction == "b2h" else HermitePatch(*p.grids))
+            if args.roundtrip:
+                for a, b in zip(p.grids, backward(out).grids):
+                    roundtrip_err = max(roundtrip_err, float(np.max(np.abs(a - b))))
+        except ValueError as e:
+            raise io.PatchFormatError(f"patch {k}: the conversion overflows: {e}") from None
         converted.append(BezierPatch(*out.grids))
     io.write_patchset(io.PatchSet(name=ps.name, patches=converted), args.out_path)
     report = {
@@ -291,7 +286,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_tessellate(args) -> int:
-    ps = _load_any(args.in_path)
+    ps = io.read_patchset(args.in_path)
     pattern = tessellation.TessPattern(args.pattern)
     mesh = tessellation.tessellate_set(ps.patches, args.n, pattern, with_normals=args.normals)
     files = []
@@ -338,14 +333,12 @@ def cmd_tessellate(args) -> int:
 # continuity
 
 
-def _continuity_pairs(ps: io.PatchSet, args):
+def _records(ps: io.PatchSet, tol: float):
+    """Adjacency stage: the set's own records when its file gives them,
+    even none, else the records detect_adjacency finds at ``tol``."""
     if ps.adjacency is not None:
         return ps.adjacency
-    if args.detect:
-        return tessellation.detect_adjacency(ps.patches, tol=args.tol)
-    raise io.PatchFormatError(
-        "input has no adjacency records; pass --detect to derive them from shared edges"
-    )
+    return tessellation.detect_adjacency(ps.patches, tol=tol)
 
 
 _MEASURES = ("c0_max_gap", "c1_max_mismatch", "g1_max_angle")
@@ -360,8 +353,8 @@ def _continuity(patches, records, n: int):
 
 
 def cmd_continuity(args) -> int:
-    ps = _load_any(args.in_path)
-    records = _continuity_pairs(ps, args)
+    ps = io.read_patchset(args.in_path)
+    records = _records(ps, args.tol)
     measures, worst = _continuity(ps.patches, records, args.n)
     pairs = [
         {
@@ -418,7 +411,7 @@ def cmd_teapot(args) -> int:
         *_, bad_before, worst_before = _validation(ps.patches, args.tol)
 
         stage = "adjacency"
-        records = tessellation.detect_adjacency(ps.patches, tol=args.tol)
+        records = _records(ps, args.tol)
         gaps_before, worst_gaps_before = _continuity(ps.patches, records, args.n)
 
         stage = "repair"
@@ -525,12 +518,13 @@ def _count(minimum: int):
     return count
 
 
-def _add_common(sp, *, output=False):
+def _add_common(sp, *, output=False, tol=True):
     sp.add_argument("--in", dest="in_path", required=True, help="input file")
     if output:
         sp.add_argument("--out", dest="out_path", required=True, help="output path")
-    sp.add_argument("--tol", type=_tolerance, default=constraints.DEFAULT_TOL,
-                    help="relative tolerance (default 1e-9)")
+    if tol:
+        sp.add_argument("--tol", type=_tolerance, default=constraints.DEFAULT_TOL,
+                        help="relative tolerance (default 1e-9)")
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
 
 
@@ -565,14 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("convert", help="convert between Bezier and Hermite forms")
-    _add_common(p, output=True)
+    _add_common(p, output=True, tol=False)
     p.add_argument("--direction", choices=["b2h", "h2b"], required=True)
     p.add_argument("--roundtrip", action="store_true",
                    help="convert back as well and report the max error")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("tessellate", help="triangulate patches and write OBJ")
-    _add_common(p, output=True)
+    _add_common(p, output=True, tol=False)
     _add_mesh(p, 1)
     p.add_argument("--merge", action="store_true",
                    help="write one merged OBJ instead of one file per patch")
@@ -582,8 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=_count(2), default=16,
                    help="samples per edge minus one (default 16)")
-    p.add_argument("--detect", action="store_true",
-                   help="derive adjacency from shared edge control points")
     p.set_defaults(func=cmd_continuity)
 
     p = sub.add_parser("teapot", help="end-to-end pipeline on a Newell-format file")

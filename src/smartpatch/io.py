@@ -278,8 +278,9 @@ def _side_from_json(rec: dict, which: str, idx: int):
     return patch, EdgeId(side=side, reversed=reversed_)
 
 
-def load_patchset(text: str) -> PatchSet:
-    """Parse and fully validate a patch-set JSON document."""
+def load_patchset(text: str, name: str = "") -> PatchSet:
+    """Parse and fully validate a patch-set JSON document; ``name`` names
+    the set when the document gives no name or an empty one."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -288,8 +289,8 @@ def load_patchset(text: str) -> PatchSet:
         raise PatchFormatError("top-level JSON value must be an object")
     if "patches" not in doc or not isinstance(doc["patches"], list):
         raise PatchFormatError("document needs a 'patches' list")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
+    given = doc.get("name", "")
+    if not isinstance(given, str):
         raise PatchFormatError("'name' must be a string")
     patches = []
     for k, entry in enumerate(doc["patches"]):
@@ -311,7 +312,7 @@ def load_patchset(text: str) -> PatchSet:
                 raise PatchFormatError(f"adjacency {k}: must be an object with 'a' and 'b'")
             (a, edge_a), (b, edge_b) = _side_from_json(rec, "a", k), _side_from_json(rec, "b", k)
             adjacency.append(Adjacency(a=a, edge_a=edge_a, b=b, edge_b=edge_b))
-    return PatchSet(name=name, patches=patches, adjacency=adjacency)
+    return PatchSet(name=given or name, patches=patches, adjacency=adjacency)
 
 
 # dump_patchset writes the text json.dumps(doc, indent=1) gives (json
@@ -390,7 +391,13 @@ def dump_patchset(ps: PatchSet) -> str:
 
 
 def read_patchset(path) -> PatchSet:
-    return load_patchset(Path(path).read_text())
+    """Load the patch-set JSON or Newell file ``path``: JSON when its first
+    non-blank character is "{", else Newell.  A set without a name takes
+    the file's stem."""
+    p = Path(path)
+    text = p.read_text()
+    load = load_patchset if text.lstrip()[:1] == "{" else load_newell
+    return load(text, name=p.stem)
 
 
 def write_patchset(ps: PatchSet, path) -> None:

@@ -257,17 +257,19 @@ def continuity_report(
 ) -> ContinuityReport:
     """Positional, derivative and tangent-plane agreement along two edges.
 
-    The one-record case of continuity_reports(), which describes the
+    The one-record case of continuity_measures(), which describes the
     measures.  The report carries raw measures; callers apply thresholds
     when turning them into verdicts.
     """
-    return continuity_reports([a, b], [Adjacency(0, edge_a, 1, edge_b)], n)[0]
+    c0, c1, g1 = continuity_measures([a, b], [Adjacency(0, edge_a, 1, edge_b)], n)[0].tolist()
+    return ContinuityReport(c0_max_gap=c0, c1_max_mismatch=c1, g1_max_angle=g1, samples=n + 1)
 
 
-def continuity_reports(
+def continuity_measures(
     patches: Sequence[BezierPatch], records: Sequence[Adjacency], n: int
-) -> list:
-    """A ContinuityReport for every adjacency record, in one array pass.
+) -> np.ndarray:
+    """The (len(records), 3) array of every record's C0 gap, C1 mismatch
+    and G1 angle, in one array pass.
 
     Each record's two edges are sampled at n+1 matched parameter values
     (each edge honours its own orientation flag).  The C0 gap is the
@@ -281,17 +283,6 @@ def continuity_reports(
     normals is the one that tells those cases apart.  Samples where either
     normal is degenerate are skipped for G1.
     """
-    return [
-        ContinuityReport(c0_max_gap=x, c1_max_mismatch=y, g1_max_angle=z, samples=n + 1)
-        for x, y, z in continuity_measures(patches, records, n).tolist()
-    ]
-
-
-def continuity_measures(
-    patches: Sequence[BezierPatch], records: Sequence[Adjacency], n: int
-) -> np.ndarray:
-    """The (len(records), 3) array of every record's C0 gap, C1 mismatch
-    and G1 angle: the fields of its continuity_reports() report."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not records:

@@ -75,7 +75,7 @@ def test_repair_column_summarises_each_input_over_the_runs():
             for s, mb in ((0.003, 0.5), (0.002, 0.49), (0.004, 0.48))]
     assert bench_layers.repair_column(runs) == {"runs": 3, "inputs": {"teapot": {
         "patches": 32, "components": 4, "records": 52,
-        "repair_patches": {"min_ms": 2.0, "median_ms": 3.0},
-        "detect_adjacency": {"min_ms": 0.2, "median_ms": 0.3},
+        "repair_patches": {"min_ms": 2.0, "median_ms": 3.0, "max_ms": 4.0},
+        "detect_adjacency": {"min_ms": 0.2, "median_ms": 0.3, "max_ms": 0.4},
         "tracemalloc_peak_mb": 0.5,
     }}}

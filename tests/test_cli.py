@@ -10,7 +10,7 @@ from smartpatch import constraints
 from smartpatch.cli import _nonfinite_field, main
 from smartpatch.constraints import grid_scale
 from smartpatch.io import dump_patchset, read_newell, read_patchset
-from smartpatch.tessellation import TessPattern, merge_meshes, tessellate
+from smartpatch.tessellation import TessPattern, detect_adjacency, merge_meshes, tessellate
 
 from helpers import (
     bilinear_grid,
@@ -112,6 +112,15 @@ def test_validate_teapot_noncompliant(capsys, teapot_path):
     assert grids_bad == 68
 
 
+def test_validate_reads_its_tolerance(capsys, teapot_path):
+    code, out, _ = run(capsys, "validate", "--in", str(teapot_path), "--tol", "10", "--json")
+    rep = json.loads(out)
+    assert (code, rep["tolerance"], rep["compliant"]) == (0, 10.0, True)
+    assert 7.0 < max(p["max_residual"] for p in rep["patches"]) <= 10.0
+    code, out, _ = run(capsys, "validate", "--in", str(teapot_path))
+    assert code == 1 and out.endswith("0 of 32 patches compliant at tol 1e-09\n")
+
+
 def test_validate_and_repair_read_the_per_grid_residuals(capsys, tmp_path, rng, teapot_path):
     for name, arr in validation_sets(rng, teapot_path).items():
         patches = [BezierPatch(*a) for a in arr]
@@ -158,6 +167,9 @@ def test_validate_hermite_form(capsys, tmp_path, rng):
     assert code == 0
     rep = json.loads(out)
     assert rep["patches"][0]["compliant"] is True
+    code, out, _ = run(capsys, "validate", "--in", str(path), "--form", "hermite")
+    assert code == 0
+    assert out.splitlines() == ["patch   0: ok", "1 of 1 patches compliant at tol 1e-09"]
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -230,6 +242,11 @@ def test_convert_roundtrip_report(capsys, tmp_path, rng):
     rep = json.loads(out)
     assert rep["roundtrip_max_error"] <= 1e-12
     assert (tmp_path / "hermite.json").exists()
+    code, out, _ = run(capsys, "convert", "--in", str(src), "--out", str(dst),
+                       "--direction", "b2h", "--roundtrip")
+    assert code == 0
+    assert out.splitlines() == [f"converted 3 patches (b2h) -> {dst}",
+                                f"roundtrip max error: {rep['roundtrip_max_error']:.3e}"]
 
 
 def test_convert_constant_set(capsys, tmp_path):
@@ -247,6 +264,39 @@ def test_convert_constant_set(capsys, tmp_path):
     assert code == 0
     b = read_patchset(back).patches[0]
     assert np.allclose(b.x, 1.0, atol=1e-14)
+
+
+_OVERFLOW = "error: patch {}: the conversion overflows: grid contains non-finite values\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("direction", ["b2h", "h2b"])
+def test_convert_of_a_grid_that_overflows_is_input_error(capsys, tmp_path, rng, direction):
+    patch = random_patch(rng, -1.0, 1.0)
+    big = BezierPatch(*(1.7e308 / np.max(np.abs(patch.as_array)) * g for g in patch.grids))
+    src = write_set(tmp_path, "big", [random_patch(rng), big])
+    dst = tmp_path / "out.json"
+    code, out, err = run(capsys, "convert", "--in", str(src), "--out", str(dst),
+                         "--direction", direction)
+    assert (code, out, err) == (2, "", _OVERFLOW.format(1))
+    assert not dst.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_convert_roundtrip_that_overflows_is_input_error(capsys, tmp_path):
+    # constant Hermite grids of 1e308 convert to finite Bezier grids, and
+    # converting those back overflows
+    src = write_set(tmp_path, "big", [BezierPatch(*[np.full((4, 4), 1e308)] * 3)])
+    dst = tmp_path / "out.json"
+    argv = ["convert", "--in", str(src), "--out", str(dst), "--direction", "h2b"]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    dst.unlink()
+    code, out, err = run(capsys, *argv, "--roundtrip")
+    assert (code, out, err) == (2, "", _OVERFLOW.format(0))
+    assert not dst.exists()
 
 
 def test_convert_empty_set(capsys, tmp_path):
@@ -375,14 +425,58 @@ def test_continuity_rejects_malformed_adjacency_records(capsys, tmp_path, rng, f
     assert f"adjacency 0: '{field}' must be" in err
 
 
-def test_continuity_needs_adjacency(capsys, bilinear_set):
-    code, _, err = run(capsys, "continuity", "--in", str(bilinear_set))
-    assert code == 2
-    assert "detect" in err
+def _record_fields(pairs):
+    return [(p["a"], p["edge_a"], p["reversed_a"], p["b"], p["edge_b"], p["reversed_b"])
+            for p in pairs]
+
+
+def _adjacency_fields(records):
+    return [(r.a, r.edge_a.side.value, r.edge_a.reversed, r.b, r.edge_b.side.value,
+             r.edge_b.reversed) for r in records]
+
+
+def test_continuity_without_records_measures_the_detected_ones(capsys, bilinear_set, tmp_path,
+                                                               teapot_path):
+    teapot = write_set(tmp_path, "teapot", read_newell(teapot_path).patches)
+    for src, count in ((bilinear_set, 0), (teapot, 52)):
+        code, out, err = run(capsys, "continuity", "--in", str(src), "--json")
+        assert (code, err) == (0, "")
+        records = detect_adjacency(read_patchset(src).patches)
+        assert len(records) == count
+        assert _record_fields(json.loads(out)["pairs"]) == _adjacency_fields(records)
+
+
+def test_continuity_measures_the_records_a_file_gives_even_none(capsys, tmp_path, teapot_path):
+    teapot = read_newell(teapot_path)
+    for records in (detect_adjacency(teapot.patches)[::2], []):
+        src = write_set(tmp_path, "teapot", teapot.patches, records)
+        code, out, _ = run(capsys, "continuity", "--in", str(src), "--json")
+        assert code == 0
+        assert _record_fields(json.loads(out)["pairs"]) == _adjacency_fields(records)
+
+
+def test_continuity_text_report(capsys, teapot_path):
+    code, out, _ = run(capsys, "continuity", "--in", str(teapot_path), "--n", "4")
+    assert code == 0
+    lines = out.splitlines()
+    _, out, _ = run(capsys, "continuity", "--in", str(teapot_path), "--n", "4", "--json")
+    rep = json.loads(out)
+    assert len(lines) == rep["pair_count"] + 1 == 53
+    for line, p in zip(lines, rep["pairs"]):
+        flags = ["*" if p[f"reversed_{s}"] else "" for s in "ab"]
+        assert line == (
+            f"patch {p['a']} {p['edge_a']}{flags[0]} | patch {p['b']} {p['edge_b']}{flags[1]}: "
+            f"C0 {p['c0_max_gap']:.3e}  C1 {p['c1_max_mismatch']:.3e}  "
+            f"G1 {p['g1_max_angle']:.3e} rad"
+        )
+    assert any(p["reversed_b"] for p in rep["pairs"])  # a line with a "*"
+    w = rep["worst"]
+    assert lines[-1] == (f"worst of 52 pairs: C0 {w['c0_max_gap']:.3e}  "
+                         f"C1 {w['c1_max_mismatch']:.3e}  G1 {w['g1_max_angle']:.3e} rad")
 
 
 def test_continuity_teapot_detected(capsys, teapot_path):
-    code, out, _ = run(capsys, "continuity", "--in", str(teapot_path), "--detect", "--json")
+    code, out, _ = run(capsys, "continuity", "--in", str(teapot_path), "--json")
     assert code == 0
     rep = json.loads(out)
     assert rep["pair_count"] == 52  # regression: seams of the shipped teapot
@@ -488,8 +582,8 @@ def test_teapot_report_agrees_with_the_single_commands(capsys, teapot_path, tmp_
     for key in ("max_displacement", "max_corner_displacement", "repair"):
         assert tea[key] == single[key]
     assert (tmp_path / "repaired.json").read_bytes() == repaired.read_bytes()
-    single = report("continuity", "--in", str(src), "--detect", "--n", "4")
-    after = report("continuity", "--in", str(repaired), "--detect", "--n", "4")
+    single = report("continuity", "--in", str(src), "--n", "4")
+    after = report("continuity", "--in", str(repaired), "--n", "4")
     assert tea["shared_edges"] == single["pair_count"]
     records = [{k: p[k] for k in ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")}
                for p in single["pairs"]]
@@ -563,11 +657,26 @@ def test_tol_must_be_finite_and_nonnegative(capsys, teapot_path, tmp_path, tol):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["convert", "--out", "out", "--direction", "b2h"], "--tol 1e-9"),
+    (["tessellate", "--out", "out"], "--tol 1e-9"),
+    (["continuity"], "--detect"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, teapot_path, tmp_path,
+                                                              argv, unread):
+    argv = [str(tmp_path / x) if x == "out" else x for x in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--in", str(teapot_path), *unread.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, n, extra",
     [
         (cmd, n, extra)
-        for cmd, extra in (("teapot", ["--out", "out"]), ("continuity", ["--detect"]))
+        for cmd, extra in (("teapot", ["--out", "out"]), ("continuity", []))
         for n in ("0", "1", "-3")
     ]
     + [("tessellate", n, ["--out", "out", "--merge"]) for n in ("0", "-3")],

@@ -297,6 +297,11 @@ def test_residual_coefficients_match_collapse_oracle(rng):
             assert err <= 1e-12 * grid_scale(g)
 
 
+def test_residuals_of_a_grid_that_is_not_4x4(rng):
+    with pytest.raises(ValueError, match=r"^grid must be 4x4, got \(3, 4\)$"):
+        bs_residuals(rng.uniform(-10, 10, (3, 4)))
+
+
 def test_set_coefficients_are_the_per_grid_residuals(rng, teapot_path):
     lam = build_lambda().lam
     verdicts = 0

@@ -15,6 +15,7 @@ from smartpatch.io import (
     load_newell,
     load_patchset,
     read_newell,
+    read_patchset,
     write_obj,
     write_patchset,
 )
@@ -155,6 +156,56 @@ def test_adjacency_record_flags_are_kept():
     (got,) = load_patchset(json.dumps(doc)).adjacency
     assert (got.a, got.edge_a.reversed, got.b, got.edge_b.reversed) == (0, True, 1, False)
     assert type(got.a) is int and type(got.b) is int
+
+
+_GRID = [[0.0] * 4 for _ in range(4)]
+_PATCH = {"x": _GRID, "y": _GRID, "z": _GRID}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([_PATCH], "top-level JSON value must be an object"),
+    ({"name": "x"}, "document needs a 'patches' list"),
+    ({"patches": {"0": _PATCH}}, "document needs a 'patches' list"),
+    ({"name": 0, "patches": []}, "'name' must be a string"),
+    ({"name": False, "patches": []}, "'name' must be a string"),
+    ({"name": None, "patches": []}, "'name' must be a string"),
+    ({"name": [], "patches": []}, "'name' must be a string"),
+    ({"patches": [[_GRID] * 3]}, "patch 0: must be an object with x/y/z grids"),
+    ({"patches": [_PATCH, dict(_PATCH, y=_GRID[:3] + [[0.0, "1", 0.0, 0.0]])]},
+     "patch 1: grid 'y' has a non-numeric entry"),
+    ({"patches": [dict(_PATCH, z=_GRID[:3] + [[0.0, 0.0, 0.0, True]])]},
+     "patch 0: grid 'z' has a non-numeric entry"),
+    ({"patches": [_PATCH], "adjacency": {"a": 0, "b": 0}}, "'adjacency' must be a list"),
+    ({"patches": [_PATCH] * 2, "adjacency": [[0, 1]]},
+     "adjacency 0: must be an object with 'a' and 'b'"),
+    ({"patches": [_PATCH] * 2, "adjacency": [{"a": 0, "edge_a": "U1", "edge_b": "U0"}]},
+     "adjacency 0: must be an object with 'a' and 'b'"),
+])
+def test_structural_errors_name_what_is_wrong(doc, message):
+    with pytest.raises(PatchFormatError) as exc:
+        load_patchset(json.dumps(doc), name="fallback")
+    assert str(exc.value) == message
+
+
+def test_read_patchset_tells_the_formats_apart_and_names_the_set(tmp_path, teapot_path):
+    teapot = read_newell(teapot_path)
+    doc = json.loads(dump_patchset(teapot))
+    unnamed = {k: v for k, v in doc.items() if k != "name"}
+    for file, text, name in [
+        ("named.json", json.dumps(dict(doc, name="kept")), "kept"),
+        ("unnamed.json", "\n  " + json.dumps(unnamed), "unnamed"),
+        ("blank.json", json.dumps(dict(doc, name="")), "blank"),
+        ("copy.newell", teapot_path.read_text(), "copy"),
+    ]:
+        (tmp_path / file).write_text(text)
+        ps = read_patchset(tmp_path / file)
+        assert ps.name == name
+        assert np.array_equal(np.stack([p.as_array for p in ps.patches]),
+                              np.stack([p.as_array for p in teapot.patches]))
+    # only an object is JSON: any other text is read as Newell
+    (tmp_path / "list.json").write_text(json.dumps([_PATCH]))
+    with pytest.raises(PatchFormatError, match="^line 1: expected patch count"):
+        read_patchset(tmp_path / "list.json")
 
 
 # ---------------------------------------------------------------------------

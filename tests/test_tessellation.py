@@ -12,7 +12,6 @@ from smartpatch import (
     TessPattern,
     collapse_diagonal,
     continuity_report,
-    continuity_reports,
     detect_adjacency,
     eval_patch,
     surface_normal,
@@ -30,6 +29,7 @@ from smartpatch.tessellation import (
     _edge_points,
     _key_codes,
     _neighbour_codes,
+    continuity_measures,
     edge_incidence,
     merge_meshes,
 )
@@ -467,19 +467,19 @@ def test_c0_is_exactly_zero_on_bit_identical_edges(side_a, side_b, rng):
 
 
 def _assert_reports_match(patches, records, n):
-    """continuity_reports against the per-sample loop and the one-record form."""
-    reports = continuity_reports(patches, records, n)
-    assert len(reports) == len(records)
-    for rec, rep in zip(records, reports):
+    """continuity_measures against the per-sample loop and the one-record form."""
+    measures = continuity_measures(patches, records, n)
+    assert measures.shape == (len(records), 3)
+    for rec, row in zip(records, measures):
         a, b = patches[rec.a], patches[rec.b]
         scale = max(1.0, float(np.max(np.abs(a.as_array))), float(np.max(np.abs(b.as_array))))
         one = continuity_report(a, rec.edge_a, b, rec.edge_b, n)
         for want in (loop_continuity(a, rec.edge_a, b, rec.edge_b, n), tuple(one)[:3]):
-            assert abs(rep.c0_max_gap - want[0]) <= 1e-13 * scale
-            assert abs(rep.c1_max_mismatch - want[1]) <= 1e-13 * scale
-            assert abs(rep.g1_max_angle - want[2]) <= 1e-13
-        assert rep.samples == n + 1
-    return reports
+            assert abs(row[0] - want[0]) <= 1e-13 * scale
+            assert abs(row[1] - want[1]) <= 1e-13 * scale
+            assert abs(row[2] - want[2]) <= 1e-13
+        assert one.samples == n + 1
+    return measures
 
 
 def _twin_on(rng, patch, side_a, side_b, flip) -> BezierPatch:
@@ -540,18 +540,18 @@ def test_continuity_reports_match_loop_on_drawn_records(teapot_path, seed, n, pi
     twin = len(patches) - 1
     records += [Adjacency(a, EdgeId(sa, ra), twin, EdgeId(sb, rb)),
                 Adjacency(twin, EdgeId(sb, rb), a, EdgeId(sa, ra))]
-    reports = _assert_reports_match(patches, records, n)
-    assert reports[-2].c0_max_gap == 0.0
-    assert reports[-1].c0_max_gap == 0.0
+    measures = _assert_reports_match(patches, records, n)
+    assert measures[-2, 0] == 0.0
+    assert measures[-1, 0] == 0.0
 
 
 def test_continuity_reports_of_no_records_and_too_few_samples(rng):
     patch = random_patch(rng)
-    assert continuity_reports([patch], [], 4) == []
+    assert continuity_measures([patch], [], 4).shape == (0, 3)
     record = Adjacency(0, EdgeId(EdgeSide.U0), 0, EdgeId(EdgeSide.U1))
     for n in (1, 0, -2):
         with pytest.raises(ValueError, match="n must be >= 2"):
-            continuity_reports([patch], [record], n)
+            continuity_measures([patch], [record], n)
 
 
 def test_edge_incidence_matches_triangle_loop(rng, teapot_path):
