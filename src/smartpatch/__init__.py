@@ -13,7 +13,6 @@ from .constraints import (
     bs_solve,
     build_lambda,
     collapse_diagonal,
-    diagonal_matrix,
     hs_phi,
     hs_validate,
     repair_patches,
@@ -25,11 +24,9 @@ from .patches import (
     BezierPatch,
     DomainError,
     HermitePatch,
-    bezier_basis,
     bezier_to_hermite,
     eval_patch,
     hermite_to_bezier,
-    reparam_T,
 )
 from .tessellation import (
     Adjacency,

@@ -147,15 +147,17 @@ def cmd_validate(args) -> int:
             compliant = all(c["compliant"] for c in coords.values())
             patches_report.append({"compliant": compliant, "coords": coords, "index": k})
     else:
-        coeffs, residual, _, _ = _validation(ps.patches, args.tol)
+        coeffs, residual, noncompliant, _ = _validation(ps.patches, args.tol)
+        noncompliant = set(noncompliant.tolist())
+        worst = residual.max(axis=1).tolist()  # NaN stays NaN, where max() of a list may drop it
         for k, (c, w) in enumerate(zip(coeffs.tolist(), residual.tolist())):
             coords = {
                 name: {"main": cc[:3], "anti": cc[3:], "max_residual": ww}
                 for name, cc, ww in zip("xyz", c, w)
             }
             patches_report.append(
-                {"max_residual": max(w), "compliant": max(w) <= args.tol, "coords": coords,
-                 "index": k}
+                {"max_residual": worst[k], "compliant": k not in noncompliant,
+                 "coords": coords, "index": k}
             )
     bad = [r["index"] for r in patches_report if not r["compliant"]]
     report = {
@@ -403,7 +405,7 @@ def cmd_continuity(args) -> int:
 def cmd_teapot(args) -> int:
     stage = "ingest"
     try:
-        ps = io.read_newell(args.in_path)
+        ps = io.read_patchset(args.in_path)
         out_dir = Path(args.out_path)
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -578,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per edge minus one (default 16)")
     p.set_defaults(func=cmd_continuity)
 
-    p = sub.add_parser("teapot", help="end-to-end pipeline on a Newell-format file")
+    p = sub.add_parser("teapot", help="end-to-end pipeline on a patch set")
     _add_common(p, output=True)
     _add_mesh(p, 2)
     p.set_defaults(func=cmd_teapot)

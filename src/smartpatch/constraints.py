@@ -22,7 +22,6 @@ import numpy as np
 
 from .linalg import RationalMatrix
 from .patches import _BB_ROWS, _T_ROWS, BezierPatch, HermitePatch, as_grid, bezier_patches
-from .patches import bezier_basis, reparam_T
 from .tessellation import _key_codes
 
 DEFAULT_TOL = 1e-9
@@ -109,67 +108,40 @@ def grid_scale(g) -> float:
     return max(1.0, float(np.max(np.abs(np.asarray(g, dtype=float)))))
 
 
-def diagonal_matrix(g, kind: DiagonalKind) -> np.ndarray:
-    """Quadratic-form matrix R of the diagonal curve: x(u) = u^T R u.
+@functools.lru_cache(maxsize=None)
+def _collapse_exact(kind: DiagonalKind) -> RationalMatrix:
+    """Exact 7x16 map from a grid (row-major) to its collapsed diagonal, u^6 first.
 
-    R = Mb^T X Mb for the v=u diagonal; the v=1-u diagonal picks up the
-    1-u substitution matrix on the right.
+    x(u, u) is the sum of g_ij B_i(u) B_j(u), and B_i(u) is row i of Mb times
+    (u^3, u^2, u, 1), so column 4i+j convolves row i of Mb with row j of N:
+    N = Mb, or Mb T on the anti diagonal, where B_j(1-u) stands for B_j(u).
     """
-    g = np.asarray(g, dtype=float)
-    mb = bezier_basis()
-    r = mb.T @ g @ mb
-    if kind is DiagonalKind.ANTI:
-        r = r @ reparam_T()
-    return r
-
-
-def collapse_diagonal(g, kind: DiagonalKind) -> Poly:
-    """Degree-6 polynomial of the diagonal curve of one coordinate grid.
-
-    Coefficient of u^d is the sum of R entries with i+j == 6-d (0-based),
-    i.e. the anti-diagonals of R from the top-left corner down.
-    """
-    r = diagonal_matrix(g, kind)
-    flipped = np.fliplr(r)
-    coeffs = [float(np.trace(flipped, offset=3 - (6 - d))) for d in range(6, -1, -1)]
-    return Poly(coeffs)
+    mb = RationalMatrix._from_ints(_BB_ROWS, 1)
+    n = mb if kind is DiagonalKind.MAIN else mb @ RationalMatrix._from_ints(_T_ROWS, 1)
+    rows = [[0] * 16 for _ in range(7)]
+    for c in range(16):
+        bi, bj = mb.numerators[c // 4], n.numerators[c % 4]
+        for a in range(4):
+            for b in range(4):
+                rows[a + b][c] += bi[a] * bj[b]
+    return RationalMatrix._from_ints(rows, 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _omega_exact(kind: DiagonalKind) -> RationalMatrix:
-    """Exact 16x16 map from grid values (row-major) to R entries (row-major).
-
-    Derived from the basis matrices, never hand-typed: column 4i+j is
-    vec(R(E_ij)), and R(E_ij) = Mb^T E_ij N is the outer product of row i
-    of Mb and row j of N, with N = Mb, or Mb T on the anti diagonal.  So
-    entry (4a+b, 4i+j) is Mb[i][a] * N[j][b].
-    """
-    mb = _BB_ROWS
-    if kind is DiagonalKind.MAIN:
-        n = mb
-    else:
-        n = [[sum(r[q] * _T_ROWS[q][b] for q in range(4)) for b in range(4)] for r in mb]
-    cells = [(i, j) for i in range(4) for j in range(4)]
-    return RationalMatrix([[mb[i][a] * n[j][b] for i, j in cells] for a, b in cells])
+def _collapse_f(kind: DiagonalKind) -> np.ndarray:
+    return _collapse_exact(kind).to_float()
 
 
-# R-entry groups (0-based flat indices into vec(R)) whose sums form the
-# u^6, u^5 and u^4 coefficients of the collapsed diagonal.
-_LEADING_GROUPS = (
-    ((0, 0),),
-    ((0, 1), (1, 0)),
-    ((0, 2), (1, 1), (2, 0)),
-)
+def collapse_diagonal(g, kind: DiagonalKind) -> Poly:
+    """Degree-6 polynomial of the diagonal curve of one coordinate grid: the
+    float copy of the exact collapse map, whose top three rows are lam's."""
+    return Poly(_collapse_f(kind) @ _vec(g))
 
 
-@functools.lru_cache(maxsize=1)
 def _lambda_exact() -> RationalMatrix:
-    rows = []
-    for kind in (DiagonalKind.MAIN, DiagonalKind.ANTI):
-        omega = _omega_exact(kind).numerators  # an integer map: denominator 1
-        for group in _LEADING_GROUPS:
-            rows.append([sum(col) for col in zip(*(omega[4 * a + b] for a, b in group))])
-    return RationalMatrix(rows)
+    """The u^6, u^5 and u^4 rows of the main, then of the anti diagonal's map."""
+    rows = [row for kind in DiagonalKind for row in _collapse_exact(kind).numerators[:3]]
+    return RationalMatrix._from_ints(rows, 1)
 
 
 class ConstraintSystem(NamedTuple):

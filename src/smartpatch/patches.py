@@ -31,17 +31,6 @@ _BB = np.array(_BB_ROWS, dtype=float)
 _BB.flags.writeable = False
 
 
-def bezier_basis() -> np.ndarray:
-    """Coefficient matrix of the cubic Bernstein basis (monomial form)."""
-    return _BB.copy()
-
-
-def reparam_T() -> np.ndarray:
-    """Matrix T with monomials(1-u) == T @ monomials(u)."""
-    out = np.array(_T_ROWS, dtype=float)
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _conversion_matrices_exact():
     # Equating u^T Mb^T Xb Mb v with u^T Mh^T Xh Mh v for all (u,v) gives

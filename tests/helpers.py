@@ -298,8 +298,29 @@ class FractionMatrix:
         return aug.take_cols(range(n, 2 * n))
 
 
+def diagonal_matrix(g, kind: DiagonalKind) -> np.ndarray:
+    """Quadratic-form matrix R of the diagonal curve: x(u) = m(u)^T R m(u)
+    with m(u) = (u^3, u^2, u, 1).
+
+    R = Mb^T X Mb for the v=u diagonal; the v=1-u diagonal picks up the
+    1-u substitution matrix T on the right.
+    """
+    mb = np.array(_BB_ROWS, dtype=float)
+    r = mb.T @ np.asarray(g, dtype=float) @ mb
+    return r @ np.array(_T_ROWS, dtype=float) if kind is DiagonalKind.ANTI else r
+
+
+def collapse_by_traces(g, kind: DiagonalKind) -> np.ndarray:
+    """The collapsed diagonal's seven coefficients, u^6 first, as the sums
+    of R's anti-diagonals: the coefficient of u^(6-k) sums R[a, b] with
+    a + b == k."""
+    flipped = np.fliplr(diagonal_matrix(g, kind))
+    return np.array([np.trace(flipped, offset=3 - k) for k in range(7)])
+
+
 def omega_by_triple_products(kind: DiagonalKind) -> FractionMatrix:
-    """The grid-to-R map of ``_omega_exact``, one basis grid at a time.
+    """The exact 16x16 map from grid values to R entries, both row-major,
+    one basis grid at a time.
 
     Column 4i+j is vec(R(E_ij)) with R(E_ij) = Mb^T E_ij Mb (times T on the
     anti diagonal), computed as a product of Fraction matrices."""

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from smartpatch import BezierPatch, DiagonalKind, PatchSet, bs_residuals, repair_patches
-from smartpatch import constraints
+from smartpatch import cli, constraints
 from smartpatch.cli import _nonfinite_field, main
 from smartpatch.constraints import grid_scale
-from smartpatch.io import dump_patchset, read_newell, read_patchset
+from smartpatch.io import dump_patchset, read_newell, read_patchset, write_patchset
 from smartpatch.tessellation import TessPattern, detect_adjacency, merge_meshes, tessellate
 
 from helpers import (
@@ -597,6 +597,32 @@ def test_teapot_report_agrees_with_the_single_commands(capsys, teapot_path, tmp_
     assert tea["g1_after_max"] > 0.1  # repair creases the surface (ROADMAP item 2)
 
 
+def test_teapot_reads_a_patch_set_json_as_it_reads_the_newell_file(capsys, teapot_path, tmp_path):
+    def teapot(src, out_dir):
+        code, out, err = run(capsys, "teapot", "--in", str(src), "--out", str(out_dir), "--json")
+        assert (code, err) == (0, "")
+        return json.loads(out), {f.name: f.read_bytes() for f in out_dir.iterdir()}
+
+    newell = read_newell(teapot_path)
+    rep, files = teapot(teapot_path, tmp_path / "newell")
+    repaired = read_patchset(tmp_path / "newell" / "teapot_repaired.json").patches
+    assert files["teapot_repaired.json"].decode() == dump_patchset(
+        PatchSet(newell.name, repaired)) + "\n"
+    assert rep["shared_edges"] == 52
+    for records in (None, detect_adjacency(newell.patches)):
+        src = tmp_path / "teapot.json"
+        write_patchset(PatchSet(newell.name, newell.patches, records), src)
+        out_dir = tmp_path / f"json{len(records or ())}"
+        json_rep, json_files = teapot(src, out_dir)
+        outputs = ("teapot.obj", "teapot_repaired.json", "teapot_report.json")
+        assert json_rep == rep | {"outputs": [str(out_dir / f) for f in outputs]}
+        assert json_files["teapot.obj"] == files["teapot.obj"]
+        # the same repaired set, carrying the input's records if it has any
+        assert json_files["teapot_repaired.json"].decode() == dump_patchset(
+            PatchSet(newell.name, repaired, records)) + "\n"
+    assert json_files["teapot_repaired.json"] != files["teapot_repaired.json"]
+
+
 def test_teapot_on_an_empty_newell_file(capsys, tmp_path):
     src = tmp_path / "empty.newell"
     src.write_text("0\n0\n")
@@ -782,6 +808,25 @@ def test_a_report_holding_a_nonfinite_number_is_not_written(capsys, tmp_path, rn
     assert code == 3 and "max residual after nan" in out
     # teapot's report file is JSON in either mode
     code, out, err = run(capsys, "teapot", "--in", str(newell), "--out", str(tmp_path / "t"))
+    assert (code, out) == (4, "") and "which JSON cannot hold" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("coord", range(3))
+def test_validate_calls_a_patch_with_a_nan_residual_noncompliant(capsys, tmp_path, coord):
+    grids = [np.zeros((4, 4))] * 3
+    grids[coord] = np.full((4, 4), 1.7e308)  # its diagonal coefficients overflow to inf - inf
+    patch = BezierPatch(*grids)
+    src = write_set(tmp_path, "nan", [patch])
+    residual = cli._validation([patch], constraints.DEFAULT_TOL)[1]
+    assert np.isnan(residual[0, coord]) and not np.isnan(np.delete(residual[0], coord)).any()
+    code, out, _ = run(capsys, "validate", "--in", str(src))
+    assert code == 1
+    assert out.splitlines() == [
+        "patch   0: max residual nan  NONCOMPLIANT", "0 of 1 patches compliant at tol 1e-09"
+    ]
+    code, out, err = run(capsys, "validate", "--in", str(src), "--json")
     assert (code, out) == (4, "") and "which JSON cannot hold" in err
 
 

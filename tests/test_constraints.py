@@ -18,7 +18,6 @@ from smartpatch import (
     bs_solve,
     build_lambda,
     collapse_diagonal,
-    diagonal_matrix,
     eval_patch,
     hermite_to_bezier,
     hs_phi,
@@ -35,8 +34,8 @@ from smartpatch.constraints import (
     RepairError,
     _certify,
     _diagonal_coefficients,
+    _collapse_exact,
     _level_sets,
-    _omega_exact,
     grid_scale,
 )
 from smartpatch.linalg import RationalMatrix
@@ -47,7 +46,9 @@ from helpers import (
     CORNER_SLOTS,
     NONCORNER_SLOTS,
     bilinear_grid,
+    collapse_by_traces,
     dense_repair_patches,
+    diagonal_matrix,
     height_field_patches,
     hs_alpha_beta,
     hs_consistent_grid,
@@ -120,6 +121,7 @@ def test_diagonal_matrix_single_inner_entry():
     g[1, 1] = 1.0
     r = diagonal_matrix(g, DiagonalKind.MAIN)
     assert r[0, 0] == pytest.approx(9.0, abs=1e-14)  # 3*3 from the basis column
+    assert _collapse_exact(DiagonalKind.MAIN)[0, 5] == 9  # the u^6 entry of x11's column
 
 
 def test_constant_grid_collapses_to_constant():
@@ -181,11 +183,11 @@ def test_collapse_is_linear_in_grid_scaling(g, s):
 def test_omega_matches_reference_tables():
     for kind, reference in ((DiagonalKind.MAIN, OMEGA_MAIN_REFERENCE),
                             (DiagonalKind.ANTI, OMEGA_ANTI_REFERENCE)):
-        assert np.array_equal(_omega_exact(kind).to_float(), np.array(reference, float))
+        assert omega_by_triple_products(kind).data == tuple(map(tuple, reference))
 
 
 def test_omega_named_rows():
-    omega = _omega_exact(DiagonalKind.MAIN).to_float()
+    omega = np.array(omega_by_triple_products(DiagonalKind.MAIN).data, dtype=float)
     r42 = omega[4 * 3 + 1]  # row of R entry (4,2) in 1-based speak
     expect = np.zeros(16)
     expect[0], expect[1], expect[2] = 3, -6, 3
@@ -198,7 +200,7 @@ def test_omega_named_rows():
 
 def test_omega_reproduces_diagonal_matrix(rng):
     for kind in DiagonalKind:
-        omega = _omega_exact(kind).to_float()
+        omega = np.array(omega_by_triple_products(kind).data, dtype=float)
         for _ in range(25):
             g = rng.uniform(-10, 10, (4, 4))
             via_omega = (omega @ g.reshape(-1)).reshape(4, 4)
@@ -217,13 +219,22 @@ def test_omega_reproduces_diagonal_matrix_exactly():
         if kind is DiagonalKind.ANTI:
             r = r @ t
         xi = RationalMatrix.column([g[i, j] for i in range(4) for j in range(4)])
-        rho = _omega_exact(kind) @ xi
+        rho = RationalMatrix(omega_by_triple_products(kind).data) @ xi
         assert all(rho[4 * a + b, 0] == r[a, b] for a in range(4) for b in range(4))
 
 
-def test_closed_form_omega_matches_the_triple_products():
+def test_closed_form_collapse_map_matches_the_triple_products():
+    # row k of the collapse map sums the R entries (a, b) with a + b == k
     for kind in DiagonalKind:
-        assert _omega_exact(kind).data == omega_by_triple_products(kind).data
+        omega = omega_by_triple_products(kind)
+        sums = [
+            [sum(omega[4 * a + (k - a), c] for a in range(max(0, k - 3), min(k, 3) + 1))
+             for c in range(16)]
+            for k in range(7)
+        ]
+        collapse = _collapse_exact(kind)
+        assert (collapse.rows, collapse.cols, collapse.denominator) == (7, 16, 1)
+        assert collapse.data == tuple(map(tuple, sums))
 
 
 def test_lambda_matches_reference():
@@ -246,8 +257,8 @@ def test_lambda_rank_and_nullity():
 
 def test_lambda_rows_split_by_diagonal():
     # first three rows are the v=u conditions, last three the v=1-u ones
-    omega_main = _omega_exact(DiagonalKind.MAIN).to_float()
-    omega_anti = _omega_exact(DiagonalKind.ANTI).to_float()
+    omega_main = np.array(omega_by_triple_products(DiagonalKind.MAIN).data, dtype=float)
+    omega_anti = np.array(omega_by_triple_products(DiagonalKind.ANTI).data, dtype=float)
     lam = build_lambda().lam
     assert np.array_equal(lam[0], omega_main[0])
     assert np.array_equal(lam[1], omega_main[1] + omega_main[4])
@@ -292,8 +303,11 @@ def test_residual_coefficients_match_collapse_oracle(rng):
         rep = bs_residuals(g)
         for kind in DiagonalKind:
             d = rep.per_diagonal[kind]
-            expect = collapse_diagonal(g, kind).coeffs[:3]
-            err = np.max(np.abs(np.subtract((d.a6, d.a5, d.a4), expect)))
+            expect = collapse_by_traces(g, kind)
+            err = np.max(np.abs(np.subtract((d.a6, d.a5, d.a4), expect[:3])))
+            assert err <= 1e-12 * grid_scale(g)
+            # all seven, the rows below lam's included
+            err = np.max(np.abs(np.subtract(collapse_diagonal(g, kind).coeffs, expect)))
             assert err <= 1e-12 * grid_scale(g)
 
 

@@ -8,20 +8,18 @@ from smartpatch import (
     BezierPatch,
     DomainError,
     HermitePatch,
-    bezier_basis,
     bezier_to_hermite,
     eval_patch,
     hermite_to_bezier,
-    reparam_T,
 )
-from smartpatch.patches import as_grid, bezier_patches, eval_patch_partials
+from smartpatch.patches import _BB_ROWS, _T_ROWS, as_grid, bezier_patches, eval_patch_partials
 from smartpatch.tessellation import surface_normal
 
 from helpers import bilinear_grid, de_casteljau, eval_curve, random_patch
 
 
 def test_bezier_basis_rows():
-    mb = bezier_basis()
+    mb = np.array(_BB_ROWS)
     assert np.array_equal(mb[0], [-1, 3, -3, 1])
     assert np.array_equal(mb[1], [3, -6, 3, 0])
     assert np.array_equal(mb[2], [-3, 3, 0, 0])
@@ -30,17 +28,17 @@ def test_bezier_basis_rows():
 
 def test_bezier_basis_column_sums():
     # partition of unity pairs with the constant monomial only
-    assert np.array_equal(bezier_basis().sum(axis=0), [0, 0, 0, 1])
+    assert np.array_equal(np.array(_BB_ROWS).sum(axis=0), [0, 0, 0, 1])
 
 
 def test_reparam_endpoint_swap():
-    t = reparam_T()
+    t = np.array(_T_ROWS, dtype=float)
     assert np.array_equal(t @ np.array([1.0, 1.0, 1.0, 1.0]), [0, 0, 0, 1])
     assert np.array_equal(t @ np.array([0.0, 0.0, 0.0, 1.0]), [1, 1, 1, 1])
 
 
 def test_reparam_is_involution():
-    t = reparam_T()
+    t = np.array(_T_ROWS, dtype=float)
     assert np.array_equal(t @ t, np.eye(4))
 
 
