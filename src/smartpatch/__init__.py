@@ -4,7 +4,6 @@ from .constraints import (
     ConstraintReport,
     ConstraintSystem,
     DiagonalKind,
-    HsReport,
     Poly,
     bs_free_cells,
     bs_inner_identity,
@@ -13,8 +12,6 @@ from .constraints import (
     bs_solve,
     build_lambda,
     collapse_diagonal,
-    hs_phi,
-    hs_validate,
     repair_patches,
     resolve_inner_identity,
 )

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import constraints, io, tessellation
 from .constraints import DerivationError, RepairError
-from .patches import BezierPatch, DomainError, HermitePatch, bezier_to_hermite, hermite_to_bezier
+from .patches import DomainError, _convert, _patch_array, bezier_patches
 
 EXIT_OK = 0
 EXIT_NONCOMPLIANT = 1
@@ -125,13 +125,14 @@ def cmd_lambda(args) -> int:
 # validate
 
 
-def _validation(patches, tol: float):
-    """Validation stage, in one pass over the set: each patch's six diagonal
-    coefficients per coordinate (patches, 3, 6) and their largest magnitude
-    relative to the grid's scale (patches, 3), the indices of the
-    noncompliant patches and the worst residual (0.0 for no patches)."""
-    flat = np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
-    coeffs, scale = constraints._diagonal_coefficients(flat.reshape(len(patches), 3, 16))
+def _validation(arr: np.ndarray, tol: float):
+    """Validation stage, in one pass over an (N, 3, 4, 4) Bezier-form array:
+    each patch's six diagonal coefficients per coordinate (N, 3, 6) and
+    their largest magnitude relative to the grid's scale (N, 3), the indices
+    of the noncompliant patches and the worst residual (0.0 for no
+    patches).  A grid holding inf or nan has a nan residual: every value
+    enters the main diagonal's a6 with a nonzero weight."""
+    coeffs, scale = constraints._diagonal_coefficients(arr.reshape(len(arr), 3, 16))
     residual = np.max(np.abs(coeffs), axis=-1) / scale
     bad = np.flatnonzero(~(residual.max(axis=1) <= tol))
     return coeffs, residual, bad, float(residual.max(initial=0.0))
@@ -139,27 +140,23 @@ def _validation(patches, tol: float):
 
 def cmd_validate(args) -> int:
     ps = io.read_patchset(args.in_path)
+    arr = _patch_array(ps.patches)
+    if args.form == "hermite":  # decided on the Bezier form, relative to its scale
+        arr = _convert(arr, "h2b")
+    coeffs, residual, bad, _ = _validation(arr, args.tol)
+    bad = bad.tolist()
+    noncompliant = set(bad)
+    worst = residual.max(axis=1).tolist()  # NaN stays NaN, where max() of a list may drop it
     patches_report = []
-    if args.form == "hermite":
-        for k, p in enumerate(ps.patches):
-            hs = constraints.hs_validate(HermitePatch(*p.grids), args.tol)
-            coords = {name: rep._asdict() for name, rep in hs.items()}
-            compliant = all(c["compliant"] for c in coords.values())
-            patches_report.append({"compliant": compliant, "coords": coords, "index": k})
-    else:
-        coeffs, residual, noncompliant, _ = _validation(ps.patches, args.tol)
-        noncompliant = set(noncompliant.tolist())
-        worst = residual.max(axis=1).tolist()  # NaN stays NaN, where max() of a list may drop it
-        for k, (c, w) in enumerate(zip(coeffs.tolist(), residual.tolist())):
-            coords = {
-                name: {"main": cc[:3], "anti": cc[3:], "max_residual": ww}
-                for name, cc, ww in zip("xyz", c, w)
-            }
-            patches_report.append(
-                {"max_residual": worst[k], "compliant": k not in noncompliant,
-                 "coords": coords, "index": k}
-            )
-    bad = [r["index"] for r in patches_report if not r["compliant"]]
+    for k, (c, w) in enumerate(zip(coeffs.tolist(), residual.tolist())):
+        coords = {
+            name: {"main": cc[:3], "anti": cc[3:], "max_residual": ww}
+            for name, cc, ww in zip("xyz", c, w)
+        }
+        patches_report.append(
+            {"max_residual": worst[k], "compliant": k not in noncompliant,
+             "coords": coords, "index": k}
+        )
     report = {
         "command": "validate",
         "name": ps.name,
@@ -174,10 +171,7 @@ def cmd_validate(args) -> int:
     def render(rep):
         for r in rep["patches"]:
             verdict = "ok" if r["compliant"] else "NONCOMPLIANT"
-            if "max_residual" in r:
-                yield f"patch {r['index']:3d}: max residual {r['max_residual']:.3e}  {verdict}"
-            else:
-                yield f"patch {r['index']:3d}: {verdict}"
+            yield f"patch {r['index']:3d}: max residual {r['max_residual']:.3e}  {verdict}"
         yield (
             f"{rep['patch_count'] - len(rep['noncompliant_patches'])} of "
             f"{rep['patch_count']} patches compliant at tol {rep['tolerance']:g}"
@@ -206,7 +200,7 @@ def _repair(patches, tol: float):
     system statistics as a dict, and the validation of the repaired set."""
     result = constraints.repair_patches(patches)
     corner = max((s.corner_displacement for s in result.per_patch), default=0.0)
-    return result, corner, result.system._asdict(), _validation(result.patches, tol)
+    return result, corner, result.system._asdict(), _validation(_patch_array(result.patches), tol)
 
 
 def cmd_repair(args) -> int:
@@ -250,21 +244,17 @@ def cmd_repair(args) -> int:
 
 def cmd_convert(args) -> int:
     ps = io.read_patchset(args.in_path)
-    forward, backward = bezier_to_hermite, hermite_to_bezier
-    if args.direction == "h2b":
-        forward, backward = backward, forward
-    converted = []
-    roundtrip_err = 0.0
-    for k, p in enumerate(ps.patches):
-        try:  # a grid near the end of the float range converts to inf or nan
-            out = forward(p if args.direction == "b2h" else HermitePatch(*p.grids))
-            if args.roundtrip:
-                for a, b in zip(p.grids, backward(out).grids):
-                    roundtrip_err = max(roundtrip_err, float(np.max(np.abs(a - b))))
-        except ValueError as e:
-            raise io.PatchFormatError(f"patch {k}: the conversion overflows: {e}") from None
-        converted.append(BezierPatch(*out.grids))
-    io.write_patchset(io.PatchSet(name=ps.name, patches=converted), args.out_path)
+    arr = _patch_array(ps.patches)
+    out = _convert(arr, args.direction)
+    finite = np.isfinite(out).all(axis=(1, 2, 3))
+    if args.roundtrip:
+        back = _convert(out, "h2b" if args.direction == "b2h" else "b2h")
+        finite &= np.isfinite(back).all(axis=(1, 2, 3))
+    if not finite.all():  # a grid near the end of the float range converts to inf or nan
+        raise io.PatchFormatError(
+            f"patch {np.argmin(finite)}: the conversion overflows: grid contains non-finite values"
+        )
+    io.write_patchset(io.PatchSet(name=ps.name, patches=bezier_patches(out)), args.out_path)
     report = {
         "command": "convert",
         "direction": args.direction,
@@ -272,7 +262,7 @@ def cmd_convert(args) -> int:
         "output": str(args.out_path),
     }
     if args.roundtrip:
-        report["roundtrip_max_error"] = roundtrip_err
+        report["roundtrip_max_error"] = float(np.max(np.abs(arr - back), initial=0.0))
 
     def render(rep):
         yield f"converted {rep['patch_count']} patches ({rep['direction']}) -> {rep['output']}"
@@ -410,7 +400,7 @@ def cmd_teapot(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         stage = "validate"
-        *_, bad_before, worst_before = _validation(ps.patches, args.tol)
+        *_, bad_before, worst_before = _validation(_patch_array(ps.patches), args.tol)
 
         stage = "adjacency"
         records = _records(ps, args.tol)

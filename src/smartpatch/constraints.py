@@ -6,9 +6,8 @@ to stay cubic imposes linear conditions on the 16 control values of each
 coordinate grid.  This module derives those conditions symbolically from
 the basis matrices, certifies the rank of the resulting 6x16 system
 exactly, and builds solving, projection, validation and reporting on top
-of it.  A matching set of checks for the Hermite form (corner phi, twist
-sums, the tangent condition and the alpha/beta twist parameters) lives
-here as well.
+of it.  A Hermite-form grid is checked on its Bezier form
+(``patches._convert``), against the same certified matrix.
 """
 
 from __future__ import annotations
@@ -16,16 +15,15 @@ from __future__ import annotations
 import functools
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import _BB_ROWS, _T_ROWS, BezierPatch, HermitePatch, as_grid, bezier_patches
+from .patches import _BB_ROWS, _T_ROWS, BezierPatch, as_grid, bezier_patches
 from .tessellation import _key_codes
 
 DEFAULT_TOL = 1e-9
-PHI_DEGENERACY_TOL = 1e-12
 
 
 class DerivationError(RuntimeError):
@@ -270,7 +268,7 @@ class DiagonalResiduals(NamedTuple):
 
     @property
     def max_rel(self) -> float:
-        return max(self.rel)
+        return float(np.max(self.rel))  # nan when one is nan, where max() may drop it
 
 
 class ConstraintReport(NamedTuple):
@@ -313,14 +311,15 @@ def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     coefficients that validation reads.
     """
     coeffs, scale = _diagonal_coefficients(_vec(g))
-    coeffs, scale = coeffs.tolist(), float(scale)
-    per = {}
-    for kind, (a6, a5, a4) in zip(DiagonalKind, (coeffs[:3], coeffs[3:])):
-        rel = tuple(abs(c) / scale for c in (a6, a5, a4))
-        per[kind] = DiagonalResiduals(a6=a6, a5=a5, a4=a4, rel=rel)
-    worst = max(d.max_rel for d in per.values())
+    values = coeffs.tolist()
+    rel = np.abs(coeffs, out=coeffs)
+    rel /= scale
+    worst = float(rel.max())  # nan when one is nan, where max() of a list may drop it
+    rel = rel.tolist()
+    main, anti = (DiagonalResiduals(*values[k : k + 3], rel=tuple(rel[k : k + 3])) for k in (0, 3))
     return ConstraintReport(
-        per_diagonal=per, max_residual=worst, compliant=worst <= tol, tolerance_used=tol
+        per_diagonal={DiagonalKind.MAIN: main, DiagonalKind.ANTI: anti},
+        max_residual=worst, compliant=worst <= tol, tolerance_used=tol,
     )
 
 
@@ -405,57 +404,6 @@ def resolve_inner_identity() -> InnerIdentityResolution:
         minus_variant_holds=holds(-1),
         corner_coefficient=ninth,
     )
-
-
-# ---------------------------------------------------------------------------
-# Hermite-form conditions
-
-
-def hs_phi(h_grid) -> float:
-    """Corner combination h11 - h12 - h21 + h22 of a Hermite-layout grid."""
-    h = np.asarray(h_grid, dtype=float)
-    return float(h[0, 0] - h[0, 1] - h[1, 0] + h[1, 1])
-
-
-class HsReport(NamedTuple):
-    """Residuals of the Hermite-form smoothness conditions for one grid."""
-
-    phi: float
-    twist_sum_residuals: tuple  # (h33 + h44 - 2 phi, h34 + h43 - 2 phi)
-    tangent_residual: float     # tangent combination + 4 phi
-    alpha: Optional[float]
-    beta: Optional[float]
-    degenerate_phi: bool
-    compliant: bool
-
-
-def _hs_report(h: np.ndarray, tol: float) -> HsReport:
-    scale = grid_scale(h)
-    phi = hs_phi(h)
-    twist1 = float(h[2, 2] + h[3, 3] - 2.0 * phi)
-    twist2 = float(h[2, 3] + h[3, 2] - 2.0 * phi)
-    # a couples the v-tangents at (0,1)/(1,1) with the u-tangents at u=1;
-    # b does the same for the v-tangents at (0,0)/(1,0); c is the pure
-    # u-tangent combination entering the third twist equation.
-    a = float(h[0, 3] - h[1, 3] + h[3, 0] - h[3, 1])
-    b = float(h[0, 2] - h[1, 2] + h[3, 0] - h[3, 1])
-    c = float(h[2, 0] - h[2, 1] - h[3, 0] + h[3, 1])
-    tangent = a + b + c + 4.0 * phi
-    degenerate = abs(phi) <= PHI_DEGENERACY_TOL * scale
-    return HsReport(
-        phi=phi,
-        twist_sum_residuals=(twist1, twist2),
-        tangent_residual=tangent,
-        alpha=None if degenerate else -(a + phi) / (2.0 * phi),
-        beta=None if degenerate else -(b + phi) / (2.0 * phi),
-        degenerate_phi=degenerate,
-        compliant=max(abs(twist1), abs(twist2), abs(tangent)) <= tol * scale,
-    )
-
-
-def hs_validate(h: HermitePatch, tol: float = DEFAULT_TOL) -> dict:
-    """Per-coordinate Hermite-form reports, keyed 'x', 'y', 'z'."""
-    return {name: _hs_report(g, tol) for name, g in zip("xyz", h.grids)}
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,11 @@ def bezier_patches(points) -> list:
     return out
 
 
+def _patch_array(patches) -> np.ndarray:
+    """The (N, 3, 4, 4) control values of a patch list (bezier_patches' inverse)."""
+    return np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
+
+
 class HermitePatch(_PatchGrids):
     """Bicubic Hermite patch, grids in corner/tangent/twist block layout.
 
@@ -183,13 +188,21 @@ def eval_patch_partials(patch: BezierPatch, u: float, v: float):
     return a @ wv @ wu, a @ wv @ du, a @ dv @ wu
 
 
+def _convert(arr, direction: str) -> np.ndarray:
+    """The grids of an (..., 4, 4) array (or a sequence of 4x4 grids)
+    converted b2h (Bezier to Hermite) or h2b, as one stacked congruence
+    m^T X m.  A grid near the end of the float range converts to inf or
+    nan; the caller checks."""
+    c, d = _conversion_matrices()
+    m = d if direction == "b2h" else c
+    return m.T @ arr @ m
+
+
 def hermite_to_bezier(h: HermitePatch) -> BezierPatch:
     """Convert corner/tangent/twist grids to Bezier control grids."""
-    c, _ = _conversion_matrices()
-    return BezierPatch(*(c.T @ g @ c for g in h.grids))
+    return BezierPatch(*_convert(h.grids, "h2b"))
 
 
 def bezier_to_hermite(b: BezierPatch) -> HermitePatch:
     """Convert Bezier control grids to corner/tangent/twist grids."""
-    _, d = _conversion_matrices()
-    return HermitePatch(*(d.T @ g @ d for g in b.grids))
+    return HermitePatch(*_convert(b.grids, "b2h"))

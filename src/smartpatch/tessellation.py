@@ -11,6 +11,7 @@ import numpy as np
 
 from .patches import (
     BezierPatch,
+    _patch_array,
     bernstein_dweights_many,
     bernstein_weights_many,
     eval_patch_partials,
@@ -135,7 +136,7 @@ def tessellate_set(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    arr = np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
+    arr = _patch_array(patches)
     per_patch = (n + 1) ** 2
     ts = np.linspace(0.0, 1.0, n + 1)
     w = bernstein_weights_many(ts)  # (n+1, 4)

@@ -9,11 +9,9 @@ import numpy as np
 from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve
 from smartpatch import constraints
 from smartpatch.constraints import (
-    DEFAULT_TOL,
     DiagonalKind,
     PatchRepairStats,
     RepairResult,
-    _hs_report,
     grid_scale,
 )
 from smartpatch.io import PatchFormatError, PatchSet, read_newell
@@ -79,6 +77,12 @@ def random_compliant_patch(rng, lo=-10.0, hi=10.0) -> BezierPatch:
     return BezierPatch(*(random_compliant_grid(rng, lo, hi) for _ in range(3)))
 
 
+def hs_phi(h_grid) -> float:
+    """Corner combination h11 - h12 - h21 + h22 of a Hermite-layout grid."""
+    h = np.asarray(h_grid, dtype=float)
+    return float(h[0, 0] - h[0, 1] - h[1, 0] + h[1, 1])
+
+
 def hs_twists(phi: float, alpha: float, beta: float):
     """Twist block (h33, h34, h43, h44) from phi and the two twist weights."""
     return (
@@ -110,10 +114,21 @@ def hs_consistent_grid(rng, lo=-10.0, hi=10.0) -> np.ndarray:
 
 
 def hs_alpha_beta(h_grid):
-    """Twist weights (alpha, beta) of a Hermite-layout grid's report, or None
-    where phi is degenerate and the weights are undetermined."""
-    rep = _hs_report(np.asarray(h_grid, dtype=float), DEFAULT_TOL)
-    return None if rep.degenerate_phi else (rep.alpha, rep.beta)
+    """Twist weights (alpha, beta) of a Hermite-layout grid, or None where
+    |phi| <= 1e-12 times the grid's scale and the weights are undetermined.
+
+    a couples the v-tangents at (0,1)/(1,1) with the u-tangents at u=1, b
+    does the same for the v-tangents at (0,0)/(1,0); a compliant grid has
+    h44 = -(a + phi) and h43 = -(b + phi), with h44 = 2 phi alpha and
+    h43 = 2 phi beta (see hs_twists).
+    """
+    h = np.asarray(h_grid, dtype=float)
+    phi = hs_phi(h)
+    if abs(phi) <= 1e-12 * grid_scale(h):
+        return None
+    a = float(h[0, 3] - h[1, 3] + h[3, 0] - h[3, 1])
+    b = float(h[0, 2] - h[1, 2] + h[3, 0] - h[3, 1])
+    return -(a + phi) / (2.0 * phi), -(b + phi) / (2.0 * phi)
 
 
 def rank_deficient_patch(rng) -> BezierPatch:

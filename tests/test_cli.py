@@ -1,19 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smartpatch import BezierPatch, DiagonalKind, PatchSet, bs_residuals, repair_patches
 from smartpatch import cli, constraints
 from smartpatch.cli import _nonfinite_field, main
 from smartpatch.constraints import grid_scale
 from smartpatch.io import dump_patchset, read_newell, read_patchset, write_patchset
+from smartpatch.patches import _conversion_matrices, _convert
 from smartpatch.tessellation import TessPattern, detect_adjacency, merge_meshes, tessellate
 
 from helpers import (
     bilinear_grid,
+    hs_consistent_grid,
     loop_export_obj,
     newell_text,
     patchset_json,
@@ -159,17 +165,61 @@ def test_validate_empty_set(capsys, tmp_path):
 
 
 def test_validate_hermite_form(capsys, tmp_path, rng):
-    from helpers import hs_consistent_grid
-
     patches = [BezierPatch(*(hs_consistent_grid(rng) for _ in range(3)))]
     path = write_set(tmp_path, "hs", patches)
     code, out, _ = run(capsys, "validate", "--in", str(path), "--form", "hermite", "--json")
     assert code == 0
     rep = json.loads(out)
-    assert rep["patches"][0]["compliant"] is True
+    assert rep["form"] == "hermite" and rep["patches"][0]["compliant"] is True
+    worst = rep["patches"][0]["max_residual"]
+    assert worst <= 1e-12
     code, out, _ = run(capsys, "validate", "--in", str(path), "--form", "hermite")
     assert code == 0
-    assert out.splitlines() == ["patch   0: ok", "1 of 1 patches compliant at tol 1e-09"]
+    assert out.splitlines() == [f"patch   0: max residual {worst:.3e}  ok",
+                                "1 of 1 patches compliant at tol 1e-09"]
+
+
+def quiet_main(*argv):
+    """(exit code, stdout) of one command, without a function-scoped fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(source=st.one_of(st.just("teapot"), st.integers(0, 4)),
+       seed=st.integers(0, 2**32 - 1),
+       noise=st.sampled_from([0.0, 1e-13, 1e-10, 1e-8, 1.0]))
+@example(source="teapot", seed=0, noise=0.0)
+@example(source=3, seed=0, noise=0.0)
+def test_validate_hermite_is_validate_of_the_h2b_conversion(tmp_path_factory, teapot_path,
+                                                            source, seed, noise):
+    """`validate --form hermite` gives the verdicts, exit code and per-patch
+    residuals that `validate` gives on the file's `convert --direction h2b`
+    output: consistent Hermite sets at several magnitudes, perturbed copies
+    of them, and the teapot read as Hermite grids."""
+    tmp = tmp_path_factory.mktemp("forms")
+    if source == "teapot":
+        src = teapot_path
+    else:
+        rng = np.random.default_rng(seed)
+        grids = []
+        for _ in range(3 * source):
+            g = hs_consistent_grid(rng) * 10.0 ** rng.integers(-3, 4)
+            grids.append(g + noise * rng.normal(size=(4, 4)) * grid_scale(g))
+        src = write_set(tmp, "hs", [BezierPatch(*grids[k : k + 3])
+                                    for k in range(0, len(grids), 3)])
+    dst = tmp / "bezier.json"
+    assert quiet_main("convert", "--in", str(src), "--out", str(dst), "--direction", "h2b")[0] == 0
+    for extra in ([], ["--json"], ["--tol", "1e-6", "--json"]):
+        code, out = quiet_main("validate", "--in", str(src), "--form", "hermite", *extra)
+        want_code, want = quiet_main("validate", "--in", str(dst), *extra)
+        assert code == want_code
+        if extra:  # the reports differ in the form they name, and only there
+            out, want = json.loads(out), json.loads(want)
+            assert (out.pop("form"), want.pop("form")) == ("hermite", "bezier")
+        assert out == want
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -297,6 +347,29 @@ def test_convert_roundtrip_that_overflows_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, *argv, "--roundtrip")
     assert (code, out, err) == (2, "", _OVERFLOW.format(0))
     assert not dst.exists()
+
+
+@pytest.mark.parametrize("roundtrip", [False, True])
+@pytest.mark.parametrize("direction", ["b2h", "h2b"])
+def test_convert_writes_the_per_patch_conversion(capsys, tmp_path, teapot_path, direction,
+                                                 roundtrip):
+    """The stacked conversion writes the bytes that converting each grid on
+    its own and write_patchset write, and reports their round-trip error."""
+    c, d = _conversion_matrices()
+    forward, backward = (d, c) if direction == "b2h" else (c, d)
+    teapot = read_newell(teapot_path)
+    grids = [[forward.T @ g @ forward for g in p.grids] for p in teapot.patches]
+    want = tmp_path / "want.json"
+    write_patchset(PatchSet(teapot.name, [BezierPatch(*gs) for gs in grids]), want)
+    dst = tmp_path / "out.json"
+    argv = ["convert", "--in", str(teapot_path), "--out", str(dst), "--direction", direction]
+    code, out, err = run(capsys, *argv, *(["--roundtrip", "--json"] if roundtrip else []))
+    assert (code, err) == (0, "")
+    assert dst.read_bytes() == want.read_bytes()
+    if roundtrip:
+        worst = max(float(np.max(np.abs(g - backward.T @ h @ backward)))
+                    for p, gs in zip(teapot.patches, grids) for g, h in zip(p.grids, gs))
+        assert json.loads(out)["roundtrip_max_error"] == worst
 
 
 def test_convert_empty_set(capsys, tmp_path):
@@ -811,22 +884,37 @@ def test_a_report_holding_a_nonfinite_number_is_not_written(capsys, tmp_path, rn
     assert (code, out) == (4, "") and "which JSON cannot hold" in err
 
 
+_FULL = np.full((4, 4), 1.7e308)  # its diagonal coefficients overflow to inf - inf
+# A Hermite grid whose Bezier form is finite, and whose coefficients
+# overflow to inf - inf all the same: h11 = h33 = h34 = h43 = h44 = 6e307,
+# h14 = h41 = -1.7e308.
+_FOUND = np.zeros((4, 4))
+_FOUND[0, 0] = _FOUND[2, 2] = _FOUND[2, 3] = _FOUND[3, 2] = _FOUND[3, 3] = 6e307
+_FOUND[0, 3] = _FOUND[3, 0] = -1.7e308
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("coord", range(3))
-def test_validate_calls_a_patch_with_a_nan_residual_noncompliant(capsys, tmp_path, coord):
+@pytest.mark.parametrize("form, coord, grid", [
+    *(pytest.param("bezier", c, _FULL, id=str(c)) for c in range(3)),  # the default form
+    *(pytest.param("hermite", c, _FULL, id=f"hermite-{c}") for c in range(3)),
+    pytest.param("hermite", 1, _FOUND, id="hermite-found"),
+])
+def test_validate_calls_a_patch_with_a_nan_residual_noncompliant(capsys, tmp_path, form, coord,
+                                                                 grid):
     grids = [np.zeros((4, 4))] * 3
-    grids[coord] = np.full((4, 4), 1.7e308)  # its diagonal coefficients overflow to inf - inf
+    grids[coord] = grid
     patch = BezierPatch(*grids)
     src = write_set(tmp_path, "nan", [patch])
-    residual = cli._validation([patch], constraints.DEFAULT_TOL)[1]
+    arr = patch.as_array[None] if form == "bezier" else _convert(patch.as_array[None], "h2b")
+    residual = cli._validation(arr, constraints.DEFAULT_TOL)[1]
     assert np.isnan(residual[0, coord]) and not np.isnan(np.delete(residual[0], coord)).any()
-    code, out, _ = run(capsys, "validate", "--in", str(src))
+    code, out, _ = run(capsys, "validate", "--in", str(src), "--form", form)
     assert code == 1
     assert out.splitlines() == [
         "patch   0: max residual nan  NONCOMPLIANT", "0 of 1 patches compliant at tol 1e-09"
     ]
-    code, out, err = run(capsys, "validate", "--in", str(src), "--json")
+    code, out, err = run(capsys, "validate", "--in", str(src), "--form", form, "--json")
     assert (code, out) == (4, "") and "which JSON cannot hold" in err
 
 

@@ -20,8 +20,6 @@ from smartpatch import (
     collapse_diagonal,
     eval_patch,
     hermite_to_bezier,
-    hs_phi,
-    hs_validate,
     repair_patches,
     resolve_inner_identity,
 )
@@ -38,8 +36,10 @@ from smartpatch.constraints import (
     _level_sets,
     grid_scale,
 )
+from smartpatch import cli
 from smartpatch.linalg import RationalMatrix
-from smartpatch.io import read_newell
+from smartpatch.io import PatchSet, read_newell, write_patchset
+from smartpatch.patches import _convert
 from smartpatch.tessellation import EdgeId, EdgeSide, continuity_report, detect_adjacency
 
 from helpers import (
@@ -52,6 +52,7 @@ from helpers import (
     height_field_patches,
     hs_alpha_beta,
     hs_consistent_grid,
+    hs_phi,
     hs_twists,
     loop_repair_patches,
     random_compliant_grid,
@@ -291,6 +292,20 @@ def test_report_shape(rng):
     assert set(rep.per_diagonal) == set(DiagonalKind)
     assert rep.max_residual == max(d.max_rel for d in rep.per_diagonal.values())
     assert rep.compliant == (rep.max_residual <= 1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_nan_coefficient_that_is_not_first_makes_the_grid_noncompliant():
+    # finite, and accepted by the loaders; its a6 coefficients are 0 and
+    # its a5 and a4 ones overflow to inf - inf
+    g = np.zeros((4, 4))
+    g[0, 0] = g[0, 3] = 6e307
+    rep = bs_residuals(g)
+    for d in rep.per_diagonal.values():
+        assert d.a6 == 0.0 and np.isnan([d.a5, d.a4]).all()
+        assert np.isnan(d.max_rel)
+    assert np.isnan(rep.max_residual) and not rep.compliant
 
 
 def random_magnitude(rng) -> float:
@@ -590,30 +605,44 @@ def test_hs_alpha_beta_direct_recovery():
     assert ab == pytest.approx((alpha, beta), abs=1e-12)
 
 
+def hermite_validation(h_arr, tol=1e-9):
+    """``validate --form hermite``'s stage on an (N, 3, 4, 4) Hermite-layout
+    array: the (N, 3) residuals and the noncompliant indices."""
+    _, residual, bad, _ = cli._validation(_convert(np.asarray(h_arr, dtype=float), "h2b"), tol)
+    return residual, bad.tolist()
+
+
 def test_hs_validate_zero_grid():
-    reports = hs_validate(HermitePatch(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))))
-    for rep in reports.values():
-        assert rep.compliant
-        assert rep.twist_sum_residuals == (0.0, 0.0)
-        assert rep.tangent_residual == 0.0
-        assert rep.degenerate_phi
+    residual, bad = hermite_validation(np.zeros((1, 3, 4, 4)))
+    assert residual.tolist() == [[0.0, 0.0, 0.0]] and bad == []
 
 
-def test_hs_validate_constructed_example():
+def test_hs_validate_constructed_example(capsys, tmp_path):
+    """Twist sums 2 phi and tangent sum -4 phi, but twist weights that
+    disagree with the tangents: h44 + a + phi = 2 and h43 + b + phi = -2."""
     g = np.zeros((4, 4))
     g[0, 0] = 1.0  # phi = 1
     g[2, 2] = g[3, 3] = 1.0  # twist sums = 2 phi
     g[2, 3] = g[3, 2] = 1.0
     g[0, 2] = -4.0  # tangent combination sums to -4 = -4 phi
-    rep = hs_validate(HermitePatch(g, np.zeros((4, 4)), np.zeros((4, 4))))["x"]
-    assert rep.compliant
-    assert rep.phi == 1.0
+    assert hs_phi(g) == 1.0
+    alpha, beta = hs_alpha_beta(g)
+    assert hs_twists(1.0, alpha, beta) != (g[2, 2], g[2, 3], g[3, 2], g[3, 3])
+    residual, bad = hermite_validation([[g, np.zeros((4, 4)), np.zeros((4, 4))]])
+    assert bad == [0]
+    assert residual[0, 0] == pytest.approx(10.0, rel=1e-12)
+    assert residual[0, 1:].tolist() == [0.0, 0.0]
+    src = tmp_path / "hs.json"
+    write_patchset(PatchSet("hs", [BezierPatch(g, np.zeros((4, 4)), np.zeros((4, 4)))]), src)
+    assert cli.main(["validate", "--in", str(src), "--form", "hermite"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "patch   0: max residual 1.000e+01  NONCOMPLIANT"
 
 
 def test_hs_validate_consistent_grids(rng):
-    for _ in range(50):
-        h = HermitePatch(*(hs_consistent_grid(rng) for _ in range(3)))
-        assert all(rep.compliant for rep in hs_validate(h).values())
+    arr = [[hs_consistent_grid(rng) for _ in range(3)] for _ in range(50)]
+    residual, bad = hermite_validation(arr)
+    assert bad == [] and residual.max() <= 1e-12
 
 
 def test_hs_compliant_patches_convert_to_compliant_bezier(rng):

@@ -12,7 +12,16 @@ from smartpatch import (
     eval_patch,
     hermite_to_bezier,
 )
-from smartpatch.patches import _BB_ROWS, _T_ROWS, as_grid, bezier_patches, eval_patch_partials
+from smartpatch.io import read_newell
+from smartpatch.patches import (
+    _BB_ROWS,
+    _T_ROWS,
+    _conversion_matrices,
+    _convert,
+    as_grid,
+    bezier_patches,
+    eval_patch_partials,
+)
 from smartpatch.tessellation import surface_normal
 
 from helpers import bilinear_grid, de_casteljau, eval_curve, random_patch
@@ -218,6 +227,19 @@ def test_roundtrip_both_orders(rng):
         h2 = bezier_to_hermite(hermite_to_bezier(h))
         for g, g2 in zip(h.grids, h2.grids):
             assert np.max(np.abs(g - g2)) <= 1e-12
+
+
+def test_stacked_conversion_is_the_per_grid_congruence(rng, teapot_path):
+    """One stacked product over a set equals converting each grid on its own
+    and the one-patch functions, bit for bit, in both directions."""
+    c, d = _conversion_matrices()
+    arr = np.concatenate([np.stack([p.as_array for p in read_newell(teapot_path).patches]),
+                          rng.uniform(-10, 10, (500, 3, 4, 4))])
+    for direction, m, one in (("b2h", d, lambda a: bezier_to_hermite(BezierPatch(*a))),
+                              ("h2b", c, lambda a: hermite_to_bezier(HermitePatch(*a)))):
+        stacked = _convert(arr, direction)
+        assert np.array_equal(stacked, [[m.T @ g @ m for g in a] for a in arr])
+        assert np.array_equal(stacked, [one(a).grids for a in arr])
 
 
 def test_bilinear_patch_evaluates_bilinearly(rng):

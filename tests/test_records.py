@@ -26,7 +26,6 @@ from smartpatch.constraints import (
     ConstraintSystem,
     DiagonalKind,
     DiagonalResiduals,
-    HsReport,
     InnerIdentityResolution,
     PatchRepairStats,
     Poly,
@@ -65,9 +64,6 @@ RECORDS = [
     (InnerIdentityResolution, lambda: dict(
         plus_variant_holds=True, minus_variant_holds=False, corner_coefficient=Fraction(1, 9)),
      {}),
-    (HsReport, lambda: dict(
-        phi=0.0, twist_sum_residuals=(0.0, 1e-3), tangent_residual=2.0, alpha=None, beta=None,
-        degenerate_phi=True, compliant=False), {}),
     (PatchRepairStats, lambda: dict(max_displacement=0.25, corner_displacement=0.0), {}),
     (RepairSystemStats, lambda: dict(rows=10, step_residuals=(1e-3, 1e-16)), dict(
         free_variables=0, shared_variables=0, fixed_variables=0, components=0, levels=0,
@@ -199,16 +195,15 @@ def test_json_reports_print_record_fields_in_field_order(capsys, teapot_path, tm
         "rows", "free_variables", "shared_variables", "fixed_variables", "components",
         "levels", "max_level_patches", "step_residuals",
     )
-    assert HsReport._fields == (
-        "phi", "twist_sum_residuals", "tangent_residual", "alpha", "beta", "degenerate_phi",
-        "compliant",
-    )
     assert main(["repair", "--in", str(teapot_path), "--out", str(tmp_path / "r.json"),
                  "--json"]) == 0
     assert list(json.loads(capsys.readouterr().out)["repair"]) == list(RepairSystemStats._fields)
-    assert main(["validate", "--in", str(teapot_path), "--form", "hermite", "--json"]) == 1
-    coords = json.loads(capsys.readouterr().out)["patches"][0]["coords"]
-    assert [list(c) for c in coords.values()] == [list(HsReport._fields)] * 3
+    for form in ("bezier", "hermite"):  # one report shape for both forms
+        assert main(["validate", "--in", str(teapot_path), "--form", form, "--json"]) == 1
+        patch = json.loads(capsys.readouterr().out)["patches"][0]
+        assert list(patch) == ["max_residual", "compliant", "coords", "index"]
+        fields = [list(c) for c in patch["coords"].values()]
+        assert fields == [["main", "anti", "max_residual"]] * 3
 
 
 def test_no_class_of_the_package_is_a_dataclass():
