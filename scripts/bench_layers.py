@@ -35,8 +35,13 @@ tracemalloc counts numpy's arrays too.
 I/O: ``write_obj`` of the bundled teapot at n=16 with normals (as
 ``smartpatch teapot --normals`` writes it) and of its 2x2 de Casteljau split
 (128 patches) at n=4 (as the ``split-teapot`` benchmark workload does),
-``dump_patchset`` of that split, and ``load_newell`` of the teapot text and
-of the split's (one vertex per control point, 2048 vertices).
+``dump_patchset`` of that split, ``load_newell`` of the teapot text and
+of the split's (one vertex per control point, 2048 vertices),
+``load_patchset`` of the JSON text of the teapot split three times (2048
+patches), and the whole ``smartpatch teapot --n 2`` command on that
+file (``cli.main``, stdout discarded, output files in a temporary
+directory).  Only public names are used, so each checkout runs the same
+child.
 ``peak_rss_mb`` is the worker's own peak resident set size: the probe is
 started from this script, which never imports numpy, so no larger parent
 process raises the reading.  Each probe's input is in a new directory.
@@ -165,28 +170,44 @@ for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf3
 # argv: the timed calls per operation, and the directory that receives the
 # seed-10 input of the teapot benchmark workload for the RSS probe.
 IO = r"""
-import os
+import contextlib, os, tempfile
 from pathlib import Path
 from helpers import newell_text, split_patch
-from smartpatch.io import PatchSet, dump_patchset, load_newell, write_obj
+from smartpatch.cli import main
+from smartpatch.io import PatchSet, dump_patchset, load_newell, load_patchset, write_obj
 from smartpatch.tessellation import tessellate_set
 
 text = open("data/teapot.newell").read()
 teapot = load_newell(text, name="teapot").patches
 split = [q for p in teapot for q in split_patch(p)]
+split3 = [r for p in split for q in split_patch(p) for r in split_patch(q)]
 teapot_mesh = tessellate_set(teapot, 16, with_normals=True)
 split_mesh = tessellate_set(split, 4)
 split_set = PatchSet(name="split", patches=split)
 split_text = newell_text(split)
+split3_text = dump_patchset(PatchSet(name="split3", patches=split3))
+scratch = tempfile.TemporaryDirectory()
+split3_path = Path(scratch.name, "split3.json")
+split3_path.write_text(split3_text)
+teapot_argv = ["teapot", "--in", str(split3_path), "--out", str(Path(scratch.name, "out")),
+               "--n", "2"]
+
+def teapot_split3():
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(teapot_argv)
+
 ops = {
     "write_obj teapot n=16 normals": lambda: write_obj(teapot_mesh, os.devnull),
     "write_obj split n=4": lambda: write_obj(split_mesh, os.devnull),
     "dump_patchset split": lambda: dump_patchset(split_set),
     "load_newell teapot": lambda: load_newell(text),
     "load_newell split": lambda: load_newell(split_text),
+    "load_patchset split3": lambda: load_patchset(split3_text),
+    "teapot --n 2 split3": teapot_split3,
 }
 result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()},
           "tracemalloc_peak": traced(ops["write_obj teapot n=16 normals"])[1]}
+scratch.cleanup()
 sys.path.append("bench")
 import generators
 generators.write_inputs("teapot", Path.cwd(), Path(sys.argv[2]), 10)
@@ -283,7 +304,9 @@ LAYERS = {
         IO_RUNS, io_run, io_column,
         f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "
         f"run; {IO_RUNS} runs per checkout, {ALTERNATED}; min, median and max of the per-run "
-        "minima; OBJ written to os.devnull; tracemalloc peak of one teapot write_obj; "
+        "minima; OBJ written to os.devnull; the teapot --n 2 command on the 2048-patch split "
+        "writes into a temporary directory, stdout discarded; tracemalloc peak of one teapot "
+        "write_obj; "
         f"peak_rss_mb from bench/probe.py ops teapot (seed 10, {RSS_SECONDS:g} s) started "
         f"through sh; {SPREAD}"),
 }

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import constraints, io, tessellation
 from .constraints import DerivationError, RepairError
-from .patches import DomainError, _convert, _patch_array, bezier_patches
+from .patches import DomainError, _convert
 
 EXIT_OK = 0
 EXIT_NONCOMPLIANT = 1
@@ -132,17 +132,18 @@ def _validation(arr: np.ndarray, tol: float):
     of the noncompliant patches and the worst residual (0.0 for no
     patches).  A grid holding inf or nan has a nan residual: every value
     enters the main diagonal's a6 with a nonzero weight."""
-    coeffs, scale = constraints._diagonal_coefficients(arr.reshape(len(arr), 3, 16))
-    residual = np.max(np.abs(coeffs), axis=-1) / scale
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan residual, not a warning
+        coeffs, scale = constraints._diagonal_coefficients(arr.reshape(len(arr), 3, 16))
+        residual = np.max(np.abs(coeffs), axis=-1) / scale
     bad = np.flatnonzero(~(residual.max(axis=1) <= tol))
     return coeffs, residual, bad, float(residual.max(initial=0.0))
 
 
 def cmd_validate(args) -> int:
     ps = io.read_patchset(args.in_path)
-    arr = _patch_array(ps.patches)
-    if args.form == "hermite":  # decided on the Bezier form, relative to its scale
-        arr = _convert(arr, "h2b")
+    # a Hermite set is decided on its Bezier form, relative to that form's scale
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan residual, not a warning
+        arr = ps.points if args.form == "bezier" else _convert(ps.points, "h2b")
     coeffs, residual, bad, _ = _validation(arr, args.tol)
     bad = bad.tolist()
     noncompliant = set(bad)
@@ -162,7 +163,7 @@ def cmd_validate(args) -> int:
         "name": ps.name,
         "form": args.form,
         "tolerance": args.tol,
-        "patch_count": len(ps.patches),
+        "patch_count": len(ps.points),
         "noncompliant_patches": bad,
         "compliant": not bad,
         "patches": patches_report,
@@ -195,23 +196,24 @@ def _system_line(system: dict) -> str:
     )
 
 
-def _repair(patches, tol: float):
-    """Repair stage: the RepairResult, its largest corner displacement, its
-    system statistics as a dict, and the validation of the repaired set."""
-    result = constraints.repair_patches(patches)
+def _repair(ps: io.PatchSet, tol: float):
+    """Repair stage: the RepairResult, the repaired set, its largest corner
+    displacement, its system statistics as a dict, and its validation."""
+    result = constraints.repair_patches(ps.points)
+    repaired = io.PatchSet(ps.name, result.patches, ps.adjacency)
     corner = max((s.corner_displacement for s in result.per_patch), default=0.0)
-    return result, corner, result.system._asdict(), _validation(_patch_array(result.patches), tol)
+    return result, repaired, corner, result.system._asdict(), _validation(repaired.points, tol)
 
 
 def cmd_repair(args) -> int:
     ps = io.read_patchset(args.in_path)
-    result, corner, system, (*_, worst_after) = _repair(ps.patches, args.tol)
-    io.write_patchset(io.PatchSet(ps.name, result.patches, ps.adjacency), args.out_path)
+    result, repaired, corner, system, (*_, worst_after) = _repair(ps, args.tol)
+    io.write_patchset(repaired, args.out_path)
     report = {
         "command": "repair",
         "name": ps.name,
         "tolerance": args.tol,
-        "patch_count": len(ps.patches),
+        "patch_count": len(ps.points),
         "output": str(args.out_path),
         "max_displacement": result.max_displacement,
         "max_corner_displacement": corner,
@@ -244,25 +246,25 @@ def cmd_repair(args) -> int:
 
 def cmd_convert(args) -> int:
     ps = io.read_patchset(args.in_path)
-    arr = _patch_array(ps.patches)
-    out = _convert(arr, args.direction)
-    finite = np.isfinite(out).all(axis=(1, 2, 3))
-    if args.roundtrip:
-        back = _convert(out, "h2b" if args.direction == "b2h" else "b2h")
-        finite &= np.isfinite(back).all(axis=(1, 2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite grid is reported below
+        out = _convert(ps.points, args.direction)
+        finite = np.isfinite(out).all(axis=(1, 2, 3))
+        if args.roundtrip:
+            back = _convert(out, "h2b" if args.direction == "b2h" else "b2h")
+            finite &= np.isfinite(back).all(axis=(1, 2, 3))
     if not finite.all():  # a grid near the end of the float range converts to inf or nan
         raise io.PatchFormatError(
             f"patch {np.argmin(finite)}: the conversion overflows: grid contains non-finite values"
         )
-    io.write_patchset(io.PatchSet(name=ps.name, patches=bezier_patches(out)), args.out_path)
+    io.write_patchset(io.PatchSet(name=ps.name, patches=out), args.out_path)
     report = {
         "command": "convert",
         "direction": args.direction,
-        "patch_count": len(ps.patches),
+        "patch_count": len(ps.points),
         "output": str(args.out_path),
     }
     if args.roundtrip:
-        report["roundtrip_max_error"] = float(np.max(np.abs(arr - back), initial=0.0))
+        report["roundtrip_max_error"] = float(np.max(np.abs(ps.points - back), initial=0.0))
 
     def render(rep):
         yield f"converted {rep['patch_count']} patches ({rep['direction']}) -> {rep['output']}"
@@ -280,7 +282,7 @@ def cmd_convert(args) -> int:
 def cmd_tessellate(args) -> int:
     ps = io.read_patchset(args.in_path)
     pattern = tessellation.TessPattern(args.pattern)
-    mesh = tessellation.tessellate_set(ps.patches, args.n, pattern, with_normals=args.normals)
+    mesh = tessellation.tessellate_set(ps.points, args.n, pattern, with_normals=args.normals)
     files = []
     if args.merge:
         io.write_obj(mesh, args.out_path)
@@ -290,7 +292,7 @@ def cmd_tessellate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         # patch k's mesh is vertex block k of the set mesh with patch 0's triangles
         size, triangles = (args.n + 1) ** 2, mesh.triangles[: 2 * args.n**2]
-        for k in range(len(ps.patches)):
+        for k in range(len(ps.points)):
             block = slice(k * size, (k + 1) * size)
             normals = None if mesh.normals is None else mesh.normals[block]
             part = tessellation.TriangleMesh(mesh.vertices[block], triangles, normals)
@@ -302,7 +304,7 @@ def cmd_tessellate(args) -> int:
         "name": ps.name,
         "n": args.n,
         "pattern": args.pattern,
-        "patch_count": len(ps.patches),
+        "patch_count": len(ps.points),
         "vertices": len(mesh.vertices),
         "triangles": len(mesh.triangles),
         "normals": args.normals,
@@ -330,24 +332,24 @@ def _records(ps: io.PatchSet, tol: float):
     even none, else the records detect_adjacency finds at ``tol``."""
     if ps.adjacency is not None:
         return ps.adjacency
-    return tessellation.detect_adjacency(ps.patches, tol=tol)
+    return tessellation.detect_adjacency(ps.points, tol=tol)
 
 
 _MEASURES = ("c0_max_gap", "c1_max_mismatch", "g1_max_angle")
 
 
-def _continuity(patches, records, n: int):
+def _continuity(points, records, n: int):
     """Continuity stage: the (records, 3) array of each record's C0 gap, C1
     mismatch and G1 angle, and the worst of each by name (0.0 for no
     records)."""
-    measures = tessellation.continuity_measures(patches, records, n)
+    measures = tessellation.continuity_measures(points, records, n)
     return measures, dict(zip(_MEASURES, measures.max(axis=0, initial=0.0).tolist()))
 
 
 def cmd_continuity(args) -> int:
     ps = io.read_patchset(args.in_path)
     records = _records(ps, args.tol)
-    measures, worst = _continuity(ps.patches, records, args.n)
+    measures, worst = _continuity(ps.points, records, args.n)
     pairs = [
         {
             "a": rec.a,
@@ -400,29 +402,29 @@ def cmd_teapot(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         stage = "validate"
-        *_, bad_before, worst_before = _validation(_patch_array(ps.patches), args.tol)
+        *_, bad_before, worst_before = _validation(ps.points, args.tol)
 
         stage = "adjacency"
         records = _records(ps, args.tol)
-        gaps_before, worst_gaps_before = _continuity(ps.patches, records, args.n)
+        gaps_before, worst_gaps_before = _continuity(ps.points, records, args.n)
 
         stage = "repair"
-        result, corner, system, (*_, bad_after, worst_after) = _repair(ps.patches, args.tol)
+        result, repaired, corner, system, (*_, bad_after, worst_after) = _repair(ps, args.tol)
 
         stage = "revalidate"
-        gaps_after, worst_gaps_after = _continuity(result.patches, records, args.n)
+        gaps_after, worst_gaps_after = _continuity(repaired.points, records, args.n)
 
         stage = "tessellate"
         pattern = tessellation.TessPattern(args.pattern)
         merged = tessellation.tessellate_set(
-            result.patches, args.n, pattern, with_normals=args.normals
+            repaired.points, args.n, pattern, with_normals=args.normals
         )
 
         stage = "export"
         obj_path = out_dir / "teapot.obj"
         io.write_obj(merged, obj_path)
         json_path = out_dir / "teapot_repaired.json"
-        io.write_patchset(io.PatchSet(ps.name, result.patches, ps.adjacency), json_path)
+        io.write_patchset(repaired, json_path)
     except (io.PatchFormatError, OSError, RepairError) as e:
         print(f"stage {stage} failed: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -432,7 +434,7 @@ def cmd_teapot(args) -> int:
         "command": "teapot",
         "name": ps.name,
         "tolerance": args.tol,
-        "patch_count": len(ps.patches),
+        "patch_count": len(ps.points),
         "n": args.n,
         "pattern": args.pattern,
         "before": {"noncompliant_patches": len(bad_before), "max_residual": worst_before},

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import _BB_ROWS, _T_ROWS, BezierPatch, as_grid, bezier_patches
+from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _patch_array, as_grid, bezier_patches
 from .tessellation import _key_codes
 
 DEFAULT_TOL = 1e-9
@@ -606,11 +606,12 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     refinement step.
     bs_project() is the one-patch case.
     """
-    if not patches:
+    arr = _patch_array(patches)
+    n = len(arr)
+    if not n:
         return RepairResult(patches=[], per_patch=[], max_displacement=0.0, residual=0.0)
 
-    n = len(patches)
-    pts = np.stack([p.as_array for p in patches]).reshape(n, 3, 16).transpose(0, 2, 1)
+    pts = arr.reshape(n, 3, 16).transpose(0, 2, 1)
     boundary = np.unique(_key_codes(pts[:, _BOUNDARY].reshape(-1, 3)), return_inverse=True)[1]
     slot_var = np.empty((n, 16), dtype=np.intp)
     slot_var[:, _BOUNDARY] = boundary.reshape(n, 12)

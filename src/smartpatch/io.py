@@ -25,7 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .patches import BezierPatch, bezier_patches
+from .patches import BezierPatch, _patch_array, _patch_views
 from .tessellation import Adjacency, EdgeId, EdgeSide, TriangleMesh
 
 
@@ -208,10 +208,13 @@ def _float_text(x, lead=0):
 
 
 class PatchSet:
-    """A named list of patches and their adjacency records (None when not given).
+    """A named set of patches and their adjacency records (None when not given).
 
-    Each adjacency index must name a patch of the set.  Its fields may be
-    reassigned; two sets compare equal field by field, and are not hashable.
+    ``points`` is the patches' read-only (N, 3, 4, 4) array; for a set made
+    from an array, ``patches`` are views of it, made when first read.  Only
+    ``name`` and ``adjacency`` can be reassigned.  Each adjacency index must
+    name a patch of the set.  Two sets compare equal field by field, and are
+    not hashable.
     """
 
     __hash__ = None
@@ -219,16 +222,29 @@ class PatchSet:
     def __init__(
         self, name: str, patches: List[BezierPatch], adjacency: Optional[List[Adjacency]] = None
     ):
-        self.name, self.patches, self.adjacency = name, patches, adjacency
+        self._points = points = _patch_array(patches)
+        points.flags.writeable = False
+        self._patches = None if isinstance(patches, np.ndarray) else list(patches)
+        self.name, self.adjacency = name, adjacency
         if adjacency is not None:
             for rec in adjacency:
                 for idx in (rec.a, rec.b):
-                    if not (0 <= idx < len(patches)):
+                    if not (0 <= idx < len(points)):
                         raise PatchFormatError(f"adjacency index {idx} out of range")
                 if rec.a == rec.b and rec.edge_a.side == rec.edge_b.side:
                     raise PatchFormatError(
                         f"patch {rec.a} edge {rec.edge_a.side.value} marked adjacent to itself"
                     )
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._points
+
+    @property
+    def patches(self) -> List[BezierPatch]:
+        if self._patches is None:
+            self._patches = _patch_views(self._points)
+        return self._patches
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -292,16 +308,14 @@ def load_patchset(text: str, name: str = "") -> PatchSet:
     given = doc.get("name", "")
     if not isinstance(given, str):
         raise PatchFormatError("'name' must be a string")
-    patches = []
+    grids = []
     for k, entry in enumerate(doc["patches"]):
         if not isinstance(entry, dict):
             raise PatchFormatError(f"patch {k}: must be an object with x/y/z grids")
-        grids = {}
         for coord in ("x", "y", "z"):
             if coord not in entry:
                 raise PatchFormatError(f"patch {k}: missing grid '{coord}'")
-            grids[coord] = _grid_from_json(entry[coord], k, coord)
-        patches.append(BezierPatch(grids["x"], grids["y"], grids["z"]))
+            grids.append(_grid_from_json(entry[coord], k, coord))
     adjacency = None
     if doc.get("adjacency") is not None:
         if not isinstance(doc["adjacency"], list):
@@ -312,7 +326,7 @@ def load_patchset(text: str, name: str = "") -> PatchSet:
                 raise PatchFormatError(f"adjacency {k}: must be an object with 'a' and 'b'")
             (a, edge_a), (b, edge_b) = _side_from_json(rec, "a", k), _side_from_json(rec, "b", k)
             adjacency.append(Adjacency(a=a, edge_a=edge_a, b=b, edge_b=edge_b))
-    return PatchSet(name=given or name, patches=patches, adjacency=adjacency)
+    return PatchSet(given or name, np.array(grids, dtype=float).reshape(-1, 3, 4, 4), adjacency)
 
 
 # dump_patchset writes the text json.dumps(doc, indent=1) gives (json
@@ -337,25 +351,24 @@ def _json_list(items):
     yield b"[]" if sep == b"[\n" else b"\n ]"
 
 
-def _patch_groups(patches):
-    """The text of the list of ``patches``, as uint8 arrays of at most 64
-    patches (3072 values, like an OBJ block), so the arrays stay small
-    whatever the size of the set."""
+def _patch_groups(points):
+    """The text of the list of the (N, 3, 4, 4) ``points``, as uint8 arrays
+    of at most 64 patches (3072 values, like an OBJ block), so the arrays
+    stay small whatever the size of the set."""
     opening, *between, closing = _PATCH_TEMPLATE.split("%s")
     pieces = ["[\n" + opening, closing + ",\n" + opening, *between]
     lead = max(map(len, pieces))
     pieces = np.frombuffer("".join(t.ljust(lead, "\0") for t in pieces).encode(), np.uint8)
     pieces = pieces.reshape(-1, lead)
-    for start in range(0, len(patches), 64):
-        values = np.array([p.as_array for p in patches[start : start + 64]], dtype=float)
-        text = _float_text(values.ravel(), lead)
+    for start in range(0, len(points), 64):
+        text = _float_text(points[start : start + 64].ravel(), lead)
         cells = text.reshape(-1, 48, lead + _FIELD)
         cells[:, 0, :lead] = pieces[1]
         cells[:, 1:, :lead] = pieces[2:]
         if start == 0:
             cells[0, 0, :lead] = pieces[0]
         yield text[text != 0]
-    yield (closing + "\n ]").encode() if patches else b"[]"
+    yield (closing + "\n ]").encode() if len(points) else b"[]"
 
 
 def _patchset_pieces(ps: PatchSet):
@@ -366,7 +379,7 @@ def _patchset_pieces(ps: PatchSet):
     Every control value is written as a float, so integer-valued entries
     read back as floats and the output is deterministic."""
     yield f'{{\n "name": {json.dumps(ps.name)},\n "patches": '.encode()
-    yield from _patch_groups(ps.patches)
+    yield from _patch_groups(ps.points)
     if ps.adjacency is not None:
         yield b',\n "adjacency": '
         records = (
@@ -498,8 +511,8 @@ def load_newell(text: str, name: str = "newell") -> PatchSet:
         k = next(k for k, i in enumerate(indices) if not 1 <= i <= vertex_count)
         fail(1 + k // 16, f"vertex index {indices[k]} out of range 1..{vertex_count}")
     vertices = np.array(coords, dtype=float).reshape(-1, 3)
-    pts = vertices[np.array(indices, dtype=np.intp) - 1].reshape(-1, 4, 4, 3)
-    return PatchSet(name=name, patches=bezier_patches(pts.transpose(0, 3, 1, 2)))
+    rows = np.array(indices, dtype=np.intp).reshape(-1, 1, 4, 4) - 1  # against x, y, z
+    return PatchSet(name=name, patches=vertices[rows, np.arange(3)[:, None, None]])
 
 
 def read_newell(path) -> PatchSet:

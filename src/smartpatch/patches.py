@@ -98,9 +98,6 @@ class BezierPatch(_PatchGrids):
         a.flags.writeable = False
         return a
 
-    def control_point(self, i: int, j: int) -> np.ndarray:
-        return np.array([self.x[i, j], self.y[i, j], self.z[i, j]])
-
 
 def bezier_patches(points) -> list:
     """One BezierPatch per row of an (N, 3, 4, 4) array.
@@ -108,12 +105,13 @@ def bezier_patches(points) -> list:
     The array is copied and checked once, as ``as_grid`` checks one grid;
     each patch's grids and ``as_array`` are read-only views of that copy.
     """
-    arr = np.array(points, dtype=float)
-    if arr.ndim != 4 or arr.shape[1:] != (3, 4, 4):
-        raise ValueError(f"patch array must be (N, 3, 4, 4), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("grid contains non-finite values")
+    arr = _patch_array(np.array(points, dtype=float))
     arr.flags.writeable = False
+    return _patch_views(arr)
+
+
+def _patch_views(arr: np.ndarray) -> list:
+    """One BezierPatch per row of a checked, read-only (N, 3, 4, 4) array, viewing it."""
     out = []
     for row in arr:
         patch = object.__new__(BezierPatch)
@@ -123,8 +121,16 @@ def bezier_patches(points) -> list:
 
 
 def _patch_array(patches) -> np.ndarray:
-    """The (N, 3, 4, 4) control values of a patch list (bezier_patches' inverse)."""
-    return np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
+    """The (N, 3, 4, 4) control values of a patch list, or such an array
+    itself after the checks of ``bezier_patches`` (its inverse)."""
+    if not isinstance(patches, np.ndarray):
+        return np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
+    arr = np.asarray(patches, dtype=float)
+    if arr.ndim != 4 or arr.shape[1:] != (3, 4, 4):
+        raise ValueError(f"patch array must be (N, 3, 4, 4), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("grid contains non-finite values")
+    return arr
 
 
 class HermitePatch(_PatchGrids):

@@ -286,9 +286,9 @@ def continuity_measures(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    arr = _patch_array(patches)
     if not records:
         return np.zeros((0, 3))
-    arr = np.stack([p.as_array for p in patches])
     # Both edges of every record, a-sides first, then b-sides.
     which = np.array([[r.a for r in records], [r.b for r in records]]).ravel()
     edges = [r.edge_a for r in records] + [r.edge_b for r in records]
@@ -392,9 +392,9 @@ def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     the whole set.  Records come in the order of (patch, side) of the
     first edge, then of the second.
     """
-    if not patches:
+    arr = _patch_array(patches)
+    if not len(arr):
         return []
-    arr = np.stack([p.as_array for p in patches])
     scale = max(1.0, float(np.max(np.abs(arr))))
     # (patch, side) slot k is patch k // 4, side k % 4
     q = np.stack([_edge_points(arr, side) for side in EdgeSide], axis=1).reshape(-1, 4, 3)

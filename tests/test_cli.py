@@ -319,8 +319,6 @@ def test_convert_constant_set(capsys, tmp_path):
 _OVERFLOW = "error: patch {}: the conversion overflows: grid contains non-finite values\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("direction", ["b2h", "h2b"])
 def test_convert_of_a_grid_that_overflows_is_input_error(capsys, tmp_path, rng, direction):
     patch = random_patch(rng, -1.0, 1.0)
@@ -333,8 +331,6 @@ def test_convert_of_a_grid_that_overflows_is_input_error(capsys, tmp_path, rng, 
     assert not dst.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_convert_roundtrip_that_overflows_is_input_error(capsys, tmp_path):
     # constant Hermite grids of 1e308 convert to finite Bezier grids, and
     # converting those back overflows
@@ -893,8 +889,6 @@ _FOUND[0, 0] = _FOUND[2, 2] = _FOUND[2, 3] = _FOUND[3, 2] = _FOUND[3, 3] = 6e307
 _FOUND[0, 3] = _FOUND[3, 0] = -1.7e308
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("form, coord, grid", [
     *(pytest.param("bezier", c, _FULL, id=str(c)) for c in range(3)),  # the default form
     *(pytest.param("hermite", c, _FULL, id=f"hermite-{c}") for c in range(3)),
@@ -906,7 +900,8 @@ def test_validate_calls_a_patch_with_a_nan_residual_noncompliant(capsys, tmp_pat
     grids[coord] = grid
     patch = BezierPatch(*grids)
     src = write_set(tmp_path, "nan", [patch])
-    arr = patch.as_array[None] if form == "bezier" else _convert(patch.as_array[None], "h2b")
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = patch.as_array[None] if form == "bezier" else _convert(patch.as_array[None], "h2b")
     residual = cli._validation(arr, constraints.DEFAULT_TOL)[1]
     assert np.isnan(residual[0, coord]) and not np.isnan(np.delete(residual[0], coord)).any()
     code, out, _ = run(capsys, "validate", "--in", str(src), "--form", form)

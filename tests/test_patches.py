@@ -85,10 +85,10 @@ def test_eval_curve_matches_de_casteljau(rng):
 
 def test_eval_patch_corners(rng):
     patch = random_patch(rng)
-    assert np.allclose(eval_patch(patch, 0, 0), patch.control_point(0, 0), atol=1e-14)
-    assert np.allclose(eval_patch(patch, 1, 1), patch.control_point(3, 3), atol=1e-13)
-    assert np.allclose(eval_patch(patch, 0, 1), patch.control_point(0, 3), atol=1e-13)
-    assert np.allclose(eval_patch(patch, 1, 0), patch.control_point(3, 0), atol=1e-13)
+    assert np.allclose(eval_patch(patch, 0, 0), patch.as_array[:, 0, 0], atol=1e-14)
+    assert np.allclose(eval_patch(patch, 1, 1), patch.as_array[:, 3, 3], atol=1e-13)
+    assert np.allclose(eval_patch(patch, 0, 1), patch.as_array[:, 0, 3], atol=1e-13)
+    assert np.allclose(eval_patch(patch, 1, 0), patch.as_array[:, 3, 0], atol=1e-13)
 
 
 def test_eval_patch_constant_grids():

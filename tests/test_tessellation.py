@@ -58,10 +58,10 @@ def test_sample_grid_n1_gives_corners(rng):
     patch = random_patch(rng)
     pts = sample_grid(patch, 1)
     assert pts.shape == (2, 2, 3)
-    assert np.allclose(pts[0, 0], patch.control_point(0, 0), atol=1e-14)
-    assert np.allclose(pts[1, 0], patch.control_point(3, 0), atol=1e-13)
-    assert np.allclose(pts[0, 1], patch.control_point(0, 3), atol=1e-13)
-    assert np.allclose(pts[1, 1], patch.control_point(3, 3), atol=1e-13)
+    assert np.allclose(pts[0, 0], patch.as_array[:, 0, 0], atol=1e-14)
+    assert np.allclose(pts[1, 0], patch.as_array[:, 3, 0], atol=1e-13)
+    assert np.allclose(pts[0, 1], patch.as_array[:, 0, 3], atol=1e-13)
+    assert np.allclose(pts[1, 1], patch.as_array[:, 3, 3], atol=1e-13)
 
 
 def test_sample_grid_constant_patch():
