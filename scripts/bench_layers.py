@@ -30,7 +30,11 @@ three times, and seeded k x k height fields (one connected component of k^2
 patches) for k = 8, 16, 24, 32, 48.  Each operation is timed over at least
 REPAIR_CALLS calls and at least REPAIR_SECONDS of calls, so the small inputs
 get hundreds of calls.  The untimed call also fills the exact-rank caches;
-tracemalloc counts numpy's arrays too.
+tracemalloc counts numpy's arrays too.  One more call per input, apart from
+those timed, clocks each of repair's stage functions (``STAGES``) that the
+checkout's ``constraints`` module has, and the whole call beside them:
+``stages_ms``.  A checkout from before the staged repair has only
+``_patch_ranks`` of them.
 
 I/O: ``write_obj`` of the bundled teapot at n=16 with normals (as
 ``smartpatch teapot --normals`` writes it) and of its 2x2 de Casteljau split
@@ -68,6 +72,7 @@ REPAIR_CALLS = 5
 REPAIR_SECONDS = 0.5
 RSS_SECONDS = 2.0
 DERIVATION = ("build_lambda", "bs_free_cells", "resolve_inner_identity")
+STAGES = ("_variables", "_patch_ranks", "_assemble", "_factor", "_refine")
 ALTERNATED = "checkouts alternated with the order flipped every round; one BLAS thread"
 SPREAD = ("min_ms, median_ms and max_ms are the fastest, median and slowest of the runs' "
           "values; a difference that lies inside both columns' min_ms to max_ms range is not "
@@ -134,12 +139,38 @@ result = {"steps": steps, "compile_s": best(compile_all, 1),
           "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 """
 
-# argv: the least timed calls and the least seconds of calls per operation.
+# argv: the least timed calls and the least seconds of calls per operation,
+# then the stage names.
 REPAIR = r"""
 import numpy as np
 from helpers import height_field_patches, split_patch
-from smartpatch import detect_adjacency, repair_patches
+from smartpatch import constraints, detect_adjacency, repair_patches
 from smartpatch.io import read_newell
+
+def staged(op):
+    # seconds in each stage function the module has, and in the whole call
+    spent, stages = {}, {}
+    for name in sys.argv[3:]:
+        if (stage := getattr(constraints, name, None)) is not None:
+            stages[name] = stage
+
+    def clocked(name, stage):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return stage(*args)
+            finally:
+                spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+        return call
+
+    for name, stage in stages.items():
+        setattr(constraints, name, clocked(name, stage))
+    try:
+        spent["repair_patches"] = timed(op)
+    finally:
+        for name, stage in stages.items():
+            setattr(constraints, name, stage)
+    return spent if stages else {}
 
 def build(name):
     if name.startswith("hf"):
@@ -164,6 +195,7 @@ for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf3
         "patches": len(patches), "components": repaired.system.components,
         "records": len(detect_adjacency(patches)), "repair_s": repair_s,
         "adjacency_s": adjacency_s, "tracemalloc_peak_mb": round(peak / 1e6, 2),
+        "stages_s": staged(lambda: repair_patches(patches)),
     }
 """
 
@@ -268,6 +300,9 @@ def repair_column(runs: list) -> dict:
             "detect_adjacency": summary([r["adjacency_s"] for r in each]),
             "tracemalloc_peak_mb": max(r["tracemalloc_peak_mb"] for r in each),
         }
+        if first.get("stages_s"):
+            inputs[name]["stages_ms"] = {stage: summary([r["stages_s"][stage] for r in each])
+                                         for stage in first["stages_s"]}
     return {"runs": len(runs), "inputs": inputs}
 
 
@@ -292,14 +327,18 @@ LAYERS = {
         f"{ALTERNATED}; min, median and max per step; "
         f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run; {SPREAD}"),
     "BENCH_repair.json": (
-        REPAIR_RUNS, lambda root: child(root, REPAIR, str(REPAIR_CALLS), str(REPAIR_SECONDS)),
+        REPAIR_RUNS,
+        lambda root: child(root, REPAIR, str(REPAIR_CALLS), str(REPAIR_SECONDS), *STAGES),
         repair_column,
         f"repair_patches and detect_adjacency in process, fresh interpreter per run: one "
         f"untimed call, then the min of at least {REPAIR_CALLS} timed calls and at least "
         f"{REPAIR_SECONDS:g} s of calls per operation; {REPAIR_RUNS} runs per checkout, "
         f"{ALTERNATED}; min, median and max of the per-run minima, of which the minima are the "
         "ones to compare, since medians carry host drift; tracemalloc peak of one more "
-        f"repair_patches call, the largest over the runs; {SPREAD}"),
+        f"repair_patches call, the largest over the runs; stages_ms: one more call per run, "
+        f"each of {', '.join(STAGES)} that the checkout has clocked through a wrapper on its "
+        "module attribute, and the whole call as repair_patches; a checkout before the staged "
+        f"repair has _patch_ranks only; {SPREAD}"),
     "BENCH_io.json": (
         IO_RUNS, io_run, io_column,
         f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "

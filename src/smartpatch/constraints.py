@@ -416,8 +416,8 @@ class RepairError(ValueError):
     Raised when its constraint rows are rank-deficient over the free
     variables (decided exactly for each patch's own rows, or found when the
     component's Gram matrix is not positive definite) or when its residual
-    stays above the stop bound after the refinement steps.  ``patches``
-    holds the component's patch indices.
+    stays above the stop bound, or not a number, after the refinement steps.
+    ``patches`` holds the component's patch indices.
     """
 
     def __init__(self, patches, reason: str):
@@ -557,17 +557,160 @@ def _pattern_rank(pattern: tuple) -> int:
     return RationalMatrix(list(columns.values())).rank() if columns else 0
 
 
-def _patch_ranks(slot_var: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Exact rank of each patch's five reduced rows over its own free variables.
+def _patch_ranks(slot_var, fixed, comp, needed) -> None:
+    """Raise RepairError on the first ``needed`` component holding a patch whose
+    five reduced rows have exact rank below 5 over its own free variables.
 
     Patches with the same coincidence pattern share one cached rank."""
-    var = slot_var[:, _NONCORNERS]
+    var = slot_var[needed[comp]][:, _NONCORNERS]
     first = np.argmax(var[:, :, None] == var[:, None, :], axis=2)
     pattern = np.where(fixed[var], -1, first)
     code = (pattern + 1) @ 13 ** np.arange(12)  # one int64 per pattern, digits -1..11
     _, index, which = np.unique(code, return_index=True, return_inverse=True)
     ranks = np.array([_pattern_rank(tuple(p)) for p in pattern[index].tolist()])
-    return ranks[which]
+    rank = np.full(len(comp), 5)
+    rank[needed[comp]] = ranks[which]
+    if (rank < 5).any():
+        c = comp[rank < 5].min()
+        p = np.flatnonzero((rank < 5) & (comp == c))[0]
+        raise RepairError(np.flatnonzero(comp == c), f"is rank-deficient: patch {p}'s five "
+                          f"constraint rows have exact rank {rank[p]} over its free variables")
+
+
+def _variables(pts: np.ndarray):
+    """The variable of each of the (n, 16) slots of ``pts``, and which variables are fixed.
+
+    Boundary slots with bit-identical coordinates (the ids of ``_key_codes``)
+    name one variable, inner slots are private to their patch, and corner
+    variables are fixed.
+    """
+    n = len(pts)
+    boundary = np.unique(_key_codes(pts[:, _BOUNDARY].reshape(-1, 3)), return_inverse=True)[1]
+    slot_var = np.empty((n, 16), dtype=np.intp)
+    slot_var[:, _BOUNDARY] = boundary.reshape(n, 12)
+    slot_var[:, _INNER] = boundary.max() + 1 + np.arange(4 * n).reshape(n, 4)
+    fixed = np.zeros(boundary.max() + 1 + 4 * n, dtype=bool)
+    fixed[slot_var[:, list(CORNER_INDICES)]] = True
+    return slot_var, fixed
+
+
+def _defects(out: np.ndarray, comp: np.ndarray, comp_scale: np.ndarray):
+    """The reduced defect of each patch of ``out`` and, per component, its
+    worst reduced row, its worst 6-row row, and whether the two together are
+    not within the stop bound, 1e-13 times ``comp_scale``; a NaN is not."""
+    system = build_lambda()
+    defect = system.reduced_f @ out  # (n, 5, 3)
+    worst, six = np.zeros((2, len(comp_scale)))
+    np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
+    np.maximum.at(six, comp, np.abs(system.lam @ out).max(axis=(1, 2)))
+    return defect, worst, six, ~(np.maximum(worst, six) <= 1e-13 * comp_scale)
+
+
+def _assemble(i, j, p_idx, coef, link, comp, roots, needed):
+    """The level structure of the patch graph ``link``, and the Gram blocks of ``needed`` ones.
+
+    Free slots ``i`` and ``j`` on one variable add ``coef[i] coef[j]^T`` to
+    A A^T.  Ordered by component, then level (``_level_sets``), then index,
+    A A^T is block tridiagonal; only its diagonal and sub-diagonal blocks
+    are summed, row-major, into ``blocks``.  Per level, ``width`` is its
+    rows, ``first`` whether it starts its component, ``level_comp`` that
+    component, ``count`` its patches and ``base`` its two blocks' starts;
+    ``order`` lists the patches in level order.
+    """
+    n = len(comp)
+    level_key, group, count = np.unique(
+        comp * n + _level_sets(link // n, link % n, comp, roots),
+        return_inverse=True, return_counts=True,
+    )
+    order = np.argsort(group, kind="stable")
+    offset = np.empty(n, dtype=np.intp)  # first row of each patch within its level
+    offset[order] = 5 * (np.arange(n) - np.repeat(np.cumsum(count) - count, count))
+    level_comp, level = np.divmod(level_key, n)
+    first = level == 0
+    width = 5 * count
+    solved = needed[level_comp]
+    sizes = solved[:, None] * width[:, None] * np.c_[width, np.r_[0, width[:-1]] * ~first]
+    base = (np.cumsum(sizes) - sizes.ravel()).reshape(-1, 2)
+    gi, gj = group[p_idx[i]], group[p_idx[j]]
+    keep = (gj <= gi) & solved[gi]
+    i, j, gi, gj = i[keep], j[keep], gi[keep], gj[keep]
+    cell = (
+        base[gi, (gj < gi).astype(np.intp), None, None]
+        + (offset[p_idx[i], None, None] + np.arange(5)[:, None]) * width[gj, None, None]
+        + offset[p_idx[j], None, None] + np.arange(5)
+    )
+    blocks = np.bincount(
+        cell.ravel(), (coef[i, :, None] * coef[j, None, :]).ravel(), minlength=int(sizes.sum())
+    )
+    return order, width, first, level_comp, count, base, blocks
+
+
+def _factor(blocks, base, width, first, level_comp, comp, needed):
+    """Block Cholesky of the assembled levels of the ``needed`` components.
+
+    One level after another, L_k = chol(G_kk - B_k B_k^T) with
+    B_k = G_k,k-1 L_k-1^-T.  Returns ``(inv_factor, below)``: L_k^-1 and B_k
+    by level.  A level whose Schur complement is not positive definite
+    raises RepairError on its component.
+    """
+    first, width, base = first.tolist(), width.tolist(), base.tolist()
+    inv_factor, below = {}, {}
+    for g in np.flatnonzero(needed[level_comp]).tolist():
+        w, (diag, sub) = width[g], base[g]
+        schur = blocks[diag:diag + w * w].reshape(w, w)
+        if not first[g]:
+            below[g] = blocks[sub:sub + w * width[g - 1]].reshape(w, -1) @ inv_factor[g - 1].T
+            schur = schur - below[g] @ below[g].T
+        try:
+            inv_factor[g] = np.linalg.inv(np.linalg.cholesky(schur))
+        except np.linalg.LinAlgError:
+            reason = "is rank-deficient: its Gram matrix is not positive definite"
+            raise RepairError(np.flatnonzero(comp == level_comp[g]), reason) from None
+    return inv_factor, below
+
+
+def _refine(out, defects, comp, comp_scale, order, width, level_comp, inv_factor, below,
+            p_idx, k_idx, var, coef):
+    """Correct ``out``, whose ``_defects`` are ``defects``, in place.
+
+    Each of up to ``_REFINEMENT_STEPS`` steps moves the components still
+    open by x = A^T (A A^T)^-1 r: one forward and one backward block
+    substitution, then the sum per variable.  One still open after the
+    last step raises RepairError.  Returns the worst reduced residual over
+    the scale before each step, and ``_defects``' last 6-row maxima.
+    """
+    bounds = np.r_[0, np.cumsum(width)].tolist()  # level rows in level order
+    defect, worst, six, open_comps = defects
+    history = []
+    for step in range(_REFINEMENT_STEPS + 1):
+        history.append(float(np.max(worst / comp_scale)))
+        if not open_comps.any():
+            return history, six
+        if step == _REFINEMENT_STEPS:
+            c = np.flatnonzero(open_comps)[0]
+            raise RepairError(
+                np.flatnonzero(comp == c),
+                f"is infeasible: its residual is still "
+                f"{np.maximum(worst, six)[c] / comp_scale[c]:.3e} "
+                f"of its scale after {_REFINEMENT_STEPS} refinement steps (bound 1e-13)",
+            )
+        open_levels = np.flatnonzero(open_comps[level_comp]).tolist()
+        r = defect[order].reshape(-1, 3)
+        z = np.zeros_like(r)
+        for g in open_levels:
+            lo, hi = bounds[g], bounds[g + 1]
+            t = r[lo:hi] if g not in below else r[lo:hi] - below[g] @ z[bounds[g - 1]:lo]
+            z[lo:hi] = inv_factor[g] @ t
+        for g in reversed(open_levels):
+            lo, hi = bounds[g], bounds[g + 1]
+            t = z[lo:hi] if g + 1 not in below else z[lo:hi] - below[g + 1].T @ z[hi:bounds[g + 2]]
+            z[lo:hi] = inv_factor[g].T @ t
+        y = np.empty_like(defect)
+        y[order] = z.reshape(len(comp), 5, 3)
+        delta = np.zeros((var.max() + 1, 3))
+        np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
+        out[p_idx, k_idx] -= delta[var]
+        defect, worst, six, open_comps = _defects(out, comp, comp_scale)
 
 
 def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
@@ -577,28 +720,16 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     patches are one shared variable, so exactly-shared edges stay exactly
     shared.  Corner variables are held fixed, and every slot on one keeps
     its own input bit-exact, sign of zero included.  Inner control points
-    stay private to their patch.
-
-    The constraints are the certified full-rank reduced rows, five per
-    patch.  Patches coupled by shared free variables form connected
-    components, each solved on its own as a minimum-norm correction
-    x = A^T (A A^T)^-1 r.  A component's patches are ordered by the
-    breadth-first level sets of its patch graph from a pseudo-peripheral
-    patch (the envelope method of George & Liu, 1981, ch. 4), so its Gram
-    matrix A A^T is block tridiagonal with one block row per level.  Only
-    the diagonal and sub-diagonal blocks are assembled from the free-slot
-    incidences, in memory linear in the patches times the widest level;
-    they are factored once, level by level, by block Cholesky.  Up to three
-    refinement steps, each one forward and one backward block substitution,
-    stop once the reduced residual and the 6-row residual (the one reported)
-    are both within 1e-13 times the component's scale, max(1, max
-    |coordinate|).  A component already within that bound is returned
-    untouched.  Any other component with rank-deficient rows or
-    whose residual stays above that bound (infeasible constraints) raises
-    RepairError naming its patches.  Deficiency within one patch's rows,
-    which comes from which of its slots share a variable, is decided exactly
-    before any float work; deficiency across patches shows as a level whose
-    Cholesky factorization fails.
+    stay private to their patch.  The constraints are the certified
+    full-rank reduced rows, five per patch; patches coupled by shared free
+    variables form components, each corrected on its own by the least
+    change.  A component whose reduced and 6-row residuals are already
+    within 1e-13 times its scale, max(1, max |coordinate|), is returned
+    untouched.  Any other component with rank-deficient rows, or whose
+    residual stays above that bound or is not a number, raises RepairError
+    naming its patches.  The method is in the stages' docstrings:
+    ``_variables``, ``_patch_ranks``, ``_assemble``, ``_factor`` and
+    ``_refine``.
 
     ``residual`` is the worst post-repair row of the 6-row system over
     max(1, max |coordinate|) of the whole set; ``system`` reports the size
@@ -612,139 +743,37 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
         return RepairResult(patches=[], per_patch=[], max_displacement=0.0, residual=0.0)
 
     pts = arr.reshape(n, 3, 16).transpose(0, 2, 1)
-    boundary = np.unique(_key_codes(pts[:, _BOUNDARY].reshape(-1, 3)), return_inverse=True)[1]
-    slot_var = np.empty((n, 16), dtype=np.intp)
-    slot_var[:, _BOUNDARY] = boundary.reshape(n, 12)
-    slot_var[:, _INNER] = boundary.max() + 1 + np.arange(4 * n).reshape(n, 4)
-    fixed = np.zeros(boundary.max() + 1 + 4 * n, dtype=bool)
-    fixed[slot_var[:, list(CORNER_INDICES)]] = True
+    slot_var, fixed = _variables(pts)
     p_idx, k_idx = np.nonzero(~fixed[slot_var])
     var = slot_var[p_idx, k_idx]
-    system = build_lambda()
-    reduced, lam = system.reduced_f, system.lam
-    coef = reduced[:, k_idx].T  # each free slot's coefficients in its patch's five rows
-
-    # Two free slots on one variable couple their patches' rows in A A^T; a
-    # variable repeated within one patch (a collapsed edge) couples it to itself.
+    coef = build_lambda().reduced_f[:, k_idx].T  # each free slot's coefficients in its rows
+    # Two free slots on one variable couple their patches; a variable
+    # repeated within one patch (a collapsed edge) couples it to itself.
     i, j = _pairs_on_one_variable(var)
-    pa, pb = p_idx[i], p_idx[j]
-    roots, comp = np.unique(_components(pa, pb, n), return_inverse=True)
+    link = np.unique(p_idx[i] * n + p_idx[j])
+    link = link[link // n != link % n]
+    roots, comp = np.unique(_components(link // n, link % n, n), return_inverse=True)
     comp_scale = np.ones(len(roots))
     np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
-    bound = 1e-13 * comp_scale
 
-    def defects(out):
-        """The reduced defect, and each component's worst reduced row and
-        worst row of the reduced and 6-row systems together: the stop rule
-        holds both, so the reported 6-row residual is within the bound too."""
-        defect = reduced @ out  # (n, 5, 3)
-        worst, both = np.zeros(len(roots)), np.zeros(len(roots))
-        np.maximum.at(worst, comp, np.abs(defect).max(axis=(1, 2)))
-        np.maximum.at(both, comp, np.abs(lam @ out).max(axis=(1, 2)))
-        return defect, worst, np.maximum(worst, both)
-
-    # A component already within the stop bound needs no correction: it is
-    # neither rank-checked nor factored, and comes back untouched.  The
-    # defect is taken on a contiguous copy, as in every refinement step.
+    # A component within the stop bound is neither rank-checked nor factored.
+    # The defect is taken on a contiguous copy, as in every refinement step.
     out = pts.copy()
-    defect, worst, both = defects(out)
-    needed = both > bound
-    rank = np.full(n, 5)
-    rank[needed[comp]] = _patch_ranks(slot_var[needed[comp]], fixed)
-    if (rank < 5).any():
-        c = comp[rank < 5].min()
-        p = np.flatnonzero((rank < 5) & (comp == c))[0]
-        reason = (
-            f"is rank-deficient: patch {p}'s five constraint rows have exact rank "
-            f"{rank[p]} over its free variables"
-        )
-        raise RepairError(np.flatnonzero(comp == c), reason)
-
-    # Ordered by component, then breadth-first level, then index, A A^T is
-    # block tridiagonal: a diagonal block per level and a block coupling it to
-    # the level before.  Only these blocks are assembled, into one flat buffer.
-    link = np.unique(pa * n + pb)
-    link = link[link // n != link % n]
-    level_key, group, count = np.unique(
-        comp * n + _level_sets(link // n, link % n, comp, roots),
-        return_inverse=True, return_counts=True,
+    defects = _defects(out, comp, comp_scale)
+    needed = defects[3]
+    _patch_ranks(slot_var, fixed, comp, needed)
+    order, width, first, level_comp, count, base, blocks = _assemble(
+        i, j, p_idx, coef, link, comp, roots, needed
     )
-    order = np.argsort(group, kind="stable")
-    offset = np.empty(n, dtype=np.intp)  # first row of each patch within its level
-    offset[order] = 5 * (np.arange(n) - np.repeat(np.cumsum(count) - count, count))
-    level_comp, level = np.divmod(level_key, n)
-    first = level == 0  # the first level of its component
-    width = 5 * count  # rows per level
-    solved = needed[level_comp]
-    # (diagonal, sub-diagonal) block of each level: its size and its start in the buffer
-    sizes = solved[:, None] * width[:, None] * np.c_[width, np.r_[0, width[:-1]] * ~first]
-    base = (np.cumsum(sizes) - sizes.ravel()).reshape(-1, 2)
-    gi, gj = group[pa], group[pb]
-    keep = (gj <= gi) & solved[gi]
-    i, j, gi, gj = i[keep], j[keep], gi[keep], gj[keep]
-    cell = (
-        base[gi, (gj < gi).astype(np.intp), None, None]
-        + (offset[p_idx[i], None, None] + np.arange(5)[:, None]) * width[gj, None, None]
-        + offset[p_idx[j], None, None] + np.arange(5)
-    )
-    blocks = np.bincount(
-        cell.ravel(), (coef[i, :, None] * coef[j, None, :]).ravel(), minlength=int(sizes.sum())
-    )
-
-    # Block Cholesky, one level after another: L_k = chol(G_kk - B_k B_k^T)
-    # with B_k = G_k,k-1 L_k-1^-T; each L_k is kept as its inverse.
-    bounds = np.r_[0, np.cumsum(width)].tolist()  # level rows in level order
-    first, width, base = first.tolist(), width.tolist(), base.tolist()
-    inv_factor, below = {}, {}
-    for g in np.flatnonzero(solved).tolist():
-        w, (diag, sub) = width[g], base[g]
-        schur = blocks[diag:diag + w * w].reshape(w, w)
-        if not first[g]:
-            below[g] = blocks[sub:sub + w * width[g - 1]].reshape(w, -1) @ inv_factor[g - 1].T
-            schur = schur - below[g] @ below[g].T
-        try:
-            inv_factor[g] = np.linalg.inv(np.linalg.cholesky(schur))
-        except np.linalg.LinAlgError:
-            reason = "is rank-deficient: its Gram matrix is not positive definite"
-            raise RepairError(np.flatnonzero(comp == level_comp[g]), reason) from None
-
-    history = []
-    for step in range(_REFINEMENT_STEPS + 1):
-        history.append(float(np.max(worst / comp_scale)))
-        open_comps = both > bound
-        if not open_comps.any():
-            break
-        if step == _REFINEMENT_STEPS:
-            c = np.flatnonzero(open_comps)[0]
-            raise RepairError(
-                np.flatnonzero(comp == c),
-                f"is infeasible: its residual is still {both[c] / comp_scale[c]:.3e} "
-                f"of its scale after {_REFINEMENT_STEPS} refinement steps (bound 1e-13)",
-            )
-        # One forward and one backward block substitution: y = (A A^T)^-1 defect.
-        open_levels = np.flatnonzero(open_comps[level_comp]).tolist()
-        r = defect[order].reshape(-1, 3)
-        z = np.zeros_like(r)
-        for g in open_levels:
-            lo, hi = bounds[g], bounds[g + 1]
-            t = r[lo:hi] if first[g] else r[lo:hi] - below[g] @ z[bounds[g - 1]:lo]
-            z[lo:hi] = inv_factor[g] @ t
-        for g in reversed(open_levels):
-            lo, hi = bounds[g], bounds[g + 1]
-            t = z[lo:hi] if g + 1 not in below else z[lo:hi] - below[g + 1].T @ z[hi:bounds[g + 2]]
-            z[lo:hi] = inv_factor[g].T @ t
-        y = np.empty_like(defect)
-        y[order] = z.reshape(n, 5, 3)
-        delta = np.zeros((len(fixed), 3))
-        np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
-        out[p_idx, k_idx] -= delta[var]
-        defect, worst, both = defects(out)
+    inv_factor, below = _factor(blocks, base, width, first, level_comp, comp, needed)
+    history, six = _refine(out, defects, comp, comp_scale, order, width, level_comp,
+                           inv_factor, below, p_idx, k_idx, var, coef)
 
     moved = np.max(np.abs(out - pts), axis=2)
     disp = moved[:, _NONCORNERS].max(axis=1)
     corner_disp = moved[:, list(CORNER_INDICES)].max(axis=1)
     patch_count = np.bincount(np.unique(var * n + p_idx) // n, minlength=len(fixed))
-    scale = max(1.0, float(np.max(np.abs(pts))))
+    solved = needed[level_comp]
     return RepairResult(
         patches=bezier_patches(out.transpose(0, 2, 1).reshape(n, 3, 4, 4)),
         per_patch=[
@@ -752,7 +781,7 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             for d, c in zip(disp.tolist(), corner_disp.tolist())
         ],
         max_displacement=float(disp.max()),
-        residual=float(np.max(np.abs(lam @ out))) / scale,
+        residual=float(six.max() / comp_scale.max()),
         system=RepairSystemStats(
             rows=5 * n,
             free_variables=int(np.count_nonzero(~fixed)),

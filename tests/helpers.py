@@ -802,18 +802,20 @@ def loop_repair_patches(patches) -> RepairResult:
     )
 
 
-def dense_repair_patches(patches) -> list:
-    """Repaired patches from one dense Gram matrix per component.
+def dense_system(patches):
+    """Slots, variables and the full 5n x 5n Gram matrix A A^T of a set.
 
-    The solve ``repair_patches`` used before its level-set factorization:
-    each component's full ``5n_c x 5n_c`` Gram matrix A A^T, summed from the
-    slot pairs, inverted as ``inv(cholesky(gram))``, with the same variables,
-    components, stop bound and refinement steps.  O(n_c^2) memory and
-    O(n_c^3) time, so only for small sets.
+    Boundary slots with equal coordinates (``np.unique(axis=0)``, on which
+    0.0 and -0.0 are equal) are one variable, inner slots are private and
+    corner variables fixed.  Every pair of free slots on one variable adds
+    the outer product of their reduced-row coefficients to the two
+    patches' 5 x 5 block, as ``repair_patches`` sums its level blocks.
+    Returns pts (n, 16, 3), slot_var, fixed, the free slots' patch, slot,
+    variable and coefficients, and the Gram matrix.
     """
     n = len(patches)
     pts = np.stack([p.as_array for p in patches]).reshape(n, 3, 16).transpose(0, 2, 1)
-    boundary = pts[:, constraints._BOUNDARY].reshape(-1, 3)
+    boundary = pts[:, constraints._BOUNDARY].reshape(-1, 3) + 0.0
     shared, inverse = np.unique(boundary, axis=0, return_inverse=True)
     slot_var = np.empty((n, 16), dtype=np.intp)
     slot_var[:, constraints._BOUNDARY] = inverse.reshape(n, 12)
@@ -822,30 +824,40 @@ def dense_repair_patches(patches) -> list:
     fixed[slot_var[:, [0, 3, 12, 15]]] = True
     p_idx, k_idx = np.nonzero(~fixed[slot_var])
     var = slot_var[p_idx, k_idx]
+    coef = build_lambda().reduced_f[:, k_idx].T
+    i, j = constraints._pairs_on_one_variable(var)
+    row = 5 * p_idx[i, None, None] + np.arange(5)[:, None]
+    col = 5 * p_idx[j, None, None] + np.arange(5)
+    gram = np.bincount(
+        (row * 5 * n + col).ravel(),
+        (coef[i, :, None] * coef[j, None, :]).ravel(),
+        minlength=25 * n * n,
+    ).reshape(5 * n, 5 * n)
+    return pts, slot_var, fixed, p_idx, k_idx, var, coef, gram
+
+
+def dense_repair_patches(patches) -> list:
+    """Repaired patches from one dense Gram matrix per component.
+
+    The solve ``repair_patches`` used before its level-set factorization:
+    each component's full ``5n_c x 5n_c`` Gram matrix A A^T, cut from
+    ``dense_system``'s, inverted as ``inv(cholesky(gram))``, with the same
+    variables, components, stop bound and refinement steps.  O(n^2) memory
+    and O(n_c^3) time, so only for small sets.
+    """
+    n = len(patches)
+    pts, slot_var, fixed, p_idx, k_idx, var, coef, full = dense_system(patches)
     reduced = build_lambda().reduced_f
-    coef = reduced[:, k_idx].T
 
     i, j = constraints._pairs_on_one_variable(var)
     _, comp = np.unique(constraints._components(p_idx[i], p_idx[j], n), return_inverse=True)
     members = [np.flatnonzero(comp == c) for c in range(comp.max() + 1)]
-    local = np.empty(n, dtype=np.intp)
-    for m in members:
-        local[m] = np.arange(len(m))
     comp_scale = np.ones(len(members))
     np.maximum.at(comp_scale, comp, np.abs(pts).max(axis=(1, 2)))
     factors = {}
     for c, m in enumerate(members):
-        size = 5 * len(m)
-        mine = comp[p_idx[i]] == c
-        ic, jc = i[mine], j[mine]
-        row = 5 * local[p_idx[ic], None, None] + np.arange(5)[:, None]
-        col = 5 * local[p_idx[jc], None, None] + np.arange(5)
-        gram = np.bincount(
-            (row * size + col).ravel(),
-            (coef[ic, :, None] * coef[jc, None, :]).ravel(),
-            minlength=size * size,
-        ).reshape(size, size)
-        factors[c] = np.linalg.inv(np.linalg.cholesky(gram))
+        rows = (5 * m[:, None] + np.arange(5)).ravel()
+        factors[c] = np.linalg.inv(np.linalg.cholesky(full[np.ix_(rows, rows)]))
 
     out = pts.copy()
     for _ in range(3):

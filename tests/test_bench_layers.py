@@ -79,3 +79,16 @@ def test_repair_column_summarises_each_input_over_the_runs():
         "detect_adjacency": {"min_ms": 0.2, "median_ms": 0.3, "max_ms": 0.4},
         "tracemalloc_peak_mb": 0.5,
     }}}
+
+
+def test_repair_column_summarises_the_stages_a_checkout_has():
+    runs = [{"inputs": {"teapot": {"patches": 32, "components": 4, "records": 52,
+                                   "repair_s": s, "adjacency_s": s, "tracemalloc_peak_mb": 0.5,
+                                   "stages_s": {"_factor": s / 2, "repair_patches": s}}}}
+            for s in (0.003, 0.002, 0.004)]
+    assert bench_layers.repair_column(runs)["inputs"]["teapot"]["stages_ms"] == {
+        "_factor": {"min_ms": 1.0, "median_ms": 1.5, "max_ms": 2.0},
+        "repair_patches": {"min_ms": 2.0, "median_ms": 3.0, "max_ms": 4.0},
+    }
+    runs[0]["inputs"]["teapot"]["stages_s"] = {}
+    assert "stages_ms" not in bench_layers.repair_column(runs)["inputs"]["teapot"]

@@ -863,21 +863,25 @@ def test_a_report_holding_a_nonfinite_number_is_not_written(capsys, tmp_path, rn
     for argv in (
         ["validate", "--in", str(src)],
         ["validate", "--in", str(src), "--form", "hermite"],
-        ["repair", "--in", str(src), "--out", str(tmp_path / "r.json")],
-        ["teapot", "--in", str(newell), "--out", str(tmp_path / "t")],
     ):
         code, out, err = run(capsys, *argv, "--json")
         assert (code, out) == (4, "")
         assert err.startswith("error: report.") and "which JSON cannot hold" in err
-    assert not (tmp_path / "t" / "teapot_report.json").exists()
     # text reports print the non-finite residuals as before
     code, out, _ = run(capsys, "validate", "--in", str(src))
     assert code == 1 and "max residual nan  NONCOMPLIANT" in out
-    code, out, _ = run(capsys, "repair", "--in", str(src), "--out", str(tmp_path / "r.json"))
-    assert code == 3 and "max residual after nan" in out
-    # teapot's report file is JSON in either mode
-    code, out, err = run(capsys, "teapot", "--in", str(newell), "--out", str(tmp_path / "t"))
-    assert (code, out) == (4, "") and "which JSON cannot hold" in err
+    # repair calls a residual that is not a number infeasible, an input error,
+    # in either mode, and writes no repaired set or report
+    infeasible = "joint repair of patches [0] is infeasible: its residual is still nan"
+    for mode in (["--json"], []):
+        code, out, err = run(capsys, "repair", "--in", str(src), "--out",
+                             str(tmp_path / "r.json"), *mode)
+        assert (code, out) == (2, "") and err.startswith(f"error: {infeasible}")
+        code, out, err = run(capsys, "teapot", "--in", str(newell), "--out",
+                             str(tmp_path / "t"), *mode)
+        assert (code, out) == (2, "") and err.startswith(f"stage repair failed: {infeasible}")
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "t" / "teapot_report.json").exists()
 
 
 _FULL = np.full((4, 4), 1.7e308)  # its diagonal coefficients overflow to inf - inf

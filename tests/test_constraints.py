@@ -36,7 +36,7 @@ from smartpatch.constraints import (
     _level_sets,
     grid_scale,
 )
-from smartpatch import cli
+from smartpatch import cli, constraints
 from smartpatch.linalg import RationalMatrix
 from smartpatch.io import PatchSet, read_newell, write_patchset
 from smartpatch.patches import _convert
@@ -48,6 +48,7 @@ from helpers import (
     bilinear_grid,
     collapse_by_traces,
     dense_repair_patches,
+    dense_system,
     diagonal_matrix,
     height_field_patches,
     hs_alpha_beta,
@@ -1107,3 +1108,132 @@ def test_repair_memory_is_linear_on_one_component():
     # breadth-first from a corner patch: 47 anti-diagonal levels, 24 patches at most
     assert (result.system.levels, result.system.max_level_patches) == (47, 24)
     assert peak < 32e6
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [3e306, 1e307, 3e307])
+def test_repair_near_the_float_limit_is_finite_or_raises(scale):
+    """A 6-row product that overflows to inf - inf is NaN, and NaN is not within
+    the stop bound: the patch is repaired to a finite residual or raises."""
+    for seed in range(8):
+        patch = np.random.default_rng(seed).uniform(-1.0, 1.0, (1, 3, 4, 4)) * scale
+        try:
+            result = repair_patches(patch)
+        except RepairError as exc:
+            assert "is infeasible" in str(exc)
+            continue
+        assert type(result.residual) is float and result.residual <= 1e-13
+
+
+_STAGES = ("_variables", "_patch_ranks", "_assemble", "_factor", "_refine")
+
+
+def _recorded(monkeypatch, name) -> list:
+    """Wrap the repair stage ``name``; each call appends its (args, value)."""
+    calls, stage = [], getattr(constraints, name)
+
+    def wrapped(*args):
+        value = stage(*args)
+        calls.append((args, value))
+        return value
+
+    monkeypatch.setattr(constraints, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("compliant", [False, True])
+def test_repair_runs_each_stage_once(teapot_path, monkeypatch, compliant):
+    patches = read_newell(teapot_path).patches
+    if compliant:
+        patches = repair_patches(patches).patches
+    calls = {name: _recorded(monkeypatch, name) for name in _STAGES}
+    result = repair_patches(patches)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(_STAGES, 1)
+    inv_factor, _ = calls["_factor"][0][1]
+    steps = len(result.system.step_residuals) - 1
+    if compliant:  # nothing factored, no step taken, every bit kept
+        assert (inv_factor, steps) == ({}, 0)
+        for p, q in zip(result.patches, patches):
+            assert p.as_array.tobytes() == q.as_array.tobytes()
+    else:
+        width = calls["_assemble"][0][1][1]
+        assert len(inv_factor) == len(width) == 15 and steps >= 1  # every level factored
+
+
+def _stage_input(teapot_path, rng, source):
+    if source == "field":
+        return height_field_patches(rng.uniform(-1.0, 1.0, (13, 13)))
+    if source == "duplicate":
+        p = random_patch(rng)
+        return [p, p]
+    patches = read_newell(teapot_path).patches
+    return [q for p in patches for q in split_patch(p)] if source == "split" else patches
+
+
+@pytest.mark.parametrize("source", ["teapot", "split", "field", "duplicate"])
+def test_assembled_blocks_are_those_of_the_dense_gram(teapot_path, rng, monkeypatch, source):
+    patches = _stage_input(teapot_path, rng, source)
+    calls = _recorded(monkeypatch, "_assemble")
+    repair_patches(patches)
+    [(args, (order, width, first, level_comp, count, base, blocks))] = calls
+    assert args[-1].all()  # every component needs a correction: every level is assembled
+    assert np.array_equal(width, 5 * count)
+    assert np.array_equal(first, np.r_[True, level_comp[1:] != level_comp[:-1]])
+    rows = (5 * order[:, None] + np.arange(5)).ravel()
+    gram = dense_system(patches)[-1][np.ix_(rows, rows)]  # in level order
+    tol = 1e-14 * np.abs(gram).max()
+    start = np.r_[0, np.cumsum(width)]
+    assembled = np.zeros(gram.shape, dtype=bool)
+    for g, w in enumerate(width):
+        lo, hi = start[g], start[g + 1]
+        diag = blocks[base[g, 0]:base[g, 0] + w * w].reshape(w, w)
+        np.testing.assert_allclose(diag, gram[lo:hi, lo:hi], rtol=0, atol=tol)
+        assembled[lo:hi, lo:hi] = True
+        if not first[g]:
+            sub = blocks[base[g, 1]:base[g, 1] + w * width[g - 1]].reshape(w, -1)
+            np.testing.assert_allclose(sub, gram[lo:hi, start[g - 1]:lo], rtol=0, atol=tol)
+            assembled[lo:hi, start[g - 1]:lo] = assembled[start[g - 1]:lo, lo:hi] = True
+    assert not gram[~assembled].any()  # block tridiagonal: nothing else couples two patches
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_factor_raises_on_a_level_that_is_not_positive_definite(level):
+    """Component 0 (patches 1 and 2) has two levels coupled by 2I; its first
+    block is -I, or its second Schur complement is I - 4I.  Component 1
+    (patch 0) is one level I, and a component that needs no correction is
+    not factored."""
+    eye = np.eye(5).ravel()
+    blocks = np.concatenate([eye if level else -eye, eye, 2 * eye, eye])
+    base = np.array([[0, 25], [25, 50], [75, 100]])
+    width, first = np.array([5, 5, 5]), np.array([True, False, True])
+    level_comp, comp = np.array([0, 0, 1]), np.array([1, 0, 0])
+    with pytest.raises(RepairError) as exc:
+        constraints._factor(blocks, base, width, first, level_comp, comp, np.array([True, True]))
+    assert str(exc.value) == (
+        "joint repair of patches [1, 2] is rank-deficient: its Gram matrix is not positive definite"
+    )
+    inv_factor, below = constraints._factor(
+        blocks, base, width, first, level_comp, comp, np.array([False, True])
+    )
+    assert list(inv_factor) == [2] and below == {}
+
+
+def test_variables_name_each_distinct_boundary_point_once(teapot_path, rng):
+    teapot = read_newell(teapot_path).patches
+    a, b = shared_edge_pair(rng)
+    x = np.array(a.x)
+    x[3, :] = 0.0
+    a = BezierPatch(x, a.y, a.z)
+    x = np.array(b.x)
+    x[0, :] = -0.0  # equal to a's 0.0: the same points
+    b = BezierPatch(x, b.y, b.z)
+    split = [q for p in teapot for q in split_patch(p)]
+    pts, ref_var, ref_fixed, *_ = dense_system(teapot + split + [a, b, rank_deficient_patch(rng)])
+    slot_var, fixed = constraints._variables(pts)
+    # the oracle's partition of the slots: one variable per distinct boundary
+    # point, inner slots private, and the same variables fixed (the corners')
+    assert len(fixed) == len(np.unique(slot_var)) == len(ref_fixed)
+    assert len(np.unique(np.c_[slot_var.ravel(), ref_var.ravel()], axis=0)) == len(ref_fixed)
+    assert np.array_equal(fixed[slot_var], ref_fixed[ref_var])
+    assert np.array_equal(slot_var[-3, 12:], slot_var[-2, :4])  # 0.0 and -0.0: one point
