@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time smartpatch's set-up, joint repair and I/O layers in fresh interpreters.
+"""Time smartpatch's set-up, joint repair, I/O and per-grid operator layers in fresh interpreters.
 
 Usage::
 
@@ -49,6 +49,12 @@ child.
 ``peak_rss_mb`` is the worker's own peak resident set size: the probe is
 started from this script, which never imports numpy, so no larger parent
 process raises the reading.  Each probe's input is in a new directory.
+
+Operators: one call of each per-grid operator that the ``grids`` benchmark
+workload times (``OPERATORS``), on seeded grids and draws: ``bs_residuals``,
+``bs_project``, ``bs_solve``, ``bs_inner_identity``, ``BezierPatch(x, y, z)``,
+``bezier_to_hermite`` and ``hermite_to_bezier``, each the fastest of
+OPERATOR_CALLS timed calls, in microseconds.
 """
 
 import argparse
@@ -67,7 +73,9 @@ CHECKOUT_FILES = ("src/smartpatch/__init__.py", "data/teapot.newell", "bench/pro
 SETUP_RUNS = 15
 REPAIR_RUNS = 3
 IO_RUNS = 9
+OPERATOR_RUNS = 9
 CALLS = 15
+OPERATOR_CALLS = 5000
 REPAIR_CALLS = 5
 REPAIR_SECONDS = 0.5
 RSS_SECONDS = 2.0
@@ -246,6 +254,30 @@ generators.write_inputs("teapot", Path.cwd(), Path(sys.argv[2]), 10)
 """
 
 
+# argv: the timed calls per operator.
+OPERATORS = r"""
+import numpy as np
+from smartpatch import (BezierPatch, bezier_to_hermite, bs_inner_identity, bs_project,
+                        bs_residuals, bs_solve, hermite_to_bezier)
+
+rng = np.random.default_rng(23)
+grid, (x, y, z) = rng.uniform(-10, 10, (4, 4)), rng.uniform(-10, 10, (3, 4, 4))
+corners, free = rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 7)
+projected, bezier = bs_project(grid), BezierPatch(x, y, z)
+hermite = bezier_to_hermite(bezier)
+ops = {
+    "bs_residuals": lambda: bs_residuals(grid),
+    "bs_project": lambda: bs_project(grid),
+    "bs_solve": lambda: bs_solve(corners, free),
+    "bs_inner_identity": lambda: bs_inner_identity(projected),
+    "BezierPatch(x, y, z)": lambda: BezierPatch(x, y, z),
+    "bezier_to_hermite": lambda: bezier_to_hermite(bezier),
+    "hermite_to_bezier": lambda: hermite_to_bezier(hermite),
+}
+result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()}}
+"""
+
+
 def run(root: Path, cmd: list) -> str:
     """Stdout of ``cmd`` run in ``root`` with BLAS on one thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -274,10 +306,11 @@ def io_run(root: Path) -> dict:
     return result | {"peak_rss_mb": json.loads(probe)["peak_rss_mb"]}
 
 
-def summary(values) -> dict:
-    return {"min_ms": round(1e3 * min(values), 3),
-            "median_ms": round(1e3 * statistics.median(values), 3),
-            "max_ms": round(1e3 * max(values), 3)}
+def summary(values, unit: str = "ms") -> dict:
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    return {f"min_{unit}": round(scale * min(values), 3),
+            f"median_{unit}": round(scale * statistics.median(values), 3),
+            f"max_{unit}": round(scale * max(values), 3)}
 
 
 def setup_column(runs: list) -> dict:
@@ -317,6 +350,12 @@ def io_column(runs: list) -> dict:
     }
 
 
+def operators_column(runs: list) -> dict:
+    return {"runs": len(runs),
+            "calls": {name: summary([r["best"][name] for r in runs], "us")
+                      for name in runs[0]["best"]}}
+
+
 # Per file: the runs per checkout, one run on a checkout root, the column
 # made from one checkout's runs, and the file's method.
 LAYERS = {
@@ -348,6 +387,13 @@ LAYERS = {
         "write_obj; "
         f"peak_rss_mb from bench/probe.py ops teapot (seed 10, {RSS_SECONDS:g} s) started "
         f"through sh; {SPREAD}"),
+    "BENCH_operators.json": (
+        OPERATOR_RUNS, lambda root: child(root, OPERATORS, str(OPERATOR_CALLS)),
+        operators_column,
+        f"fresh interpreter per run, one untimed call, then the min of {OPERATOR_CALLS} timed "
+        f"calls per operator on one seeded input, in microseconds; {OPERATOR_RUNS} runs per "
+        f"checkout, {ALTERNATED}; min, median and max of the per-run minima; "
+        f"{SPREAD.replace('_ms', '_us')}"),
 }
 
 

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _patch_array, as_grid, bezier_patches
+from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _frozen, _patch_array, bezier_patches
 from .tessellation import _key_codes
 
 DEFAULT_TOL = 1e-9
@@ -39,7 +39,10 @@ class DiagonalKind(Enum):
 # remaining 12 positions in row-major order (x01, x02, x10, x11, ...).
 CORNER_INDICES = (0, 3, 12, 15)
 NONCORNER_INDICES = tuple(k for k in range(16) if k not in CORNER_INDICES)
-_NONCORNERS = list(NONCORNER_INDICES)  # numpy reads a tuple index as one index per axis
+# Index arrays: numpy reads a tuple as one index per axis, and converts a list on every use.
+_CORNERS = np.array(CORNER_INDICES)
+_NONCORNERS = np.array(NONCORNER_INDICES)
+_CORNERS.flags.writeable = _NONCORNERS.flags.writeable = False
 
 # Independently tabulated copy of the 6x16 constraint matrix.  The build
 # derives its own matrix from the basis matrices and must reproduce this
@@ -166,7 +169,7 @@ class ConstraintSystem(NamedTuple):
     homogeneous: RationalMatrix # 12 x 7: contribution of the free values
     gain: RationalMatrix        # 12 x 5
     solve_f: np.ndarray         # 16 x 11: vec(grid) from (corners, free values)
-    given_idx: list             # the 11 positions in vec(grid) that solve_f copies
+    given_idx: np.ndarray       # the 11 positions in vec(grid) that solve_f copies
     reduced_f: np.ndarray       # 5 x 16: reduced system residual of vec(grid)
     gain_f: np.ndarray          # 12 x 5
 
@@ -215,12 +218,13 @@ def build_lambda() -> ConstraintSystem:
     _certify(reduced, rhs, particular, homogeneous, gain)
 
     solve_f = np.zeros((16, 11))
-    solve_f[list(CORNER_INDICES), :4] = np.eye(4)
+    solve_f[_CORNERS, :4] = np.eye(4)
     solve_f[_NONCORNERS] = particular.hstack(homogeneous).to_float()
     reduced_f = np.zeros((5, 16))
     reduced_f[:, _NONCORNERS] = reduced.to_float()
-    reduced_f[:, list(CORNER_INDICES)] = -rhs.to_float()
-    for m in (solve_f, reduced_f):
+    reduced_f[:, _CORNERS] = -rhs.to_float()
+    given_idx = np.array([*CORNER_INDICES, *(NONCORNER_INDICES[f] for f in free)])
+    for m in (solve_f, reduced_f, given_idx):
         m.flags.writeable = False
     return ConstraintSystem(
         lam=lam_q.to_float(),
@@ -234,7 +238,7 @@ def build_lambda() -> ConstraintSystem:
         homogeneous=homogeneous,
         gain=gain,
         solve_f=solve_f,
-        given_idx=[*CORNER_INDICES, *(NONCORNER_INDICES[f] for f in free)],
+        given_idx=given_idx,
         reduced_f=reduced_f,
         gain_f=gain.to_float(),
     )
@@ -316,9 +320,9 @@ def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     rel /= scale
     worst = float(rel.max())  # nan when one is nan, where max() of a list may drop it
     rel = rel.tolist()
-    main, anti = (DiagonalResiduals(*values[k : k + 3], rel=tuple(rel[k : k + 3])) for k in (0, 3))
     return ConstraintReport(
-        per_diagonal={DiagonalKind.MAIN: main, DiagonalKind.ANTI: anti},
+        per_diagonal={DiagonalKind.MAIN: DiagonalResiduals(*values[:3], rel=tuple(rel[:3])),
+                      DiagonalKind.ANTI: DiagonalResiduals(*values[3:], rel=tuple(rel[3:]))},
         max_residual=worst, compliant=worst <= tol, tolerance_used=tol,
     )
 
@@ -332,15 +336,17 @@ def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
     arithmetic; each call is one float product with it, and the corners
     and free values are copied into the grid bit-exact.
     """
-    if len(corners) != 4:
+    corners = np.asarray(corners, dtype=float)
+    if corners.shape != (4,):
         raise ValueError("need exactly 4 corner values")
-    if len(free) != 7:
+    free = np.asarray(free, dtype=float)
+    if free.shape != (7,):
         raise ValueError("need exactly 7 free values")
     s = build_lambda()
-    given = np.array([*corners, *free], dtype=float)
+    given = np.concatenate((corners, free))
     flat = s.solve_f @ given
     flat[s.given_idx] = given
-    return as_grid(flat.reshape(4, 4))
+    return _frozen(flat).reshape(4, 4)
 
 
 def bs_project(g) -> np.ndarray:
@@ -356,7 +362,7 @@ def bs_project(g) -> np.ndarray:
     s = build_lambda()
     out = flat.copy()
     out[_NONCORNERS] -= s.gain_f @ (s.reduced_f @ flat)
-    return as_grid(out.reshape(4, 4))
+    return _frozen(out).reshape(4, 4)
 
 
 def bs_inner_identity(g) -> float:
@@ -366,10 +372,10 @@ def bs_inner_identity(g) -> float:
     (x00 - x03 - x30 + x33); see resolve_inner_identity() for the exact
     certification, including the rejected sign variant.
     """
-    g = np.asarray(g, dtype=float)
-    inner = g[1, 1] - g[1, 2] - g[2, 1] + g[2, 2]
-    corner = g[0, 0] - g[0, 3] - g[3, 0] + g[3, 3]
-    return float(inner - corner / 9.0)
+    x = _vec(g).tolist()
+    inner = x[5] - x[6] - x[9] + x[10]
+    corner = x[0] - x[3] - x[12] + x[15]
+    return inner - corner / 9.0
 
 
 class InnerIdentityResolution(NamedTuple):
@@ -590,7 +596,7 @@ def _variables(pts: np.ndarray):
     slot_var[:, _BOUNDARY] = boundary.reshape(n, 12)
     slot_var[:, _INNER] = boundary.max() + 1 + np.arange(4 * n).reshape(n, 4)
     fixed = np.zeros(boundary.max() + 1 + 4 * n, dtype=bool)
-    fixed[slot_var[:, list(CORNER_INDICES)]] = True
+    fixed[slot_var[:, _CORNERS]] = True
     return slot_var, fixed
 
 
@@ -771,7 +777,7 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
 
     moved = np.max(np.abs(out - pts), axis=2)
     disp = moved[:, _NONCORNERS].max(axis=1)
-    corner_disp = moved[:, list(CORNER_INDICES)].max(axis=1)
+    corner_disp = moved[:, _CORNERS].max(axis=1)
     patch_count = np.bincount(np.unique(var * n + p_idx) // n, minlength=len(fixed))
     solved = needed[level_comp]
     return RepairResult(

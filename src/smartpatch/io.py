@@ -25,7 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .patches import BezierPatch, _patch_array, _patch_views
+from .patches import BezierPatch, _patch_array
 from .tessellation import Adjacency, EdgeId, EdgeSide, TriangleMesh
 
 
@@ -243,7 +243,7 @@ class PatchSet:
     @property
     def patches(self) -> List[BezierPatch]:
         if self._patches is None:
-            self._patches = _patch_views(self._points)
+            self._patches = [BezierPatch._of(row) for row in self._points]
         return self._patches
 
     def __eq__(self, other):

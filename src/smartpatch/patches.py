@@ -52,14 +52,20 @@ def as_grid(values) -> np.ndarray:
     g = np.array(values, dtype=float)
     if g.shape != (4, 4):
         raise ValueError(f"grid must be 4x4, got {g.shape}")
-    if not np.isfinite(g).all():
+    return _frozen(g)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only once every entry is checked to be finite."""
+    if not np.isfinite(a).all():
         raise ValueError("grid contains non-finite values")
-    g.flags.writeable = False
-    return g
+    a.flags.writeable = False
+    return a
 
 
 class _PatchGrids:
-    """Three read-only 4x4 grids, one per coordinate.
+    """Three 4x4 grids, one per coordinate: ``x``, ``y`` and ``z`` are the
+    row views of one read-only (3, 4, 4) float array, ``as_array``.
 
     A patch is immutable.  Patches compare and hash by identity: equality of
     their float grids is the caller's choice of tolerance, and an ndarray
@@ -67,7 +73,20 @@ class _PatchGrids:
     """
 
     def __init__(self, x, y, z):
-        self.__dict__.update(x=as_grid(x), y=as_grid(y), z=as_grid(z))
+        try:
+            a = np.array((x, y, z), dtype=float)
+        except (TypeError, ValueError):  # a ragged stack, or a value that is not a number
+            a = np.empty(0)
+        if a.shape != (3, 4, 4):  # as_grid's error for the first bad grid, in x, y, z order
+            a = np.array([as_grid(g) for g in (x, y, z)])
+        self.__dict__.update(zip("xyz", _frozen(a)), as_array=a)
+
+    @classmethod
+    def _of(cls, arr: np.ndarray):
+        """A patch viewing a checked, read-only (3, 4, 4) array."""
+        patch = object.__new__(cls)
+        patch.__dict__.update(zip("xyz", arr), as_array=arr)
+        return patch
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -91,33 +110,16 @@ class BezierPatch(_PatchGrids):
     one at (1,0).
     """
 
-    @functools.cached_property
-    def as_array(self) -> np.ndarray:
-        """(3,4,4) stacked view of the three coordinate grids."""
-        a = np.stack(self.grids)
-        a.flags.writeable = False
-        return a
-
 
 def bezier_patches(points) -> list:
     """One BezierPatch per row of an (N, 3, 4, 4) array.
 
-    The array is copied and checked once, as ``as_grid`` checks one grid;
+    The array is copied and checked once, as a patch checks its grids;
     each patch's grids and ``as_array`` are read-only views of that copy.
     """
     arr = _patch_array(np.array(points, dtype=float))
     arr.flags.writeable = False
-    return _patch_views(arr)
-
-
-def _patch_views(arr: np.ndarray) -> list:
-    """One BezierPatch per row of a checked, read-only (N, 3, 4, 4) array, viewing it."""
-    out = []
-    for row in arr:
-        patch = object.__new__(BezierPatch)
-        patch.__dict__.update(x=row[0], y=row[1], z=row[2], as_array=row)
-        out.append(patch)
-    return out
+    return [BezierPatch._of(row) for row in arr]
 
 
 def _patch_array(patches) -> np.ndarray:
@@ -206,9 +208,9 @@ def _convert(arr, direction: str) -> np.ndarray:
 
 def hermite_to_bezier(h: HermitePatch) -> BezierPatch:
     """Convert corner/tangent/twist grids to Bezier control grids."""
-    return BezierPatch(*_convert(h.grids, "h2b"))
+    return BezierPatch._of(_frozen(_convert(h.as_array, "h2b")))
 
 
 def bezier_to_hermite(b: BezierPatch) -> HermitePatch:
     """Convert Bezier control grids to corner/tangent/twist grids."""
-    return HermitePatch(*_convert(b.grids, "b2h"))
+    return HermitePatch._of(_frozen(_convert(b.as_array, "b2h")))

@@ -9,6 +9,7 @@ import numpy as np
 from smartpatch import BezierPatch, TessPattern, build_lambda, bs_solve
 from smartpatch import constraints
 from smartpatch.constraints import (
+    NONCORNER_INDICES,
     DiagonalKind,
     PatchRepairStats,
     RepairResult,
@@ -19,6 +20,8 @@ from smartpatch.patches import (
     _BB_ROWS,
     _T_ROWS,
     _check_param,
+    _conversion_matrices,
+    as_grid,
     bernstein_dweights_many,
     bernstein_weights,
     bernstein_weights_many,
@@ -75,6 +78,41 @@ def random_compliant_grid(rng, lo=-10.0, hi=10.0) -> np.ndarray:
 
 def random_compliant_patch(rng, lo=-10.0, hi=10.0) -> BezierPatch:
     return BezierPatch(*(random_compliant_grid(rng, lo, hi) for _ in range(3)))
+
+
+def convert_per_grid(grids, direction: str) -> np.ndarray:
+    """The (3, 4, 4) conversion of three grids, each converted on its own
+    as m^T g m and copied and checked by ``as_grid``."""
+    c, d = _conversion_matrices()
+    m = d if direction == "b2h" else c
+    return np.array([as_grid(m.T @ g @ m) for g in grids])
+
+
+def project_per_grid(g) -> np.ndarray:
+    """``bs_project`` as first written: the non-corner slots of the flat
+    grid less gain . reduced . flat, copied and checked by ``as_grid``."""
+    s = build_lambda()
+    flat = np.asarray(g, dtype=float).reshape(-1)
+    out = flat.copy()
+    out[list(NONCORNER_INDICES)] -= s.gain_f @ (s.reduced_f @ flat)
+    return as_grid(out.reshape(4, 4))
+
+
+def solve_per_grid(corners, free) -> np.ndarray:
+    """``bs_solve`` as first written: solve_f . given, with the given values
+    copied into their slots, copied and checked by ``as_grid``."""
+    s = build_lambda()
+    given = np.array([*corners, *free], dtype=float)
+    flat = s.solve_f @ given
+    flat[list(s.given_idx)] = given
+    return as_grid(flat.reshape(4, 4))
+
+
+def reachable_arrays(a):
+    """``a`` and every ndarray base it keeps alive."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
 
 
 def hs_phi(h_grid) -> float:

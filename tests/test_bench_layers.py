@@ -1,5 +1,6 @@
-"""The per-layer benchmark script: its arguments, its record writer and its
-set-up child.  No repair or I/O child runs here; each takes seconds."""
+"""The per-layer benchmark script: its arguments, its record writer, and its
+set-up and operator children (the latter with 3 calls per operator).  No
+repair or I/O child runs here; each takes seconds."""
 
 import importlib.util
 import json
@@ -92,3 +93,24 @@ def test_repair_column_summarises_the_stages_a_checkout_has():
     }
     runs[0]["inputs"]["teapot"]["stages_s"] = {}
     assert "stages_ms" not in bench_layers.repair_column(runs)["inputs"]["teapot"]
+
+
+def test_operators_child_reports_the_committed_operator_names():
+    run = bench_layers.child(REPO_ROOT, bench_layers.OPERATORS, "3")
+    committed = json.loads((REPO_ROOT / "BENCH_operators.json").read_text())["columns"]
+    assert set(run) == {"best", "numpy"}
+    assert list(run["best"]) == ["bs_residuals", "bs_project", "bs_solve", "bs_inner_identity",
+                                 "BezierPatch(x, y, z)", "bezier_to_hermite",
+                                 "hermite_to_bezier"]
+    assert all(0.0 < seconds < 0.1 for seconds in run["best"].values())
+    for column in committed.values():
+        assert list(run["best"]) == list(column["calls"])
+        assert bench_layers.operators_column([run]).keys() == column.keys() - {"note"}
+
+
+def test_operators_column_summarises_microseconds_over_the_runs():
+    runs = [{"best": {"bs_project": s, "bs_solve": s / 2}} for s in (3e-6, 2e-6, 4e-6)]
+    assert bench_layers.operators_column(runs) == {"runs": 3, "calls": {
+        "bs_project": {"min_us": 2.0, "median_us": 3.0, "max_us": 4.0},
+        "bs_solve": {"min_us": 1.0, "median_us": 1.5, "max_us": 2.0},
+    }}

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -61,8 +62,11 @@ from helpers import (
     nullspace,
     omega_by_triple_products,
     random_patch,
+    project_per_grid,
     rank_deficient_patch,
+    reachable_arrays,
     shared_edge_pair,
+    solve_per_grid,
     split_patch,
     validation_sets,
 )
@@ -394,6 +398,41 @@ def test_solve_input_validation():
         bs_solve([1, 2, 3, 4], [0] * 6)
 
 
+_ROWS = np.arange(44.0).reshape(4, 11)
+
+
+@pytest.mark.parametrize("corners, free, message", [
+    ([1, 2, 3], [0] * 7, "corner"),
+    ((1, 2, 3, 4, 5), (0,) * 7, "corner"),
+    (_ROWS[0, :3], _ROWS[1, :7], "corner"),
+    (_ROWS[:, :2], _ROWS[1, :7], "corner"),
+    (_ROWS[None, 0, :4], _ROWS[1, :7], "corner"),
+    ([[1, 2]] * 4, [0] * 7, "corner"),
+    (np.float64(1.0), [0] * 7, "corner"),
+    ([1, 2, 3, 4], [0] * 6, "free"),
+    ((1, 2, 3, 4), tuple(range(8)), "free"),
+    (_ROWS[0, :4], _ROWS[1, :6], "free"),
+    (_ROWS[0, :4], _ROWS[:2, :7], "free"),
+    (_ROWS[0, :4], [[0.0]] * 7, "free"),
+], ids=["list", "tuple", "row", "4x2", "1x4", "pairs", "scalar",
+        "free-list", "free-tuple", "free-row", "free-2x7", "free-7x1"])
+def test_solve_rejects_values_that_are_not_4_and_7_scalars(corners, free, message):
+    count = 4 if message == "corner" else 7
+    with pytest.raises(ValueError, match=f"^need exactly {count} {message} values$"):
+        bs_solve(corners, free)
+
+
+def test_solve_takes_lists_tuples_and_rows_alike(rng):
+    draws = rng.uniform(-10, 10, (2, 11))
+    corners, free = draws[1, :4], draws[1, 4:]
+    expect = bs_solve(corners, free).tobytes()
+    for c, f in ((corners.tolist(), free.tolist()), (tuple(corners), tuple(free)),
+                 (draws.T[:4, 1], draws.T[4:, 1])):
+        assert bs_solve(c, f).tobytes() == expect
+    assert bs_solve([1, 2, 3, 4], range(7)).tobytes() == bs_solve(
+        np.arange(1.0, 5.0), np.arange(7.0)).tobytes()
+
+
 def exact_grid(corners, xi2: RationalMatrix) -> np.ndarray:
     flat = np.empty(16)
     flat[list(CORNER_INDICES)] = corners
@@ -533,6 +572,54 @@ def test_inner_identity_examples(rng):
         assert abs(bs_inner_identity(g)) <= 1e-12 * grid_scale(g)
         p = bs_project(rng.uniform(-10, 10, (4, 4)))
         assert abs(bs_inner_identity(p)) <= 1e-12 * grid_scale(p)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (16,), (3, 4)])
+def test_every_grid_operator_rejects_a_grid_that_is_not_4x4(shape):
+    for op in (bs_inner_identity, bs_residuals, bs_project):
+        with pytest.raises(ValueError, match=rf"^grid must be 4x4, got {re.escape(str(shape))}$"):
+            op(np.zeros(shape))
+
+
+def test_project_and_solve_return_read_only_grids_with_no_writeable_base(rng):
+    g = rng.uniform(-10, 10, (4, 4))
+    for out in (bs_project(g), bs_solve(rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 7))):
+        assert out.shape == (4, 4) and out.dtype == float
+        for held in reachable_arrays(out):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[(0,) * held.ndim] = 1.0
+    assert g.flags.writeable  # the input is not frozen
+
+
+def test_grid_operators_are_bit_identical_to_their_first_expressions(rng):
+    """On 1000 seeded grids and draws: bs_project and bs_solve give the bits
+    of the expressions they were first written as, bs_residuals the row of
+    the set-wide coefficients, and bs_inner_identity the 2-D index form."""
+    n = 1000
+    mags = 10.0 ** rng.integers(-3, 4, (n, 1))
+    grids = (rng.uniform(-10, 10, (n, 16)) * mags).reshape(n, 4, 4)
+    draws = rng.uniform(-10, 10, (n, 11)) * mags
+    grids[:8].reshape(8, 16)[np.arange(8), rng.integers(0, 16, 8)] = np.nan
+    coeffs, scale = _diagonal_coefficients(grids.reshape(n, 16))
+    for k, (g, d) in enumerate(zip(grids, draws)):
+        rep = bs_residuals(g)
+        main, anti = rep.per_diagonal[DiagonalKind.MAIN], rep.per_diagonal[DiagonalKind.ANTI]
+        values = np.array([*main[:3], *anti[:3]])
+        rel = np.abs(coeffs[k]) / scale[k]
+        assert values.tobytes() == coeffs[k].tobytes()
+        assert np.array(main.rel + anti.rel).tobytes() == rel.tobytes()
+        assert np.float64(rep.max_residual).tobytes() == rel.max().tobytes()
+        inner = g[1, 1] - g[1, 2] - g[2, 1] + g[2, 2]
+        corner = g[0, 0] - g[0, 3] - g[3, 0] + g[3, 3]
+        assert np.float64(bs_inner_identity(g)).tobytes() == (inner - corner / 9.0).tobytes()
+        if k >= 8:
+            assert bs_project(g).tobytes() == project_per_grid(g).tobytes()
+        assert bs_solve(d[:4], d[4:]).tobytes() == solve_per_grid(d[:4], d[4:]).tobytes()
+    for g in grids[:8]:
+        for op in (bs_project, project_per_grid):
+            with pytest.raises(ValueError, match="^grid contains non-finite values$"):
+                op(g)
 
 
 def test_inner_identity_sign_resolution():

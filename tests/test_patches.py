@@ -12,7 +12,8 @@ from smartpatch import (
     eval_patch,
     hermite_to_bezier,
 )
-from smartpatch.io import read_newell
+from smartpatch import constraints, patches
+from smartpatch.io import PatchSet, load_newell, read_newell
 from smartpatch.patches import (
     _BB_ROWS,
     _T_ROWS,
@@ -24,7 +25,15 @@ from smartpatch.patches import (
 )
 from smartpatch.tessellation import surface_normal
 
-from helpers import bilinear_grid, de_casteljau, eval_curve, random_patch
+from helpers import (
+    bilinear_grid,
+    convert_per_grid,
+    de_casteljau,
+    eval_curve,
+    newell_text,
+    random_patch,
+    reachable_arrays,
+)
 
 
 def test_bezier_basis_rows():
@@ -163,6 +172,114 @@ def test_patches_compare_and_hash_by_identity(rng):
     assert made == made and made != BezierPatch(*grids) and made in {made}
 
 
+def _made(how: str, g: np.ndarray):
+    """A patch made from the (3, 4, 4) values ``g`` as ``how`` names, its
+    expected (3, 4, 4) array, and the arrays its maker was given."""
+    given = [a.copy() for a in g]
+    if how in ("BezierPatch", "HermitePatch"):
+        return getattr(patches, how)(*given), g, given
+    if how == "bezier_patches":
+        given = [g[None].copy()]
+        return bezier_patches(given[0])[0], g, given
+    if how == "PatchSet.patches":
+        return load_newell(newell_text([BezierPatch(*g)])).patches[0], g, []
+    if how == "PatchSet of an array":
+        # the set keeps the array it is given, read-only, and its patches view it
+        arr = g[None].copy()
+        return PatchSet("s", arr).patches[0], g, []
+    source = (BezierPatch if how == "bezier_to_hermite" else HermitePatch)(*given)
+    converted = getattr(patches, how)(source)
+    return converted, convert_per_grid(g, "b2h" if how == "bezier_to_hermite" else "h2b"), given
+
+
+MAKERS = ["BezierPatch", "HermitePatch", "bezier_patches", "PatchSet.patches",
+          "PatchSet of an array", "bezier_to_hermite", "hermite_to_bezier"]
+
+
+@pytest.mark.parametrize("how", MAKERS)
+def test_a_patch_is_one_read_only_array_that_its_grids_view(rng, how):
+    patch, expect, given = _made(how, rng.uniform(-10, 10, (3, 4, 4)))
+    a = patch.as_array
+    assert type(a) is np.ndarray and a.dtype == float and a.shape == (3, 4, 4)
+    assert a.tobytes() == np.asarray(expect).tobytes()
+    assert patch.grids == (patch.x, patch.y, patch.z)
+    for k, grid in enumerate(patch.grids):
+        assert grid.shape == (4, 4) and np.array_equal(grid, a[k])
+        assert np.shares_memory(grid, a[k])
+    for view in (a, *patch.grids):
+        for held in reachable_arrays(view):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[(0,) * held.ndim] = 1.0
+    for arr in given:
+        arr[...] = 0.0
+    assert a.tobytes() == np.asarray(expect).tobytes()
+
+
+def _first_error(grids):
+    """The message of the first grid that ``as_grid`` rejects, in x, y, z order."""
+    try:
+        for g in grids:
+            as_grid(g)
+    except ValueError as err:
+        return str(err)
+
+
+_BAD_GRIDS = {
+    "3x4": np.ones((3, 4)),
+    "4x5": np.ones((4, 5)),
+    "flat": np.ones(16),
+    "scalar": 1.0,
+    "4x4x1": np.ones((4, 4, 1)),
+    "nan": np.full((4, 4), np.nan),
+    "inf": np.where(np.eye(4) > 0, np.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("cls", [BezierPatch, HermitePatch])
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", list(_BAD_GRIDS))
+@pytest.mark.parametrize("followed", [False, True], ids=["alone", "followed"])
+def test_a_bad_grid_raises_the_message_of_as_grid(cls, position, bad, followed):
+    grids = [np.zeros((4, 4)) for _ in range(3)]
+    if followed:  # by a bad grid of the other kind in z, which is not the one named
+        grids[2] = np.ones((5, 5)) if bad in ("nan", "inf") else np.full((4, 4), np.nan)
+    grids[position] = _BAD_GRIDS[bad]
+    message = "contains non-finite values" if bad in ("nan", "inf") else "must be 4x4"
+    with pytest.raises(ValueError, match=f"^grid {message}") as info:
+        cls(*grids)
+    assert str(info.value) == _first_error(grids)
+
+
+def test_a_grids_operation_makes_no_as_grid_call(rng, monkeypatch):
+    """The per-grid operators and the conversions check their own arrays:
+    one batch of the benchmark's grids workload calls as_grid 0 times."""
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return as_grid(values)
+
+    for module in (patches, constraints):
+        if hasattr(module, "as_grid"):
+            monkeypatch.setattr(module, "as_grid", counted)
+    grids = rng.uniform(-10, 10, (50, 4, 4))
+    for g in grids:
+        constraints.bs_residuals(g)
+        p = constraints.bs_project(g)
+        constraints.bs_residuals(p)
+        constraints.bs_inner_identity(p)
+    for c, f in zip(rng.uniform(-10, 10, (50, 4)), rng.uniform(-10, 10, (50, 7))):
+        constraints.bs_solve(c, f)
+    for t in range(16):
+        h = patches.bezier_to_hermite(patches.BezierPatch(*grids[3 * t : 3 * t + 3]))
+        patches.hermite_to_bezier(h)
+    assert calls == []
+    with pytest.raises(ValueError, match="must be 4x4"):
+        patches.BezierPatch(np.ones((3, 4)), grids[0], grids[1])
+    assert calls == [1]  # the wrapper sees the shape check's fallback
+
+
 # ---------------------------------------------------------------------------
 # Hermite conversion
 
@@ -240,6 +357,34 @@ def test_stacked_conversion_is_the_per_grid_congruence(rng, teapot_path):
         stacked = _convert(arr, direction)
         assert np.array_equal(stacked, [[m.T @ g @ m for g in a] for a in arr])
         assert np.array_equal(stacked, [one(a).grids for a in arr])
+
+
+@pytest.mark.parametrize("direction", ["b2h", "h2b"])
+def test_conversion_is_bit_identical_to_the_per_grid_congruence(rng, direction):
+    """1000 seeded patches convert to the bits of each grid's own m^T g m."""
+    convert = bezier_to_hermite if direction == "b2h" else hermite_to_bezier
+    cls = BezierPatch if direction == "b2h" else HermitePatch
+    values = rng.uniform(-10, 10, (1000, 3, 4, 4)) * 10.0 ** rng.integers(-3, 4, (1000, 1, 1, 1))
+    for g in values:
+        out = np.array(convert(cls(*g)).grids)
+        assert out.tobytes() == convert_per_grid(g, direction).tobytes()
+
+
+def test_views_of_a_strided_array_convert_as_their_grids_do(rng):
+    strided = np.moveaxis(rng.uniform(-10, 10, (4, 4, 50, 3)), (2, 3), (0, 1))
+    assert not strided.flags.c_contiguous
+    for g, patch in zip(strided, PatchSet("s", strided).patches):
+        h = bezier_to_hermite(patch)
+        assert np.array(h.grids).tobytes() == convert_per_grid(g, "b2h").tobytes()
+
+
+def test_a_conversion_that_overflows_raises(rng):
+    g = rng.uniform(-1.0, 1.0, (3, 4, 4))
+    g *= 1.7e308 / np.max(np.abs(g))
+    for convert, cls in ((bezier_to_hermite, BezierPatch), (hermite_to_bezier, HermitePatch)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^grid contains non-finite values$"):
+                convert(cls(*g))
 
 
 def test_bilinear_patch_evaluates_bilinearly(rng):
