@@ -200,8 +200,8 @@ def _repair(ps: io.PatchSet, tol: float):
     """Repair stage: the RepairResult, the repaired set, its largest corner
     displacement, its system statistics as a dict, and its validation."""
     result = constraints.repair_patches(ps.points)
-    repaired = io.PatchSet(ps.name, result.patches, ps.adjacency)
-    corner = max((s.corner_displacement for s in result.per_patch), default=0.0)
+    repaired = io.PatchSet(ps.name, result.points, ps.adjacency)
+    corner = float(result.corner_displacement.max(initial=0.0))
     return result, repaired, corner, result.system._asdict(), _validation(repaired.points, tol)
 
 
@@ -221,8 +221,8 @@ def cmd_repair(args) -> int:
         "compliant_after": worst_after <= args.tol,
         "repair": system,
         "patches": [
-            {"index": k, "max_displacement": s.max_displacement}
-            for k, s in enumerate(result.per_patch)
+            {"index": k, "max_displacement": d}
+            for k, d in enumerate(result.displacement.tolist())
         ],
     }
 

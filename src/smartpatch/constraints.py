@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _frozen, _patch_array, bezier_patches
+from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _frozen, _patch_array
 from .tessellation import _key_codes
 
 DEFAULT_TOL = 1e-9
@@ -431,11 +431,6 @@ class RepairError(ValueError):
         super().__init__(f"joint repair of patches {list(self.patches)} {reason}")
 
 
-class PatchRepairStats(NamedTuple):
-    max_displacement: float
-    corner_displacement: float
-
-
 class RepairSystemStats(NamedTuple):
     """Size and health of the system a joint repair solved."""
 
@@ -450,11 +445,17 @@ class RepairSystemStats(NamedTuple):
 
 
 class RepairResult(NamedTuple):
-    patches: list
-    per_patch: list
+    points: np.ndarray               # (N, 3, 4, 4) repaired control values
+    displacement: np.ndarray         # (N,) largest move of a non-corner control value
+    corner_displacement: np.ndarray  # (N,) largest move of a corner control value
     max_displacement: float
     residual: float  # worst post-repair row of the 6-row system over the set's scale
     system: RepairSystemStats = RepairSystemStats()
+
+    @property
+    def patches(self) -> list:
+        """One BezierPatch viewing each row of ``points``, made on each read."""
+        return [BezierPatch._of(row) for row in self.points]
 
 
 _BOUNDARY = [k for k in range(16) if k // 4 in (0, 3) or k % 4 in (0, 3)]
@@ -737,16 +738,19 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     ``_variables``, ``_patch_ranks``, ``_assemble``, ``_factor`` and
     ``_refine``.
 
-    ``residual`` is the worst post-repair row of the 6-row system over
-    max(1, max |coordinate|) of the whole set; ``system`` reports the size
-    of the solve, its level structure and the residual before each
-    refinement step.
+    ``points``, ``displacement`` and ``corner_displacement`` are read-only
+    arrays that view no writeable one.  ``residual`` is the worst
+    post-repair row of the 6-row system over max(1, max |coordinate|) of
+    the whole set; ``system`` reports the size of the solve, its level
+    structure and the residual before each refinement step.
     bs_project() is the one-patch case.
     """
     arr = _patch_array(patches)
     n = len(arr)
     if not n:
-        return RepairResult(patches=[], per_patch=[], max_displacement=0.0, residual=0.0)
+        points, none = np.zeros((0, 3, 4, 4)), np.zeros(0)
+        points.flags.writeable = none.flags.writeable = False
+        return RepairResult(points, none, none, max_displacement=0.0, residual=0.0)
 
     pts = arr.reshape(n, 3, 16).transpose(0, 2, 1)
     slot_var, fixed = _variables(pts)
@@ -776,16 +780,13 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
                            inv_factor, below, p_idx, k_idx, var, coef)
 
     moved = np.max(np.abs(out - pts), axis=2)
-    disp = moved[:, _NONCORNERS].max(axis=1)
-    corner_disp = moved[:, _CORNERS].max(axis=1)
+    disp, corner_disp = moved[:, _NONCORNERS].max(axis=1), moved[:, _CORNERS].max(axis=1)
+    points = out.transpose(0, 2, 1).reshape(n, 3, 4, 4).copy()  # C order, as a loader gives
+    points.flags.writeable = disp.flags.writeable = corner_disp.flags.writeable = False
     patch_count = np.bincount(np.unique(var * n + p_idx) // n, minlength=len(fixed))
     solved = needed[level_comp]
     return RepairResult(
-        patches=bezier_patches(out.transpose(0, 2, 1).reshape(n, 3, 4, 4)),
-        per_patch=[
-            PatchRepairStats(max_displacement=d, corner_displacement=c)
-            for d, c in zip(disp.tolist(), corner_disp.tolist())
-        ],
+        points, disp, corner_disp,
         max_displacement=float(disp.max()),
         residual=float(six.max() / comp_scale.max()),
         system=RepairSystemStats(

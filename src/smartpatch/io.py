@@ -211,10 +211,12 @@ class PatchSet:
     """A named set of patches and their adjacency records (None when not given).
 
     ``points`` is the patches' read-only (N, 3, 4, 4) array; for a set made
-    from an array, ``patches`` are views of it, made when first read.  Only
-    ``name`` and ``adjacency`` can be reassigned.  Each adjacency index must
-    name a patch of the set.  Two sets compare equal field by field, and are
-    not hashable.
+    from an array, ``patches`` are views of it, made when first read.  A
+    given array is held and frozen, or copied once if it views a writeable
+    array or a buffer.  Only ``name`` and ``adjacency`` can be reassigned.
+    Each adjacency index must name a patch of the set.  Two sets are equal
+    when their names, records and ``points`` (dtype, shape and bytes) are;
+    no patch is made.  Sets are not hashable.
     """
 
     __hash__ = None
@@ -222,7 +224,11 @@ class PatchSet:
     def __init__(
         self, name: str, patches: List[BezierPatch], adjacency: Optional[List[Adjacency]] = None
     ):
-        self._points = points = _patch_array(patches)
+        points = _patch_array(patches)
+        base = points.base
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        self._points = points = points if base is None else points.copy()
         points.flags.writeable = False
         self._patches = None if isinstance(patches, np.ndarray) else list(patches)
         self.name, self.adjacency = name, adjacency
@@ -249,9 +255,9 @@ class PatchSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.name, self.patches, self.adjacency) == (
-            other.name, other.patches, other.adjacency
-        )
+        a, b = self._points, other._points
+        return (self.name, self.adjacency, a.dtype, a.shape, a.tobytes()) == (
+            other.name, other.adjacency, b.dtype, b.shape, b.tobytes())
 
     def __repr__(self):
         return (
@@ -326,7 +332,9 @@ def load_patchset(text: str, name: str = "") -> PatchSet:
                 raise PatchFormatError(f"adjacency {k}: must be an object with 'a' and 'b'")
             (a, edge_a), (b, edge_b) = _side_from_json(rec, "a", k), _side_from_json(rec, "b", k)
             adjacency.append(Adjacency(a=a, edge_a=edge_a, b=b, edge_b=edge_b))
-    return PatchSet(given or name, np.array(grids, dtype=float).reshape(-1, 3, 4, 4), adjacency)
+    values = np.array(grids, dtype=float)
+    values.flags.writeable = False  # frozen whole, so the set holds its (N, 3, 4, 4) view
+    return PatchSet(given or name, values.reshape(-1, 3, 4, 4), adjacency)
 
 
 # dump_patchset writes the text json.dumps(doc, indent=1) gives (json

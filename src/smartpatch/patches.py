@@ -111,20 +111,9 @@ class BezierPatch(_PatchGrids):
     """
 
 
-def bezier_patches(points) -> list:
-    """One BezierPatch per row of an (N, 3, 4, 4) array.
-
-    The array is copied and checked once, as a patch checks its grids;
-    each patch's grids and ``as_array`` are read-only views of that copy.
-    """
-    arr = _patch_array(np.array(points, dtype=float))
-    arr.flags.writeable = False
-    return [BezierPatch._of(row) for row in arr]
-
-
 def _patch_array(patches) -> np.ndarray:
     """The (N, 3, 4, 4) control values of a patch list, or such an array
-    itself after the checks of ``bezier_patches`` (its inverse)."""
+    itself once its shape is checked and its values are finite."""
     if not isinstance(patches, np.ndarray):
         return np.stack([p.as_array for p in patches]) if patches else np.zeros((0, 3, 4, 4))
     arr = np.asarray(patches, dtype=float)

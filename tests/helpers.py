@@ -11,9 +11,9 @@ from smartpatch import constraints
 from smartpatch.constraints import (
     NONCORNER_INDICES,
     DiagonalKind,
-    PatchRepairStats,
     RepairResult,
     grid_scale,
+    repair_patches,
 )
 from smartpatch.io import PatchFormatError, PatchSet, read_newell
 from smartpatch.patches import (
@@ -21,11 +21,11 @@ from smartpatch.patches import (
     _T_ROWS,
     _check_param,
     _conversion_matrices,
+    _patch_array,
     as_grid,
     bernstein_dweights_many,
     bernstein_weights,
     bernstein_weights_many,
-    bezier_patches,
     eval_patch_partials,
 )
 from smartpatch.tessellation import (
@@ -106,6 +106,17 @@ def solve_per_grid(corners, free) -> np.ndarray:
     flat = s.solve_f @ given
     flat[list(s.given_idx)] = given
     return as_grid(flat.reshape(4, 4))
+
+
+def bezier_patches(points) -> list:
+    """One BezierPatch per row of an (N, 3, 4, 4) array.
+
+    The array is copied and checked once, as a patch checks its grids;
+    each patch's grids and ``as_array`` are read-only views of that copy.
+    """
+    arr = _patch_array(np.array(points, dtype=float))
+    arr.flags.writeable = False
+    return [BezierPatch._of(row) for row in arr]
 
 
 def reachable_arrays(a):
@@ -731,7 +742,7 @@ def loop_repair_patches(patches) -> RepairResult:
     a zero.
     """
     if not patches:
-        return RepairResult(patches=[], per_patch=[], max_displacement=0.0, residual=0.0)
+        return RepairResult(np.zeros((0, 3, 4, 4)), np.zeros(0), np.zeros(0), 0.0, 0.0)
 
     key_to_var: dict = {}
     slot_var = []  # per patch: dict slot -> var id
@@ -812,8 +823,7 @@ def loop_repair_patches(patches) -> RepairResult:
             new_values[v, axis] = val
 
     repaired = []
-    per_patch = []
-    overall = 0.0
+    displacement, corner_displacement = [], []
     for p, mapping in zip(patches, slot_var):
         grids = [np.array(g) for g in p.grids]
         disp = 0.0
@@ -828,16 +838,46 @@ def loop_repair_patches(patches) -> RepairResult:
                 disp = max(disp, d)
             for axis in range(3):
                 grids[axis][i, j] = new[axis]
-        repaired.append(BezierPatch(*grids))
-        per_patch.append(PatchRepairStats(max_displacement=disp, corner_displacement=corner_disp))
-        overall = max(overall, disp)
+        repaired.append(grids)
+        displacement.append(disp)
+        corner_displacement.append(corner_disp)
 
     return RepairResult(
-        patches=repaired,
-        per_patch=per_patch,
-        max_displacement=overall,
+        points=np.array(repaired),
+        displacement=np.array(displacement),
+        corner_displacement=np.array(corner_displacement),
+        max_displacement=max(displacement),
         residual=worst_residual,
     )
+
+
+def parent_repair(patches):
+    """``repair_patches``' result as it was while the result held patch
+    objects: the repaired BezierPatch list and one (max_displacement,
+    corner_displacement) pair per patch, by the expressions the repair then
+    ended with, applied to the corrected values that ``_refine`` leaves."""
+    corrected = []
+    refine = constraints._refine
+
+    def capture(out, *args):
+        done = refine(out, *args)
+        corrected.append(out)
+        return done
+
+    constraints._refine = capture
+    try:
+        repair_patches(patches)
+    finally:
+        constraints._refine = refine
+    if not corrected:
+        return [], []
+    arr = _patch_array(patches)
+    n, out = len(arr), corrected[0]
+    moved = np.max(np.abs(out - arr.reshape(n, 3, 16).transpose(0, 2, 1)), axis=2)
+    disp = moved[:, constraints._NONCORNERS].max(axis=1)
+    corner_disp = moved[:, constraints._CORNERS].max(axis=1)
+    return (bezier_patches(out.transpose(0, 2, 1).reshape(n, 3, 4, 4)),
+            list(zip(disp.tolist(), corner_disp.tolist())))
 
 
 def dense_system(patches):

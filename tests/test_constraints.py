@@ -811,7 +811,7 @@ def test_repair_reaches_compliance_and_keeps_corners(rng):
             assert bs_residuals(g1, tol=1e-9).compliant
             for i, j in CORNER_SLOTS:
                 assert g1[i, j] == g0[i, j]
-    assert all(s.corner_displacement == 0.0 for s in result.per_patch)
+    assert result.corner_displacement.tolist() == [0.0] * 4
 
 
 def test_repair_of_one_patch_is_bs_project(rng):
@@ -855,9 +855,8 @@ def assert_repair_matches_loop(patches):
         assert np.max(np.abs(f.as_array - s.as_array)) <= 1e-12 * scale
         got, given = f.as_array[_CORNERS], p.as_array[_CORNERS]
         assert np.array_equal(got, given) and np.array_equal(np.signbit(got), np.signbit(given))
-    for f, s in zip(fast.per_patch, slow.per_patch):
-        assert abs(f.max_displacement - s.max_displacement) <= 1e-12 * scale
-        assert f.corner_displacement == 0.0
+    for f, s, c in zip(fast.displacement, slow.displacement, fast.corner_displacement):
+        assert abs(f - s) <= 1e-12 * scale and c == 0.0
     assert abs(fast.max_displacement - slow.max_displacement) <= 1e-12 * scale
     assert fast.residual <= 1e-12
     return fast
@@ -1090,8 +1089,8 @@ def test_compliant_degenerate_patch_beside_a_noncompliant_one(rng):
     result = repair_patches([constant, other])
     assert result.system.components == 2
     assert np.array_equal(result.patches[0].as_array, constant.as_array)
-    assert result.per_patch[0].max_displacement == 0.0
-    assert result.per_patch[1].max_displacement > 0.0
+    assert result.displacement[0] == 0.0
+    assert result.displacement[1] > 0.0
     assert all(bs_residuals(g).compliant for g in result.patches[1].grids)
     # a deficient component that does need a correction still raises
     with pytest.raises(RepairError, match="is rank-deficient") as exc:

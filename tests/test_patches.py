@@ -13,6 +13,7 @@ from smartpatch import (
     hermite_to_bezier,
 )
 from smartpatch import constraints, patches
+from smartpatch.constraints import repair_patches
 from smartpatch.io import PatchSet, load_newell, read_newell
 from smartpatch.patches import (
     _BB_ROWS,
@@ -20,12 +21,12 @@ from smartpatch.patches import (
     _conversion_matrices,
     _convert,
     as_grid,
-    bezier_patches,
     eval_patch_partials,
 )
 from smartpatch.tessellation import surface_normal
 
 from helpers import (
+    bezier_patches,
     bilinear_grid,
     convert_per_grid,
     de_casteljau,
@@ -183,6 +184,9 @@ def _made(how: str, g: np.ndarray):
         return bezier_patches(given[0])[0], g, given
     if how == "PatchSet.patches":
         return load_newell(newell_text([BezierPatch(*g)])).patches[0], g, []
+    if how == "RepairResult.patches":
+        result = repair_patches(g[None].copy())
+        return result.patches[0], result.points[0], []
     if how == "PatchSet of an array":
         # the set keeps the array it is given, read-only, and its patches view it
         arr = g[None].copy()
@@ -193,7 +197,8 @@ def _made(how: str, g: np.ndarray):
 
 
 MAKERS = ["BezierPatch", "HermitePatch", "bezier_patches", "PatchSet.patches",
-          "PatchSet of an array", "bezier_to_hermite", "hermite_to_bezier"]
+          "PatchSet of an array", "RepairResult.patches", "bezier_to_hermite",
+          "hermite_to_bezier"]
 
 
 @pytest.mark.parametrize("how", MAKERS)

@@ -27,7 +27,6 @@ from smartpatch.constraints import (
     DiagonalKind,
     DiagonalResiduals,
     InnerIdentityResolution,
-    PatchRepairStats,
     Poly,
     RepairResult,
     RepairSystemStats,
@@ -47,7 +46,7 @@ from smartpatch.tessellation import (
     continuity_report,
 )
 
-from helpers import random_patch
+from helpers import bezier_patches, random_patch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,12 +63,12 @@ RECORDS = [
     (InnerIdentityResolution, lambda: dict(
         plus_variant_holds=True, minus_variant_holds=False, corner_coefficient=Fraction(1, 9)),
      {}),
-    (PatchRepairStats, lambda: dict(max_displacement=0.25, corner_displacement=0.0), {}),
     (RepairSystemStats, lambda: dict(rows=10, step_residuals=(1e-3, 1e-16)), dict(
         free_variables=0, shared_variables=0, fixed_variables=0, components=0, levels=0,
         max_level_patches=0)),
-    (RepairResult, lambda: dict(patches=[], per_patch=[], max_displacement=0.0, residual=0.0),
-     dict(system=RepairSystemStats())),
+    (RepairResult, lambda: dict(
+        points=np.zeros((1, 3, 4, 4)), displacement=np.zeros(1), corner_displacement=np.zeros(1),
+        max_displacement=0.0, residual=0.0), dict(system=RepairSystemStats())),
     (EdgeId, lambda: dict(side=EdgeSide.V1), dict(reversed=False)),
     (Adjacency, lambda: dict(a=0, edge_a=_U1, b=1, edge_b=EdgeId(EdgeSide.U0, True)), {}),
     (ContinuityReport, lambda: dict(
@@ -104,7 +103,9 @@ def test_records_made_by_the_package_are_the_same_values():
     lam = build_lambda()
     assert ConstraintSystem(**lam._asdict()) == lam
     assert resolve_inner_identity() == InnerIdentityResolution(True, False, Fraction(1, 9))
-    assert repair_patches([]) == RepairResult([], [], 0.0, 0.0, RepairSystemStats())
+    empty = repair_patches([])
+    assert [a.shape for a in empty[:3]] == [(0, 3, 4, 4), (0,), (0,)] and empty.patches == []
+    assert empty[3:] == (0.0, 0.0, RepairSystemStats())
     assert _RESIDUALS.max_rel == 0.2
     rep = bs_residuals(np.zeros((4, 4)))
     assert rep.per_diagonal[DiagonalKind.MAIN] == DiagonalResiduals(0.0, 0.0, 0.0, (0.0,) * 3)
@@ -146,7 +147,7 @@ def test_patches_are_immutable_and_compare_by_identity(cls, rng):
 
 
 def test_patch_arrays_stay_cached_views(rng):
-    made = patches.bezier_patches(rng.uniform(-1, 1, (2, 3, 4, 4)))[1]
+    made = bezier_patches(rng.uniform(-1, 1, (2, 3, 4, 4)))[1]
     assert made.as_array is made.as_array and made.x.base is made.as_array.base
     p = BezierPatch(*made.grids)
     assert p.as_array is p.as_array and np.array_equal(p.as_array, made.as_array)
