@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _frozen, _patch_array
+from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _frozen, _patch_array, _shaped
 from .tessellation import _key_codes
 
 DEFAULT_TOL = 1e-9
@@ -284,10 +284,7 @@ class ConstraintReport(NamedTuple):
 
 def _vec(g) -> np.ndarray:
     """Row-major 16-vector of one 4x4 coordinate grid."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (4, 4):
-        raise ValueError(f"grid must be 4x4, got {g.shape}")
-    return g.reshape(-1)
+    return _shaped(g, (4, 4), "grid must be 4x4, got {}", np.asarray).reshape(-1)
 
 
 def _diagonal_coefficients(flat: np.ndarray):
@@ -336,12 +333,8 @@ def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
     arithmetic; each call is one float product with it, and the corners
     and free values are copied into the grid bit-exact.
     """
-    corners = np.asarray(corners, dtype=float)
-    if corners.shape != (4,):
-        raise ValueError("need exactly 4 corner values")
-    free = np.asarray(free, dtype=float)
-    if free.shape != (7,):
-        raise ValueError("need exactly 7 free values")
+    corners = _shaped(corners, (4,), "need exactly 4 corner values", np.asarray)
+    free = _shaped(free, (7,), "need exactly 7 free values", np.asarray)
     s = build_lambda()
     given = np.concatenate((corners, free))
     flat = s.solve_f @ given

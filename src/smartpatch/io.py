@@ -28,6 +28,8 @@ import numpy as np
 from .patches import BezierPatch, _patch_array
 from .tessellation import Adjacency, EdgeId, EdgeSide, TriangleMesh
 
+MAX_COORDINATE = 2.0 ** 250  # the largest |coordinate| the loaders accept
+
 
 class PatchFormatError(ValueError):
     """Malformed patch-set or mesh input."""
@@ -277,8 +279,10 @@ def _grid_from_json(values, patch_idx: int, coord: str):
         for x in row:
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise PatchFormatError(f"patch {patch_idx}: grid '{coord}' has a non-numeric entry")
-            if not math.isfinite(x):
-                raise PatchFormatError(f"patch {patch_idx}: grid '{coord}' has a non-finite entry")
+            if not -MAX_COORDINATE <= x <= MAX_COORDINATE:  # exact for an int of any size
+                what = ("a non-finite entry" if x != x or abs(x) == math.inf
+                        else "an entry of magnitude above 2**250")
+                raise PatchFormatError(f"patch {patch_idx}: grid '{coord}' has {what}")
     return values
 
 
@@ -448,9 +452,9 @@ def _fields(rows, width, convert):
         return None
 
 
-def _first_bad_row(rows, width, convert, noun, bad, finite):
+def _first_bad_row(rows, width, convert, noun, bad, bounded):
     """The position of the first of ``rows`` that does not hold ``width``
-    fields that convert (and are finite, when ``finite``), and its message."""
+    fields that convert (within MAX_COORDINATE, when ``bounded``), and its message."""
     for k, ln in enumerate(rows):
         parts = ln.split(",")
         if len(parts) != width:
@@ -459,8 +463,9 @@ def _first_bad_row(rows, width, convert, noun, bad, finite):
             values = list(map(convert, parts))
         except ValueError:
             return k, bad
-        if finite and not all(map(math.isfinite, values)):
-            return k, "non-finite coordinate"
+        if bounded and not all(abs(v) <= MAX_COORDINATE for v in values):
+            finite = all(map(math.isfinite, values))
+            return k, "coordinate of magnitude above 2**250" if finite else "non-finite coordinate"
     raise AssertionError("every line is well formed")
 
 
@@ -494,12 +499,14 @@ def load_newell(text: str, name: str = "newell") -> PatchSet:
             fail(pos, f"expected {what}, got {lines[pos]!r}")
         return value
 
-    def block(first, size, what, width, convert, noun, bad, finite=False):
-        """The converted fields of the ``size`` lines from ``first`` on."""
+    def block(first, size, what, width, convert, noun, bad, bounded=False):
+        """The converted fields of the ``size`` lines from ``first`` on (an array when bounded)."""
         rows = lines[first : first + size]
         fields = _fields(rows, width, convert)
-        if fields is None or finite and not all(map(math.isfinite, fields)):
-            k, message = _first_bad_row(rows, width, convert, noun, bad, finite)
+        if bounded and fields is not None:
+            fields = np.array(fields)
+        if fields is None or bounded and not (np.abs(fields) <= MAX_COORDINATE).all():  # nan: False
+            k, message = _first_bad_row(rows, width, convert, noun, bad, bounded)
             fail(first + k, message)
         if len(rows) < size:
             raise PatchFormatError(f"unexpected end of file while reading {what}")
@@ -510,15 +517,14 @@ def load_newell(text: str, name: str = "newell") -> PatchSet:
                     "non-integer patch index")
     vertex_count = count(1 + patch_count, "vertex count")
     first = 2 + patch_count
-    coords = block(first, vertex_count, "vertex coordinates", 3, float, "coordinates",
-                   "non-numeric coordinate", finite=True)
+    vertices = block(first, vertex_count, "vertex coordinates", 3, float, "coordinates",
+                     "non-numeric coordinate", bounded=True).reshape(-1, 3)
     if first + vertex_count < len(lines):
         fail(first + vertex_count, "trailing content after vertex table")
     # Python ints, so no index can overflow the check
     if indices and not (min(indices) >= 1 and max(indices) <= vertex_count):
         k = next(k for k, i in enumerate(indices) if not 1 <= i <= vertex_count)
         fail(1 + k // 16, f"vertex index {indices[k]} out of range 1..{vertex_count}")
-    vertices = np.array(coords, dtype=float).reshape(-1, 3)
     rows = np.array(indices, dtype=np.intp).reshape(-1, 1, 4, 4) - 1  # against x, y, z
     return PatchSet(name=name, patches=vertices[rows, np.arange(3)[:, None, None]])
 

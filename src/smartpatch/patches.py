@@ -47,12 +47,25 @@ def _conversion_matrices():
     return c.to_float(), d.to_float()
 
 
+def _shaped(values, shape, message, convert=np.array) -> np.ndarray:
+    """``convert(values, dtype=float)`` of ``shape``, else ValueError(``message`` with
+    its shape, or "ragged rows"); a value that is not a number keeps numpy's error."""
+    try:
+        a = convert(values, dtype=float)
+    except ValueError:
+        a = np.array(values, dtype=object)  # a ragged row stays one sequence here
+        ragged = any(isinstance(v, (list, tuple, np.ndarray)) for v in a.flat)
+        if a.shape == shape and not ragged:
+            raise
+        raise ValueError(message.format("ragged rows" if ragged else a.shape)) from None
+    if a.shape != shape:
+        raise ValueError(message.format(a.shape))
+    return a
+
+
 def as_grid(values) -> np.ndarray:
     """Copy ``values`` into a read-only 4x4 float grid, rejecting non-finite entries."""
-    g = np.array(values, dtype=float)
-    if g.shape != (4, 4):
-        raise ValueError(f"grid must be 4x4, got {g.shape}")
-    return _frozen(g)
+    return _frozen(_shaped(values, (4, 4), "grid must be 4x4, got {}"))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -74,10 +87,8 @@ class _PatchGrids:
 
     def __init__(self, x, y, z):
         try:
-            a = np.array((x, y, z), dtype=float)
-        except (TypeError, ValueError):  # a ragged stack, or a value that is not a number
-            a = np.empty(0)
-        if a.shape != (3, 4, 4):  # as_grid's error for the first bad grid, in x, y, z order
+            a = _shaped((x, y, z), (3, 4, 4), "need three 4x4 grids, got {}")
+        except (TypeError, ValueError):  # as_grid's error for the first bad grid, in x, y, z order
             a = np.array([as_grid(g) for g in (x, y, z)])
         self.__dict__.update(zip("xyz", _frozen(a)), as_array=a)
 
@@ -188,8 +199,7 @@ def eval_patch_partials(patch: BezierPatch, u: float, v: float):
 def _convert(arr, direction: str) -> np.ndarray:
     """The grids of an (..., 4, 4) array (or a sequence of 4x4 grids)
     converted b2h (Bezier to Hermite) or h2b, as one stacked congruence
-    m^T X m.  A grid near the end of the float range converts to inf or
-    nan; the caller checks."""
+    m^T X m, unchecked."""
     c, d = _conversion_matrices()
     m = d if direction == "b2h" else c
     return m.T @ arr @ m

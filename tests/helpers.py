@@ -1020,12 +1020,15 @@ def loop_load_newell(text: str, name: str = "newell") -> PatchSet:
     first = pos
     coords = []
 
-    def finite_vertices():
-        """The vertices parsed so far; raises for the first non-finite one's line."""
+    def accepted_vertices():
+        """The vertices parsed so far; raises for the line of the first one
+        that is not finite or has a coordinate of magnitude above 2**250."""
         vertices = np.array(coords, dtype=float).reshape(-1, 3)
-        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        bad = np.flatnonzero(~(np.abs(vertices) <= 2.0**250).all(axis=1))
         if bad.size:
-            raise PatchFormatError(f"line {lines[first + bad[0]][0]}: non-finite coordinate")
+            what = ("coordinate of magnitude above 2**250" if np.isfinite(vertices[bad[0]]).all()
+                    else "non-finite coordinate")
+            raise PatchFormatError(f"line {lines[first + bad[0]][0]}: {what}")
         return vertices
 
     try:
@@ -1039,9 +1042,9 @@ def loop_load_newell(text: str, name: str = "newell") -> PatchSet:
             except ValueError:
                 raise PatchFormatError(f"line {no}: non-numeric coordinate") from None
     except PatchFormatError:
-        finite_vertices()  # an earlier line's error comes first
+        accepted_vertices()  # an earlier line's error comes first
         raise
-    vertices = finite_vertices()
+    vertices = accepted_vertices()
     if pos != len(lines):
         raise PatchFormatError(f"line {lines[pos][0]}: trailing content after vertex table")
 

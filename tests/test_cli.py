@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,33 +320,60 @@ def test_convert_constant_set(capsys, tmp_path):
     assert np.allclose(b.x, 1.0, atol=1e-14)
 
 
-_OVERFLOW = "error: patch {}: the conversion overflows: grid contains non-finite values\n"
+_ABOVE = "patch {}: grid '{}' has an entry of magnitude above 2**250\n"
 
 
 @pytest.mark.parametrize("direction", ["b2h", "h2b"])
 def test_convert_of_a_grid_that_overflows_is_input_error(capsys, tmp_path, rng, direction):
+    """A grid whose conversion overflows lies beyond the loaders' bound, so
+    it is refused as the file is read, before any conversion."""
     patch = random_patch(rng, -1.0, 1.0)
     big = BezierPatch(*(1.7e308 / np.max(np.abs(patch.as_array)) * g for g in patch.grids))
     src = write_set(tmp_path, "big", [random_patch(rng), big])
     dst = tmp_path / "out.json"
     code, out, err = run(capsys, "convert", "--in", str(src), "--out", str(dst),
                          "--direction", direction)
-    assert (code, out, err) == (2, "", _OVERFLOW.format(1))
+    assert (code, out, err) == (2, "", "error: " + _ABOVE.format(1, "x"))
     assert not dst.exists()
 
 
 def test_convert_roundtrip_that_overflows_is_input_error(capsys, tmp_path):
     # constant Hermite grids of 1e308 convert to finite Bezier grids, and
-    # converting those back overflows
+    # converting those back overflows: the set is refused as it is read, with
+    # or without the round trip
     src = write_set(tmp_path, "big", [BezierPatch(*[np.full((4, 4), 1e308)] * 3)])
     dst = tmp_path / "out.json"
-    argv = ["convert", "--in", str(src), "--out", str(dst), "--direction", "h2b"]
-    code, _, err = run(capsys, *argv)
+    for extra in ([], ["--roundtrip"]):
+        code, out, err = run(capsys, "convert", "--in", str(src), "--out", str(dst),
+                             "--direction", "h2b", *extra)
+        assert (code, out, err) == (2, "", "error: " + _ABOVE.format(0, "x"))
+        assert not dst.exists()
+    # at the bound both round trips are finite
+    sign = np.where(np.add.outer(range(4), range(4)) % 2, -1.0, 1.0)
+    grids = (np.full((4, 4), 2.0**250), 2.0**250 * sign, np.full((4, 4), -(2.0**250)))
+    src = write_set(tmp_path, "bound", [BezierPatch(*grids)])
+    for direction in ("b2h", "h2b"):
+        code, out, err = run(capsys, "convert", "--in", str(src), "--out", str(dst),
+                             "--direction", direction, "--roundtrip", "--json")
+        assert (code, err) == (0, "")
+        assert 0.0 <= strict_json(out)["roundtrip_max_error"] <= 1e-14 * 2.0**250
+        assert np.isfinite(np.array(json.loads(dst.read_text())["patches"][0]["y"])).all()
+
+
+def test_b2h_output_of_a_set_near_the_bound_may_be_refused_on_reading(capsys, tmp_path):
+    """b2h scales a grid's largest magnitude by up to 36 (the twists of a
+    checkerboard of signs): the file it writes holds values beyond the
+    bound, which reading it back refuses."""
+    sign = np.where(np.add.outer(range(4), range(4)) % 2, -1.0, 1.0)
+    src = write_set(tmp_path, "bound", [BezierPatch(*[2.0**250 * sign] * 3)])
+    dst = tmp_path / "h.json"
+    code, _, err = run(capsys, "convert", "--in", str(src), "--out", str(dst),
+                       "--direction", "b2h")
     assert (code, err) == (0, "")
-    dst.unlink()
-    code, out, err = run(capsys, *argv, "--roundtrip")
-    assert (code, out, err) == (2, "", _OVERFLOW.format(0))
-    assert not dst.exists()
+    h = np.array(json.loads(dst.read_text())["patches"][0]["x"])
+    assert np.max(np.abs(h)) == 36 * 2.0**250
+    code, out, err = run(capsys, "validate", "--in", str(dst), "--form", "hermite")
+    assert (code, out, err) == (2, "", "error: " + _ABOVE.format(0, "x"))
 
 
 @pytest.mark.parametrize("roundtrip", [False, True])
@@ -743,6 +774,55 @@ def test_teapot_nonfinite_vertex_is_input_error(capsys, teapot_path, tmp_path):
     assert "stage ingest failed" in err and "line 41" in err
 
 
+def test_a_json_integer_too_large_for_a_float_is_input_error(capsys, tmp_path):
+    rows = [[0, 0, 0, 0]] * 3 + [[0, 0, 0, "@"]]
+    doc = json.dumps({"patches": [{"x": [[0] * 4] * 4, "y": [[0] * 4] * 4, "z": rows}]})
+    src = tmp_path / "huge.json"
+    src.write_text(doc.replace('"@"', "1" + "0" * 400))
+    code, out, err = run(capsys, "validate", "--in", str(src))
+    assert (code, out, err) == (2, "", "error: " + _ABOVE.format(0, "z"))
+    code, out, err = run(capsys, "teapot", "--in", str(src), "--out", str(tmp_path / "t"))
+    assert (code, out, err) == (2, "", "stage ingest failed: " + _ABOVE.format(0, "z"))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate"], 1), (["validate", "--json"], 1), (["continuity", "--json"], 0),
+    (["teapot", "--out", "{tmp}/t", "--json"], 0), (["teapot", "--out", "{tmp}/t"], 0),
+])
+def test_a_reader_that_closes_stdout_leaves_the_exit_code_and_stderr(capsys, monkeypatch,
+                                                                     teapot_path, tmp_path,
+                                                                     argv, code):
+    """Printing into a pipe whose reader has gone raises BrokenPipeError; the
+    command stops printing, returns its own exit code and writes no error."""
+    read, write = os.pipe()
+    os.close(read)
+    stdout = open(write, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        assert main([argv[0], "--in", str(teapot_path), *argv[1:]]) == code
+        print("more", flush=True)  # the rest of the output goes nowhere, quietly
+    finally:
+        stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_child_whose_stdout_reader_has_gone_exits_with_its_code(teapot_path, tmp_path):
+    read, write = os.pipe()
+    os.close(read)  # before the child writes
+    src = Path(cli.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "smartpatch.cli", "teapot", "--in", str(teapot_path),
+             "--out", str(tmp_path / "t"), "--json"],
+            stdout=write, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "t" / "teapot_report.json").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_tol_must_be_finite_and_nonnegative(capsys, teapot_path, tmp_path, tol):
     with pytest.raises(SystemExit) as exc:
@@ -848,18 +928,105 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+_RANGE_COMMANDS = (
+    ["validate"],
+    ["validate", "--form", "hermite"],
+    ["repair", "--out", "{out}/repaired.json"],
+    ["convert", "--direction", "b2h", "--roundtrip", "--out", "{out}/h.json"],
+    ["convert", "--direction", "h2b", "--roundtrip", "--out", "{out}/b.json"],
+    ["tessellate", "--normals", "--merge", "--n", "4", "--out", "{out}/mesh.obj"],
+    ["continuity", "--n", "4"],
+    ["teapot", "--normals", "--n", "4", "--out", "{out}/teapot"],
+)
+
+
+def _range_family(family, seed, teapot_path):
+    """An (N, 3, 4, 4) set whose largest |x| is 1 (random patches and sign
+    patterns) or the teapot's, before scaling."""
+    rng = np.random.default_rng(seed)
+    count = 1 + seed % 3
+    if family == "random":
+        arr = rng.uniform(-1.0, 1.0, (count, 3, 4, 4))
+        arr.reshape(-1)[rng.integers(arr.size)] = rng.choice([-1.0, 1.0])
+        return arr
+    if family == "signs":
+        return rng.choice([-1.0, 1.0], (count, 3, 4, 4))
+    teapot = read_newell(teapot_path).patches
+    if family == "teapot":
+        return np.stack([p.as_array for p in teapot])
+    return np.stack([q.as_array for p in teapot for q in split_patch(p)])
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(["random", "signs", "teapot", "split"]),
+       seed=st.integers(0, 2**16), k=st.integers(-300, 250), newell=st.booleans())
+@example(family="random", seed=0, k=250, newell=False)
+@example(family="signs", seed=1, k=250, newell=True)
+@example(family="split", seed=0, k=250, newell=False)
+@example(family="teapot", seed=0, k=-300, newell=True)
+def test_every_command_is_finite_and_quiet_on_the_accepted_range(tmp_path_factory, teapot_path,
+                                                                 family, seed, k, newell):
+    """Scaled by a power of two so that its largest |x| is at most 2**k,
+    with k from -300 up to the bound's 250, every set the loaders accept
+    runs through every command with an exit code of 0-3, reports that a
+    strict JSON parser reads and no RuntimeWarning (an error under this
+    suite's warning filter)."""
+    arr = _range_family(family, seed, teapot_path)
+    m, e = math.frexp(float(np.abs(arr).max()))
+    arr = np.ldexp(arr, k - (e - (m == 0.5)))  # exact: no value falls below the normal range
+    assert np.abs(arr).max() <= 2.0**k
+    out = tmp_path_factory.mktemp("range")
+    src = out / ("set.newell" if newell else "set.json")
+    patches = PatchSet("set", arr).patches
+    src.write_text(newell_text(patches) if newell else dump_patchset(PatchSet("set", arr)))
+    assert read_patchset(src).points.tobytes() == arr.tobytes()
+    for argv in _RANGE_COMMANDS:
+        argv = [a.format(out=out) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = quiet_main(argv[0], "--in", str(src), *argv[1:], "--json")
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if text:
+            strict_json(text)
+        assert "Warning" not in err.getvalue()
+    if (out / "teapot" / "teapot_report.json").exists():
+        strict_json((out / "teapot" / "teapot_report.json").read_text())
+
+
+def read_past_the_bound(monkeypatch, path, ps):
+    """Make the commands read ``ps`` for ``path``, as a library caller may
+    build it, with values the loaders refuse."""
+    read = cli.io.read_patchset
+    monkeypatch.setattr(cli.io, "read_patchset", lambda p: ps if p == str(path) else read(p))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_a_report_holding_a_nonfinite_number_is_not_written(capsys, tmp_path, rng):
+def test_a_report_holding_a_nonfinite_number_is_not_written(capsys, tmp_path, rng, monkeypatch):
     patch = random_patch(rng, -1.0, 1.0)
     code, out, _ = run(capsys, "validate", "--in", str(write_set(tmp_path, "unit", [patch])),
                        "--json")
     assert code == 1 and strict_json(out)["noncompliant_patches"] == [0]
-    # near the end of the float range the diagonal coefficients overflow
+    # near the end of the float range the diagonal coefficients overflow; the
+    # loaders refuse such a set, so every command reports an input error
     big = BezierPatch(*(1.7e308 * g for g in patch.grids))
     src = write_set(tmp_path, "big", [big])
     newell = tmp_path / "big.newell"
     newell.write_text(newell_text([big]))
+    for command, path, extra, prefix, where in (
+        ("validate", src, [], "error: ", _ABOVE.format(0, "x")),
+        ("repair", src, ["--out", str(tmp_path / "r.json")], "error: ", _ABOVE.format(0, "x")),
+        ("teapot", newell, ["--out", str(tmp_path / "t")], "stage ingest failed: ", "line 4: "
+         "coordinate of magnitude above 2**250\n"),
+    ):
+        for mode in (["--json"], []):
+            code, out, err = run(capsys, command, "--in", str(path), *extra, *mode)
+            assert (code, out, err) == (2, "", prefix + where)
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "t" / "teapot_report.json").exists()
+    # handed such a set past the loaders, strict JSON stays the safety net
+    read_past_the_bound(monkeypatch, src, PatchSet("big", [big]))
+    read_past_the_bound(monkeypatch, newell, PatchSet("big", [big]))
     for argv in (
         ["validate", "--in", str(src)],
         ["validate", "--in", str(src), "--form", "hermite"],
@@ -898,23 +1065,28 @@ _FOUND[0, 3] = _FOUND[3, 0] = -1.7e308
     *(pytest.param("hermite", c, _FULL, id=f"hermite-{c}") for c in range(3)),
     pytest.param("hermite", 1, _FOUND, id="hermite-found"),
 ])
-def test_validate_calls_a_patch_with_a_nan_residual_noncompliant(capsys, tmp_path, form, coord,
-                                                                 grid):
+def test_validate_calls_a_patch_with_a_nan_residual_noncompliant(capsys, tmp_path, monkeypatch,
+                                                                 form, coord, grid):
     grids = [np.zeros((4, 4))] * 3
     grids[coord] = grid
     patch = BezierPatch(*grids)
     src = write_set(tmp_path, "nan", [patch])
+    # such a grid is beyond the loaders' bound: validate refuses the file
+    code, out, err = run(capsys, "validate", "--in", str(src), "--form", form)
+    assert (code, out, err) == (2, "", "error: " + _ABOVE.format(0, "xyz"[coord]))
     with np.errstate(over="ignore", invalid="ignore"):
         arr = patch.as_array[None] if form == "bezier" else _convert(patch.as_array[None], "h2b")
-    residual = cli._validation(arr, constraints.DEFAULT_TOL)[1]
-    assert np.isnan(residual[0, coord]) and not np.isnan(np.delete(residual[0], coord)).any()
-    code, out, _ = run(capsys, "validate", "--in", str(src), "--form", form)
-    assert code == 1
-    assert out.splitlines() == [
-        "patch   0: max residual nan  NONCOMPLIANT", "0 of 1 patches compliant at tol 1e-09"
-    ]
-    code, out, err = run(capsys, "validate", "--in", str(src), "--form", form, "--json")
-    assert (code, out) == (4, "") and "which JSON cannot hold" in err
+        residual = cli._validation(arr, constraints.DEFAULT_TOL)[1]
+        assert np.isnan(residual[0, coord]) and not np.isnan(np.delete(residual[0], coord)).any()
+        # handed the set past the loaders, the validation stage calls it noncompliant
+        read_past_the_bound(monkeypatch, src, PatchSet("nan", [patch]))
+        code, out, _ = run(capsys, "validate", "--in", str(src), "--form", form)
+        assert code == 1
+        assert out.splitlines() == [
+            "patch   0: max residual nan  NONCOMPLIANT", "0 of 1 patches compliant at tol 1e-09"
+        ]
+        code, out, err = run(capsys, "validate", "--in", str(src), "--form", form, "--json")
+        assert (code, out) == (4, "") and "which JSON cannot hold" in err
 
 
 def test_nonfinite_field_names_the_first_nonfinite_number():

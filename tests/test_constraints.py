@@ -40,7 +40,7 @@ from smartpatch.constraints import (
 from smartpatch import cli, constraints
 from smartpatch.linalg import RationalMatrix
 from smartpatch.io import PatchSet, read_newell, write_patchset
-from smartpatch.patches import _convert
+from smartpatch.patches import _convert, as_grid
 from smartpatch.tessellation import EdgeId, EdgeSide, continuity_report, detect_adjacency
 
 from helpers import (
@@ -420,6 +420,38 @@ def test_solve_rejects_values_that_are_not_4_and_7_scalars(corners, free, messag
     count = 4 if message == "corner" else 7
     with pytest.raises(ValueError, match=f"^need exactly {count} {message} values$"):
         bs_solve(corners, free)
+
+
+_RAGGED = [[0.0] * 4] * 3 + [[0.0] * 3]
+_FOUR = [np.zeros((4, 4))] * 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bs_solve([1, 2, [3, 4], 5], [0] * 7), "need exactly 4 corner values"),
+    (lambda: bs_solve([[1, 2], [3, 4, 5]], [0] * 7), "need exactly 4 corner values"),
+    (lambda: bs_solve((1, 2, 3, 4), [0, 1, [2], 3, 4, 5, 6]), "need exactly 7 free values"),
+    (lambda: bs_solve(["x", 1, 2, 3], [0] * 7), "could not convert string to float: 'x'"),
+    (lambda: bs_solve(["x", 1, 2], [0] * 7), "need exactly 4 corner values"),
+    (lambda: as_grid(_RAGGED), "grid must be 4x4, got ragged rows"),
+    (lambda: as_grid([[0.0] * 4] * 3 + [[0.0, 0.0, 0.0, [1.0]]]),
+     "grid must be 4x4, got ragged rows"),
+    (lambda: as_grid([np.zeros(4)] * 3 + [np.zeros((2, 2))]), "grid must be 4x4, got ragged rows"),
+    (lambda: as_grid([["x"] * 4] * 4), "could not convert string to float: 'x'"),
+    (lambda: as_grid([["x"] * 4] * 3), "grid must be 4x4, got (3, 4)"),
+    (lambda: BezierPatch(*_FOUR, _RAGGED), "grid must be 4x4, got ragged rows"),
+    (lambda: HermitePatch(_RAGGED, *_FOUR), "grid must be 4x4, got ragged rows"),
+    (lambda: bs_residuals(_RAGGED), "grid must be 4x4, got ragged rows"),
+    (lambda: bs_project(_RAGGED), "grid must be 4x4, got ragged rows"),
+    (lambda: bs_inner_identity(_RAGGED), "grid must be 4x4, got ragged rows"),
+], ids=["corners", "corner-rows", "free", "corner-word", "three-with-a-word", "grid",
+        "grid-cell", "grid-arrays", "grid-words", "3x4-words", "bezier", "hermite",
+        "residuals", "project", "inner"])
+def test_ragged_values_get_the_shape_message(call, message):
+    """The shape is decided before any value is converted: ragged rows get
+    the operator's own shape message, and a value that is not a number in a
+    nest of the right shape keeps numpy's conversion error."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_solve_takes_lists_tuples_and_rows_alike(rng):

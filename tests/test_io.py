@@ -370,6 +370,70 @@ def test_newell_bad_coordinate_line():
         load_newell("\n".join(lines))
 
 
+_BOUND = 2.0**250
+_BEYOND = ["nan", "inf", "-inf", repr(float(np.nextafter(_BOUND, np.inf))),
+           repr(-float(np.nextafter(_BOUND, np.inf))), "1e76", "1.7976931348623157e+308"]
+
+
+def _beyond_message(text):
+    return "non-finite" if text in ("nan", "inf", "-inf") else "of magnitude above 2\\*\\*250"
+
+
+def test_the_bound_is_two_to_the_250():
+    assert io.MAX_COORDINATE == _BOUND == float(2**250)
+
+
+@pytest.mark.parametrize("bad", _BEYOND)
+def test_newell_rejects_a_coordinate_beyond_the_bound(bad):
+    lines = ["1", ",".join(str(i) for i in range(1, 17)), "16"] + ["0,0,0"] * 16
+    lines[-1] = f"0,{bad},0"
+    with pytest.raises(PatchFormatError, match=f"^line 19: .*{_beyond_message(bad)}"):
+        load_newell("\n".join(lines))
+    lines[6], lines[9] = lines[-1], "0,x,0"
+    # named before a later malformed line, and before the end of the file
+    for text in ("\n".join(lines), "\n".join(lines[:12])):
+        with pytest.raises(PatchFormatError, match=f"^line 7: .*{_beyond_message(bad)}"):
+            load_newell(text)
+
+
+@pytest.mark.parametrize("bad", _BEYOND)
+def test_json_rejects_a_coordinate_beyond_the_bound(bad):
+    good = [[0.0] * 4 for _ in range(4)]
+    doc = json.dumps({"patches": [{"x": good, "y": good, "z": good}] * 2})
+    # the last value of patch 1's z grid; json reads NaN and Infinity literals
+    head, _, tail = doc.rpartition("0.0")
+    token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(bad, bad)
+    with pytest.raises(PatchFormatError, match=f"^patch 1: grid 'z' has .*{_beyond_message(bad)}"):
+        load_patchset(head + token + tail)
+
+
+@pytest.mark.parametrize("literal, accepted", [
+    (str(2**250), True), (str(-(2**250)), True), (repr(_BOUND), True),
+    (str(2**250 + 1), False), (str(-(2**250) - 1), False), ("1" + "0" * 400, False),
+    ("-1" + "0" * 400, False),
+])
+def test_json_integers_are_compared_exactly(literal, accepted):
+    """An integer literal is compared with the bound as an integer, so one
+    too large for a float is refused by name and not by an OverflowError."""
+    grid = [[0, 0, 0, 0]] * 3 + [[0, 0, 0, "@"]]
+    doc = json.dumps({"patches": [{"x": grid, "y": grid, "z": grid}]}).replace('"@"', literal)
+    if accepted:
+        assert load_patchset(doc).points[0, 0, 3, 3] == float(literal)
+    else:
+        with pytest.raises(PatchFormatError,
+                           match=r"^patch 0: grid 'x' has an entry of magnitude above 2\*\*250$"):
+            load_patchset(doc)
+
+
+def test_both_loaders_accept_coordinates_at_the_bound():
+    values = np.array([[_BOUND, -_BOUND, 0.0], [-_BOUND, 1.0, _BOUND]])
+    text = "\n".join(["1", ",".join(["1", "2"] * 8), "2"]
+                     + [",".join(map(repr, v)) for v in values.tolist()])
+    newell = load_newell(text)
+    assert np.array_equal(newell.points[0, :, 0, 0], values[0])
+    assert load_patchset(dump_patchset(newell)) == PatchSet("newell", newell.points)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_newell_rejects_nonfinite_coordinate(bad):
     lines = ["1", ",".join(str(i) for i in range(1, 17)), "16"]
@@ -434,6 +498,9 @@ def _edit_field(kind, field, pick):
         return field[:k] + chr(_NON_ASCII_ZERO[pick(4)] + int(field[k])) + field[k + 1 :]
     if kind == "non-finite":
         return ("nan", "inf", "-inf", "Infinity", "-NaN", "1e999")[pick(6)]
+    if kind == "bound":  # 2**250, accepted, and values beyond it
+        return (repr(2.0**250), repr(-(2.0**250)), repr(float(np.nextafter(2.0**250, np.inf))),
+                "-1e76", "1.7e308", "1" + "0" * 80)[pick(6)]
     if kind == "number":
         return ("0", "-3", "-0", "17", "21", "007")[pick(6)]
     if kind == "long":
@@ -444,15 +511,16 @@ def _edit_field(kind, field, pick):
 
 
 _LINE_EDITS = ("drop field", "add field", "shift field", "blank before", "space", "inner space",
-               "plus", "underscore", "non-ascii digit", "non-finite", "number", "long", "word")
+               "plus", "underscore", "non-ascii digit", "non-finite", "bound", "number", "long",
+               "word")
 
 
 @st.composite
 def newell_texts(draw):
     """Newell texts with random edits: valid ones (blank lines, CRLF,
     spaces, +, _ and non-ASCII digits in fields) and malformed ones (wrong
-    field counts, non-numbers, non-finite values, 30-digit indices,
-    truncation and trailing content)."""
+    field counts, non-numbers, non-finite values, coordinates beyond
+    2**250, 30-digit indices, truncation and trailing content)."""
     pick = lambda n: draw(st.integers(0, n - 1))
     patches = draw(st.integers(0, 3))
     vertices = draw(st.integers(16 if patches else 0, 20))
@@ -500,6 +568,8 @@ _ROW = ",".join(str(i) for i in range(1, 17))
 
 @given(text=newell_texts())
 @example(text="\n".join(["2", _ROW, _ROW, "17"] + ["0,0,0"] * 16 + ["0,nan,0"]))
+@example(text="\n".join(["1", _ROW, "16"] + ["0,0,0"] * 3 + ["0,0,-1e76"] + ["0,nan,0", "0,x"]))
+@example(text="\n".join(["1", _ROW, "16"] + [f"{2.0**250!r},0,{-(2.0**250)!r}"] * 16))
 @example(text="\n".join(["2", _ROW[:-3], _ROW + ",1", "16"] + ["0,0,0"] * 16))
 @example(text="\n".join(["1", _ROW, "16"] + ["0,0,0"] * 14 + ["1,2", "3,4,5,6"]))
 @example(text="\r\n".join(["1", _ROW.replace("1", "+1_0", 1), " 16 ", ""] + ["0,\u0663,0"] * 16))
