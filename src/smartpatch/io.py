@@ -38,102 +38,171 @@ class PatchFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # Float text: repr(x) for every value, with the digits decided in array passes
 
-# built from Python ints: exact, and no numpy ufunc runs at import
-_POW10 = np.array([float(10**k) for k in range(23)])
-_IPOW10 = np.array([10**k for k in range(18)], dtype=np.int64)
-# A rendered value: its sign, the 22 digits (10^21 .. 10^0) of its digits
-# with a "0" inserted where the point goes, a column that only the longest
-# repr fills and one for a caller's separator.
-_FIELD = 25
+_BLOCK = 1024  # lines per OBJ block; a patch-set block holds as many values (64 patches)
 
 
-def _split(v):
-    """Dekker's split of doubles into two halves of at most 26 bits."""
-    hi = v * 134217729.0
-    hi -= hi - v
-    return hi, v - hi
+def _halves(v):
+    """Dekker's split of the float ``v`` into two halves of at most 26 bits."""
+    big = v * 134217729.0
+    high = big - (big - v)
+    return high, v - high
 
 
-def _two_product(a, b):
-    """hi + lo == a·b exactly, with hi = fl(a·b) (Dekker's TwoProduct):
-    lo = ((ah·bh - hi) + ah·bl + al·bh) + al·bl, summed in place."""
-    (ah, al), (bh, bl) = _split(a), _split(b)
-    hi = a * b
-    lo = ah * bh
-    lo -= hi
-    lo += ah * bl
-    lo += al * bh
-    lo += al * bl
-    return hi, lo
+# 10^k split once in Python float arithmetic: exact, and no numpy ufunc runs at import
+_POW10_HIGH, _POW10_LOW = map(np.array, zip(*(_halves(float(10**k)) for k in range(23))))
+_IPOW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+_DROP = np.array([100, 10, 1], dtype=np.int64)
+# 9·10^p, 0 where p > 17 and no digit is before the point
+_NINES = np.array([9 * 10**k for k in range(18)] + [0] * 5, dtype=np.int64)
+# the 17-, 16- and 15-digit candidates: multiples of 1, 10 and 100
+_UNITS = np.array([[1.0], [10.0], [100.0]], dtype=np.float32)
+_PER_UNIT = np.array([[1.0], [0.1], [0.01]], dtype=np.float32)
 
 
 def _shortest(x):
-    """The digits of ``repr`` for each of ``x``'s values, |x|: X, s and z
-    with |x| = X·10^-s, where repr(|x|) is X's digits with a point before
-    the last s of them, without its last z digits (zeros, z < s) and
-    without the leading zeros before the digit next to the point; and a
-    "decided" mask.
+    """The digits of ``repr`` for each of ``x``'s values: D, p, the length
+    of repr(|x|) and a "decided" mask, where repr(|x|) is D's last
+    ``length`` digits (leading zeros included), with the digit before the
+    last p of them, a 0, as the point.
 
     With e the decimal exponent of |x| and s = 16 - e, |x|·10^s is formed
-    exactly as hi + lo (10^s is exact for s <= 22), so hi is a 17-digit
-    integer.  The 17-, 16- and 15-digit candidates are that rounded to a
-    multiple of 1, 10 and 100.  The shortest one strictly inside x's
-    half-ulp interval, less its trailing zeros, is ``repr``'s digit string
-    (Gay's shortest round trip: the nearest of the shortest).  Shorter
-    forms need no more candidates: the interval is narrower than 100, so it
-    holds at most one multiple of 100, and every shorter form is one.
-    Zeros are decided (X = 0, s = 1, z = 0: "0.0").  Undecided, and given
-    the same X, s and z: non-finite values, exponents outside repr's
-    positional range -4 <= e < 16 (subnormals included), exponents log10
-    misjudged, powers of two (whose interval is not symmetric) and any
-    decision within 1e-9 of its threshold."""
+    exactly as hi + lo (10^s is split in advance, so Dekker's TwoProduct
+    splits only |x|), and hi is a 17-digit integer.  The 17-, 16- and
+    15-digit candidates are that rounded to a multiple of 1, 10 and 100.
+    The shortest one strictly inside x's rounding interval, less its
+    trailing zeros, is the digit string Y of ``repr`` (Gay's shortest round
+    trip: the nearest of the shortest).  Shorter forms need no more
+    candidates: the interval is narrower than 100, so it holds at most one
+    multiple of 100, and every shorter form is one.  D is Y with a 0
+    inserted before its last p digits, Y + 9·10^p·floor(|x|) < 10^18: the
+    digits before repr's point are those of floor(|x|).
+
+    Below a power of two the gap is half as wide as above.  Its candidates
+    are decided against the half-gap below, and a candidate whose distance
+    lies between the two half-gaps leaves it undecided; so do a tie between
+    two 10-multiples or two 17-digit candidates and any decision within
+    2e-5 of its threshold (the distances are float32).  Undecided, and
+    given D = 0, p = 1 and length 3 ("0.0"): zeros, non-finite values,
+    exponents outside repr's positional range -4 <= e < 16 (subnormals
+    included) and exponents log10 misjudged.  Zeros alone are returned as
+    decided."""
     a = np.abs(x)
-    mantissa, exponent = np.frexp(a)
-    decided = (a >= 1e-4) & (a < 1e16) & (mantissa != 0.5)
+    clipped = np.fmin(np.fmax(a, 1e-4), 9999999999999998.0)  # NaN too: every value in range
+    decided = a == clipped  # the finite values of the positional range
     zero = a == 0
-    a = np.where(decided, a, 3.0)
-    del mantissa  # every array is dropped as soon as it is used up
+    a = clipped
+    del clipped  # every array is dropped as soon as it is used up
+    whole = np.floor(a)  # the digits before the point, once decided
+    mantissa, exponent = np.frexp(a)
+    power_of_two = mantissa == 0.5
+    del mantissa
     s = np.log10(a)
     s = 16 - np.floor(s, out=s).astype(np.intp)
-    scale = _POW10[s]
-    half_ulp = np.ldexp(scale, exponent - 54)  # in (0.55, 11.1)
-    del exponent
-    hi, lo = _two_product(a, scale)
-    del a, scale
-    decided &= (hi > 1e16) & (hi < 1e17)  # log10 may misjudge e by one
+    high, low = _POW10_HIGH[s], _POW10_LOW[s]
+    scale = high + low  # 10^s
+    # hi + lo == |x|·10^s, lo = ((ah·high - hi) + ah·low + al·high) + al·low
+    hi = a * scale
+    ah = a * 134217729.0
+    ah -= ah - a
+    a -= ah
+    lo = ah * high
+    lo -= hi
+    ah *= low
+    lo += ah
+    high *= a
+    lo += high
+    low *= a
+    lo += low
+    del ah, a, high, low
+    decided &= (lo >= 1e16 - hi) & (hi < 1e17)  # log10 may misjudge e by one
+    # From here on t, the distances and their thresholds are float32,
+    # within 5e-6 of their values (|t| < 128).  The thresholds: the
+    # half-gaps above and below |x|, times 10^s (below a power of two the
+    # gap is half as wide), widened by 2e-5 to the side that undecides.
+    exponent -= 54
+    above = np.ldexp(scale, exponent, out=np.empty(len(x), dtype=np.float32))
+    exponent -= power_of_two
+    below = np.ldexp(scale, exponent, out=np.empty(len(x), dtype=np.float32))
+    del scale, exponent, power_of_two
+    above += 2e-5
+    below -= 2e-5
     hi = hi.astype(np.int64)
     f100 = hi // 100
-    t = (hi - 100 * f100) + lo  # |x|·10^s - 100·f100
+    hi -= 100 * f100
+    t = np.add(hi, lo, out=np.empty(len(x), dtype=np.float32))  # |x|·10^s - 100·f100
     del hi, lo
-    # The 17-digit candidate is always inside (|t - tail| <= 0.5); a tie
-    # leaves it undecided.  Inside 100 means inside 10; no tie at 100 is.
-    tail = np.rint(t)
-    decided &= np.abs(np.abs(t - tail) - 0.5) > 1e-9
-    z = np.zeros(len(x), dtype=np.intp)
-    for unit in (10, 100):
-        n = np.rint(t / unit) * unit
-        d = np.abs(t - n)
-        inside = d < half_ulp
-        decided &= np.abs(d - half_ulp) > 1e-9
-        if unit == 10:
-            decided &= ~inside | (np.abs(d - 5) > 1e-9)
-        tail = np.where(inside, n, tail)
-        z += inside
-    # The 15-digit candidate's own trailing zeros, counted 8, 4, 2, 1 at a time
-    fifteen = np.flatnonzero(inside)
-    short = f100[fifteen] + tail[fifteen] / 100  # < 10^15, so exact
-    for k in (8, 4, 2, 1):
-        q = short / _POW10[k]
-        strip = q == np.floor(q)
-        short = np.where(strip, q, short)
-        z[fifteen] += k * strip
-    digits = 100 * f100 + tail.astype(np.int64)
-    return (
-        digits * decided,
-        np.where(decided, s, 1),
-        np.where(decided, np.minimum(z, s - 1), 0),
-        decided | zero,
-    )
+    # one row per candidate: t over its unit, rounded, and the distance of
+    # the candidate from t, inside when below 0.5 (else a tie), the
+    # half-gap below |x| and 5 (else a tie) and the half-gap below
+    last = _PER_UNIT * t
+    np.rint(last, out=last)
+    distance = _UNITS * last
+    np.subtract(t, distance, out=distance)
+    t = np.abs(distance, out=distance)
+    del distance
+    inside = np.empty(last.shape, dtype=bool)
+    np.less(t[0], 0.5 - 2e-5, out=inside[0])
+    np.less(t[2], below, out=inside[2])
+    np.less(t[1], np.minimum(below, 5 - 2e-5, out=below), out=inside[1])
+    outside = t > above
+    outside |= inside
+    decided &= outside.all(axis=0)
+    del t, below, above, outside
+    # the digits Y of the shortest candidate inside, f100·10^(2-z) + its
+    # rounded t over 10^z, with z zeros dropped: inside 100 means inside 10
+    z = np.add(inside[1], inside[2], dtype=np.intp)
+    pick = z * len(x)
+    pick += np.arange(len(x))
+    digits = _DROP.take(z)
+    digits *= f100
+    digits += last.reshape(-1).take(pick).astype(np.int64)
+    del pick
+    # the 15-digit candidate's own trailing zeros: its four 4-digit words
+    # (it is at most 10^15), lowest first, each with its count from
+    # _trailing() (4 for 0000), summed up to the first word that is not 0000
+    fifteen = np.flatnonzero(inside[2])
+    del inside, last, f100
+    words = np.empty((4, len(fifteen)), dtype=np.int64)
+    words[0] = digits[fifteen]
+    for k in range(1, 4):
+        np.floor_divide(words[k - 1], 10000, out=words[k])
+    words[:-1] -= 10000 * words[1:]
+    count = _trailing().take(words)
+    del words
+    below = count[:-1] == 4  # every word below the next one is 0000
+    below[1] &= below[0]
+    below[2] &= below[1]
+    count[1:] *= below
+    count = count.sum(axis=0)
+    digits[fifteen] //= _IPOW10[count]
+    z[fifteen] += count
+    del count
+    undecided = ~decided
+    s[undecided] = 17
+    z[undecided] = 16
+    del undecided
+    # one digit after the point stays: z <= s - 1
+    over = np.flatnonzero(z >= s)
+    digits[over] *= _IPOW10[z[over] - s[over] + 1]
+    z[over] = s[over] - 1
+    z -= s
+    z *= -1  # the digits after the point
+    digits += _NINES[z] * whole.astype(np.int64)
+    digits *= decided
+    # repr's length: max(e, 0) + 1 digits before the point, the point, p after it
+    s = np.maximum(18 - s, 2, out=s)
+    s += z
+    return digits, z, s, decided | zero
+
+
+@functools.cache
+def _trailing():
+    """The trailing zeros of 0..9999, 4 for 0: 10 KB built on first use."""
+    count = np.zeros(10000, dtype=np.int8)
+    for k in range(1, 5):
+        count[:: 10**k] += 1
+    count.flags.writeable = False  # one array for every caller
+    return count
 
 
 @functools.cache
@@ -156,56 +225,78 @@ def _quads():
 
 
 @functools.cache
-def _bands(cols):
-    """Masks of ``cols`` digit columns (10^cols-1 .. 10^0), the row
-    first·cols + top holding 1 for the digits first..top."""
-    k = np.arange(cols - 1, -1, -1)
-    mask = (np.arange(cols)[:, None, None] <= k) & (k <= np.arange(cols)[:, None])
-    mask.flags.writeable = False  # one array for every caller
-    return mask.view(np.uint8).reshape(-1, cols)
+def _shown(words):
+    """For each count n of digits shown (column n), a mask of each of
+    ``words`` four-digit words (row k, the highest first) that keeps the
+    word's characters among the last n and zeroes the others."""
+    kept = [[min(max(n - 4 * (words - 1 - k), 0), 4) for n in range(4 * words + 1)]
+            for k in range(words)]
+    masks = np.array([[[0] * (4 - c) + [255] * c for c in row] for row in kept], dtype=np.uint8)
+    masks.flags.writeable = False  # one array for every caller
+    return masks.view(np.uint32)[..., 0]
 
 
-def _digits(m, out, first=0, at_least=0):
-    """Write the decimal digits of the non-negative int64 vector ``m`` into
-    the uint8 matrix ``out`` (one row per value, column j for the digit of
-    10^k with k = columns - 1 - j) as ASCII, those of 10^first up to
-    10^max(at_least, highest nonzero digit); the others are zero bytes.
+def _digits(m, shown, words):
+    """The last ``shown`` decimal digits (leading zeros included) of each
+    value of the non-negative int64 vector ``m``, as ASCII right-aligned
+    in ``4·words`` columns, the others zero bytes: a (words, len(m)) array
+    of native uint32 words, row k holding the columns of 10^(4(words-k)-1)
+    down to 10^(4(words-k-1)).  No ``m`` has more than ``4·words`` digits
+    and no ``shown`` is above that.
 
     The digits come four at a time from ``_quads()``."""
-    cols = out.shape[1]
-    top = np.maximum(np.searchsorted(_IPOW10, m, side="right") - 1, at_least)
-    quads = _quads()
-    words = np.empty((len(m), -(-cols // 4)), dtype=np.uint32)
-    for j in range(words.shape[1] - 1, -1, -1):
-        q = m // 10000
-        words[:, j] = quads[m - q * 10000]
-        m = q
-    shown = np.take(_bands(cols), first * cols + top, axis=0)
-    np.multiply(words.view(np.uint8)[:, -cols:], shown, out=out)
+    index = np.empty((words, len(m)), dtype=np.intp)
+    index[-1] = m
+    product = np.empty(len(m), dtype=np.intp)
+    for k in range(words - 1, 0, -1):
+        np.floor_divide(index[k], 10000, out=index[k - 1])
+        index[k] -= np.multiply(index[k - 1], 10000, out=product)  # its own four digits
+    del product
+    text = _quads().take(index)
+    del index
+    top = words - int(shown.min(initial=4 * words)) // 4  # the words with digits not shown
+    text[:top] &= np.take(_shown(words)[:top], shown, axis=1)
+    return text
 
 
-def _float_text(x, lead=0):
-    """``repr(v)`` of each value of the float64 vector ``x`` as a
-    ``(len(x), lead + _FIELD)`` uint8 row whose nonzero bytes, in order,
-    are that text: the rows' first ``lead`` columns and last column are
-    left zero for the caller's separators.
+def _float_text(x, frame):
+    """``repr(v)`` of each value of the float64 vector ``x`` in a uint8
+    row whose nonzero bytes, in order, are that text with the caller's
+    separators around it.  The rows of the (k, lead + 1) uint8 ``frame``
+    take turns, k dividing len(x): a row's first ``lead`` columns and its
+    last one are those of its frame row, and the ``1 + 4·words`` columns
+    between them hold the longest text.
 
-    ``_shortest`` decides the digits X and the s after the point.  X with
-    a 0 inserted before its last s digits, X + 9·10^s·(X // 10^s) < 10^18,
-    is rendered by ``_digits``, and that 0 becomes the point.  A value
-    ``_shortest`` leaves undecided is written from its ``repr``."""
-    digits, s, z, decided = _shortest(x)
-    scale = _IPOW10[np.minimum(s, 17)]  # X < 10^17, so X // 10^s is 0 for s >= 17
-    digits += 9 * scale * (digits // scale)
-    del scale
-    text = np.zeros((len(x), lead + _FIELD), dtype=np.uint8)
-    np.multiply(np.signbit(x), np.uint8(45), out=text[:, lead])  # "-"
-    _digits(digits, text[:, lead + 1 : lead + 23], first=z, at_least=s + 1)
-    text.reshape(-1)[np.arange(lead + 22, text.size, text.shape[1]) - s] = 46  # "."
+    ``_shortest`` decides the digits D, the p after the point and the
+    length; ``_digits`` renders D's last ``length`` digits, the 0 before
+    the last p becomes the point and the column before the digits the
+    sign.  A value ``_shortest`` leaves undecided is written from its
+    ``repr``, once per distinct value."""
+    digits, point, length, decided = _shortest(x)
     slow = np.flatnonzero(~decided)
-    if slow.size:
-        literal = b"".join(repr(v).encode().ljust(24, b"\0") for v in x[slow].tolist())
-        text[slow, lead : lead + 24] = np.frombuffer(literal, dtype=np.uint8).reshape(-1, 24)
+    literals = []
+    if slow.size:  # each distinct value once: rounding residue repeats in a mesh
+        distinct, which = np.unique(x[slow], return_inverse=True)
+        literals = [repr(v).encode() for v in distinct.tolist()]
+    # the longest text, less a literal's first character (its sign column)
+    longest = max(int(length.max(initial=3)), max(map(len, literals), default=0) - 1)
+    words = -(-longest // 4)
+    rendered = _digits(digits, length, words)
+    del digits
+    lead = frame.shape[1] - 1
+    rows = np.zeros((len(frame), lead + 2 + 4 * words), dtype=np.uint8)
+    rows[:, :lead], rows[:, -1] = frame[:, :-1], frame[:, -1]
+    text = np.empty((len(x), rows.shape[1]), dtype=np.uint8)
+    text.reshape(-1, *rows.shape)[...] = rows
+    text[:, lead + 1 : -1].view(np.uint32)[...] = rendered.T
+    del rendered
+    end = np.arange(lead + 4 * words, text.size, text.shape[1])  # the columns of 10^0
+    flat = text.reshape(-1)
+    flat[end - point] = 46  # "."
+    flat[end - length] = np.signbit(x) * np.uint8(45)  # "-"
+    if literals:
+        literal = b"".join(t.ljust(1 + 4 * words, b"\0") for t in literals)
+        text[slow, lead:-1] = np.frombuffer(literal, dtype=np.uint8).reshape(len(literals), -1)[which]
     return text
 
 
@@ -365,27 +456,24 @@ def _json_list(items):
 
 def _patch_groups(points):
     """The text of the list of the (N, 3, 4, 4) ``points``, as uint8 arrays
-    of at most 64 patches (3072 values, like an OBJ block), so the arrays
-    stay small whatever the size of the set."""
+    of at most ``_BLOCK // 16`` patches (as many values as an OBJ block
+    has), so the arrays stay small whatever the size of the set."""
     opening, *between, closing = _PATCH_TEMPLATE.split("%s")
     pieces = ["[\n" + opening, closing + ",\n" + opening, *between]
-    lead = max(map(len, pieces))
+    lead = max(map(len, pieces)) + 1  # and a zero column after each value
     pieces = np.frombuffer("".join(t.ljust(lead, "\0") for t in pieces).encode(), np.uint8)
     pieces = pieces.reshape(-1, lead)
-    for start in range(0, len(points), 64):
-        text = _float_text(points[start : start + 64].ravel(), lead)
-        cells = text.reshape(-1, 48, lead + _FIELD)
-        cells[:, 0, :lead] = pieces[1]
-        cells[:, 1:, :lead] = pieces[2:]
+    for start in range(0, len(points), _BLOCK // 16):
+        text = _float_text(points[start : start + _BLOCK // 16].ravel(), pieces[1:])
         if start == 0:
-            cells[0, 0, :lead] = pieces[0]
+            text[0, : lead - 1] = pieces[0, :-1]
         yield text[text != 0]
     yield (closing + "\n ]").encode() if len(points) else b"[]"
 
 
 def _patchset_pieces(ps: PatchSet):
     """The bytes of the text json.dumps(doc, indent=1) gives for the patch
-    set, in pieces of at most 64 patches, so a writer never holds the whole
+    set, in pieces of at most ``_BLOCK // 16`` patches, so a writer never holds the whole
     document.
 
     Every control value is written as a float, so integer-valued entries
@@ -542,41 +630,58 @@ def _vector_lines(tag, rows):
     """The OBJ lines "tag x y z" of the float rows (N, 3): their
     ``_float_text`` with the tag, spaces and newline put in the columns
     left for them, less its zero bytes."""
-    text = _float_text(rows.ravel(), len(tag))
-    cells = text.reshape(-1, 3, text.shape[1])
-    cells[:, 0, : len(tag)] = np.frombuffer(tag, dtype=np.uint8)
-    cells[:, 1:, 0] = 32  # " "
-    cells[:, 2, -1] = 10  # "\n"
+    text = _float_text(rows.ravel(), _line_frame(tag))
     return text[text != 0]
+
+
+@functools.cache
+def _line_frame(tag):
+    """The ``_float_text`` frame of an OBJ line "tag x y z": the tag before
+    x, and " " after x and y and "\\n" after z, so each value leaves one
+    run of zero bytes."""
+    frame = np.zeros((3, len(tag) + 1), dtype=np.uint8)
+    frame[0, :-1] = np.frombuffer(tag, dtype=np.uint8)
+    frame[:, -1] = 32, 32, 10
+    frame.flags.writeable = False  # one array for every caller
+    return frame
 
 
 def _face_lines(triangles, normals):
     """The OBJ lines "f i j k" (or "f i//i j//j k//k") of the zero-based
-    triangles (N, 3).  One token (" i" or " i//i") is rendered per vertex
+    triangles (N, 3).  One token, "i " (or "i//i "), is rendered per vertex
     in their index range and gathered by the triangles, so each vertex
     index is rendered once per block that uses it, not once per use."""
     lo, hi = int(triangles.min()), int(triangles.max())
-    width = len(str(hi + 1))
-    tokens = np.zeros((hi - lo + 1, 2 * width + 3 if normals else width + 1), dtype=np.uint8)
-    tokens[:, 0] = 32  # " "
-    _digits(np.arange(lo + 1, hi + 2), tokens[:, 1 : width + 1])
+    count, width = hi - lo + 1, len(str(hi + 1))
+    shown = np.full(count, width)
+    for k in range(len(str(lo + 1)), width):
+        shown[: 10**k - lo - 1] -= 1  # the ids below 10^k have a digit less
+    words = -(-width // 4)
+    text = _digits(np.arange(lo + 1, hi + 2), shown, words)
+    digits = np.ascontiguousarray(text.T).view(np.uint8)[:, 4 * words - width :]
+    tokens = np.empty((count, 2 * width + 3 if normals else width + 1), dtype=np.uint8)
+    tokens[:, :width] = digits
     if normals:
-        tokens[:, width + 1 : width + 3] = 47  # "//"
-        tokens[:, width + 3 :] = tokens[:, 1 : width + 1]
-    line = np.empty((len(triangles), 3 * tokens.shape[1] + 2), dtype=np.uint8)
-    line[:, 0], line[:, -1] = 102, 10  # "f", "\n"
-    line[:, 1:-1] = tokens[triangles - lo].reshape(len(triangles), -1)
-    return line[line != 0]
+        tokens[:, width : width + 2] = 47  # "//"
+        tokens[:, width + 2 : -1] = digits
+    tokens[:, -1] = 32  # " "
+    tokens = tokens.view(f"V{tokens.shape[1]}").reshape(-1)
+    line = np.empty((len(triangles), 2 + 3 * tokens.itemsize), dtype=np.uint8)
+    line[:, 0] = 102  # "f"
+    line[:, 2:].view(tokens.dtype)[...] = tokens.take(triangles - lo)
+    line[:, 1], line[:, -1] = 32, 10  # " ", "\n" in place of the last token's " "
+    # ids of one digit count leave no zero byte
+    return line.reshape(-1) if len(str(lo + 1)) == width else line[line != 0]
 
 
 def _obj_blocks(mesh: TriangleMesh):
-    """The OBJ text of ``mesh`` as uint8 arrays of up to 1024 lines each."""
+    """The OBJ text of ``mesh`` as uint8 arrays of up to ``_BLOCK`` lines each."""
     for tag, a in ((b"v ", mesh.vertices), (b"vn ", mesh.normals)):
         if a is not None:
-            for start in range(0, len(a), 1024):
-                yield _vector_lines(tag, a[start : start + 1024])
-    for start in range(0, len(mesh.triangles), 1024):
-        yield _face_lines(mesh.triangles[start : start + 1024], mesh.normals is not None)
+            for start in range(0, len(a), _BLOCK):
+                yield _vector_lines(tag, a[start : start + _BLOCK])
+    for start in range(0, len(mesh.triangles), _BLOCK):
+        yield _face_lines(mesh.triangles[start : start + _BLOCK], mesh.normals is not None)
 
 
 def export_obj(mesh: TriangleMesh) -> str:
