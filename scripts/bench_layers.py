@@ -36,9 +36,11 @@ checkout's ``constraints`` module has, and the whole call beside them:
 ``stages_ms``.  A checkout from before the staged repair has only
 ``_patch_ranks`` of them.
 
-I/O: ``write_obj`` of the bundled teapot at n=16 with normals (as
-``smartpatch teapot --normals`` writes it) and of its 2x2 de Casteljau split
-(128 patches) at n=4 (as the ``split-teapot`` benchmark workload does),
+I/O: ``write_obj`` at n=16 with normals of the bundled teapot as read (not
+repaired) and of the seed-10 input of the ``teapot`` benchmark workload
+after ``repair_patches`` (as ``smartpatch teapot --normals`` writes it), and
+of the teapot's 2x2 de Casteljau split (128 patches) at n=4 (as the
+``split-teapot`` benchmark workload does),
 ``dump_patchset`` of that split, ``load_newell`` of the teapot text and
 of the split's (one vertex per control point, 2048 vertices),
 ``load_patchset`` of the JSON text of the teapot split three times (2048
@@ -208,15 +210,23 @@ for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf3
 """
 
 # argv: the timed calls per operation, and the directory that receives the
-# seed-10 input of the teapot benchmark workload for the RSS probe.
+# seed-10 input of the teapot benchmark workload, for its write_obj row and
+# the RSS probe.
 IO = r"""
 import contextlib, os, tempfile
 from pathlib import Path
 from helpers import newell_text, split_patch
+from smartpatch import repair_patches
 from smartpatch.cli import main
-from smartpatch.io import PatchSet, dump_patchset, load_newell, load_patchset, write_obj
+from smartpatch.io import (PatchSet, dump_patchset, load_newell, load_patchset, read_newell,
+                           write_obj)
 from smartpatch.tessellation import tessellate_set
+sys.path.append("bench")
+import generators
 
+generators.write_inputs("teapot", Path.cwd(), Path(sys.argv[2]), 10)
+seeded = repair_patches(read_newell(Path(sys.argv[2], "input.newell")).points).points
+seeded_mesh = tessellate_set(seeded, 16, with_normals=True)
 text = open("data/teapot.newell").read()
 teapot = load_newell(text, name="teapot").patches
 split = [q for p in teapot for q in split_patch(p)]
@@ -238,6 +248,7 @@ def teapot_split3():
 
 ops = {
     "write_obj teapot n=16 normals": lambda: write_obj(teapot_mesh, os.devnull),
+    "write_obj seed-10 teapot repaired n=16 normals": lambda: write_obj(seeded_mesh, os.devnull),
     "write_obj split n=4": lambda: write_obj(split_mesh, os.devnull),
     "dump_patchset split": lambda: dump_patchset(split_set),
     "load_newell teapot": lambda: load_newell(text),
@@ -248,9 +259,6 @@ ops = {
 result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()},
           "tracemalloc_peak": traced(ops["write_obj teapot n=16 normals"])[1]}
 scratch.cleanup()
-sys.path.append("bench")
-import generators
-generators.write_inputs("teapot", Path.cwd(), Path(sys.argv[2]), 10)
 """
 
 

@@ -13,6 +13,7 @@ of it.  A Hermite-form grid is checked on its Bezier form
 from __future__ import annotations
 
 import functools
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -312,15 +313,13 @@ def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     coefficients that validation reads.
     """
     coeffs, scale = _diagonal_coefficients(_vec(g))
-    values = coeffs.tolist()
-    rel = np.abs(coeffs, out=coeffs)
-    rel /= scale
-    worst = float(rel.max())  # nan when one is nan, where max() of a list may drop it
-    rel = rel.tolist()
+    values, scale = coeffs.tolist(), float(scale)
+    rel = [abs(v) / scale for v in values]  # the division numpy does, on six floats
+    worst = max(rel) if all(r == r for r in rel) else math.nan  # max() may drop a nan
     return ConstraintReport(
-        per_diagonal={DiagonalKind.MAIN: DiagonalResiduals(*values[:3], rel=tuple(rel[:3])),
-                      DiagonalKind.ANTI: DiagonalResiduals(*values[3:], rel=tuple(rel[3:]))},
-        max_residual=worst, compliant=worst <= tol, tolerance_used=tol,
+        {DiagonalKind.MAIN: DiagonalResiduals(*values[:3], tuple(rel[:3])),
+         DiagonalKind.ANTI: DiagonalResiduals(*values[3:], tuple(rel[3:]))},
+        worst, worst <= tol, tol,
     )
 
 

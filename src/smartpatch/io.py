@@ -247,11 +247,9 @@ def _digits(m, shown, words):
     The digits come four at a time from ``_quads()``."""
     index = np.empty((words, len(m)), dtype=np.intp)
     index[-1] = m
-    product = np.empty(len(m), dtype=np.intp)
     for k in range(words - 1, 0, -1):
         np.floor_divide(index[k], 10000, out=index[k - 1])
-        index[k] -= np.multiply(index[k - 1], 10000, out=product)  # its own four digits
-    del product
+    index[1:] -= 10000 * index[:-1]  # each word's own four digits
     text = _quads().take(index)
     del index
     top = words - int(shown.min(initial=4 * words)) // 4  # the words with digits not shown
@@ -274,12 +272,11 @@ def _float_text(x, frame):
     ``repr``, once per distinct value."""
     digits, point, length, decided = _shortest(x)
     slow = np.flatnonzero(~decided)
-    literals = []
-    if slow.size:  # each distinct value once: rounding residue repeats in a mesh
-        distinct, which = np.unique(x[slow], return_inverse=True)
-        literals = [repr(v).encode() for v in distinct.tolist()]
+    distinct = {}  # each distinct value's repr once: rounding residue repeats in a mesh
+    literals = [distinct.get(v) or distinct.setdefault(v, repr(v).encode())
+                for v in x[slow].tolist()]
     # the longest text, less a literal's first character (its sign column)
-    longest = max(int(length.max(initial=3)), max(map(len, literals), default=0) - 1)
+    longest = max(int(length.max(initial=3)), max(map(len, distinct.values()), default=0) - 1)
     words = -(-longest // 4)
     rendered = _digits(digits, length, words)
     del digits
@@ -296,7 +293,7 @@ def _float_text(x, frame):
     flat[end - length] = np.signbit(x) * np.uint8(45)  # "-"
     if literals:
         literal = b"".join(t.ljust(1 + 4 * words, b"\0") for t in literals)
-        text[slow, lead:-1] = np.frombuffer(literal, dtype=np.uint8).reshape(len(literals), -1)[which]
+        text[slow, lead:-1] = np.frombuffer(literal, dtype=np.uint8).reshape(len(slow), -1)
     return text
 
 

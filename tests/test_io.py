@@ -313,23 +313,35 @@ def test_reprs_decide_most_values_in_array_passes(monkeypatch, rng):
     magnitudes = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 3000))
     values = np.concatenate([rng.uniform(-10, 10, 3000), magnitudes * rng.choice([-1, 1], 3000)])
     assert_reprs(values)
-    # left to repr: mostly values whose shortest form has 14 or fewer digits
-    assert len(calls) < 0.02 * len(values)
+    # left to repr: ties and decisions within 2e-5 of their thresholds
+    assert len(calls) < 0.002 * len(values)
+    # powers of two (a gap below half the gap above) and of ten in the
+    # positional range 1e-4 <= |x| < 1e16: none is left to repr
+    calls.clear()
+    powers = np.concatenate([2.0 ** np.arange(-13, 54), 10.0 ** np.arange(-4, 16)])
+    assert powers.min() >= 1e-4 and powers.max() < 1e16 and 2.0**-14 < 1e-4 <= 2.0**-13
+    assert_reprs(np.concatenate([powers, -powers]))
+    assert calls == []
+
+
+def several_blocks(lines):
+    """True when ``lines`` OBJ lines fill two blocks and part of a third or more."""
+    return lines > 2 * io._BLOCK and lines % io._BLOCK != 0
 
 
 def test_exports_mixing_array_and_repr_values_match_the_oracles(rng):
     special = [0.0, -0.0, 1.0, -2.0, 0.5, 1e-300, -1e20, 2.0**53, 0.1, 1e-5, 1e16, 12345.0, 5e-324]
     patches = []
-    for k in range(5):
+    for k in range(2 * (io._BLOCK // 16) + 5):  # patch-set blocks hold _BLOCK // 16 patches
         grid = rng.normal(size=(3, 4, 4)) * 10.0 ** rng.integers(-3, 6)
         grid.flat[rng.choice(48, 12, replace=False)] = rng.choice(special, 12)
         patches.append(BezierPatch(*grid))
     ps = PatchSet(name="mixed", patches=patches)
     assert dump_patchset(ps).encode() == patchset_json(ps).encode()
-    mesh = merge_meshes([tessellate(p, 30, with_normals=True) for p in patches[:2]])
+    mesh = merge_meshes([tessellate(p, 30, with_normals=True) for p in patches[: 2 * io._BLOCK // 961 + 1]])
     mesh.vertices.flat[rng.choice(mesh.vertices.size, 500, replace=False)] = rng.choice(special, 500)
     mesh.normals.flat[rng.choice(mesh.normals.size, 500, replace=False)] = rng.choice(special, 500)
-    assert len(mesh.vertices) > 1024
+    assert several_blocks(len(mesh.vertices))
     assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
 
 
@@ -658,16 +670,19 @@ def test_export_bytes_match_line_loop(teapot_path, with_normals):
 @pytest.mark.parametrize("with_normals", [False, True])
 def test_export_bytes_match_line_loop_over_many_blocks(rng, with_normals):
     # triangles in random order, so each face block indexes vertices across the mesh
-    mesh = merge_meshes([tessellate(random_patch(rng), 30, with_normals=with_normals) for _ in range(2)])
+    patches = [random_patch(rng) for _ in range(2 * io._BLOCK // 961 + 1)]  # 961 vertices each
+    mesh = merge_meshes([tessellate(p, 30, with_normals=with_normals) for p in patches])
     mesh.triangles = mesh.triangles[rng.permutation(len(mesh.triangles))]
-    assert len(mesh.vertices) > 1024 and len(mesh.triangles) > 2048
+    assert several_blocks(len(mesh.vertices)) and several_blocks(len(mesh.triangles))
     assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
 
 
 @pytest.mark.parametrize("with_normals", [False, True])
 def test_write_obj_writes_export_obj(tmp_path, rng, with_normals):
-    # 3362 vertices and 3200 triangles: several 1024-line blocks per section
-    mesh = merge_meshes([tessellate(random_patch(rng), 40, with_normals=with_normals) for _ in range(2)])
+    # several blocks per section
+    patches = [random_patch(rng) for _ in range(2 * io._BLOCK // 1681 + 1)]  # 1681 vertices each
+    mesh = merge_meshes([tessellate(p, 40, with_normals=with_normals) for p in patches])
+    assert several_blocks(len(mesh.vertices)) and several_blocks(len(mesh.triangles))
     path = tmp_path / "mesh.obj"
     write_obj(mesh, path)
     assert path.read_bytes() == export_obj(mesh).encode()
@@ -683,14 +698,14 @@ def test_face_text_across_digit_counts(rng, with_normals):
     edges = np.array([b - 3 + k for b in (10, 100, 10_000, 100_000) for k in range(4)])
 
     def block(ids):
-        t = ids[rng.integers(0, len(ids), (2000, 3))]
-        return t[(t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 0] != t[:, 2])][:1024]
+        t = ids[rng.integers(0, len(ids), (3 * io._BLOCK, 3))]
+        return t[(t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 0] != t[:, 2])][: io._BLOCK]
 
     narrow, wide = np.arange(count - 12, count - 1), np.arange(count)
     triangles = np.concatenate([block(narrow), block(edges), block(wide)])
     vertices = np.zeros((count, 3))
     mesh = TriangleMesh(vertices, triangles, vertices + 1.0 if with_normals else None)
-    assert len(mesh.triangles) == 3072 and mesh.triangles.max() == count - 1 == edges[-1]
+    assert len(mesh.triangles) == 3 * io._BLOCK and mesh.triangles.max() == count - 1 == edges[-1]
     assert export_obj(mesh).encode() == loop_export_obj(mesh).encode()
 
 
@@ -702,8 +717,9 @@ def test_empty_blocks():
 
 
 def test_write_patchset_memory_stays_flat(tmp_path, teapot_path):
-    # the teapot split three times (2048 patches), written 64 patches at a
-    # time: the peak is a block's worth (measured 0.75 MiB), not the 2.4 MB text
+    # the teapot split three times (2048 patches), written io._BLOCK // 16
+    # patches at a time: the peak is a block's worth (measured 0.50 MiB), not
+    # the 2.4 MB text
     patches = read_newell(teapot_path).patches
     for _ in range(3):
         patches = [q for p in patches for q in split_patch(p)]
@@ -720,8 +736,9 @@ def test_write_patchset_memory_stays_flat(tmp_path, teapot_path):
 
 
 def test_write_obj_memory_stays_flat(tmp_path, teapot_path):
-    # 9248 vertices, normals and 16384 faces, written a 1024-line block at a
-    # time: the peak is a few blocks' worth (measured 0.39 MiB), not the text
+    # 9248 vertices, normals and 16384 faces, written a block of io._BLOCK
+    # lines at a time: the peak is a block's worth (measured 0.37 MiB, the
+    # digit tables included), not the text
     mesh = tessellate_set(read_newell(teapot_path).patches, 16, with_normals=True)
     tracemalloc.start()
     try:
