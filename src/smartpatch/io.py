@@ -272,7 +272,9 @@ def _float_text(x, frame):
     ``repr``, once per distinct value."""
     digits, point, length, decided = _shortest(x)
     slow = np.flatnonzero(~decided)
-    distinct = {}  # each distinct value's repr once: rounding residue repeats in a mesh
+    # each distinct value's repr once, as rounding residue repeats in a mesh
+    # (zeros are decided, so 0.0 and -0.0 never share a key)
+    distinct = {}
     literals = [distinct.get(v) or distinct.setdefault(v, repr(v).encode())
                 for v in x[slow].tolist()]
     # the longest text, less a literal's first character (its sign column)
