@@ -87,11 +87,9 @@ def _shortest(x):
     included) and exponents log10 misjudged.  Zeros alone are returned as
     decided."""
     a = np.abs(x)
-    clipped = np.fmin(np.fmax(a, 1e-4), 9999999999999998.0)  # NaN too: every value in range
-    decided = a == clipped  # the finite values of the positional range
+    decided = (a >= 1e-4) & (a < 1e16)  # false for nan
     zero = a == 0
-    a = clipped
-    del clipped  # every array is dropped as soon as it is used up
+    a = np.where(decided, a, 3.0)  # every array is dropped as soon as it is used up
     whole = np.floor(a)  # the digits before the point, once decided
     mantissa, exponent = np.frexp(a)
     power_of_two = mantissa == 0.5
@@ -169,10 +167,10 @@ def _shortest(x):
     words[:-1] -= 10000 * words[1:]
     count = _trailing().take(words)
     del words
-    below = count[:-1] == 4  # every word below the next one is 0000
-    below[1] &= below[0]
-    below[2] &= below[1]
-    count[1:] *= below
+    cleared = count[:-1] == 4  # the word and every word below it are 0000
+    cleared[1] &= cleared[0]
+    cleared[2] &= cleared[1]
+    count[1:] *= cleared
     count = count.sum(axis=0)
     digits[fifteen] //= _IPOW10[count]
     z[fifteen] += count
@@ -197,8 +195,8 @@ def _shortest(x):
 
 @functools.cache
 def _trailing():
-    """The trailing zeros of 0..9999, 4 for 0: 10 KB built on first use."""
-    count = np.zeros(10000, dtype=np.int8)
+    """The trailing zeros of 0..9999, 4 for 0: 80 KB built on first use."""
+    count = np.zeros(10000, dtype=np.intp)
     for k in range(1, 5):
         count[:: 10**k] += 1
     count.flags.writeable = False  # one array for every caller
