@@ -270,11 +270,10 @@ def _float_text(x, frame):
     ``repr``, once per distinct value."""
     digits, point, length, decided = _shortest(x)
     slow = np.flatnonzero(~decided)
+    literals = x[slow].tolist()
     # each distinct value's repr once, as rounding residue repeats in a mesh
     # (zeros are decided, so 0.0 and -0.0 never share a key)
-    distinct = {}
-    literals = [distinct.get(v) or distinct.setdefault(v, repr(v).encode())
-                for v in x[slow].tolist()]
+    distinct = {v: repr(v).encode() for v in dict.fromkeys(literals)}
     # the longest text, less a literal's first character (its sign column)
     longest = max(int(length.max(initial=3)), max(map(len, distinct.values()), default=0) - 1)
     words = -(-longest // 4)
@@ -292,7 +291,9 @@ def _float_text(x, frame):
     flat[end - point] = 46  # "."
     flat[end - length] = np.signbit(x) * np.uint8(45)  # "-"
     if literals:
-        literal = b"".join(t.ljust(1 + 4 * words, b"\0") for t in literals)
+        for v, t in distinct.items():
+            distinct[v] = t.ljust(1 + 4 * words, b"\0")
+        literal = b"".join(map(distinct.__getitem__, literals))
         text[slow, lead:-1] = np.frombuffer(literal, dtype=np.uint8).reshape(len(slow), -1)
     return text
 
