@@ -626,8 +626,7 @@ def read_newell(path) -> PatchSet:
 
 def _vector_lines(tag, rows):
     """The OBJ lines "tag x y z" of the float rows (N, 3): their
-    ``_float_text`` with the tag, spaces and newline put in the columns
-    left for them, less its zero bytes."""
+    ``_float_text`` framed by ``_line_frame(tag)``, less its zero bytes."""
     text = _float_text(rows.ravel(), _line_frame(tag))
     return text[text != 0]
 
