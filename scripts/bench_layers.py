@@ -34,7 +34,9 @@ tracemalloc counts numpy's arrays too.  One more call per input, apart from
 those timed, clocks each of repair's stage functions (``STAGES``) that the
 checkout's ``constraints`` module has, and the whole call beside them:
 ``stages_ms``.  A checkout from before the staged repair has only
-``_patch_ranks`` of them.
+``_patch_ranks`` of them.  Where the checkout's ``tessellation`` has
+``_adjacency``, the array core that ``detect_adjacency`` wraps, it is timed
+the same way beside it.
 
 I/O: ``write_obj`` at n=16 with normals of the bundled teapot as read (not
 repaired) and of the seed-10 input of the ``teapot`` benchmark workload
@@ -44,9 +46,11 @@ of the teapot's 2x2 de Casteljau split (128 patches) at n=4 (as the
 ``dump_patchset`` of that split, ``load_newell`` of the teapot text and
 of the split's (one vertex per control point, 2048 vertices),
 ``load_patchset`` of the JSON text of the teapot split three times (2048
-patches), and the whole ``smartpatch teapot --n 2`` command on that
-file (``cli.main``, stdout discarded, output files in a temporary
-directory).  Only public names are used, so each checkout runs the same
+patches), ``dump_patchset`` of that split, ``dump_patchset`` and
+``load_patchset`` of it with its 4000 adjacency records from
+``detect_adjacency``, and the whole ``smartpatch teapot --n 2`` command
+on the file without records (``cli.main``, stdout discarded, output
+files in a temporary directory).  Only public names are used, so each checkout runs the same
 child.
 ``peak_rss_mb`` is the worker's own peak resident set size: the probe is
 started from this script, which never imports numpy, so no larger parent
@@ -154,8 +158,10 @@ result = {"steps": steps, "compile_s": best(compile_all, 1),
 REPAIR = r"""
 import numpy as np
 from helpers import height_field_patches, split_patch
-from smartpatch import constraints, detect_adjacency, repair_patches
+from smartpatch import constraints, detect_adjacency, repair_patches, tessellation
 from smartpatch.io import read_newell
+
+core = getattr(tessellation, "_adjacency", None)  # the array core, where the checkout has one
 
 def staged(op):
     # seconds in each stage function the module has, and in the whole call
@@ -205,6 +211,7 @@ for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf3
         "patches": len(patches), "components": repaired.system.components,
         "records": len(detect_adjacency(patches)), "repair_s": repair_s,
         "adjacency_s": adjacency_s, "tracemalloc_peak_mb": round(peak / 1e6, 2),
+        "adjacency_core_s": core and best(lambda: core(patches), calls, seconds),
         "stages_s": staged(lambda: repair_patches(patches)),
     }
 """
@@ -216,7 +223,7 @@ IO = r"""
 import contextlib, os, tempfile
 from pathlib import Path
 from helpers import newell_text, split_patch
-from smartpatch import repair_patches
+from smartpatch import detect_adjacency, repair_patches
 from smartpatch.cli import main
 from smartpatch.io import (PatchSet, dump_patchset, load_newell, load_patchset, read_newell,
                            write_obj)
@@ -235,7 +242,10 @@ teapot_mesh = tessellate_set(teapot, 16, with_normals=True)
 split_mesh = tessellate_set(split, 4)
 split_set = PatchSet(name="split", patches=split)
 split_text = newell_text(split)
-split3_text = dump_patchset(PatchSet(name="split3", patches=split3))
+split3_set = PatchSet(name="split3", patches=split3)
+split3_text = dump_patchset(split3_set)
+split3_records = PatchSet(name="split3", patches=split3, adjacency=detect_adjacency(split3))
+split3_records_text = dump_patchset(split3_records)
 scratch = tempfile.TemporaryDirectory()
 split3_path = Path(scratch.name, "split3.json")
 split3_path.write_text(split3_text)
@@ -254,6 +264,9 @@ ops = {
     "load_newell teapot": lambda: load_newell(text),
     "load_newell split": lambda: load_newell(split_text),
     "load_patchset split3": lambda: load_patchset(split3_text),
+    "dump_patchset split3": lambda: dump_patchset(split3_set),
+    "dump_patchset split3 with records": lambda: dump_patchset(split3_records),
+    "load_patchset split3 with records": lambda: load_patchset(split3_records_text),
     "teapot --n 2 split3": teapot_split3,
 }
 result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()},
@@ -341,6 +354,8 @@ def repair_column(runs: list) -> dict:
             "detect_adjacency": summary([r["adjacency_s"] for r in each]),
             "tracemalloc_peak_mb": max(r["tracemalloc_peak_mb"] for r in each),
         }
+        if first.get("adjacency_core_s") is not None:
+            inputs[name]["_adjacency"] = summary([r["adjacency_core_s"] for r in each])
         if first.get("stages_s"):
             inputs[name]["stages_ms"] = {stage: summary([r["stages_s"][stage] for r in each])
                                          for stage in first["stages_s"]}
@@ -377,7 +392,8 @@ LAYERS = {
         REPAIR_RUNS,
         lambda root: child(root, REPAIR, str(REPAIR_CALLS), str(REPAIR_SECONDS), *STAGES),
         repair_column,
-        f"repair_patches and detect_adjacency in process, fresh interpreter per run: one "
+        f"repair_patches, detect_adjacency and, where the checkout has it, its array core "
+        f"_adjacency in process, fresh interpreter per run: one "
         f"untimed call, then the min of at least {REPAIR_CALLS} timed calls and at least "
         f"{REPAIR_SECONDS:g} s of calls per operation; {REPAIR_RUNS} runs per checkout, "
         f"{ALTERNATED}; min, median and max of the per-run minima, of which the minima are the "

@@ -318,11 +318,9 @@ def cmd_tessellate(args) -> int:
 
 
 def _records(ps: io.PatchSet, tol: float):
-    """Adjacency stage: the set's own records when its file gives them,
-    even none, else the records detect_adjacency finds at ``tol``."""
-    if ps.adjacency is not None:
-        return ps.adjacency
-    return tessellation.detect_adjacency(ps.points, tol=tol)
+    """Adjacency stage: the (E, 2, 3) array of the set's own records when
+    its file gives them, even none, else of those detected at ``tol``."""
+    return tessellation._adjacency(ps.points, tol) if ps.adjacency is None else ps.adjacency
 
 
 _MEASURES = ("c0_max_gap", "c1_max_mismatch", "g1_max_angle")
@@ -340,19 +338,8 @@ def cmd_continuity(args) -> int:
     ps = io.read_patchset(args.in_path)
     records = _records(ps, args.tol)
     measures, worst = _continuity(ps.points, records, args.n)
-    pairs = [
-        {
-            "a": rec.a,
-            "edge_a": rec.edge_a.side.value,
-            "reversed_a": rec.edge_a.reversed,
-            "b": rec.b,
-            "edge_b": rec.edge_b.side.value,
-            "reversed_b": rec.edge_b.reversed,
-            **dict(zip(_MEASURES, row)),
-            "samples": args.n + 1,
-        }
-        for rec, row in zip(records, measures.tolist())
-    ]
+    pairs = [dict(zip(io._RECORD_KEYS + _MEASURES, fields + row), samples=args.n + 1)
+             for fields, row in zip(io._record_fields(records).tolist(), measures.tolist())]
     report = {
         "command": "continuity",
         "name": ps.name,
@@ -439,7 +426,7 @@ def cmd_teapot(args) -> int:
         "c1_after_max": worst_gaps_after["c1_max_mismatch"],
         "g1_before_max": worst_gaps_before["g1_max_angle"],
         "g1_after_max": worst_gaps_after["g1_max_angle"],
-        "g1_after_worst_pair": int(np.argmax(gaps_after[:, 2])) if records else None,
+        "g1_after_worst_pair": int(np.argmax(gaps_after[:, 2])) if len(records) else None,
         "repair": system,
         "mesh": {"vertices": len(merged.vertices), "triangles": len(merged.triangles)},
         "outputs": [str(obj_path), str(json_path)],

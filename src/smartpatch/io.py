@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from .patches import BezierPatch, _patch_array
-from .tessellation import Adjacency, EdgeId, EdgeSide, TriangleMesh
+from .tessellation import _SIDE_NAMES, TriangleMesh, _record_array
 
 MAX_COORDINATE = 2.0 ** 250  # the largest |coordinate| the loaders accept
 
@@ -304,17 +304,16 @@ class PatchSet:
     ``points`` is the patches' read-only (N, 3, 4, 4) array; for a set made
     from an array, ``patches`` are views of it, made when first read.  A
     given array is held and frozen, or copied once if it views a writeable
-    array or a buffer.  Only ``name`` and ``adjacency`` can be reassigned.
-    Each adjacency index must name a patch of the set.  Two sets are equal
+    array or a buffer.  ``adjacency`` is a read-only (E, 2, 3) intp copy of
+    the records given (see ``tessellation._record_array``), each index a
+    patch of the set.  Only ``name`` can be reassigned.  Two sets are equal
     when their names, records and ``points`` (dtype, shape and bytes) are;
     no patch is made.  Sets are not hashable.
     """
 
     __hash__ = None
 
-    def __init__(
-        self, name: str, patches: List[BezierPatch], adjacency: Optional[List[Adjacency]] = None
-    ):
+    def __init__(self, name: str, patches: List[BezierPatch], adjacency=None):
         points = _patch_array(patches)
         base = points.base
         while isinstance(base, np.ndarray) and not base.flags.writeable:
@@ -322,20 +321,28 @@ class PatchSet:
         self._points = points = points if base is None else points.copy()
         points.flags.writeable = False
         self._patches = None if isinstance(patches, np.ndarray) else list(patches)
-        self.name, self.adjacency = name, adjacency
+        self.name, self._adjacency = name, None
         if adjacency is not None:
-            for rec in adjacency:
-                for idx in (rec.a, rec.b):
-                    if not (0 <= idx < len(points)):
-                        raise PatchFormatError(f"adjacency index {idx} out of range")
-                if rec.a == rec.b and rec.edge_a.side == rec.edge_b.side:
-                    raise PatchFormatError(
-                        f"patch {rec.a} edge {rec.edge_a.side.value} marked adjacent to itself"
-                    )
+            records = _record_array(adjacency)
+            index, side = records[..., 0], records[..., 1]
+            # per record: a out of range, b out of range, an edge adjacent to itself
+            bad = np.column_stack([(index < 0) | (index >= len(points)),
+                                   (index[:, 0] == index[:, 1]) & (side[:, 0] == side[:, 1])])
+            if bad.any():
+                k, check = divmod(int(np.argmax(bad)), 3)  # the first bad record's first fault
+                raise PatchFormatError(
+                    f"adjacency index {index[k, check]} out of range" if check < 2 else
+                    f"patch {index[k, 0]} edge {_SIDE_NAMES[side[k, 0]]} marked adjacent to itself")
+            self._adjacency = records.astype(np.intp)
+            self._adjacency.flags.writeable = False
 
     @property
     def points(self) -> np.ndarray:
         return self._points
+
+    @property
+    def adjacency(self) -> Optional[np.ndarray]:
+        return self._adjacency
 
     @property
     def patches(self) -> List[BezierPatch]:
@@ -346,9 +353,9 @@ class PatchSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        a, b = self._points, other._points
-        return (self.name, self.adjacency, a.dtype, a.shape, a.tobytes()) == (
-            other.name, other.adjacency, b.dtype, b.shape, b.tobytes())
+        a, b = ((ps.name, ps._points.dtype, ps._points.shape, ps._points.tobytes(),
+                 ps._adjacency is None or ps._adjacency.tobytes()) for ps in (self, other))
+        return a == b
 
     def __repr__(self):
         return (
@@ -375,22 +382,23 @@ def _grid_from_json(values, patch_idx: int, coord: str):
     return values
 
 
-def _side_from_json(rec: dict, which: str, idx: int):
-    """Record ``idx``'s patch index and edge on side ``which`` ("a" or "b")."""
-    patch = rec[which]
-    if isinstance(patch, bool) or not isinstance(patch, int):
-        raise PatchFormatError(f"adjacency {idx}: '{which}' must be an integer, got {patch!r}")
-    side = rec.get(f"edge_{which}")
-    try:
-        side = EdgeSide(side)
-    except ValueError:
-        raise PatchFormatError(f"adjacency {idx}: bad edge_{which} {side!r}") from None
-    reversed_ = rec.get(f"reversed_{which}", False)
-    if not isinstance(reversed_, bool):
-        raise PatchFormatError(
-            f"adjacency {idx}: 'reversed_{which}' must be true or false, got {reversed_!r}"
-        )
-    return patch, EdgeId(side=side, reversed=reversed_)
+def _record_from_json(rec, idx: int):
+    """Record ``idx``'s fields: (patch, side code, reversed) of side a, then of side b."""
+    if not isinstance(rec, dict) or "a" not in rec or "b" not in rec:
+        raise PatchFormatError(f"adjacency {idx}: must be an object with 'a' and 'b'")
+    row = []
+    for which in "ab":
+        patch, side = rec[which], rec.get(f"edge_{which}")
+        flag = rec.get(f"reversed_{which}", False)
+        if isinstance(patch, bool) or not isinstance(patch, int):
+            raise PatchFormatError(f"adjacency {idx}: '{which}' must be an integer, got {patch!r}")
+        if side not in _SIDE_NAMES:
+            raise PatchFormatError(f"adjacency {idx}: bad edge_{which} {side!r}")
+        if not isinstance(flag, bool):
+            raise PatchFormatError(
+                f"adjacency {idx}: 'reversed_{which}' must be true or false, got {flag!r}")
+        row += patch, _SIDE_NAMES.index(side), flag
+    return row
 
 
 def load_patchset(text: str, name: str = "") -> PatchSet:
@@ -419,12 +427,7 @@ def load_patchset(text: str, name: str = "") -> PatchSet:
     if doc.get("adjacency") is not None:
         if not isinstance(doc["adjacency"], list):
             raise PatchFormatError("'adjacency' must be a list")
-        adjacency = []
-        for k, rec in enumerate(doc["adjacency"]):
-            if not isinstance(rec, dict) or "a" not in rec or "b" not in rec:
-                raise PatchFormatError(f"adjacency {k}: must be an object with 'a' and 'b'")
-            (a, edge_a), (b, edge_b) = _side_from_json(rec, "a", k), _side_from_json(rec, "b", k)
-            adjacency.append(Adjacency(a=a, edge_a=edge_a, b=b, edge_b=edge_b))
+        adjacency = [_record_from_json(rec, k) for k, rec in enumerate(doc["adjacency"])]
     values = np.array(grids, dtype=float)
     values.flags.writeable = False  # frozen whole, so the set holds its (N, 3, 4, 4) view
     return PatchSet(given or name, values.reshape(-1, 3, 4, 4), adjacency)
@@ -437,19 +440,26 @@ def load_patchset(text: str, name: str = "") -> PatchSet:
 # template; edge side names are letters and digits, so need no escaping.
 _GRID_ROWS = ",\n".join(["    [\n" + ",\n".join(["     %s"] * 4) + "\n    ]"] * 4)
 _PATCH_TEMPLATE = "  {\n" + ",\n".join(f'   "{c}": [\n{_GRID_ROWS}\n   ]' for c in "xyz") + "\n  }"
-_RECORD_FIELDS = (("a", "%d"), ("edge_a", '"%s"'), ("reversed_a", "%s"),
-                  ("b", "%d"), ("edge_b", '"%s"'), ("reversed_b", "%s"))
-_RECORD_TEMPLATE = "  {\n" + ",\n".join(f'   "{k}": {v}' for k, v in _RECORD_FIELDS) + "\n  }"
-_JSON_BOOL = ("false", "true")
+_RECORD_KEYS = ("a", "edge_a", "reversed_a", "b", "edge_b", "reversed_b")
+_RECORD_TEMPLATE = "  {\n" + ",\n".join(
+    f'   "{k}": {v}' for k, v in zip(_RECORD_KEYS, ("%d", '"%s"', "%s") * 2)) + "\n  }"
 
 
-def _json_list(items):
-    """The pieces of an indent=1 JSON list at the document's second level."""
-    sep = b"[\n"
-    for item in items:
-        yield from (sep, item)
-        sep = b",\n"
-    yield b"[]" if sep == b"[\n" else b"\n ]"
+def _record_fields(records, truth=(False, True)) -> np.ndarray:
+    """The (E, 6) object array of the records' ``_RECORD_KEYS``: ints, side names, ``truth``."""
+    fields = records.astype(object)
+    fields[..., 1] = np.array(_SIDE_NAMES, dtype=object)[records[..., 1]]
+    fields[..., 2] = np.array(truth, dtype=object)[records[..., 2]]
+    return fields.reshape(-1, 6)
+
+
+def _record_groups(records):
+    """The text of the list of the (E, 2, 3) ``records``, ``_BLOCK`` records to a piece."""
+    for start in range(0, len(records), _BLOCK):
+        fields = _record_fields(records[start : start + _BLOCK], ("false", "true"))
+        text = ",\n".join([_RECORD_TEMPLATE] * len(fields)) % tuple(fields.ravel().tolist())
+        yield (b",\n" if start else b"[\n") + text.encode()
+    yield b"\n ]" if len(records) else b"[]"
 
 
 def _patch_groups(points):
@@ -480,19 +490,7 @@ def _patchset_pieces(ps: PatchSet):
     yield from _patch_groups(ps.points)
     if ps.adjacency is not None:
         yield b',\n "adjacency": '
-        records = (
-            _RECORD_TEMPLATE
-            % (
-                rec.a,
-                rec.edge_a.side.value,
-                _JSON_BOOL[rec.edge_a.reversed],
-                rec.b,
-                rec.edge_b.side.value,
-                _JSON_BOOL[rec.edge_b.reversed],
-            )
-            for rec in ps.adjacency
-        )
-        yield from _json_list(record.encode() for record in records)
+        yield from _record_groups(ps.adjacency)
     yield b"\n}"
 
 

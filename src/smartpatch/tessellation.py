@@ -229,11 +229,30 @@ def edge_incidence(mesh: TriangleMesh) -> Counter:
 # points in traversal order, whether u is its fixed parameter, and the
 # fixed parameter's value.
 _SIDE_CODE = {side: k for k, side in enumerate(EdgeSide)}
+_SIDE_NAMES = tuple(side.value for side in EdgeSide)
 _SIDE_ROWS = np.array([(0, 0, 0, 0), (3, 3, 3, 3), (0, 1, 2, 3), (0, 1, 2, 3)])
 _SIDE_COLS = np.array([(0, 1, 2, 3), (0, 1, 2, 3), (0, 0, 0, 0), (3, 3, 3, 3)])
 _SIDE_FIXES_U = np.array([True, True, False, False])
 _SIDE_FIXED_AT = np.array([0.0, 1.0, 0.0, 1.0])
 _NEIGHBOUR_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+
+
+def _record_array(records) -> np.ndarray:
+    """The (E, 2, 3) array of adjacency records: per record, side a then
+    side b, each (patch, side code in EdgeSide order, reversed 0/1).  An
+    array is returned once its shape and codes are checked.  A list of
+    Adjacency or of their six fields gives an object array of Python ints,
+    so no index can overflow before a range check reads it as intp."""
+    if isinstance(records, np.ndarray):
+        codes = records[..., 1:]
+        if records.shape[1:] != (2, 3) or ((codes < 0) | (codes > (3, 1))).any():
+            raise ValueError("records must be (E, 2, 3), side codes 0..3 and flags 0 or 1")
+        return records
+    rows = (r if not isinstance(r, Adjacency) else
+            (r.a, _SIDE_CODE[r.edge_a.side], r.edge_a.reversed,
+             r.b, _SIDE_CODE[r.edge_b.side], r.edge_b.reversed) for r in records)
+    # one flat list: numpy reads it far faster than nested rows
+    return np.array([field for row in rows for field in row], dtype=object).reshape(-1, 2, 3)
 
 
 def _edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:
@@ -266,11 +285,10 @@ def continuity_report(
     return ContinuityReport(c0_max_gap=c0, c1_max_mismatch=c1, g1_max_angle=g1, samples=n + 1)
 
 
-def continuity_measures(
-    patches: Sequence[BezierPatch], records: Sequence[Adjacency], n: int
-) -> np.ndarray:
+def continuity_measures(patches: Sequence[BezierPatch], records, n: int) -> np.ndarray:
     """The (len(records), 3) array of every record's C0 gap, C1 mismatch
-    and G1 angle, in one array pass.
+    and G1 angle, in one array pass; ``records`` is a list of Adjacency or
+    their (E, 2, 3) array (see ``_record_array``).
 
     Each record's two edges are sampled at n+1 matched parameter values
     (each edge honours its own orientation flag).  The C0 gap is the
@@ -287,20 +305,16 @@ def continuity_measures(
     if n < 2:
         raise ValueError("n must be >= 2")
     arr = _patch_array(patches)
-    if not records:
-        return np.zeros((0, 3))
     # Both edges of every record, a-sides first, then b-sides.
-    which = np.array([[r.a for r in records], [r.b for r in records]]).ravel()
-    edges = [r.edge_a for r in records] + [r.edge_b for r in records]
-    side = np.array([_SIDE_CODE[e.side] for e in edges])
-    flip = np.array([e.reversed for e in edges])
+    which, side, flip = _record_array(records).astype(np.intp).transpose(2, 1, 0).reshape(3, -1)
+    flip = flip.astype(bool)
     rows, cols = _SIDE_ROWS[side], _SIDE_COLS[side]
     rows[flip], cols[flip] = rows[flip, ::-1], cols[flip, ::-1]
     u_edge = _SIDE_FIXES_U[side][:, None]
 
     ts = np.arange(n + 1) / n
     q = arr[which[:, None], :, rows, cols]  # (2E, 4, 3)
-    half = len(records)
+    half = len(which) // 2
     gap = bernstein_weights_many(ts) @ (q[:half] - q[half:])  # (E, n+1, 3)
 
     tau = np.where(flip[:, None], 1.0 - ts, ts)
@@ -308,7 +322,7 @@ def continuity_measures(
     u, v = np.where(u_edge, fixed, tau), np.where(u_edge, tau, fixed)
     # Rows k = 0 weigh the grid by (dB(u), B(v)) for dP/du, rows k = 1 by
     # (B(u), dB(v)) for dP/dv; both partials of all edges in one product.
-    shape = (len(edges), 2 * (n + 1), 4)
+    shape = (len(which), 2 * (n + 1), 4)
     wu = np.stack([bernstein_dweights_many(u), bernstein_weights_many(u)], axis=2).reshape(shape)
     wv = np.stack([bernstein_weights_many(v), bernstein_dweights_many(v)], axis=2).reshape(shape)
     d = np.einsum("ecmj,emj->emc", wu[:, None] @ arr[which], wv).reshape(-1, n + 1, 2, 3)
@@ -390,12 +404,17 @@ def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     (all four control points coincident) are skipped since they bound no
     shared curve.  The tolerance is relative to the coordinate scale of
     the whole set.  Records come in the order of (patch, side) of the
-    first edge, then of the second.
+    first edge, then of the second, as Adjacency views of ``_adjacency``.
     """
+    ids = [[EdgeId(side, flip) for side in EdgeSide] for flip in (False, True)]
+    fields = _adjacency(patches, tol).reshape(-1, 6).T.tolist()  # six lists convert fastest
+    return [Adjacency(a, ids[ra][sa], b, ids[rb][sb]) for a, sa, ra, b, sb, rb in zip(*fields)]
+
+
+def _adjacency(patches, tol: float = 1e-9) -> np.ndarray:
+    """``detect_adjacency``'s records as one (E, 2, 3) intp array (see ``_record_array``)."""
     arr = _patch_array(patches)
-    if not len(arr):
-        return []
-    scale = max(1.0, float(np.max(np.abs(arr))))
+    scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
     # (patch, side) slot k is patch k // 4, side k % 4
     q = np.stack([_edge_points(arr, side) for side in EdgeSide], axis=1).reshape(-1, 4, 3)
     limit = tol * scale
@@ -432,10 +451,6 @@ def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     forward = np.max(np.abs(q[i] - q[k]), axis=(1, 2)) <= limit
     backward = np.max(np.abs(q[i] - q[k, ::-1]), axis=(1, 2)) <= limit
     match = forward | backward
-    ids = [[EdgeId(side, flip) for side in EdgeSide] for flip in (False, True)]
-    return [
-        Adjacency(pi // 4, ids[0][pi % 4], pk // 4, ids[flip][pk % 4])
-        for pi, pk, flip in zip(
-            live[i[match]].tolist(), live[k[match]].tolist(), (~forward[match]).tolist()
-        )
-    ]
+    slots = np.stack([live[i[match]], live[k[match]]], axis=1)  # (E, 2)
+    flip = np.stack([np.zeros_like(slots[:, 0]), ~forward[match]], axis=1)
+    return np.stack([slots // 4, slots % 4, flip], axis=2)

@@ -95,6 +95,18 @@ def test_repair_column_summarises_the_stages_a_checkout_has():
     assert "stages_ms" not in bench_layers.repair_column(runs)["inputs"]["teapot"]
 
 
+def test_repair_column_summarises_the_adjacency_core_where_a_checkout_has_one():
+    runs = [{"inputs": {"teapot": {"patches": 32, "components": 4, "records": 52,
+                                   "repair_s": s, "adjacency_s": s, "tracemalloc_peak_mb": 0.5,
+                                   "adjacency_core_s": core}}}
+            for s, core in ((0.003, 0.001), (0.002, 0.0005), (0.004, 0.002))]
+    assert bench_layers.repair_column(runs)["inputs"]["teapot"]["_adjacency"] == {
+        "min_ms": 0.5, "median_ms": 1.0, "max_ms": 2.0}
+    for run in runs:
+        run["inputs"]["teapot"]["adjacency_core_s"] = None  # a checkout without the core
+    assert "_adjacency" not in bench_layers.repair_column(runs)["inputs"]["teapot"]
+
+
 def test_operators_child_reports_the_committed_operator_names():
     run = bench_layers.child(REPO_ROOT, bench_layers.OPERATORS, "3")
     committed = json.loads((REPO_ROOT / "BENCH_operators.json").read_text())["columns"]

@@ -1156,6 +1156,9 @@ def _repair_input(teapot_path, source, seed):
 @example(source=10, seed=1750)
 @example(source=11, seed=980)
 @example(source=11, seed=1666)
+# the loop oracle's own lstsq step moved by 1.1e-12 * scale between one and
+# two BLAS threads here, while it solved all six rows of each patch
+@example(source=12, seed=356)
 def test_repair_matches_the_dense_and_loop_oracles(teapot_path, source, seed):
     """The level-set factorization gives the dense per-component solve's answer."""
     patches = _repair_input(teapot_path, source, seed)

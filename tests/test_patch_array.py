@@ -130,11 +130,11 @@ def test_points_and_patches_cannot_be_reassigned(rng):
     given.append(a)  # the caller's list is not the set's
     assert ps.patches == [a, b] and not ps.points.flags.writeable
     assert np.array_equal(ps.points, np.stack([a.as_array, b.as_array]))
-    for field, value in (("points", np.zeros((0, 3, 4, 4))), ("patches", [])):
+    for field, value in (("points", np.zeros((0, 3, 4, 4))), ("patches", []), ("adjacency", [])):
         with pytest.raises(AttributeError):
             setattr(ps, field, value)
-    ps.name, ps.adjacency = "renamed", []
-    assert (ps.name, ps.adjacency) == ("renamed", [])
+    ps.name = "renamed"
+    assert (ps.name, ps.adjacency) == ("renamed", None)
     from_array = PatchSet("s", ps.points)
     assert from_array.points is ps.points
     assert repr(from_array).startswith("PatchSet(name='s', patches=[BezierPatch(x=array(")
