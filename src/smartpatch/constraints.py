@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import RationalMatrix
 from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _frozen, _patch_array, _shaped
-from .tessellation import _key_codes
+from .tessellation import _SIDE_SLOTS, _key_codes
 
 DEFAULT_TOL = 1e-9
 
@@ -450,7 +450,7 @@ class RepairResult(NamedTuple):
         return [BezierPatch._of(row) for row in self.points]
 
 
-_BOUNDARY = [k for k in range(16) if k // 4 in (0, 3) or k % 4 in (0, 3)]
+_BOUNDARY = sorted(set(_SIDE_SLOTS.ravel().tolist()))  # the 12 slots on some side
 _INNER = [k for k in range(16) if k not in _BOUNDARY]
 _REFINEMENT_STEPS = 3
 
@@ -579,9 +579,9 @@ def _patch_ranks(slot_var, fixed, comp, needed) -> None:
 def _variables(pts: np.ndarray):
     """The variable of each of the (n, 16) slots of ``pts``, and which variables are fixed.
 
-    Boundary slots with bit-identical coordinates (the ids of ``_key_codes``)
-    name one variable, inner slots are private to their patch, and corner
-    variables are fixed.
+    Boundary slots with bit-identical coordinates (the ranks of their
+    ``_key_codes``, without starts) name one variable, inner slots are
+    private to their patch, and corner variables are fixed.
     """
     n = len(pts)
     boundary = np.unique(_key_codes(pts[:, _BOUNDARY].reshape(-1, 3)), return_inverse=True)[1]

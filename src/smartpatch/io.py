@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from .patches import BezierPatch, _patch_array
-from .tessellation import _SIDE_NAMES, TriangleMesh, _record_array
+from .tessellation import _SIDE_NAMES, TriangleMesh, _checked_records
 
 MAX_COORDINATE = 2.0 ** 250  # the largest |coordinate| the loaders accept
 
@@ -155,26 +155,19 @@ def _shortest(x):
     digits *= f100
     digits += last.reshape(-1).take(pick).astype(np.int64)
     del pick
-    # the 15-digit candidate's own trailing zeros: its four 4-digit words
-    # (it is at most 10^15), lowest first, each with its count from
-    # _trailing() (4 for 0000), summed up to the first word that is not 0000
+    # the 15-digit candidate's own trailing zeros: it is nonzero and at most
+    # 10^15, so it has at most 15, dropped 8, 4, 2 and 1 at a time
     fifteen = np.flatnonzero(inside[2])
     del inside, last, f100
-    words = np.empty((4, len(fifteen)), dtype=np.int64)
-    words[0] = digits[fifteen]
-    for k in range(1, 4):
-        np.floor_divide(words[k - 1], 10000, out=words[k])
-    words[:-1] -= 10000 * words[1:]
-    count = _trailing().take(words)
-    del words
-    cleared = count[:-1] == 4  # the word and every word below it are 0000
-    cleared[1] &= cleared[0]
-    cleared[2] &= cleared[1]
-    count[1:] *= cleared
-    count = count.sum(axis=0)
-    digits[fifteen] //= _IPOW10[count]
+    kept, count = digits[fifteen], np.zeros(len(fifteen), dtype=np.intp)
+    for k in (8, 4, 2, 1):
+        cut = kept // _IPOW10[k]
+        divisible = cut * _IPOW10[k] == kept
+        kept = np.where(divisible, cut, kept)
+        count += k * divisible
+    digits[fifteen] = kept
     z[fifteen] += count
-    del count
+    del kept, count
     undecided = ~decided
     s[undecided] = 17
     z[undecided] = 16
@@ -191,16 +184,6 @@ def _shortest(x):
     s = np.maximum(18 - s, 2, out=s)
     s += z
     return digits, z, s, decided | zero
-
-
-@functools.cache
-def _trailing():
-    """The trailing zeros of 0..9999, 4 for 0: 80 KB built on first use."""
-    count = np.zeros(10000, dtype=np.intp)
-    for k in range(1, 5):
-        count[:: 10**k] += 1
-    count.flags.writeable = False  # one array for every caller
-    return count
 
 
 @functools.cache
@@ -323,17 +306,7 @@ class PatchSet:
         self._patches = None if isinstance(patches, np.ndarray) else list(patches)
         self.name, self._adjacency = name, None
         if adjacency is not None:
-            records = _record_array(adjacency)
-            index, side = records[..., 0], records[..., 1]
-            # per record: a out of range, b out of range, an edge adjacent to itself
-            bad = np.column_stack([(index < 0) | (index >= len(points)),
-                                   (index[:, 0] == index[:, 1]) & (side[:, 0] == side[:, 1])])
-            if bad.any():
-                k, check = divmod(int(np.argmax(bad)), 3)  # the first bad record's first fault
-                raise PatchFormatError(
-                    f"adjacency index {index[k, check]} out of range" if check < 2 else
-                    f"patch {index[k, 0]} edge {_SIDE_NAMES[side[k, 0]]} marked adjacent to itself")
-            self._adjacency = records.astype(np.intp)
+            self._adjacency = _checked_records(adjacency, len(points), PatchFormatError, alone=True)
             self._adjacency.flags.writeable = False
 
     @property

@@ -225,13 +225,12 @@ def edge_incidence(mesh: TriangleMesh) -> Counter:
 # ---------------------------------------------------------------------------
 # Edges and continuity
 
-# Per side, in EdgeSide order: grid rows and columns of its four control
-# points in traversal order, whether u is its fixed parameter, and the
-# fixed parameter's value.
+# Per side, in EdgeSide order: the row-major grid slots 4i + j of its four
+# control points in traversal order, whether u is its fixed parameter, and
+# the fixed parameter's value.
 _SIDE_CODE = {side: k for k, side in enumerate(EdgeSide)}
 _SIDE_NAMES = tuple(side.value for side in EdgeSide)
-_SIDE_ROWS = np.array([(0, 0, 0, 0), (3, 3, 3, 3), (0, 1, 2, 3), (0, 1, 2, 3)])
-_SIDE_COLS = np.array([(0, 1, 2, 3), (0, 1, 2, 3), (0, 0, 0, 0), (3, 3, 3, 3)])
+_SIDE_SLOTS = np.array([(0, 1, 2, 3), (12, 13, 14, 15), (0, 4, 8, 12), (3, 7, 11, 15)])
 _SIDE_FIXES_U = np.array([True, True, False, False])
 _SIDE_FIXED_AT = np.array([0.0, 1.0, 0.0, 1.0])
 _NEIGHBOUR_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
@@ -255,10 +254,19 @@ def _record_array(records) -> np.ndarray:
     return np.array([field for row in rows for field in row], dtype=object).reshape(-1, 2, 3)
 
 
-def _edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:
-    """(..., 4, 3) control points of one side of (..., 3, 4, 4) patch arrays."""
-    k = _SIDE_CODE[side]
-    return np.swapaxes(arr[..., _SIDE_ROWS[k], _SIDE_COLS[k]], -1, -2)
+def _checked_records(records, count: int, error=ValueError, alone: bool = False) -> np.ndarray:
+    """``_record_array(records)`` as intp, once each patch index is in 0..count-1
+    and, with ``alone``, no edge is marked adjacent to itself; else ``error``
+    for the first bad record's first fault (a's index, b's, the edge itself)."""
+    records = _record_array(records)
+    index, side = records[..., 0], records[..., 1]
+    bad = np.column_stack([(index < 0) | (index >= count),
+                           alone & (index[:, 0] == index[:, 1]) & (side[:, 0] == side[:, 1])])
+    if bad.any():
+        k, check = divmod(int(np.argmax(bad)), 3)
+        raise error(f"adjacency index {index[k, check]} out of range" if check < 2 else
+                    f"patch {index[k, 0]} edge {_SIDE_NAMES[side[k, 0]]} marked adjacent to itself")
+    return records.astype(np.intp)
 
 
 class ContinuityReport(NamedTuple):
@@ -288,7 +296,8 @@ def continuity_report(
 def continuity_measures(patches: Sequence[BezierPatch], records, n: int) -> np.ndarray:
     """The (len(records), 3) array of every record's C0 gap, C1 mismatch
     and G1 angle, in one array pass; ``records`` is a list of Adjacency or
-    their (E, 2, 3) array (see ``_record_array``).
+    their (E, 2, 3) array (see ``_record_array``).  A patch index out of
+    range raises ValueError; an edge may be measured against itself.
 
     Each record's two edges are sampled at n+1 matched parameter values
     (each edge honours its own orientation flag).  The C0 gap is the
@@ -306,14 +315,14 @@ def continuity_measures(patches: Sequence[BezierPatch], records, n: int) -> np.n
         raise ValueError("n must be >= 2")
     arr = _patch_array(patches)
     # Both edges of every record, a-sides first, then b-sides.
-    which, side, flip = _record_array(records).astype(np.intp).transpose(2, 1, 0).reshape(3, -1)
+    which, side, flip = _checked_records(records, len(arr)).transpose(2, 1, 0).reshape(3, -1)
     flip = flip.astype(bool)
-    rows, cols = _SIDE_ROWS[side], _SIDE_COLS[side]
-    rows[flip], cols[flip] = rows[flip, ::-1], cols[flip, ::-1]
+    slots = _SIDE_SLOTS[side]
+    slots[flip] = slots[flip, ::-1]
     u_edge = _SIDE_FIXES_U[side][:, None]
 
     ts = np.arange(n + 1) / n
-    q = arr[which[:, None], :, rows, cols]  # (2E, 4, 3)
+    q = arr.reshape(-1, 3, 16)[which[:, None], :, slots]  # (2E, 4, 3)
     half = len(which) // 2
     gap = bernstein_weights_many(ts) @ (q[:half] - q[half:])  # (E, n+1, 3)
 
@@ -338,56 +347,40 @@ def continuity_measures(patches: Sequence[BezierPatch], records, n: int) -> np.n
     return np.stack([c0, c1, g1], axis=1)
 
 
-def _key_codes(keys: np.ndarray) -> np.ndarray:
-    """One int64 code per row of an (N, d) array; equal rows, equal codes.
+def _key_codes(table: np.ndarray, starts: Optional[np.ndarray] = None):
+    """int64 codes of the rows of the (N, 3) ``table``, and with (M, 3)
+    int64 ``starts`` also the (M, 27) codes of each start's neighbours
+    ``start + offset``, offsets in ``_NEIGHBOUR_OFFSETS`` order.  Equal
+    rows have equal codes, and a neighbour's code equals a table row's
+    exactly when the two rows are equal; it is -1 when its value on some
+    axis, or its first two values together, are in no table row.
 
-    Codes ascend with the rows' lexicographic order, and rows compare by
-    ``==`` (0.0 and -0.0 are equal), so ranking the codes with np.unique
-    gives the ids of ``np.unique(keys, axis=0, return_inverse=True)``.
-
-    Each column is replaced by its rank among that column's values, and the
-    partial code is re-ranked before each column after the second is folded
-    in, so no code reaches N^2 whatever the keys' range.
+    Codes ascend with the rows' lexicographic order and rows compare by
+    ``==`` (0.0 equals -0.0), so the codes' np.unique ranks are the ids of
+    ``np.unique(table, axis=0, return_inverse=True)``.  Per axis each
+    column is replaced by its rank among its values, and the partial codes
+    are re-ranked before the third axis, so no code reaches N^2 whatever
+    the keys' range.  Each start's three neighbouring values are looked up
+    in the same ranks (``_rank_of``) and folded in, broadcast over the
+    offsets of the axes so far.
     """
-    code = np.zeros(len(keys), dtype=np.int64)
-    for axis, column in enumerate(keys.T):
+    codes = np.zeros(len(table), dtype=np.int64)
+    if starts is not None:
+        near, miss = np.zeros((len(starts), 1), np.int64), np.zeros((len(starts), 1), bool)
+    for axis, column in enumerate(table.T):
         if axis > 1:
-            _, code = np.unique(code, return_inverse=True)
-        _, rank = np.unique(column, return_inverse=True)
-        code = code * len(keys) + rank
-    return code
-
-
-def _neighbour_codes(table: np.ndarray, starts: np.ndarray):
-    """int64 codes of the rows of the (N, 3) int64 ``table`` and of the 27
-    neighbours ``start + offset`` of each row of ``starts`` (M, 3), offsets
-    in ``_NEIGHBOUR_OFFSETS`` order: (N,) and (M, 27).  A neighbour's code
-    equals a table row's code exactly when the two rows are equal.  It is
-    -1 when its value on some axis, or its first two values together, are
-    in no table row.
-
-    Only the table is ranked: per axis, np.unique of its column, in which
-    each start's three neighbouring values are looked up with searchsorted.
-    The ranks are folded into one code per row as ``_key_codes`` folds
-    them, with the table's partial codes re-ranked before the third axis,
-    so no code reaches N^2 whatever the keys' range.  The neighbours fold
-    in the same ranks, broadcast over the offsets of the axes so far.
-    """
-    table_codes = np.zeros(len(table), dtype=np.int64)
-    codes = np.zeros((len(starts), 1), dtype=np.int64)
-    miss = np.zeros((len(starts), 1), dtype=bool)
-    for axis in range(3):
-        if axis > 1:
-            ranked, table_codes = np.unique(table_codes, return_inverse=True)
-            codes, absent = _rank_of(ranked, codes)
-            miss |= absent
-        values, table_rank = np.unique(table[:, axis], return_inverse=True)
-        rank, absent = _rank_of(values, starts[:, axis, None] + np.arange(-1, 2))  # (M, 3)
-        table_codes = table_codes * len(values) + table_rank
-        shape = (len(starts), 3 ** (axis + 1))
-        codes = (codes[..., None] * len(values) + rank[:, None]).reshape(shape)
-        miss = (miss[..., None] | absent[:, None]).reshape(shape)
-    return table_codes, np.where(miss, -1, codes)
+            ranked, codes = np.unique(codes, return_inverse=True)
+            if starts is not None:
+                near, absent = _rank_of(ranked, near)
+                miss |= absent
+        values, rank = np.unique(column, return_inverse=True)
+        codes = codes * len(values) + rank
+        if starts is not None:
+            rank, absent = _rank_of(values, starts[:, axis, None] + np.arange(-1, 2))  # (M, 3)
+            shape = (len(starts), 3 ** (axis + 1))
+            near = (near[..., None] * len(values) + rank[:, None]).reshape(shape)
+            miss = (miss[..., None] | absent[:, None]).reshape(shape)
+    return codes if starts is None else (codes, np.where(miss, -1, near))
 
 
 def _rank_of(ranked: np.ndarray, values: np.ndarray):
@@ -416,7 +409,7 @@ def _adjacency(patches, tol: float = 1e-9) -> np.ndarray:
     arr = _patch_array(patches)
     scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
     # (patch, side) slot k is patch k // 4, side k % 4
-    q = np.stack([_edge_points(arr, side) for side in EdgeSide], axis=1).reshape(-1, 4, 3)
+    q = np.moveaxis(arr.reshape(-1, 3, 16)[..., _SIDE_SLOTS], 1, -1).reshape(-1, 4, 3)
     limit = tol * scale
     live = np.flatnonzero(np.max(np.abs(q - q[:, :1]), axis=(1, 2)) > limit)
     q = q[live]
@@ -432,7 +425,7 @@ def _adjacency(patches, tol: float = 1e-9) -> np.ndarray:
     keys = np.floor(q[:, (0, 3)] / cell).astype(np.int64)  # (E, 2, 3)
     count = len(q)
     table = keys.transpose(1, 0, 2).reshape(-1, 3)  # starts, then ends
-    table_codes, probe_codes = _neighbour_codes(table, keys[:, 0])
+    table_codes, probe_codes = _key_codes(table, keys[:, 0])
     # probe k, the start of edge k // 27 shifted by offset k % 27, unless a miss
     probes = np.flatnonzero(probe_codes >= 0)
     probe_codes = probe_codes.reshape(-1)[probes]

@@ -30,10 +30,11 @@ from smartpatch.patches import (
 )
 from smartpatch.tessellation import (
     _NEIGHBOUR_OFFSETS,
+    _SIDE_CODE,
+    _SIDE_SLOTS,
     Adjacency,
     EdgeId,
     EdgeSide,
-    _edge_points,
     _key_codes,
 )
 
@@ -561,6 +562,13 @@ def loop_continuity(a, edge_a: EdgeId, b, edge_b: EdgeId, n: int) -> tuple:
     return c0, c1, g1
 
 
+def edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:
+    """(..., 4, 3) control points of one side of (..., 3, 4, 4) patch arrays,
+    in traversal order: the side's row of ``_SIDE_SLOTS``."""
+    flat = arr.reshape(*arr.shape[:-2], 16)
+    return np.swapaxes(flat[..., _SIDE_SLOTS[_SIDE_CODE[side]]], -1, -2)
+
+
 def pairwise_adjacency(patches, tol: float = 1e-9) -> list:
     """``detect_adjacency`` by comparing every pair of edges."""
     if not patches:
@@ -569,7 +577,7 @@ def pairwise_adjacency(patches, tol: float = 1e-9) -> list:
     edges = []
     for idx, p in enumerate(patches):
         for side in EdgeSide:
-            q = _edge_points(p.as_array, side)
+            q = edge_points(p.as_array, side)
             if np.max(np.abs(q - q[0])) <= tol * scale:
                 continue  # collapsed edge
             edges.append((idx, side, q))
@@ -595,7 +603,7 @@ def key_codes_adjacency(patches, tol: float = 1e-9) -> list:
     arr = np.stack([p.as_array for p in patches])
     scale = max(1.0, float(np.max(np.abs(arr))))
     # (patch, side) slot k is patch k // 4, side k % 4
-    q = np.stack([_edge_points(arr, side) for side in EdgeSide], axis=1).reshape(-1, 4, 3)
+    q = np.stack([edge_points(arr, side) for side in EdgeSide], axis=1).reshape(-1, 4, 3)
     limit = tol * scale
     live = np.flatnonzero(np.max(np.abs(q - q[:, :1]), axis=(1, 2)) > limit)
     q = q[live]

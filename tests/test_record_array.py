@@ -120,13 +120,17 @@ def _record_doc(records, count):
 
 def _assert_checked_as_before(records, count):
     """Each way of giving ``records`` to a set of ``count`` patches raises
-    the parent's message for the same first bad record, or none."""
+    the parent's message for the same first bad record, or none; and
+    ``continuity_measures`` raises ValueError with the message of the first
+    index out of range, in record order, or measures every record, an edge
+    against itself too."""
     want = _parent_check(records, count)
     points = np.zeros((count, 3, 4, 4))
-    givers = [lambda: PatchSet("s", points, records),
-              lambda: load_patchset(_record_doc(records, count))]
+    sources = [records]
     if all(abs(i) < 2**62 for r in records for i in (r.a, r.b)):
-        givers.append(lambda: PatchSet("s", points, _record_array(records)))
+        sources.append(_record_array(records))
+    givers = [lambda: load_patchset(_record_doc(records, count))]
+    givers += [lambda source=source: PatchSet("s", points, source) for source in sources]
     for give in givers:
         if want is None:
             assert give().adjacency.tolist() == _rows(records)
@@ -134,6 +138,15 @@ def _assert_checked_as_before(records, count):
             with pytest.raises(PatchFormatError) as exc:
                 give()
             assert str(exc.value) == want
+    fault = next((f"adjacency index {i} out of range"
+                  for r in records for i in (r.a, r.b) if not 0 <= i < count), None)
+    for source in sources:
+        if fault is None:
+            assert continuity_measures(points, source, 2).shape == (len(records), 3)
+        else:
+            with pytest.raises(ValueError) as exc:
+                continuity_measures(points, source, 2)
+            assert type(exc.value) is ValueError and str(exc.value) == fault
 
 
 _U0, _U1, _V1 = EdgeId(EdgeSide.U0), EdgeId(EdgeSide.U1), EdgeId(EdgeSide.V1)

@@ -26,9 +26,7 @@ from smartpatch.tessellation import (
     EdgeSide,
     TriangleMesh,
     _NEIGHBOUR_OFFSETS,
-    _edge_points,
     _key_codes,
-    _neighbour_codes,
     continuity_measures,
     edge_incidence,
     merge_meshes,
@@ -36,6 +34,7 @@ from smartpatch.tessellation import (
 
 from helpers import (
     bilinear_grid,
+    edge_points,
     height_field_patches,
     identity_plane_patch,
     key_codes_adjacency,
@@ -324,10 +323,10 @@ def test_detect_adjacency_skips_collapsed_edges():
 
 def test_edge_control_points_orientation(rng):
     patch = random_patch(rng)
-    q = _edge_points(patch.as_array, EdgeSide.V0)
+    q = edge_points(patch.as_array, EdgeSide.V0)
     expect = np.stack([g[:, 0] for g in patch.grids], axis=1)
     assert np.array_equal(q, expect)
-    q = _edge_points(patch.as_array, EdgeSide.U1)
+    q = edge_points(patch.as_array, EdgeSide.U1)
     expect = np.stack([g[3, :] for g in patch.grids], axis=1)
     assert np.array_equal(q, expect)
 
@@ -455,7 +454,7 @@ def test_continuity_matches_per_sample_loop(rng, teapot_path):
 @pytest.mark.parametrize("side_b", list(EdgeSide))
 def test_c0_is_exactly_zero_on_bit_identical_edges(side_a, side_b, rng):
     a = random_patch(rng)
-    q = _edge_points(a.as_array, side_a)
+    q = edge_points(a.as_array, side_a)
     for flip in (False, True):
         grids = rng.uniform(-10.0, 10.0, (3, 4, 4))
         grids[SIDE_INDEX[side_b]] = (q[::-1] if flip else q).T
@@ -484,7 +483,7 @@ def _assert_reports_match(patches, records, n):
 
 def _twin_on(rng, patch, side_a, side_b, flip) -> BezierPatch:
     """Random patch whose ``side_b`` carries ``patch``'s ``side_a`` control points bit for bit."""
-    q = _edge_points(patch.as_array, side_a)
+    q = edge_points(patch.as_array, side_a)
     grids = rng.uniform(-10.0, 10.0, (3, 4, 4))
     grids[SIDE_INDEX[side_b]] = (q[::-1] if flip else q).T
     return BezierPatch(*grids)
@@ -731,7 +730,8 @@ def test_neighbour_codes_are_exact_where_a_naive_code_would_overflow(rng):
         starts = np.concatenate([table[:40], pool[rng.integers(0, len(pool), (40, 3))]])
         span = int(table.max()) - int(table.min()) + 1
         assert span**3 > 2**63  # x*R^2 + y*R + z would not fit in int64
-        table_codes, codes = _neighbour_codes(table, starts)
+        table_codes, codes = _key_codes(table, starts)
+        assert np.array_equal(_key_codes(table), table_codes)  # the same without starts
         assert table_codes.dtype == codes.dtype == np.int64
         assert codes.shape == (len(starts), 27)
         neighbours = (starts[:, None] + _NEIGHBOUR_OFFSETS).reshape(-1, 3)
