@@ -30,10 +30,11 @@ three times, and seeded k x k height fields (one connected component of k^2
 patches) for k = 8, 16, 24, 32, 48.  Each operation is timed over at least
 REPAIR_CALLS calls and at least REPAIR_SECONDS of calls, so the small inputs
 get hundreds of calls.  The untimed call also fills the exact-rank caches;
-tracemalloc counts numpy's arrays too.  One more call per input, apart from
-those timed, clocks each of repair's stage functions (``STAGES``) that the
-checkout's ``constraints`` module has, and the whole call beside them:
-``stages_ms``.  A checkout from before the staged repair has only
+tracemalloc counts numpy's arrays too.  Apart from those timed, the same
+number of staged calls per input clocks each of repair's stage functions
+(``STAGES``) that the checkout's ``constraints`` module has, and the whole
+call beside them; ``stages_ms`` holds each one's fastest time over those
+calls.  A checkout from before the staged repair has only
 ``_patch_ranks`` of them.  Where the checkout's ``tessellation`` has
 ``_adjacency``, the array core that ``detect_adjacency`` wraps, it is timed
 the same way beside it.
@@ -163,12 +164,15 @@ from smartpatch.io import read_newell
 
 core = getattr(tessellation, "_adjacency", None)  # the array core, where the checkout has one
 
-def staged(op):
-    # seconds in each stage function the module has, and in the whole call
-    spent, stages = {}, {}
+def staged(op, calls, seconds):
+    # seconds in each stage function the module has, and in the whole call:
+    # the fastest of at least calls staged calls and seconds of them
+    spent, stages, runs = {}, {}, []
     for name in sys.argv[3:]:
         if (stage := getattr(constraints, name, None)) is not None:
             stages[name] = stage
+    if not stages:
+        return {}
 
     def clocked(name, stage):
         def call(*args):
@@ -182,11 +186,14 @@ def staged(op):
     for name, stage in stages.items():
         setattr(constraints, name, clocked(name, stage))
     try:
-        spent["repair_patches"] = timed(op)
+        while len(runs) < calls or sum(run["repair_patches"] for run in runs) < seconds:
+            spent.clear()
+            spent["repair_patches"] = timed(op)
+            runs.append(dict(spent))
     finally:
         for name, stage in stages.items():
             setattr(constraints, name, stage)
-    return spent if stages else {}
+    return {name: min(run[name] for run in runs) for name in runs[0]}
 
 def build(name):
     if name.startswith("hf"):
@@ -212,7 +219,7 @@ for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf3
         "records": len(detect_adjacency(patches)), "repair_s": repair_s,
         "adjacency_s": adjacency_s, "tracemalloc_peak_mb": round(peak / 1e6, 2),
         "adjacency_core_s": core and best(lambda: core(patches), calls, seconds),
-        "stages_s": staged(lambda: repair_patches(patches)),
+        "stages_s": staged(lambda: repair_patches(patches), calls, seconds),
     }
 """
 
@@ -398,9 +405,10 @@ LAYERS = {
         f"{REPAIR_SECONDS:g} s of calls per operation; {REPAIR_RUNS} runs per checkout, "
         f"{ALTERNATED}; min, median and max of the per-run minima, of which the minima are the "
         "ones to compare, since medians carry host drift; tracemalloc peak of one more "
-        f"repair_patches call, the largest over the runs; stages_ms: one more call per run, "
-        f"each of {', '.join(STAGES)} that the checkout has clocked through a wrapper on its "
-        "module attribute, and the whole call as repair_patches; a checkout before the staged "
+        f"repair_patches call, the largest over the runs; stages_ms: at least {REPAIR_CALLS} "
+        f"more calls and {REPAIR_SECONDS:g} s of calls per run, each of {', '.join(STAGES)} "
+        "that the checkout has clocked through a wrapper on its module attribute, and the whole "
+        "call as repair_patches, the min over those calls per run; a checkout before the staged "
         f"repair has _patch_ranks only; {SPREAD}"),
     "BENCH_io.json": (
         IO_RUNS, io_run, io_column,

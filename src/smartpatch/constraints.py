@@ -137,7 +137,7 @@ def _collapse_f(kind: DiagonalKind) -> np.ndarray:
 def collapse_diagonal(g, kind: DiagonalKind) -> Poly:
     """Degree-6 polynomial of the diagonal curve of one coordinate grid: the
     float copy of the exact collapse map, whose top three rows are lam's."""
-    return Poly(_collapse_f(kind) @ _vec(g))
+    return Poly(_collapse_f(DiagonalKind(kind)) @ _vec(g))
 
 
 def _lambda_exact() -> RationalMatrix:
@@ -605,16 +605,15 @@ def _defects(out: np.ndarray, comp: np.ndarray, comp_scale: np.ndarray):
     return defect, worst, six, ~(np.maximum(worst, six) <= 1e-13 * comp_scale)
 
 
-def _assemble(i, j, p_idx, coef, link, comp, roots, needed):
-    """The level structure of the patch graph ``link``, and the Gram blocks of ``needed`` ones.
+def _assemble(i, j, p_idx, coef, link, comp, roots, needed) -> list:
+    """The Gram blocks, level by level, of the ``needed`` components of the patch graph ``link``.
 
     Free slots ``i`` and ``j`` on one variable add ``coef[i] coef[j]^T`` to
     A A^T.  Ordered by component, then level (``_level_sets``), then index,
     A A^T is block tridiagonal; only its diagonal and sub-diagonal blocks
-    are summed, row-major, into ``blocks``.  Per level, ``width`` is its
-    rows, ``first`` whether it starts its component, ``level_comp`` that
-    component, ``count`` its patches and ``base`` its two blocks' starts;
-    ``order`` lists the patches in level order.
+    are summed, in one pass.  Returns ``(component, patches in row order,
+    diagonal block, sub-diagonal block or None at a component's first level)``
+    for each level in that order.
     """
     n = len(comp)
     level_key, group, count = np.unique(
@@ -625,10 +624,9 @@ def _assemble(i, j, p_idx, coef, link, comp, roots, needed):
     offset = np.empty(n, dtype=np.intp)  # first row of each patch within its level
     offset[order] = 5 * (np.arange(n) - np.repeat(np.cumsum(count) - count, count))
     level_comp, level = np.divmod(level_key, n)
-    first = level == 0
     width = 5 * count
     solved = needed[level_comp]
-    sizes = solved[:, None] * width[:, None] * np.c_[width, np.r_[0, width[:-1]] * ~first]
+    sizes = solved[:, None] * width[:, None] * np.c_[width, np.r_[0, width[:-1]] * (level > 0)]
     base = (np.cumsum(sizes) - sizes.ravel()).reshape(-1, 2)
     gi, gj = group[p_idx[i]], group[p_idx[j]]
     keep = (gj <= gi) & solved[gi]
@@ -641,35 +639,36 @@ def _assemble(i, j, p_idx, coef, link, comp, roots, needed):
     blocks = np.bincount(
         cell.ravel(), (coef[i, :, None] * coef[j, None, :]).ravel(), minlength=int(sizes.sum())
     )
-    return order, width, first, level_comp, count, base, blocks
-
-
-def _factor(blocks, base, width, first, level_comp, comp, needed):
-    """Block Cholesky of the assembled levels of the ``needed`` components.
-
-    One level after another, L_k = chol(G_kk - B_k B_k^T) with
-    B_k = G_k,k-1 L_k-1^-T.  Returns ``(inv_factor, below)``: L_k^-1 and B_k
-    by level.  A level whose Schur complement is not positive definite
-    raises RepairError on its component.
-    """
-    first, width, base = first.tolist(), width.tolist(), base.tolist()
-    inv_factor, below = {}, {}
-    for g in np.flatnonzero(needed[level_comp]).tolist():
+    levels, end, width, base = [], np.cumsum(count).tolist(), width.tolist(), base.tolist()
+    for g in np.flatnonzero(solved).tolist():
         w, (diag, sub) = width[g], base[g]
-        schur = blocks[diag:diag + w * w].reshape(w, w)
-        if not first[g]:
-            below[g] = blocks[sub:sub + w * width[g - 1]].reshape(w, -1) @ inv_factor[g - 1].T
-            schur = schur - below[g] @ below[g].T
+        levels.append((level_comp[g], order[end[g] - w // 5:end[g]],
+                       blocks[diag:sub].reshape(w, w),  # a block ends where the next starts
+                       None if not level[g] else blocks[sub:sub + w * width[g - 1]].reshape(w, -1)))
+    return levels
+
+
+def _factor(levels, comp) -> list:
+    """Block Cholesky of ``levels``, one after another.
+
+    L_k = chol(G_kk - B_k B_k^T) with B_k = G_k,k-1 L_k-1^-T.  Returns each
+    level as ``(component, patches, L_k^-1, B_k)``, B_k None where the level
+    starts its component.  A level whose Schur complement is not positive
+    definite raises RepairError on its component.
+    """
+    factored = []
+    for c, rows, diag, sub in levels:
+        below = None if sub is None else sub @ factored[-1][2].T
+        schur = diag if below is None else diag - below @ below.T
         try:
-            inv_factor[g] = np.linalg.inv(np.linalg.cholesky(schur))
+            factored.append((c, rows, np.linalg.inv(np.linalg.cholesky(schur)), below))
         except np.linalg.LinAlgError:
             reason = "is rank-deficient: its Gram matrix is not positive definite"
-            raise RepairError(np.flatnonzero(comp == level_comp[g]), reason) from None
-    return inv_factor, below
+            raise RepairError(np.flatnonzero(comp == c), reason) from None
+    return factored
 
 
-def _refine(out, defects, comp, comp_scale, order, width, level_comp, inv_factor, below,
-            p_idx, k_idx, var, coef):
+def _refine(out, defects, comp, comp_scale, factored, p_idx, k_idx, var, coef):
     """Correct ``out``, whose ``_defects`` are ``defects``, in place.
 
     Each of up to ``_REFINEMENT_STEPS`` steps moves the components still
@@ -678,7 +677,6 @@ def _refine(out, defects, comp, comp_scale, order, width, level_comp, inv_factor
     last step raises RepairError.  Returns the worst reduced residual over
     the scale before each step, and ``_defects``' last 6-row maxima.
     """
-    bounds = np.r_[0, np.cumsum(width)].tolist()  # level rows in level order
     defect, worst, six, open_comps = defects
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
@@ -693,19 +691,17 @@ def _refine(out, defects, comp, comp_scale, order, width, level_comp, inv_factor
                 f"{np.maximum(worst, six)[c] / comp_scale[c]:.3e} "
                 f"of its scale after {_REFINEMENT_STEPS} refinement steps (bound 1e-13)",
             )
-        open_levels = np.flatnonzero(open_comps[level_comp]).tolist()
-        r = defect[order].reshape(-1, 3)
-        z = np.zeros_like(r)
-        for g in open_levels:
-            lo, hi = bounds[g], bounds[g + 1]
-            t = r[lo:hi] if g not in below else r[lo:hi] - below[g] @ z[bounds[g - 1]:lo]
-            z[lo:hi] = inv_factor[g] @ t
-        for g in reversed(open_levels):
-            lo, hi = bounds[g], bounds[g + 1]
-            t = z[lo:hi] if g + 1 not in below else z[lo:hi] - below[g + 1].T @ z[hi:bounds[g + 2]]
-            z[lo:hi] = inv_factor[g].T @ t
-        y = np.empty_like(defect)
-        y[order] = z.reshape(len(comp), 5, 3)
+        levels = [level for level in factored if open_comps[level[0]]]
+        order = np.concatenate([rows for _, rows, _, _ in levels])
+        r, lo = defect[order].reshape(-1, 3), 0
+        z = [r[lo:(lo := lo + 5 * len(rows))] for _, rows, _, _ in levels]  # views of r, by level
+        for k, (_, _, inv_factor, below) in enumerate(levels):
+            z[k][:] = inv_factor @ (z[k] if below is None else z[k] - below @ z[k - 1])
+        after = [below for *_, below in levels[1:]] + [None]  # B of the next level, or None
+        for k in reversed(range(len(levels))):
+            z[k][:] = levels[k][2].T @ (z[k] if after[k] is None else z[k] - after[k].T @ z[k + 1])
+        y = np.zeros_like(defect)
+        y[order] = r.reshape(-1, 5, 3)
         delta = np.zeros((var.max() + 1, 3))
         np.add.at(delta, var, np.einsum("sa,sad->sd", coef, y[p_idx]))
         out[p_idx, k_idx] -= delta[var]
@@ -764,19 +760,15 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
     defects = _defects(out, comp, comp_scale)
     needed = defects[3]
     _patch_ranks(slot_var, fixed, comp, needed)
-    order, width, first, level_comp, count, base, blocks = _assemble(
-        i, j, p_idx, coef, link, comp, roots, needed
-    )
-    inv_factor, below = _factor(blocks, base, width, first, level_comp, comp, needed)
-    history, six = _refine(out, defects, comp, comp_scale, order, width, level_comp,
-                           inv_factor, below, p_idx, k_idx, var, coef)
+    levels = _assemble(i, j, p_idx, coef, link, comp, roots, needed)
+    factored = _factor(levels, comp)
+    history, six = _refine(out, defects, comp, comp_scale, factored, p_idx, k_idx, var, coef)
 
     moved = np.max(np.abs(out - pts), axis=2)
     disp, corner_disp = moved[:, _NONCORNERS].max(axis=1), moved[:, _CORNERS].max(axis=1)
     points = out.transpose(0, 2, 1).reshape(n, 3, 4, 4).copy()  # C order, as a loader gives
     points.flags.writeable = disp.flags.writeable = corner_disp.flags.writeable = False
     patch_count = np.bincount(np.unique(var * n + p_idx) // n, minlength=len(fixed))
-    solved = needed[level_comp]
     return RepairResult(
         points, disp, corner_disp,
         max_displacement=float(disp.max()),
@@ -787,8 +779,8 @@ def repair_patches(patches: Sequence[BezierPatch]) -> RepairResult:
             shared_variables=int(np.count_nonzero(patch_count > 1)),
             fixed_variables=int(np.count_nonzero(fixed)),
             components=len(roots),
-            levels=int(np.bincount(level_comp[solved]).max(initial=0)),
-            max_level_patches=int(count[solved].max(initial=0)),
+            levels=int(np.unique([c for c, *_ in levels], return_counts=True)[1].max(initial=0)),
+            max_level_patches=max((len(rows) for _, rows, *_ in levels), default=0),
             step_residuals=tuple(history),
         ),
     )

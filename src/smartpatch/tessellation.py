@@ -136,6 +136,7 @@ def tessellate_set(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    pattern = TessPattern(pattern)  # a member or its value; ValueError for anything else
     arr = _patch_array(patches)
     per_patch = (n + 1) ** 2
     ts = np.linspace(0.0, 1.0, n + 1)
@@ -248,8 +249,8 @@ def _record_array(records) -> np.ndarray:
             raise ValueError("records must be (E, 2, 3), side codes 0..3 and flags 0 or 1")
         return records
     rows = (r if not isinstance(r, Adjacency) else
-            (r.a, _SIDE_CODE[r.edge_a.side], r.edge_a.reversed,
-             r.b, _SIDE_CODE[r.edge_b.side], r.edge_b.reversed) for r in records)
+            (r.a, _SIDE_CODE[EdgeSide(r.edge_a.side)], r.edge_a.reversed,
+             r.b, _SIDE_CODE[EdgeSide(r.edge_b.side)], r.edge_b.reversed) for r in records)
     # one flat list: numpy reads it far faster than nested rows
     return np.array([field for row in rows for field in row], dtype=object).reshape(-1, 2, 3)
 

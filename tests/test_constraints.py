@@ -46,6 +46,7 @@ from smartpatch.tessellation import EdgeId, EdgeSide, continuity_report, detect_
 from helpers import (
     CORNER_SLOTS,
     NONCORNER_SLOTS,
+    bezier_patches,
     bilinear_grid,
     collapse_by_traces,
     dense_repair_patches,
@@ -138,6 +139,20 @@ def test_constant_grid_collapses_to_constant():
         assert r[3, 3] == pytest.approx(2.5, abs=1e-14)
         assert np.allclose(poly.coeffs[:-1], 0.0, atol=1e-13)
         assert poly.coeffs[-1] == pytest.approx(2.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind, member", [
+    (DiagonalKind.MAIN, DiagonalKind.MAIN), ("main", DiagonalKind.MAIN),
+    ("anti", DiagonalKind.ANTI), ("MAIN", None), (0, None),
+])
+def test_a_diagonal_kind_is_read_as_a_member_or_its_value(rng, kind, member):
+    g = rng.uniform(-10, 10, (4, 4))
+    assert collapse_diagonal(g, DiagonalKind.MAIN) != collapse_diagonal(g, DiagonalKind.ANTI)
+    if member is None:
+        with pytest.raises(ValueError, match="is not a valid DiagonalKind"):
+            collapse_diagonal(g, kind)
+    else:
+        assert collapse_diagonal(g, kind) == collapse_diagonal(g, member)
 
 
 def test_collapse_zero_grid():
@@ -1271,15 +1286,14 @@ def test_repair_runs_each_stage_once(teapot_path, monkeypatch, compliant):
     calls = {name: _recorded(monkeypatch, name) for name in _STAGES}
     result = repair_patches(patches)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(_STAGES, 1)
-    inv_factor, _ = calls["_factor"][0][1]
+    [(_, levels)], [(_, factored)] = calls["_assemble"], calls["_factor"]
     steps = len(result.system.step_residuals) - 1
-    if compliant:  # nothing factored, no step taken, every bit kept
-        assert (inv_factor, steps) == ({}, 0)
+    if compliant:  # nothing assembled or factored, no step taken, every bit kept
+        assert (levels, factored, steps) == ([], [], 0)
         for p, q in zip(result.patches, patches):
             assert p.as_array.tobytes() == q.as_array.tobytes()
     else:
-        width = calls["_assemble"][0][1][1]
-        assert len(inv_factor) == len(width) == 15 and steps >= 1  # every level factored
+        assert len(factored) == len(levels) == 15 and steps >= 1  # every level factored
 
 
 def _stage_input(teapot_path, rng, source):
@@ -1288,31 +1302,39 @@ def _stage_input(teapot_path, rng, source):
     if source == "duplicate":
         p = random_patch(rng)
         return [p, p]
+    if source == "mixed":  # the repaired teapot beside the raw one, moved off it
+        teapot = read_newell(teapot_path).points
+        return bezier_patches(np.concatenate([repair_patches(teapot).points, teapot + 8.0]))
     patches = read_newell(teapot_path).patches
     return [q for p in patches for q in split_patch(p)] if source == "split" else patches
 
 
-@pytest.mark.parametrize("source", ["teapot", "split", "field", "duplicate"])
+@pytest.mark.parametrize("source", ["teapot", "split", "field", "duplicate", "mixed"])
 def test_assembled_blocks_are_those_of_the_dense_gram(teapot_path, rng, monkeypatch, source):
     patches = _stage_input(teapot_path, rng, source)
     calls = _recorded(monkeypatch, "_assemble")
     repair_patches(patches)
-    [(args, (order, width, first, level_comp, count, base, blocks))] = calls
-    assert args[-1].all()  # every component needs a correction: every level is assembled
-    assert np.array_equal(width, 5 * count)
-    assert np.array_equal(first, np.r_[True, level_comp[1:] != level_comp[:-1]])
+    [(args, levels)] = calls
+    comp, needed = args[5], args[-1]
+    order = np.concatenate([rows for _, rows, _, _ in levels])
+    # the levels of exactly the components that need a correction: in mixed,
+    # the raw teapot's, and in every other source, every patch's
+    raw = np.arange(32, 64) if source == "mixed" else np.arange(len(patches))
+    assert np.array_equal(np.sort(order), raw)
+    assert np.array_equal(np.flatnonzero(needed[comp]), raw)
+    assert all((comp[rows] == c).all() for c, rows, _, _ in levels)
     rows = (5 * order[:, None] + np.arange(5)).ravel()
     gram = dense_system(patches)[-1][np.ix_(rows, rows)]  # in level order
     tol = 1e-14 * np.abs(gram).max()
-    start = np.r_[0, np.cumsum(width)]
+    start = np.r_[0, np.cumsum([5 * len(rows) for _, rows, _, _ in levels])]
     assembled = np.zeros(gram.shape, dtype=bool)
-    for g, w in enumerate(width):
+    for g, (c, _, diag, sub) in enumerate(levels):
         lo, hi = start[g], start[g + 1]
-        diag = blocks[base[g, 0]:base[g, 0] + w * w].reshape(w, w)
         np.testing.assert_allclose(diag, gram[lo:hi, lo:hi], rtol=0, atol=tol)
         assembled[lo:hi, lo:hi] = True
-        if not first[g]:
-            sub = blocks[base[g, 1]:base[g, 1] + w * width[g - 1]].reshape(w, -1)
+        # a sub-diagonal block exactly where the level before is of the same component
+        assert (sub is None) == (g == 0 or levels[g - 1][0] != c)
+        if sub is not None:
             np.testing.assert_allclose(sub, gram[lo:hi, start[g - 1]:lo], rtol=0, atol=tol)
             assembled[lo:hi, start[g - 1]:lo] = assembled[start[g - 1]:lo, lo:hi] = True
     assert not gram[~assembled].any()  # block tridiagonal: nothing else couples two patches
@@ -1322,22 +1344,20 @@ def test_assembled_blocks_are_those_of_the_dense_gram(teapot_path, rng, monkeypa
 def test_factor_raises_on_a_level_that_is_not_positive_definite(level):
     """Component 0 (patches 1 and 2) has two levels coupled by 2I; its first
     block is -I, or its second Schur complement is I - 4I.  Component 1
-    (patch 0) is one level I, and a component that needs no correction is
-    not factored."""
-    eye = np.eye(5).ravel()
-    blocks = np.concatenate([eye if level else -eye, eye, 2 * eye, eye])
-    base = np.array([[0, 25], [25, 50], [75, 100]])
-    width, first = np.array([5, 5, 5]), np.array([True, False, True])
-    level_comp, comp = np.array([0, 0, 1]), np.array([1, 0, 0])
+    (patch 0) is one level I, and only the levels given are factored."""
+    eye = np.eye(5)
+    levels = [(0, np.array([1]), eye if level else -eye, None),
+              (0, np.array([2]), eye, 2 * eye),
+              (1, np.array([0]), eye, None)]
+    comp = np.array([1, 0, 0])
     with pytest.raises(RepairError) as exc:
-        constraints._factor(blocks, base, width, first, level_comp, comp, np.array([True, True]))
+        constraints._factor(levels, comp)
     assert str(exc.value) == (
         "joint repair of patches [1, 2] is rank-deficient: its Gram matrix is not positive definite"
     )
-    inv_factor, below = constraints._factor(
-        blocks, base, width, first, level_comp, comp, np.array([False, True])
-    )
-    assert list(inv_factor) == [2] and below == {}
+    [(c, rows, inv_factor, below)] = constraints._factor(levels[2:], comp)
+    assert (c, rows.tolist(), below) == (1, [0], None) and np.array_equal(inv_factor, eye)
+    assert constraints._factor([], comp) == []
 
 
 def test_variables_name_each_distinct_boundary_point_once(teapot_path, rng):

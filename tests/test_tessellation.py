@@ -91,6 +91,21 @@ def test_tessellate_counts(pattern, rng):
     assert len(mesh.vertices) == 25 and len(mesh.triangles) == 32
 
 
+@pytest.mark.parametrize("pattern, member", [
+    (TessPattern.ANTI_DIAG, TessPattern.ANTI_DIAG), ("anti", TessPattern.ANTI_DIAG),
+    ("main", TessPattern.MAIN_DIAG), ("bogus", None), (3, None),
+])
+def test_a_pattern_is_read_as_a_member_or_its_value(teapot_path, pattern, member):
+    patches = read_newell(teapot_path).points[:1]
+    for tess in (tessellate_set, lambda ps, n, p: tessellate(BezierPatch._of(ps[0]), n, p)):
+        if member is None:
+            with pytest.raises(ValueError, match="is not a valid TessPattern"):
+                tess(patches, 4, pattern)
+        else:
+            mesh, expected = tess(patches, 4, pattern), tess(patches, 4, member)
+            assert np.array_equal(mesh.triangles, expected.triangles)
+
+
 @pytest.mark.parametrize("pattern", list(TessPattern))
 def test_tessellate_watertight(pattern, rng):
     mesh = tessellate(random_patch(rng), 5, pattern)
@@ -479,6 +494,19 @@ def _assert_reports_match(patches, records, n):
             assert abs(row[2] - want[2]) <= 1e-13
         assert one.samples == n + 1
     return measures
+
+
+@pytest.mark.parametrize("side, member", [
+    (EdgeSide.U1, EdgeSide.U1), ("U1", EdgeSide.U1), ("V0", EdgeSide.V0), ("u1", None), (1, None),
+])
+def test_an_edge_side_is_read_as_a_member_or_its_value(teapot_path, side, member):
+    a, b = read_newell(teapot_path).patches[:2]
+    if member is None:
+        with pytest.raises(ValueError, match="is not a valid EdgeSide"):
+            continuity_report(a, EdgeId(side), b, EdgeId(side, True), 16)
+    else:
+        report = continuity_report(a, EdgeId(side), b, EdgeId(side, True), 16)
+        assert report == continuity_report(a, EdgeId(member), b, EdgeId(member, True), 16)
 
 
 def _twin_on(rng, patch, side_a, side_b, flip) -> BezierPatch:
