@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time smartpatch's set-up, joint repair, I/O and per-grid operator layers in fresh interpreters.
+"""Time smartpatch's set-up, joint repair, geometry, I/O and per-grid operator layers in fresh interpreters.
 
 Usage::
 
@@ -38,6 +38,13 @@ calls.  A checkout from before the staged repair has only
 ``_patch_ranks`` of them.  Where the checkout's ``tessellation`` has
 ``_adjacency``, the array core that ``detect_adjacency`` wraps, it is timed
 the same way beside it.
+
+Geometry: ``tessellate_set`` at n=16 with normals of the bundled teapot
+and of the seed-10 input of the ``teapot`` benchmark workload after
+``repair_patches``, and of the teapot's 2x2 de Casteljau split at n=4;
+``continuity_measures`` of the teapot at n=16 and of the split at n=4, each
+over its records from ``detect_adjacency`` as a ``PatchSet`` holds them.
+Each set is given as its stacked array, as the ``teapot`` command gives it.
 
 I/O: ``write_obj`` at n=16 with normals of the bundled teapot as read (not
 repaired) and of the seed-10 input of the ``teapot`` benchmark workload
@@ -80,6 +87,7 @@ CHECKOUT_FILES = ("src/smartpatch/__init__.py", "data/teapot.newell", "bench/pro
 SETUP_RUNS = 15
 REPAIR_RUNS = 3
 IO_RUNS = 9
+GEOMETRY_RUNS = 9
 OPERATOR_RUNS = 9
 CALLS = 15
 OPERATOR_CALLS = 5000
@@ -224,6 +232,37 @@ for name in ["teapot", "split1", "split2", "split3", "hf8", "hf16", "hf24", "hf3
 """
 
 # argv: the timed calls per operation, and the directory that receives the
+# seed-10 input of the teapot benchmark workload.
+GEOMETRY = r"""
+from pathlib import Path
+import numpy as np
+from helpers import split_patch
+from smartpatch import detect_adjacency, repair_patches
+from smartpatch.io import PatchSet, read_newell
+from smartpatch.tessellation import continuity_measures, tessellate_set
+sys.path.append("bench")
+import generators
+
+generators.write_inputs("teapot", Path.cwd(), Path(sys.argv[2]), 10)
+seeded = repair_patches(read_newell(Path(sys.argv[2], "input.newell")).points).points
+teapot = read_newell("data/teapot.newell")
+split = np.array([q.as_array for p in teapot.patches for q in split_patch(p)])
+teapot_records = PatchSet("teapot", teapot.points, detect_adjacency(teapot.points)).adjacency
+split_records = PatchSet("split", split, detect_adjacency(split)).adjacency
+ops = {
+    "tessellate_set teapot n=16 normals":
+        lambda: tessellate_set(teapot.points, 16, with_normals=True),
+    "tessellate_set seed-10 teapot repaired n=16 normals":
+        lambda: tessellate_set(seeded, 16, with_normals=True),
+    "tessellate_set split n=4": lambda: tessellate_set(split, 4),
+    "continuity_measures teapot n=16":
+        lambda: continuity_measures(teapot.points, teapot_records, 16),
+    "continuity_measures split n=4": lambda: continuity_measures(split, split_records, 4),
+}
+result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()}}
+"""
+
+# argv: the timed calls per operation, and the directory that receives the
 # seed-10 input of the teapot benchmark workload, for its write_obj row and
 # the RSS probe.
 IO = r"""
@@ -324,6 +363,12 @@ def child(root: Path, code: str, *args) -> dict:
     return result
 
 
+def geometry_run(root: Path) -> dict:
+    """One geometry child, its seed-10 input in a new directory."""
+    with tempfile.TemporaryDirectory() as inputs:
+        return child(root, GEOMETRY, str(CALLS), inputs)
+
+
 def io_run(root: Path) -> dict:
     """One I/O child, then the RSS probe on the input that child wrote."""
     with tempfile.TemporaryDirectory() as inputs:
@@ -369,6 +414,11 @@ def repair_column(runs: list) -> dict:
     return {"runs": len(runs), "inputs": inputs}
 
 
+def geometry_column(runs: list) -> dict:
+    return {"runs": len(runs),
+            "steps": {name: summary([r["best"][name] for r in runs]) for name in runs[0]["best"]}}
+
+
 def io_column(runs: list) -> dict:
     rss = [r["peak_rss_mb"] for r in runs]
     peak = max(r["tracemalloc_peak"] for r in runs)
@@ -410,6 +460,11 @@ LAYERS = {
         "that the checkout has clocked through a wrapper on its module attribute, and the whole "
         "call as repair_patches, the min over those calls per run; a checkout before the staged "
         f"repair has _patch_ranks only; {SPREAD}"),
+    "BENCH_geometry.json": (
+        GEOMETRY_RUNS, geometry_run, geometry_column,
+        f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "
+        f"run; {GEOMETRY_RUNS} runs per checkout, {ALTERNATED}; min, median and max of the "
+        f"per-run minima; {SPREAD}"),
     "BENCH_io.json": (
         IO_RUNS, io_run, io_column,
         f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "
@@ -478,8 +533,8 @@ def main(argv=None) -> int:
                     runs[name][label].append(measure(checkouts[label]))
 
     host = {"cpu": cpu_model(), "cores": os.cpu_count(), "python": platform.python_version()}
-    hosts = {label: host | {"numpy": runs["BENCH_setup.json"][label][0]["numpy"]}
-             for label in labels}
+    first = next(iter(runs.values()))  # every child reports its numpy
+    hosts = {label: host | {"numpy": first[label][0]["numpy"]} for label in labels}
     for name, (_, _, column, method) in LAYERS.items():
         columns = {label: {"note": dict(args.note).get(label, "")} | column(runs[name][label])
                    for label in labels}

@@ -38,7 +38,9 @@ class PatchFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # Float text: repr(x) for every value, with the digits decided in array passes
 
-_BLOCK = 1024  # lines per OBJ block; a patch-set block holds as many values (64 patches)
+_BLOCK = 2048  # lines per OBJ block (6144 values)
+_PATCH_BLOCK = 64  # patches per patch-set piece (3072 values, in wider rows)
+_RECORD_BLOCK = 1024  # adjacency records per patch-set piece
 
 
 def _halves(v):
@@ -95,7 +97,7 @@ def _shortest(x):
     power_of_two = mantissa == 0.5
     del mantissa
     s = np.log10(a)
-    s = 16 - np.floor(s, out=s).astype(np.intp)
+    s = 16 - np.floor(s, out=s).astype(np.int8)  # int8, as z below: the block's peak is smaller
     high, low = _POW10_HIGH[s], _POW10_LOW[s]
     scale = high + low  # 10^s
     # hi + lo == |x|·10^s, lo = ((ah·high - hi) + ah·low + al·high) + al·low
@@ -148,8 +150,8 @@ def _shortest(x):
     del t, below, above, outside
     # the digits Y of the shortest candidate inside, f100·10^(2-z) + its
     # rounded t over 10^z, with z zeros dropped: inside 100 means inside 10
-    z = np.add(inside[1], inside[2], dtype=np.intp)
-    pick = z * len(x)
+    z = np.add(inside[1], inside[2], dtype=np.int8)
+    pick = np.multiply(z, len(x), dtype=np.intp)
     pick += np.arange(len(x))
     digits = _DROP.take(z)
     digits *= f100
@@ -217,25 +219,26 @@ def _shown(words):
     return masks.view(np.uint32)[..., 0]
 
 
-def _digits(m, shown, words):
-    """The last ``shown`` decimal digits (leading zeros included) of each
-    value of the non-negative int64 vector ``m``, as ASCII right-aligned
-    in ``4·words`` columns, the others zero bytes: a (words, len(m)) array
-    of native uint32 words, row k holding the columns of 10^(4(words-k)-1)
-    down to 10^(4(words-k-1)).  No ``m`` has more than ``4·words`` digits
-    and no ``shown`` is above that.
+def _digits(m, shown, out):
+    """Write the last ``shown`` decimal digits (leading zeros included) of
+    each value of the non-negative int64 vector ``m``, as ASCII
+    right-aligned in ``4·words`` columns, the others zero bytes, into
+    ``out``, a (words, len(m)) native uint32 array or view: row k holds the
+    columns of 10^(4(words-k)-1) down to 10^(4(words-k-1)).  No ``m`` has
+    more than ``4·words`` digits and no ``shown`` is above that.
 
-    The digits come four at a time from ``_quads()``."""
-    index = np.empty((words, len(m)), dtype=np.intp)
-    index[-1] = m
-    for k in range(words - 1, 0, -1):
-        np.floor_divide(index[k], 10000, out=index[k - 1])
-    index[1:] -= 10000 * index[:-1]  # each word's own four digits
-    text = _quads().take(index)
-    del index
+    The digits come four at a time from ``_quads()``, one row at a time
+    from the lowest, so no (words, len(m)) index array is held."""
+    words = len(out)
+    quads, masks = _quads(), _shown(words)
     top = words - int(shown.min(initial=4 * words)) // 4  # the words with digits not shown
-    text[:top] &= np.take(_shown(words)[:top], shown, axis=1)
-    return text
+    for k in range(words - 1, -1, -1):
+        high = m // 10000
+        word = quads.take(m - 10000 * high)  # the word's own four digits
+        if k < top:
+            word &= masks[k].take(shown)
+        out[k] = word
+        m = high
 
 
 def _float_text(x, frame):
@@ -260,15 +263,13 @@ def _float_text(x, frame):
     # the longest text, less a literal's first character (its sign column)
     longest = max(int(length.max(initial=3)), max(map(len, distinct.values()), default=0) - 1)
     words = -(-longest // 4)
-    rendered = _digits(digits, length, words)
-    del digits
     lead = frame.shape[1] - 1
     rows = np.zeros((len(frame), lead + 2 + 4 * words), dtype=np.uint8)
     rows[:, :lead], rows[:, -1] = frame[:, :-1], frame[:, -1]
     text = np.empty((len(x), rows.shape[1]), dtype=np.uint8)
     text.reshape(-1, *rows.shape)[...] = rows
-    text[:, lead + 1 : -1].view(np.uint32)[...] = rendered.T
-    del rendered
+    _digits(digits, length, text[:, lead + 1 : -1].view(np.uint32).T)
+    del digits
     end = np.arange(lead + 4 * words, text.size, text.shape[1])  # the columns of 10^0
     flat = text.reshape(-1)
     flat[end - point] = 46  # "."
@@ -427,9 +428,9 @@ def _record_fields(records, truth=(False, True)) -> np.ndarray:
 
 
 def _record_groups(records):
-    """The text of the list of the (E, 2, 3) ``records``, ``_BLOCK`` records to a piece."""
-    for start in range(0, len(records), _BLOCK):
-        fields = _record_fields(records[start : start + _BLOCK], ("false", "true"))
+    """The text of the list of the (E, 2, 3) ``records``, ``_RECORD_BLOCK`` to a piece."""
+    for start in range(0, len(records), _RECORD_BLOCK):
+        fields = _record_fields(records[start : start + _RECORD_BLOCK], ("false", "true"))
         text = ",\n".join([_RECORD_TEMPLATE] * len(fields)) % tuple(fields.ravel().tolist())
         yield (b",\n" if start else b"[\n") + text.encode()
     yield b"\n ]" if len(records) else b"[]"
@@ -437,15 +438,15 @@ def _record_groups(records):
 
 def _patch_groups(points):
     """The text of the list of the (N, 3, 4, 4) ``points``, as uint8 arrays
-    of at most ``_BLOCK // 16`` patches (as many values as an OBJ block
-    has), so the arrays stay small whatever the size of the set."""
+    of at most ``_PATCH_BLOCK`` patches, so the arrays stay small whatever
+    the size of the set."""
     opening, *between, closing = _PATCH_TEMPLATE.split("%s")
     pieces = ["[\n" + opening, closing + ",\n" + opening, *between]
     lead = max(map(len, pieces)) + 1  # and a zero column after each value
     pieces = np.frombuffer("".join(t.ljust(lead, "\0") for t in pieces).encode(), np.uint8)
     pieces = pieces.reshape(-1, lead)
-    for start in range(0, len(points), _BLOCK // 16):
-        text = _float_text(points[start : start + _BLOCK // 16].ravel(), pieces[1:])
+    for start in range(0, len(points), _PATCH_BLOCK):
+        text = _float_text(points[start : start + _PATCH_BLOCK].ravel(), pieces[1:])
         if start == 0:
             text[0, : lead - 1] = pieces[0, :-1]
         yield text[text != 0]
@@ -454,8 +455,8 @@ def _patch_groups(points):
 
 def _patchset_pieces(ps: PatchSet):
     """The bytes of the text json.dumps(doc, indent=1) gives for the patch
-    set, in pieces of at most ``_BLOCK // 16`` patches, so a writer never holds the whole
-    document.
+    set, in pieces of at most ``_PATCH_BLOCK`` patches or ``_RECORD_BLOCK``
+    records, so a writer never holds the whole document.
 
     Every control value is written as a float, so integer-valued entries
     read back as floats and the output is deterministic."""
@@ -625,8 +626,9 @@ def _face_lines(triangles, normals):
     for k in range(len(str(lo + 1)), width):
         shown[: 10**k - lo - 1] -= 1  # the ids below 10^k have a digit less
     words = -(-width // 4)
-    text = _digits(np.arange(lo + 1, hi + 2), shown, words)
-    digits = np.ascontiguousarray(text.T).view(np.uint8)[:, 4 * words - width :]
+    digits = np.empty((count, words), dtype=np.uint32)
+    _digits(np.arange(lo + 1, hi + 2), shown, digits.T)
+    digits = digits.view(np.uint8)[:, 4 * words - width :]
     tokens = np.empty((count, 2 * width + 3 if normals else width + 1), dtype=np.uint8)
     tokens[:, :width] = digits
     if normals:

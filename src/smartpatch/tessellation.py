@@ -151,10 +151,11 @@ def tessellate_set(
         dv = np.moveaxis(w @ (arr @ dw.T), 1, -1).reshape(-1, 3)
         normals, ok = _unit_normals(du, dv)
         if not ok.all():
-            # face-average fallback over the triangles of the patches that need it
+            # face-average fallback over the triangles that touch a degenerate vertex
             bad = ~ok.reshape(len(arr), per_patch).all(axis=1)
             t = tris.reshape(len(arr), -1, 3)[bad].reshape(-1, 3)
-            face_n = np.cross(
+            t = t[(~ok)[t].any(axis=1)]
+            face_n = _cross(
                 vertices[t[:, 1]] - vertices[t[:, 0]], vertices[t[:, 2]] - vertices[t[:, 0]]
             )
             # each bin sums its faces in triangle order, as np.add.at would
@@ -162,7 +163,7 @@ def tessellate_set(
                 [np.bincount(t.ravel(), f.repeat(3), minlength=len(normals)) for f in face_n.T],
                 axis=1,
             )[~ok]
-            length = np.linalg.norm(acc, axis=1, keepdims=True)
+            length = _norm(acc)[:, None]
             normals[~ok] = np.divide(
                 acc, length, out=np.tile((0.0, 0.0, 1.0), (len(acc), 1)), where=length > 1e-300
             )
@@ -172,11 +173,28 @@ def tessellate_set(
 def _unit_normals(du: np.ndarray, dv: np.ndarray):
     """Unit du x dv along the last axis, and the mask of where it is defined:
     it is not where |du x dv| <= 1e-12 * max(1, |du| |dv|)."""
-    cross = np.cross(du, dv)
-    norm = np.linalg.norm(cross, axis=-1)
-    scale = np.maximum(1.0, np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1))
+    cross = _cross(du, dv)
+    norm = _norm(cross)
+    scale = np.maximum(1.0, _norm(du) * _norm(dv))
     ok = norm > 1e-12 * scale
     return cross / np.where(ok, norm, 1.0)[..., None], ok
+
+
+# The two 3-vector kernels below form each value with the operations, in
+# the order, that np.cross and np.linalg.norm(..., axis=-1) use, so their
+# bits are those functions' bits, without their generic set-up per call.
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b along the last axis: (a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0)."""
+    a0, a1, a2 = np.moveaxis(a, -1, 0)
+    b0, b1, b2 = np.moveaxis(b, -1, 0)
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _norm(v: np.ndarray):
+    """The length sqrt((x x + y y) + z z) along the last axis; a scalar for one vector."""
+    square = v * v
+    return np.sqrt(square[..., 0] + square[..., 1] + square[..., 2])
 
 
 def surface_normal(patch: BezierPatch, u: float, v: float):
@@ -233,7 +251,7 @@ _SIDE_CODE = {side: k for k, side in enumerate(EdgeSide)}
 _SIDE_NAMES = tuple(side.value for side in EdgeSide)
 _SIDE_SLOTS = np.array([(0, 1, 2, 3), (12, 13, 14, 15), (0, 4, 8, 12), (3, 7, 11, 15)])
 _SIDE_FIXES_U = np.array([True, True, False, False])
-_SIDE_FIXED_AT = np.array([0.0, 1.0, 0.0, 1.0])
+_SIDE_FIXED_AT = np.array([0, 1, 0, 1])
 _NEIGHBOUR_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 
@@ -327,23 +345,27 @@ def continuity_measures(patches: Sequence[BezierPatch], records, n: int) -> np.n
     half = len(which) // 2
     gap = bernstein_weights_many(ts) @ (q[:half] - q[half:])  # (E, n+1, 3)
 
-    tau = np.where(flip[:, None], 1.0 - ts, ts)
-    fixed = _SIDE_FIXED_AT[side][:, None]
+    # Every u and v is one of the 2n+2 parameters ts and 1 - ts (the running
+    # parameter of a reversed edge); the fixed one, 0 or 1, is ts[0] or
+    # ts[n].  One table of (dB, B) rows over them; each edge gathers its own.
+    params = np.concatenate([ts, 1.0 - ts])
+    table = np.stack([bernstein_dweights_many(params), bernstein_weights_many(params)], axis=1)
+    tau = np.arange(n + 1) + (n + 1) * flip[:, None]
+    fixed = n * _SIDE_FIXED_AT[side][:, None]
     u, v = np.where(u_edge, fixed, tau), np.where(u_edge, tau, fixed)
     # Rows k = 0 weigh the grid by (dB(u), B(v)) for dP/du, rows k = 1 by
     # (B(u), dB(v)) for dP/dv; both partials of all edges in one product.
     shape = (len(which), 2 * (n + 1), 4)
-    wu = np.stack([bernstein_dweights_many(u), bernstein_weights_many(u)], axis=2).reshape(shape)
-    wv = np.stack([bernstein_weights_many(v), bernstein_dweights_many(v)], axis=2).reshape(shape)
+    wu, wv = table[u].reshape(shape), table[v, ::-1].reshape(shape)
     d = np.einsum("ecmj,emj->emc", wu[:, None] @ arr[which], wv).reshape(-1, n + 1, 2, 3)
     normal, ok = _unit_normals(d[:, :, 0], d[:, :, 1])
     transverse = np.where(u_edge[..., None], d[:, :, 0], d[:, :, 1])
     na, nb = normal[:half], normal[half:]
     # atan2 form stays accurate for nearly parallel normals where
     # arccos of the dot product would lose half the precision
-    angle = np.arctan2(np.linalg.norm(np.cross(na, nb), axis=-1), np.sum(na * nb, axis=-1))
-    c0 = np.max(np.linalg.norm(gap, axis=-1), axis=1)
-    c1 = np.max(np.linalg.norm(transverse[:half] - transverse[half:], axis=-1), axis=1)
+    angle = np.arctan2(_norm(_cross(na, nb)), np.sum(na * nb, axis=-1))
+    c0 = np.max(_norm(gap), axis=1)
+    c1 = np.max(_norm(transverse[:half] - transverse[half:]), axis=1)
     g1 = np.max(np.where(ok[:half] & ok[half:], angle, 0.0), axis=1)
     return np.stack([c0, c1, g1], axis=1)
 

@@ -36,6 +36,7 @@ from smartpatch.tessellation import (
     EdgeId,
     EdgeSide,
     _key_codes,
+    _record_array,
 )
 
 CORNER_SLOTS = ((0, 0), (0, 3), (3, 0), (3, 3))
@@ -501,6 +502,16 @@ def loop_vertex_normals(patch: BezierPatch, n: int, vertices, triangles) -> np.n
     return normals
 
 
+def numpy_unit_normals(du, dv):
+    """``tessellation._unit_normals`` in numpy's generic 3-vector routines,
+    np.cross and np.linalg.norm(..., axis=-1): its bits must be these."""
+    cross = np.cross(du, dv)
+    norm = np.linalg.norm(cross, axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1))
+    ok = norm > 1e-12 * scale
+    return cross / np.where(ok, norm, 1.0)[..., None], ok
+
+
 def per_patch_normals(patch: BezierPatch, n: int, vertices, triangles) -> np.ndarray:
     """Vertex normals of one patch's grid from its own partials and faces,
     the per-patch arithmetic ``tessellate_set`` must reproduce bit for bit."""
@@ -509,11 +520,7 @@ def per_patch_normals(patch: BezierPatch, n: int, vertices, triangles) -> np.nda
     a = patch.as_array
     du = np.moveaxis(dw @ (a @ w.T), 0, -1).reshape(-1, 3)
     dv = np.moveaxis(w @ (a @ dw.T), 0, -1).reshape(-1, 3)
-    cross = np.cross(du, dv)
-    norm = np.linalg.norm(cross, axis=-1)
-    scale = np.maximum(1.0, np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1))
-    ok = norm > 1e-12 * scale
-    normals = cross / np.where(ok, norm, 1.0)[:, None]
+    normals, ok = numpy_unit_normals(du, dv)
     if not ok.all():
         face_n = np.cross(
             vertices[triangles[:, 1]] - vertices[triangles[:, 0]],
@@ -560,6 +567,38 @@ def loop_continuity(a, edge_a: EdgeId, b, edge_b: EdgeId, n: int) -> tuple:
             angle = float(np.arctan2(np.linalg.norm(np.cross(na, nb)), np.dot(na, nb)))
             g1 = max(g1, angle)
     return c0, c1, g1
+
+
+def four_call_continuity(patches, records, n: int) -> np.ndarray:
+    """``continuity_measures`` with four Bernstein weight evaluations over
+    every (edge, sample) and numpy's np.cross and np.linalg.norm: its bits
+    must be these."""
+    arr = _patch_array(patches)
+    records = np.asarray(_record_array(records), dtype=np.intp)
+    which, side, flip = records.transpose(2, 1, 0).reshape(3, -1)
+    flip = flip.astype(bool)
+    slots = _SIDE_SLOTS[side]
+    slots[flip] = slots[flip, ::-1]
+    u_edge = np.array([True, True, False, False])[side][:, None]
+    ts = np.arange(n + 1) / n
+    q = arr.reshape(-1, 3, 16)[which[:, None], :, slots]
+    half = len(which) // 2
+    gap = bernstein_weights_many(ts) @ (q[:half] - q[half:])
+    tau = np.where(flip[:, None], 1.0 - ts, ts)
+    fixed = np.array([0.0, 1.0, 0.0, 1.0])[side][:, None]
+    u, v = np.where(u_edge, fixed, tau), np.where(u_edge, tau, fixed)
+    shape = (len(which), 2 * (n + 1), 4)
+    wu = np.stack([bernstein_dweights_many(u), bernstein_weights_many(u)], axis=2).reshape(shape)
+    wv = np.stack([bernstein_weights_many(v), bernstein_dweights_many(v)], axis=2).reshape(shape)
+    d = np.einsum("ecmj,emj->emc", wu[:, None] @ arr[which], wv).reshape(-1, n + 1, 2, 3)
+    normal, ok = numpy_unit_normals(d[:, :, 0], d[:, :, 1])
+    transverse = np.where(u_edge[..., None], d[:, :, 0], d[:, :, 1])
+    na, nb = normal[:half], normal[half:]
+    angle = np.arctan2(np.linalg.norm(np.cross(na, nb), axis=-1), np.sum(na * nb, axis=-1))
+    c0 = np.max(np.linalg.norm(gap, axis=-1), axis=1)
+    c1 = np.max(np.linalg.norm(transverse[:half] - transverse[half:], axis=-1), axis=1)
+    g1 = np.max(np.where(ok[:half] & ok[half:], angle, 0.0), axis=1)
+    return np.stack([c0, c1, g1], axis=1)
 
 
 def edge_points(arr: np.ndarray, side: EdgeSide) -> np.ndarray:

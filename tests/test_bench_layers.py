@@ -1,6 +1,6 @@
 """The per-layer benchmark script: its arguments, its record writer, and its
-set-up and operator children (the latter with 3 calls per operator).  No
-repair or I/O child runs here; each takes seconds."""
+set-up, geometry and operator children (the latter two with 1 and 3 calls
+per operation).  No repair or I/O child runs here; each takes seconds."""
 
 import importlib.util
 import json
@@ -118,6 +118,24 @@ def test_operators_child_reports_the_committed_operator_names():
     for column in committed.values():
         assert list(run["best"]) == list(column["calls"])
         assert bench_layers.operators_column([run]).keys() == column.keys() - {"note"}
+
+
+def test_geometry_child_reports_the_committed_row_names(tmp_path):
+    run = bench_layers.child(REPO_ROOT, bench_layers.GEOMETRY, "1", str(tmp_path))
+    committed = json.loads((REPO_ROOT / "BENCH_geometry.json").read_text())["columns"]
+    assert set(run) == {"best", "numpy"}
+    assert list(run["best"]) == [
+        "tessellate_set teapot n=16 normals",
+        "tessellate_set seed-10 teapot repaired n=16 normals",
+        "tessellate_set split n=4",
+        "continuity_measures teapot n=16",
+        "continuity_measures split n=4",
+    ]
+    assert all(0.0 < seconds < 1.0 for seconds in run["best"].values())
+    assert set(committed) == {"parent", "change"}
+    for column in committed.values():
+        assert list(run["best"]) == list(column["steps"])
+        assert bench_layers.geometry_column([run]).keys() == column.keys() - {"note"}
 
 
 def test_operators_column_summarises_microseconds_over_the_runs():

@@ -332,7 +332,7 @@ def several_blocks(lines):
 def test_exports_mixing_array_and_repr_values_match_the_oracles(rng):
     special = [0.0, -0.0, 1.0, -2.0, 0.5, 1e-300, -1e20, 2.0**53, 0.1, 1e-5, 1e16, 12345.0, 5e-324]
     patches = []
-    for k in range(2 * (io._BLOCK // 16) + 5):  # patch-set blocks hold _BLOCK // 16 patches
+    for k in range(2 * io._PATCH_BLOCK + 5):  # patch-set blocks hold _PATCH_BLOCK patches
         grid = rng.normal(size=(3, 4, 4)) * 10.0 ** rng.integers(-3, 6)
         grid.flat[rng.choice(48, 12, replace=False)] = rng.choice(special, 12)
         patches.append(BezierPatch(*grid))
@@ -717,7 +717,7 @@ def test_empty_blocks():
 
 
 def test_write_patchset_memory_stays_flat(tmp_path, teapot_path):
-    # the teapot split three times (2048 patches), written io._BLOCK // 16
+    # the teapot split three times (2048 patches), written io._PATCH_BLOCK
     # patches at a time: the peak is a block's worth (measured 0.50 MiB), not
     # the 2.4 MB text
     patches = read_newell(teapot_path).patches
@@ -737,8 +737,8 @@ def test_write_patchset_memory_stays_flat(tmp_path, teapot_path):
 
 def test_write_obj_memory_stays_flat(tmp_path, teapot_path):
     # 9248 vertices, normals and 16384 faces, written a block of io._BLOCK
-    # lines at a time: the peak is a block's worth (measured 0.37 MiB, the
-    # digit tables included), not the text
+    # lines at a time: the peak is a block's worth (measured 0.49 MiB at
+    # 2048 lines, the digit tables included), not the text
     mesh = tessellate_set(read_newell(teapot_path).patches, 16, with_normals=True)
     tracemalloc.start()
     try:
@@ -748,3 +748,24 @@ def test_write_obj_memory_stays_flat(tmp_path, teapot_path):
         tracemalloc.stop()
     assert (tmp_path / "teapot.obj").stat().st_size > 1_500_000
     assert peak < 0.6 * 2**20
+
+
+def test_write_obj_memory_does_not_grow_with_the_mesh(tmp_path, teapot_path):
+    # the teapot and its 2x2 de Casteljau split, both at n=16 with normals:
+    # 4x the lines, and a peak within 10% of the teapot's (measured 2.4%)
+    patches = read_newell(teapot_path).patches
+    split = [q for p in patches for q in split_patch(p)]
+    one = TriangleMesh([[0.5, 1.0, 2.0]], np.zeros((0, 3), dtype=int), [[0.0, 0.0, 1.0]])
+    write_obj(one, tmp_path / "one.obj")  # the digit tables are built once, outside the peaks
+    peaks, sizes = [], []
+    for k, ps in enumerate((patches, split)):
+        mesh = tessellate_set(ps, 16, with_normals=True)
+        tracemalloc.start()
+        try:
+            write_obj(mesh, tmp_path / f"{k}.obj")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((tmp_path / f"{k}.obj").stat().st_size)
+    assert sizes[1] > 3.5 * sizes[0]
+    assert peaks[1] <= 1.1 * peaks[0]

@@ -20,13 +20,18 @@ from smartpatch import (
 )
 from smartpatch.constraints import grid_scale
 from smartpatch.io import read_newell
+from smartpatch.patches import eval_patch_partials
 from smartpatch.tessellation import (
+    _SIDE_CODE,
     Adjacency,
     EdgeId,
     EdgeSide,
     TriangleMesh,
     _NEIGHBOUR_OFFSETS,
+    _adjacency,
+    _cross,
     _key_codes,
+    _norm,
     continuity_measures,
     edge_incidence,
     merge_meshes,
@@ -35,6 +40,7 @@ from smartpatch.tessellation import (
 from helpers import (
     bilinear_grid,
     edge_points,
+    four_call_continuity,
     height_field_patches,
     identity_plane_patch,
     key_codes_adjacency,
@@ -42,6 +48,7 @@ from helpers import (
     loop_edge_incidence,
     loop_triangles,
     loop_vertex_normals,
+    numpy_unit_normals,
     pairwise_adjacency,
     per_patch_normals,
     random_compliant_patch,
@@ -439,6 +446,111 @@ def test_surface_normal_matches_scalar_oracle(rng):
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.max(np.abs(got - want)) <= 1e-13
+
+
+# The teapot patches with a pole (a collapsed edge): the lid's top and the bottom.
+TEAPOT_POLES = (20, 21, 22, 23, 28, 29, 30, 31)
+
+
+def _vectors(rng, shape):
+    """Random 3-vectors over 150 decades (so no squared length of a cross
+    product overflows), with zeros of both signs among them."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-75, 75, shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    v[rng.random(shape) < 0.05] = -0.0
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(3,), (1, 3), (9, 3), (4, 5, 3), (2, 1, 3, 3)]))
+def test_cross_and_norm_kernels_are_numpys_bit_for_bit(seed, shape):
+    rng = np.random.default_rng(seed)
+    a, b = _vectors(rng, shape), _vectors(rng, shape)
+    if len(shape) > 1:
+        b[..., :1, :] = 2.0 * a[..., :1, :]  # parallel: every component a difference of equals
+    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    for v in (a, b, _cross(a, b)):
+        length = _norm(v)
+        assert np.shape(length) == shape[:-1]  # a scalar for one vector, as numpy's
+        assert length.tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+
+def test_surface_normal_is_the_numpy_form_bit_for_bit(rng, teapot_path):
+    # one (3,) sample: the kernels' 1-D case, whose squared length is a scalar
+    patches = [random_patch(rng) for _ in range(10)]
+    patches += [_collapsed_edge_patch(rng, side) for side in EdgeSide]
+    patches += read_newell(teapot_path).patches
+    params = list(itertools.product((0.0, 0.5, 1.0), repeat=2)) + list(rng.uniform(0, 1, (4, 2)))
+    degenerate = 0
+    for patch in patches:
+        for u, v in params:
+            _, du, dv = eval_patch_partials(patch, u, v)
+            want, ok = numpy_unit_normals(du, dv)
+            got = surface_normal(patch, u, v)
+            assert (got is None) == (not ok)
+            degenerate += got is None
+            if ok:
+                assert got.tobytes() == want.tobytes()
+    assert degenerate > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16),
+       pattern=st.sampled_from(list(TessPattern)))
+def test_set_normals_are_the_numpy_form_bit_for_bit(teapot_path, seed, n, pattern):
+    # random, collapsed-edge and teapot patches (a pole among them), so the
+    # face-average fallback runs in every draw
+    rng = np.random.default_rng(seed)
+    teapot = read_newell(teapot_path).patches
+    patches = [random_patch(rng) for _ in range(rng.integers(0, 3))]
+    patches += [_collapsed_edge_patch(rng, side) for side in rng.permutation(list(EdgeSide))[:2]]
+    patches += [teapot[k] for k in rng.choice(len(teapot), 3, replace=False)]
+    patches.append(teapot[rng.choice(TEAPOT_POLES)])
+    patches = [patches[k] for k in rng.permutation(len(patches))]
+    mesh = tessellate_set(patches, n, pattern, with_normals=True)
+    per_patch = (n + 1) ** 2
+    tris = loop_triangles(n, pattern)
+    oracle = [per_patch_normals(p, n, mesh.vertices[k * per_patch : (k + 1) * per_patch], tris)
+              for k, p in enumerate(patches)]
+    assert mesh.normals.tobytes() == np.concatenate(oracle).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 6), st.sampled_from(list(EdgeSide)), st.booleans(),
+            st.integers(0, 6), st.sampled_from(list(EdgeSide)), st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_continuity_measures_are_the_four_call_form_bit_for_bit(teapot_path, seed, n, picks):
+    rng = np.random.default_rng(seed)
+    teapot = read_newell(teapot_path).patches
+    patches = [random_patch(rng), random_patch(rng)]
+    patches += [_collapsed_edge_patch(rng, side) for side in rng.permutation(list(EdgeSide))[:2]]
+    patches += [teapot[k] for k in rng.choice(len(teapot), 2, replace=False)]
+    patches.append(teapot[rng.choice(TEAPOT_POLES)])
+    records = np.array([[(a, _SIDE_CODE[sa], ra), (b, _SIDE_CODE[sb], rb)]
+                        for a, sa, ra, b, sb, rb in picks])
+    for recs in (records, records[:, ::-1]):  # and each record's two edges swapped
+        want = four_call_continuity(patches, recs, n)
+        assert continuity_measures(patches, recs, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_teapot_continuity_is_the_four_call_form_bit_for_bit(teapot_path, n):
+    teapot = read_newell(teapot_path).points
+    records = _adjacency(teapot)
+    assert len(records) == 52 and records[..., 2].any()  # reversed edges among them
+    for recs in (records, records[:, ::-1]):
+        want = four_call_continuity(teapot, recs, n)
+        assert continuity_measures(teapot, recs, n).tobytes() == want.tobytes()
 
 
 def _random_edge_pair(rng):
