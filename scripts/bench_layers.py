@@ -13,16 +13,20 @@ thread, working directory ``ROOT_DIR`` and ``ROOT_DIR/src`` then
 order flipped every round.  Column LABEL of each file of ``LAYERS``, in the
 root of this script's checkout, is replaced; other labels' columns stay.
 
-Set-up times ``import numpy``, then ``import smartpatch`` and ``import
-smartpatch.cli`` on top of it, the exact derivation and certification every
-process pays before its first operation (``build_lambda``, ``bs_free_cells``,
-``resolve_inner_identity``), ``patches._conversion_matrices`` and the first
+Set-up times ``import numpy``, then ``import smartpatch`` and ``from
+smartpatch import constraints`` on top of it, the exact derivation and
+certification every process pays before its first operation
+(``build_lambda``, ``bs_free_cells``, ``resolve_inner_identity``), ``import
+smartpatch.cli``, ``patches._conversion_matrices`` and the first
 ``_pattern_rank`` (a patch whose 12 non-corner slots are 12 free variables).
+``probe_setup`` sums the steps from ``import smartpatch`` to the derivation:
+what ``bench/probe.py setup`` times, less ``import numpy``.
 ``gc.collect()`` runs before each step, so no step times a collection that
 the allocations of earlier steps set off.  With
 ``PYTHONDONTWRITEBYTECODE`` set (``dont_write_bytecode``), every import
-compiles smartpatch from source; ``compile_ms``, that share, is the min over
-the runs of one ``compile()`` of each module after the steps and an untimed one.
+compiles smartpatch from source; ``compile_ms``, that share, is per module
+the min over the runs of one ``compile()`` of its source after the steps and
+an untimed one.
 
 Joint repair and adjacency: ``repair_patches`` and ``detect_adjacency`` of
 the bundled teapot, the teapot split 2x2 by de Casteljau once, twice and
@@ -95,6 +99,7 @@ REPAIR_CALLS = 5
 REPAIR_SECONDS = 0.5
 RSS_SECONDS = 2.0
 DERIVATION = ("build_lambda", "bs_free_cells", "resolve_inner_identity")
+PROBE_SETUP = ("import smartpatch", "from smartpatch import constraints", *DERIVATION)
 STAGES = ("_variables", "_patch_ranks", "_assemble", "_factor", "_refine")
 ALTERNATED = "checkouts alternated with the order flipped every round; one BLAS thread"
 SPREAD = ("min_ms, median_ms and max_ms are the fastest, median and slowest of the runs' "
@@ -103,10 +108,10 @@ SPREAD = ("min_ms, median_ms and max_ms are the fastest, median and slowest of t
 
 # Every child starts with PRELUDE, fills ``result`` and ends with EPILOGUE,
 # which prints it as one JSON line with the smartpatch and numpy it ran on.
-# Before the set-up clock starts, only json, sys, time and the built-in gc
-# are imported.
+# Before the set-up clock starts, only sys, time and the built-in gc are
+# imported, so a step that imports json pays for it as bench/probe.py does.
 PRELUDE = r"""
-import json, sys, time
+import sys, time
 sys.path[:0] = ["src", "tests"]
 
 def timed(op):
@@ -131,8 +136,8 @@ def traced(op):
     return value, peak
 """
 EPILOGUE = r"""
-import smartpatch
-result.update(module=smartpatch.__file__, numpy=sys.modules["numpy"].__version__)
+import json, numpy, smartpatch
+result.update(module=smartpatch.__file__, numpy=numpy.__version__)
 print(json.dumps(result))
 """
 
@@ -144,21 +149,24 @@ def step(op):
     gc.collect()
     return timed(op)
 
-steps = {f"import {name}": step(lambda: __import__(name))
-         for name in ("numpy", "smartpatch", "smartpatch.cli")}
+steps = {f"import {name}": step(lambda: __import__(name)) for name in ("numpy", "smartpatch")}
+steps["from smartpatch import constraints"] = step(lambda: __import__("smartpatch.constraints"))
 from smartpatch import constraints, patches
 for name, call in (
     ("build_lambda", constraints.build_lambda),
     ("bs_free_cells", constraints.bs_free_cells),
     ("resolve_inner_identity", constraints.resolve_inner_identity),
+    ("import smartpatch.cli", lambda: __import__("smartpatch.cli")),
     ("patches._conversion_matrices", patches._conversion_matrices),
     ("first _pattern_rank", lambda: constraints._pattern_rank(tuple(range(12)))),
 ):
     steps[name] = step(call)
 from pathlib import Path
-sources = [(p, p.read_text()) for p in sorted(Path("src/smartpatch").glob("*.py"))]
-compile_all = lambda: [compile(text, str(p), "exec", dont_inherit=True) for p, text in sources]
-result = {"steps": steps, "compile_s": best(compile_all, 1),
+compile_s = {}
+for path in sorted(Path("src/smartpatch").glob("*.py")):
+    text = path.read_text()
+    compile_s[path.name] = best(lambda: compile(text, str(path), "exec", dont_inherit=True), 1)
+result = {"steps": steps, "compile_s": compile_s,
           "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 """
 
@@ -392,7 +400,9 @@ def setup_column(runs: list) -> dict:
         "dont_write_bytecode": runs[0]["dont_write_bytecode"],
         "steps": {name: summary([r["steps"][name] for r in runs]) for name in runs[0]["steps"]},
         "exact_derivation": summary([sum(r["steps"][s] for s in DERIVATION) for r in runs]),
-        "compile_ms": round(1e3 * min(r["compile_s"] for r in runs), 3),
+        "probe_setup": summary([sum(r["steps"][s] for s in PROBE_SETUP) for r in runs]),
+        "compile_ms": {name: round(1e3 * min(r["compile_s"][name] for r in runs), 3)
+                       for name in runs[0]["compile_s"]},
     }
 
 
@@ -444,7 +454,9 @@ LAYERS = {
         f"fresh interpreter per run, steps timed in order with perf_counter after a "
         f"gc.collect() each; {SETUP_RUNS} runs per checkout after one untimed run, "
         f"{ALTERNATED}; min, median and max per step; "
-        f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run; {SPREAD}"),
+        f"exact_derivation is the sum of {', '.join(DERIVATION)} within each run, "
+        f"probe_setup that of {', '.join(PROBE_SETUP)}; compile_ms per module is the min over "
+        f"the runs of one compile() of its source; {SPREAD}"),
     "BENCH_repair.json": (
         REPAIR_RUNS,
         lambda root: child(root, REPAIR, str(REPAIR_CALLS), str(REPAIR_SECONDS), *STAGES),

@@ -21,8 +21,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import _BB_ROWS, _T_ROWS, BezierPatch, _frozen, _patch_array, _shaped
-from .tessellation import _SIDE_SLOTS, _key_codes
+from .patches import (_BB_ROWS, _SIDE_SLOTS, _T_ROWS, BezierPatch, _frozen, _key_codes,
+                      _patch_array, _shaped)
 
 DEFAULT_TOL = 1e-9
 
@@ -103,11 +103,6 @@ class Poly:
             if abs(c) > tol * scale:
                 return self.nominal_degree - k
         return 0
-
-
-def grid_scale(g) -> float:
-    """Relative-residual scale for a grid: max(1, max |value|)."""
-    return max(1.0, float(np.max(np.abs(np.asarray(g, dtype=float)))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -580,7 +575,7 @@ def _variables(pts: np.ndarray):
     """The variable of each of the (n, 16) slots of ``pts``, and which variables are fixed.
 
     Boundary slots with bit-identical coordinates (the ranks of their
-    ``_key_codes``, without starts) name one variable, inner slots are
+    ``patches._key_codes``, without starts) name one variable, inner slots are
     private to their patch, and corner variables are fixed.
     """
     n = len(pts)

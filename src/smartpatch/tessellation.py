@@ -10,7 +10,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .patches import (
+    _SIDE_SLOTS,
     BezierPatch,
+    _key_codes,
     _patch_array,
     bernstein_dweights_many,
     bernstein_weights_many,
@@ -244,12 +246,10 @@ def edge_incidence(mesh: TriangleMesh) -> Counter:
 # ---------------------------------------------------------------------------
 # Edges and continuity
 
-# Per side, in EdgeSide order: the row-major grid slots 4i + j of its four
-# control points in traversal order, whether u is its fixed parameter, and
-# the fixed parameter's value.
+# Per side, in EdgeSide order (the rows of ``patches._SIDE_SLOTS``): whether
+# u is its fixed parameter, and the fixed parameter's value.
 _SIDE_CODE = {side: k for k, side in enumerate(EdgeSide)}
 _SIDE_NAMES = tuple(side.value for side in EdgeSide)
-_SIDE_SLOTS = np.array([(0, 1, 2, 3), (12, 13, 14, 15), (0, 4, 8, 12), (3, 7, 11, 15)])
 _SIDE_FIXES_U = np.array([True, True, False, False])
 _SIDE_FIXED_AT = np.array([0, 1, 0, 1])
 _NEIGHBOUR_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
@@ -368,49 +368,6 @@ def continuity_measures(patches: Sequence[BezierPatch], records, n: int) -> np.n
     c1 = np.max(_norm(transverse[:half] - transverse[half:]), axis=1)
     g1 = np.max(np.where(ok[:half] & ok[half:], angle, 0.0), axis=1)
     return np.stack([c0, c1, g1], axis=1)
-
-
-def _key_codes(table: np.ndarray, starts: Optional[np.ndarray] = None):
-    """int64 codes of the rows of the (N, 3) ``table``, and with (M, 3)
-    int64 ``starts`` also the (M, 27) codes of each start's neighbours
-    ``start + offset``, offsets in ``_NEIGHBOUR_OFFSETS`` order.  Equal
-    rows have equal codes, and a neighbour's code equals a table row's
-    exactly when the two rows are equal; it is -1 when its value on some
-    axis, or its first two values together, are in no table row.
-
-    Codes ascend with the rows' lexicographic order and rows compare by
-    ``==`` (0.0 equals -0.0), so the codes' np.unique ranks are the ids of
-    ``np.unique(table, axis=0, return_inverse=True)``.  Per axis each
-    column is replaced by its rank among its values, and the partial codes
-    are re-ranked before the third axis, so no code reaches N^2 whatever
-    the keys' range.  Each start's three neighbouring values are looked up
-    in the same ranks (``_rank_of``) and folded in, broadcast over the
-    offsets of the axes so far.
-    """
-    codes = np.zeros(len(table), dtype=np.int64)
-    if starts is not None:
-        near, miss = np.zeros((len(starts), 1), np.int64), np.zeros((len(starts), 1), bool)
-    for axis, column in enumerate(table.T):
-        if axis > 1:
-            ranked, codes = np.unique(codes, return_inverse=True)
-            if starts is not None:
-                near, absent = _rank_of(ranked, near)
-                miss |= absent
-        values, rank = np.unique(column, return_inverse=True)
-        codes = codes * len(values) + rank
-        if starts is not None:
-            rank, absent = _rank_of(values, starts[:, axis, None] + np.arange(-1, 2))  # (M, 3)
-            shape = (len(starts), 3 ** (axis + 1))
-            near = (near[..., None] * len(values) + rank[:, None]).reshape(shape)
-            miss = (miss[..., None] | absent[:, None]).reshape(shape)
-    return codes if starts is None else (codes, np.where(miss, -1, near))
-
-
-def _rank_of(ranked: np.ndarray, values: np.ndarray):
-    """The position of each of ``values`` in the sorted array ``ranked``,
-    and the mask of the values that are not in it."""
-    rank = np.searchsorted(ranked, values)
-    return rank, ranked[np.minimum(rank, len(ranked) - 1)] != values
 
 
 def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:

@@ -12,15 +12,16 @@ from smartpatch.constraints import (
     NONCORNER_INDICES,
     DiagonalKind,
     RepairResult,
-    grid_scale,
     repair_patches,
 )
 from smartpatch.io import PatchFormatError, PatchSet, read_newell
 from smartpatch.patches import (
     _BB_ROWS,
+    _SIDE_SLOTS,
     _T_ROWS,
     _check_param,
     _conversion_matrices,
+    _key_codes,
     _patch_array,
     as_grid,
     bernstein_dweights_many,
@@ -31,11 +32,9 @@ from smartpatch.patches import (
 from smartpatch.tessellation import (
     _NEIGHBOUR_OFFSETS,
     _SIDE_CODE,
-    _SIDE_SLOTS,
     Adjacency,
     EdgeId,
     EdgeSide,
-    _key_codes,
     _record_array,
 )
 
@@ -43,6 +42,11 @@ CORNER_SLOTS = ((0, 0), (0, 3), (3, 0), (3, 3))
 NONCORNER_SLOTS = tuple(
     (i, j) for i in range(4) for j in range(4) if (i, j) not in CORNER_SLOTS
 )
+
+
+def grid_scale(g) -> float:
+    """Relative-residual scale for a grid, the tests' tolerance unit: max(1, max |value|)."""
+    return max(1.0, float(np.max(np.abs(np.asarray(g, dtype=float)))))
 
 
 def bilinear_grid(c00, c01, c10, c11) -> np.ndarray:

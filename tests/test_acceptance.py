@@ -28,7 +28,7 @@ from smartpatch import (
     surface_normal,
     tessellate,
 )
-from smartpatch.constraints import LAMBDA_REFERENCE, grid_scale
+from smartpatch.constraints import LAMBDA_REFERENCE
 from smartpatch.io import read_newell
 from smartpatch.linalg import RationalMatrix
 from smartpatch.tessellation import (
@@ -39,7 +39,7 @@ from smartpatch.tessellation import (
     edge_incidence,
 )
 
-from helpers import CORNER_SLOTS, hs_consistent_grid, random_patch, shared_edge_pair
+from helpers import CORNER_SLOTS, grid_scale, hs_consistent_grid, random_patch, shared_edge_pair
 
 
 @contextmanager

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from smartpatch import BezierPatch, DiagonalKind, PatchSet, bs_residuals, repair_patches
 from smartpatch import cli, constraints
 from smartpatch.cli import _nonfinite_field, main
-from smartpatch.constraints import grid_scale
 from smartpatch.io import dump_patchset, read_newell, read_patchset, write_patchset
 from smartpatch.patches import _conversion_matrices, _convert
 from smartpatch.tessellation import TessPattern, detect_adjacency, merge_meshes, tessellate
 
 from helpers import (
     bilinear_grid,
+    grid_scale,
     hs_consistent_grid,
     loop_export_obj,
     newell_text,

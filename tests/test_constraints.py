@@ -35,7 +35,6 @@ from smartpatch.constraints import (
     _diagonal_coefficients,
     _collapse_exact,
     _level_sets,
-    grid_scale,
 )
 from smartpatch import cli, constraints
 from smartpatch.linalg import RationalMatrix
@@ -52,6 +51,7 @@ from helpers import (
     dense_repair_patches,
     dense_system,
     diagonal_matrix,
+    grid_scale,
     height_field_patches,
     hs_alpha_beta,
     hs_consistent_grid,

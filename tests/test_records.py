@@ -224,3 +224,37 @@ def test_importing_the_cli_does_not_import_dataclasses():
     module, imported = proc.stdout.split()
     assert Path(module) == REPO_ROOT / "src" / "smartpatch" / "__init__.py"
     assert imported == "False"
+
+
+def test_importing_the_package_and_deriving_loads_only_the_kernel():
+    code = ("import sys, smartpatch\n"
+            "listed = set(smartpatch.__all__) <= set(dir(smartpatch))\n"
+            "smartpatch.build_lambda()\n"
+            "print(smartpatch.__file__, listed, 'json' in sys.modules,\n"
+            "      *sorted(m for m in sys.modules if m.startswith('smartpatch')))")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], cwd=REPO_ROOT,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    module, listed, json_loaded, *loaded = proc.stdout.split()
+    assert Path(module) == REPO_ROOT / "src" / "smartpatch" / "__init__.py"
+    assert listed == "True" and json_loaded == "False"
+    assert loaded == ["smartpatch", "smartpatch.constraints", "smartpatch.linalg",
+                      "smartpatch.patches"]
+
+
+def test_every_public_name_resolves_to_its_module_attribute():
+    names = smartpatch.__all__
+    assert len(set(names)) == len(names) == 37
+    for name in names:
+        value = getattr(smartpatch, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+    star = {}
+    exec("from smartpatch import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
+    assert set(names) <= set(dir(smartpatch)) and smartpatch.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="module 'smartpatch' has no attribute 'grid_scale'"):
+        smartpatch.grid_scale
+    with pytest.raises(ImportError, match="cannot import name 'grid_scale' from 'smartpatch'"):
+        from smartpatch import grid_scale  # noqa: F401

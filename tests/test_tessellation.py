@@ -18,9 +18,8 @@ from smartpatch import (
     tessellate,
     tessellate_set,
 )
-from smartpatch.constraints import grid_scale
 from smartpatch.io import read_newell
-from smartpatch.patches import eval_patch_partials
+from smartpatch.patches import _key_codes, eval_patch_partials
 from smartpatch.tessellation import (
     _SIDE_CODE,
     Adjacency,
@@ -30,7 +29,6 @@ from smartpatch.tessellation import (
     _NEIGHBOUR_OFFSETS,
     _adjacency,
     _cross,
-    _key_codes,
     _norm,
     continuity_measures,
     edge_incidence,
@@ -41,6 +39,7 @@ from helpers import (
     bilinear_grid,
     edge_points,
     four_call_continuity,
+    grid_scale,
     height_field_patches,
     identity_plane_patch,
     key_codes_adjacency,
