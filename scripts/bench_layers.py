@@ -17,8 +17,7 @@ Set-up times ``import numpy``, then ``import smartpatch`` and ``from
 smartpatch import constraints`` on top of it, the exact derivation and
 certification every process pays before its first operation
 (``build_lambda``, ``bs_free_cells``, ``resolve_inner_identity``), ``import
-smartpatch.cli``, ``patches._conversion_matrices`` and the first
-``_pattern_rank`` (a patch whose 12 non-corner slots are 12 free variables).
+smartpatch.cli`` and ``patches._conversion_matrices``.
 ``probe_setup`` sums the steps from ``import smartpatch`` to the derivation:
 what ``bench/probe.py setup`` times, less ``import numpy``.
 ``gc.collect()`` runs before each step, so no step times a collection that
@@ -33,7 +32,7 @@ the bundled teapot, the teapot split 2x2 by de Casteljau once, twice and
 three times, and seeded k x k height fields (one connected component of k^2
 patches) for k = 8, 16, 24, 32, 48.  Each operation is timed over at least
 REPAIR_CALLS calls and at least REPAIR_SECONDS of calls, so the small inputs
-get hundreds of calls.  The untimed call also fills the exact-rank caches;
+get hundreds of calls.  The untimed call also fills the caches;
 tracemalloc counts numpy's arrays too.  Apart from those timed, the same
 number of staged calls per input clocks each of repair's stage functions
 (``STAGES``) that the checkout's ``constraints`` module has, and the whole
@@ -158,7 +157,6 @@ for name, call in (
     ("resolve_inner_identity", constraints.resolve_inner_identity),
     ("import smartpatch.cli", lambda: __import__("smartpatch.cli")),
     ("patches._conversion_matrices", patches._conversion_matrices),
-    ("first _pattern_rank", lambda: constraints._pattern_rank(tuple(range(12)))),
 ):
     steps[name] = step(call)
 from pathlib import Path

@@ -44,6 +44,8 @@ NONCORNER_INDICES = tuple(k for k in range(16) if k not in CORNER_INDICES)
 _CORNERS = np.array(CORNER_INDICES)
 _NONCORNERS = np.array(NONCORNER_INDICES)
 _CORNERS.flags.writeable = _NONCORNERS.flags.writeable = False
+_BOUNDARY = sorted(set(_SIDE_SLOTS.ravel().tolist()))  # the 12 slots on some side
+_INNER = [k for k in range(16) if k not in _BOUNDARY]
 
 # Independently tabulated copy of the 6x16 constraint matrix.  The build
 # derives its own matrix from the basis matrices and must reproduce this
@@ -168,6 +170,7 @@ class ConstraintSystem(NamedTuple):
     given_idx: np.ndarray       # the 11 positions in vec(grid) that solve_f copies
     reduced_f: np.ndarray       # 5 x 16: reduced system residual of vec(grid)
     gain_f: np.ndarray          # 12 x 5
+    boundary_row: np.ndarray    # 16 ints: the left null row of reduced_f's inner columns
 
 
 @functools.lru_cache(maxsize=1)
@@ -176,8 +179,8 @@ def build_lambda() -> ConstraintSystem:
 
     The derived matrix must match the reference table and have rank 5; the
     corner system must be solvable for every corner choice, and the
-    solution and projection maps must pass _certify.  Any failure raises
-    DerivationError.
+    solution and projection maps must pass _certify, and the reduced rows
+    must have rank 4 on the inner slots.  Any failure raises DerivationError.
     """
     lam_q = _lambda_exact()
     reference = RationalMatrix(LAMBDA_REFERENCE)
@@ -212,15 +215,14 @@ def build_lambda() -> ConstraintSystem:
     gram_inv = (reduced @ reduced.transpose()).inverse()
     gain = reduced.transpose() @ gram_inv
     _certify(reduced, rhs, particular, homogeneous, gain)
+    slots = reduced.hstack(-rhs).take_cols(np.argsort(NONCORNER_INDICES + CORNER_INDICES))
+    boundary_row = _boundary_row(slots)
 
     solve_f = np.zeros((16, 11))
     solve_f[_CORNERS, :4] = np.eye(4)
     solve_f[_NONCORNERS] = particular.hstack(homogeneous).to_float()
-    reduced_f = np.zeros((5, 16))
-    reduced_f[:, _NONCORNERS] = reduced.to_float()
-    reduced_f[:, _CORNERS] = -rhs.to_float()
     given_idx = np.array([*CORNER_INDICES, *(NONCORNER_INDICES[f] for f in free)])
-    for m in (solve_f, reduced_f, given_idx):
+    for m in (solve_f, given_idx, boundary_row):
         m.flags.writeable = False
     return ConstraintSystem(
         lam=lam_q.to_float(),
@@ -235,8 +237,9 @@ def build_lambda() -> ConstraintSystem:
         gain=gain,
         solve_f=solve_f,
         given_idx=given_idx,
-        reduced_f=reduced_f,
+        reduced_f=slots.to_float(),
         gain_f=gain.to_float(),
+        boundary_row=boundary_row,
     )
 
 
@@ -251,6 +254,22 @@ def _certify(reduced, rhs, particular, homogeneous, gain) -> None:
         raise DerivationError("homogeneous solutions leave the reduced system's null space")
     if reduced @ gain != RationalMatrix.identity(reduced.rows):
         raise DerivationError("projection gain is not a right inverse of the reduced system")
+
+
+def _boundary_row(slots) -> np.ndarray:
+    """The one left null row of the reduced rows' inner columns, as coprime integers.
+
+    ``slots`` is the exact reduced system over the 16 slots of vec(grid);
+    its inner columns must have rank 4.  ``_patch_ranks`` reads the row."""
+    inner, rank, pivots = slots.take_cols(_INNER).transpose().rref()
+    if rank != 4:
+        raise DerivationError(f"reduced rows have rank {rank} on the inner slots, expected 4")
+    (free,) = set(range(slots.rows)) - set(pivots)
+    null = [inner.denominator if r == free else 0 for r in range(slots.rows)]
+    for row, p in zip(inner.numerators, pivots):
+        null[p] = -row[free]
+    weights = (RationalMatrix._from_ints([null], 1) @ slots).numerators[0]
+    return np.array(weights) // math.gcd(*weights)
 
 
 def bs_free_cells() -> tuple:
@@ -445,8 +464,6 @@ class RepairResult(NamedTuple):
         return [BezierPatch._of(row) for row in self.points]
 
 
-_BOUNDARY = sorted(set(_SIDE_SLOTS.ravel().tolist()))  # the 12 slots on some side
-_INNER = [k for k in range(16) if k not in _BOUNDARY]
 _REFINEMENT_STEPS = 3
 
 
@@ -531,44 +548,23 @@ def _level_sets(a: np.ndarray, b: np.ndarray, comp: np.ndarray, roots: np.ndarra
     return level
 
 
-@functools.lru_cache(maxsize=256)
-def _pattern_rank(pattern: tuple) -> int:
-    """Exact rank of one patch's reduced rows over its free variables.
-
-    ``pattern`` holds, for each of the 12 non-corner slots, -1 when the slot
-    is on a fixed variable, else the first non-corner slot of the patch on
-    the same variable.  A free variable's column is the sum of its slots'
-    columns of the certified reduced system.
-    """
-    reduced = build_lambda().reduced
-    columns = {}
-    for k, first in enumerate(pattern):
-        if first >= 0:
-            col = columns.setdefault(first, [0] * reduced.rows)
-            for r, row in enumerate(reduced.numerators):
-                col[r] += row[k]
-    # the numerators are the rows scaled by one common denominator: same rank
-    return RationalMatrix(list(columns.values())).rank() if columns else 0
-
-
 def _patch_ranks(slot_var, fixed, comp, needed) -> None:
     """Raise RepairError on the first ``needed`` component holding a patch whose
     five reduced rows have exact rank below 5 over its own free variables.
 
-    Patches with the same coincidence pattern share one cached rank."""
-    var = slot_var[needed[comp]][:, _NONCORNERS]
-    first = np.argmax(var[:, :, None] == var[:, None, :], axis=2)
-    pattern = np.where(fixed[var], -1, first)
-    code = (pattern + 1) @ 13 ** np.arange(12)  # one int64 per pattern, digits -1..11
-    _, index, which = np.unique(code, return_index=True, return_inverse=True)
-    ranks = np.array([_pattern_rank(tuple(p)) for p in pattern[index].tolist()])
-    rank = np.full(len(comp), 5)
-    rank[needed[comp]] = ranks[which]
-    if (rank < 5).any():
-        c = comp[rank < 5].min()
-        p = np.flatnonzero((rank < 5) & (comp == c))[0]
+    A patch's inner slots are private and free, and its rows have rank 4 on
+    them, so its rank is 5 exactly when the certified ``boundary_row``,
+    summed per free variable of the patch, is not all 0, and 4 otherwise."""
+    row = build_lambda().boundary_row
+    slots = np.flatnonzero(row)
+    var = slot_var[:, slots]
+    sums = (var[:, :, None] == var[:, None, :]) @ row[slots]  # per slot: its variable's sum
+    deficient = needed[comp] & ~((sums != 0) & ~fixed[var]).any(axis=1)
+    if deficient.any():
+        c = comp[deficient].min()
+        p = np.flatnonzero(deficient & (comp == c))[0]
         raise RepairError(np.flatnonzero(comp == c), f"is rank-deficient: patch {p}'s five "
-                          f"constraint rows have exact rank {rank[p]} over its free variables")
+                          "constraint rows have exact rank 4 over its free variables")
 
 
 def _variables(pts: np.ndarray):

@@ -538,19 +538,54 @@ def test_certification_rejects_a_perturbed_map(monkeypatch):
         build_lambda.__wrapped__()
 
 
-def test_run_time_operators_build_no_rational_matrices(monkeypatch, rng):
+def test_boundary_row_is_the_left_null_row_of_the_inner_columns():
+    row = build_lambda().boundary_row
+    expect = np.array([-2, 3, -3, 2, 3, 0, 0, -3, -3, 0, 0, 3, 2, -3, 3, -2])
+    assert row.dtype.kind == "i" and not row.flags.writeable
+    assert row[0] != 0 and np.array_equal(row, row[0] // expect[0] * expect)
+    assert not row[[5, 6, 9, 10]].any()
+    # a combination of the constraint rows: appending it keeps their rank
+    assert RationalMatrix([*LAMBDA_REFERENCE, row.tolist()]).rank() == 5
+
+
+def test_certification_rejects_a_lower_rank_on_the_inner_slots(monkeypatch):
+    rref = RationalMatrix.rref
+
+    def lowered(m):
+        # the inner columns' certificate is the derivation's only 4-row elimination
+        out, rank, pivots = rref(m)
+        return (out, rank - 1, pivots[:-1]) if m.rows == 4 else (out, rank, pivots)
+
+    monkeypatch.setattr(RationalMatrix, "rref", lowered)
+    with pytest.raises(DerivationError, match="rank 3 on the inner slots, expected 4"):
+        build_lambda.__wrapped__()
+
+
+def test_run_time_operators_build_no_rational_matrices(monkeypatch, rng, teapot_path):
     build_lambda()
+    teapot = read_newell(teapot_path).patches
+    coincident = [_coincident_boundary_patch(rng) for _ in range(100)]
 
     def forbidden(*args):
-        raise AssertionError("RationalMatrix built on a run-time path")
+        raise AssertionError("RationalMatrix built or reduced on a run-time path")
 
     # every construction goes through one of the two
     monkeypatch.setattr(RationalMatrix, "__init__", forbidden)
     monkeypatch.setattr(RationalMatrix, "_from_ints", forbidden)
+    monkeypatch.setattr(RationalMatrix, "rref", forbidden)
     g = rng.uniform(-10, 10, (4, 4))
     assert not bs_residuals(g).compliant
     assert bs_residuals(bs_project(g)).compliant
     assert bs_residuals(bs_solve(rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 7))).compliant
+    assert repair_patches(teapot).residual <= 1e-13
+    deficient = 0
+    for patch in coincident:
+        try:
+            repair_patches([patch])
+        except RepairError as exc:
+            assert "exact rank 4" in str(exc)
+            deficient += 1
+    assert 0 < deficient < len(coincident)
 
 
 def test_solution_family_has_dimension_seven():
@@ -993,9 +1028,10 @@ def test_structural_rank_deficiency_is_decided_before_factoring(rng, monkeypatch
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    deficient = 0
+    deficient, drawn = 0, []
     for _ in range(400):
         patch = _coincident_boundary_patch(rng)
+        drawn.append(patch)
         factorizations.clear()
         if _exact_rank_over_free_variables(patch) < 5:
             deficient += 1
@@ -1008,6 +1044,18 @@ def test_structural_rank_deficiency_is_decided_before_factoring(rng, monkeypatch
             assert result.residual <= 1e-9  # compliant at the default tolerance
             assert len(factorizations) == 1
     assert deficient >= 10
+    # As one set, offset so that no point is shared and starting at a patch of
+    # full rank, the error names the first patch the oracle calls deficient.
+    patches = [q for k, p in enumerate(drawn) for q in shifted([p], 100.0 * k)]
+    low = [_exact_rank_over_free_variables(p) < 5 for p in patches]
+    patches, low = patches[low.index(False):], low[low.index(False):]
+    first = low.index(True)
+    factorizations.clear()
+    with pytest.raises(RepairError, match=f"patch {first}'s five constraint rows have "
+                                          "exact rank 4") as exc:
+        repair_patches(patches)
+    assert exc.value.patches == (first,)
+    assert factorizations == []
 
 
 def test_repair_error_names_only_the_failing_component(rng):
@@ -1118,12 +1166,13 @@ def _constant_patch() -> BezierPatch:
 
 
 def test_compliant_degenerate_patch_repairs_untouched(monkeypatch):
-    # all 16 points on one fixed variable: the patch's rows have exact rank 0
-    # over its four free inner points, but it needs no correction
+    # all 12 boundary points on one fixed variable: the patch's rows have exact
+    # rank 4 over its four private inner points, but it needs no correction
     factorizations = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(a) or cholesky(a))
     patch = _constant_patch()
+    assert _exact_rank_over_free_variables(patch) == 4
     result = repair_patches([patch])
     assert factorizations == []
     assert np.array_equal(result.patches[0].as_array, patch.as_array)
