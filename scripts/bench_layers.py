@@ -71,7 +71,10 @@ Operators: one call of each per-grid operator that the ``grids`` benchmark
 workload times (``OPERATORS``), on seeded grids and draws: ``bs_residuals``,
 ``bs_project``, ``bs_solve``, ``bs_inner_identity``, ``BezierPatch(x, y, z)``,
 ``bezier_to_hermite`` and ``hermite_to_bezier``, each the fastest of
-OPERATOR_CALLS timed calls, in microseconds.
+OPERATOR_CALLS timed calls, in microseconds.  Two more rows give the grids
+as nested lists, which take the general path that every input other than a
+float64 ndarray of the right shape takes: ``bs_residuals`` of a list of
+lists and ``BezierPatch`` of three.
 """
 
 import argparse
@@ -338,12 +341,15 @@ grid, (x, y, z) = rng.uniform(-10, 10, (4, 4)), rng.uniform(-10, 10, (3, 4, 4))
 corners, free = rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 7)
 projected, bezier = bs_project(grid), BezierPatch(x, y, z)
 hermite = bezier_to_hermite(bezier)
+grid_rows, xyz_rows = grid.tolist(), (x.tolist(), y.tolist(), z.tolist())
 ops = {
     "bs_residuals": lambda: bs_residuals(grid),
+    "bs_residuals(list of lists)": lambda: bs_residuals(grid_rows),
     "bs_project": lambda: bs_project(grid),
     "bs_solve": lambda: bs_solve(corners, free),
     "bs_inner_identity": lambda: bs_inner_identity(projected),
     "BezierPatch(x, y, z)": lambda: BezierPatch(x, y, z),
+    "BezierPatch(x, y, z lists)": lambda: BezierPatch(*xyz_rows),
     "bezier_to_hermite": lambda: bezier_to_hermite(bezier),
     "hermite_to_bezier": lambda: hermite_to_bezier(hermite),
 }

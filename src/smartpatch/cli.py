@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constraints, io, tessellation
 from .constraints import DerivationError, RepairError
-from .patches import DomainError, _convert
+from .patches import DomainError, _checked_tol, _convert
 
 EXIT_OK = 0
 EXIT_NONCOMPLIANT = 1
@@ -470,11 +470,13 @@ def cmd_teapot(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite number >= 0."""
+    """argparse type of --tol: a finite number >= 0 (``patches._checked_tol``)."""
     value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
-    return value
+    try:
+        return _checked_tol(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {text!r}") from None
 
 
 def _count(minimum: int):

@@ -21,8 +21,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import (_BB_ROWS, _SIDE_SLOTS, _T_ROWS, BezierPatch, _frozen, _key_codes,
-                      _patch_array, _shaped)
+from .patches import (_BB_ROWS, _SIDE_SLOTS, _T_ROWS, BezierPatch, _checked_tol, _exact,
+                      _frozen, _key_codes, _patch_array, _shaped)
 
 DEFAULT_TOL = 1e-9
 
@@ -34,6 +34,10 @@ class DerivationError(RuntimeError):
 class DiagonalKind(Enum):
     MAIN = "main"  # v = u
     ANTI = "anti"  # v = 1 - u
+
+    # A member equals only itself, so it hashes by identity, in C, not by
+    # Enum's hash of its name in Python: every report keys a dict by both.
+    __hash__ = object.__hash__
 
 
 # Corner positions within the row-major 16-vector of a grid, and the
@@ -277,6 +281,13 @@ def bs_free_cells() -> tuple:
     return tuple(divmod(NONCORNER_INDICES[f], 4) for f in build_lambda().solver_free_cols)
 
 
+def _nan_max(magnitudes) -> float:
+    """max(magnitudes), or nan when one of them is nan, where max() may drop
+    it: the sum of values >= 0 is nan exactly then."""
+    total = sum(magnitudes)
+    return max(magnitudes) if total == total else math.nan
+
+
 class DiagonalResiduals(NamedTuple):
     """Leading collapsed-diagonal coefficients that must vanish."""
 
@@ -287,7 +298,7 @@ class DiagonalResiduals(NamedTuple):
 
     @property
     def max_rel(self) -> float:
-        return float(np.max(self.rel))  # nan when one is nan, where max() may drop it
+        return _nan_max(self.rel)
 
 
 class ConstraintReport(NamedTuple):
@@ -297,8 +308,16 @@ class ConstraintReport(NamedTuple):
     tolerance_used: float
 
 
+# bs_residuals builds its records with tuple.__new__, as a NamedTuple's own
+# __new__ does, keyed by the members read once here.
+_tuple_new = tuple.__new__
+_MAIN, _ANTI = DiagonalKind.MAIN, DiagonalKind.ANTI
+
+
 def _vec(g) -> np.ndarray:
     """Row-major 16-vector of one 4x4 coordinate grid."""
+    if _exact(g, (4, 4)):
+        return g.reshape(16)
     return _shaped(g, (4, 4), "grid must be 4x4, got {}", np.asarray).reshape(-1)
 
 
@@ -323,18 +342,28 @@ def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     The six leading diagonal coefficients, read as the certified constraint
     matrix applied to the grid, are reported relative to
     max(1, max |grid value|); the grid complies when the largest relative
-    magnitude stays within ``tol``.  The one-grid case of the set-wide
-    coefficients that validation reads.
+    magnitude stays within ``tol``, a finite number >= 0 (else ValueError).
+    The one-grid case of the set-wide coefficients that validation reads.
     """
-    coeffs, scale = _diagonal_coefficients(_vec(g))
-    values, scale = coeffs.tolist(), float(scale)
-    rel = [abs(v) / scale for v in values]  # the division numpy does, on six floats
-    worst = max(rel) if all(r == r for r in rel) else math.nan  # max() may drop a nan
-    return ConstraintReport(
-        {DiagonalKind.MAIN: DiagonalResiduals(*values[:3], tuple(rel[:3])),
-         DiagonalKind.ANTI: DiagonalResiduals(*values[3:], tuple(rel[3:]))},
+    tol = _checked_tol(tol)
+    flat = _vec(g)
+    # _diagonal_coefficients' stacked product, so the values are a set's bit for bit
+    m6, m5, m4, a6, a5, a4 = (build_lambda().lam @ flat[..., None]).ravel().tolist()
+    x = flat.tolist()
+    total = sum(x)  # nan exactly when some value is nan, or both infinities are there
+    if total == total:  # max(1, max |value|) from the least and the greatest value
+        x.sort()
+        scale = max(1.0, x[-1], -x[0])
+    else:
+        scale = float(np.abs(flat).max(initial=1.0))
+    main = (abs(m6) / scale, abs(m5) / scale, abs(m4) / scale)  # the division numpy does
+    anti = (abs(a6) / scale, abs(a5) / scale, abs(a4) / scale)
+    worst = _nan_max(main + anti)
+    return _tuple_new(ConstraintReport, (
+        {_MAIN: _tuple_new(DiagonalResiduals, (m6, m5, m4, main)),
+         _ANTI: _tuple_new(DiagonalResiduals, (a6, a5, a4, anti))},
         worst, worst <= tol, tol,
-    )
+    ))
 
 
 def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
@@ -346,8 +375,10 @@ def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
     arithmetic; each call is one float product with it, and the corners
     and free values are copied into the grid bit-exact.
     """
-    corners = _shaped(corners, (4,), "need exactly 4 corner values", np.asarray)
-    free = _shaped(free, (7,), "need exactly 7 free values", np.asarray)
+    if not _exact(corners, (4,)):
+        corners = _shaped(corners, (4,), "need exactly 4 corner values", np.asarray)
+    if not _exact(free, (7,)):
+        free = _shaped(free, (7,), "need exactly 7 free values", np.asarray)
     s = build_lambda()
     given = np.concatenate((corners, free))
     flat = s.solve_f @ given

@@ -10,6 +10,7 @@ once, exactly, from the two cubic bases.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -47,6 +48,23 @@ def _conversion_matrices():
     return c.to_float(), d.to_float()
 
 
+_F64 = np.dtype(float)
+
+
+def _exact(a, shape) -> bool:
+    """Whether ``a`` is an ndarray itself, no subclass, of native float64 and
+    ``shape``: the per-grid operators read such an array as it is, and
+    anything else through ``_shaped``."""
+    return type(a) is np.ndarray and a.dtype is _F64 and a.shape == shape
+
+
+def _checked_tol(tol):
+    """``tol`` itself when it is a finite number >= 0, else ValueError."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _shaped(values, shape, message, convert=np.array) -> np.ndarray:
     """``convert(values, dtype=float)`` of ``shape``, else ValueError(``message`` with
     its shape, or "ragged rows"); a value that is not a number keeps numpy's error."""
@@ -69,10 +87,13 @@ def as_grid(values) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, made read-only once every entry is checked to be finite."""
-    if not np.isfinite(a).all():
+    """``a`` itself, made read-only once every entry is checked to be finite.
+
+    The Python sum of the entries is finite only when every entry is; a sum
+    that overflows leaves the decision to ``np.isfinite``."""
+    if not (math.isfinite(sum(a.ravel().tolist())) or np.isfinite(a).all()):
         raise ValueError("grid contains non-finite values")
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -90,13 +111,14 @@ class _PatchGrids:
             a = _shaped((x, y, z), (3, 4, 4), "need three 4x4 grids, got {}")
         except (TypeError, ValueError):  # as_grid's error for the first bad grid, in x, y, z order
             a = np.array([as_grid(g) for g in (x, y, z)])
-        self.__dict__.update(zip("xyz", _frozen(a)), as_array=a)
+        _frozen(a)
+        self.__dict__.update(x=a[0], y=a[1], z=a[2], as_array=a)
 
     @classmethod
     def _of(cls, arr: np.ndarray):
         """A patch viewing a checked, read-only (3, 4, 4) array."""
         patch = object.__new__(cls)
-        patch.__dict__.update(zip("xyz", arr), as_array=arr)
+        patch.__dict__.update(x=arr[0], y=arr[1], z=arr[2], as_array=arr)
         return patch
 
     def __setattr__(self, name, value):

@@ -12,6 +12,7 @@ import numpy as np
 from .patches import (
     _SIDE_SLOTS,
     BezierPatch,
+    _checked_tol,
     _key_codes,
     _patch_array,
     bernstein_dweights_many,
@@ -376,11 +377,13 @@ def detect_adjacency(patches: Sequence[BezierPatch], tol: float = 1e-9) -> list:
     Forward matches are preferred over reversed ones; zero-length edges
     (all four control points coincident) are skipped since they bound no
     shared curve.  The tolerance is relative to the coordinate scale of
-    the whole set.  Records come in the order of (patch, side) of the
-    first edge, then of the second, as Adjacency views of ``_adjacency``.
+    the whole set, and must be a finite number >= 0 (else ValueError).
+    Records come in the order of (patch, side) of the first edge, then of
+    the second, as Adjacency views of ``_adjacency``.
     """
     ids = [[EdgeId(side, flip) for side in EdgeSide] for flip in (False, True)]
-    fields = _adjacency(patches, tol).reshape(-1, 6).T.tolist()  # six lists convert fastest
+    records = _adjacency(patches, _checked_tol(tol))
+    fields = records.reshape(-1, 6).T.tolist()  # six lists convert fastest
     return [Adjacency(a, ids[ra][sa], b, ids[rb][sb]) for a, sa, ra, b, sb, rb in zip(*fields)]
 
 

@@ -1,6 +1,7 @@
 """Shared construction helpers for the test suite."""
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -102,6 +103,50 @@ def project_per_grid(g) -> np.ndarray:
     out = flat.copy()
     out[list(NONCORNER_INDICES)] -= s.gain_f @ (s.reduced_f @ flat)
     return as_grid(out.reshape(4, 4))
+
+
+def residuals_per_grid(g, tol: float = constraints.DEFAULT_TOL):
+    """``bs_residuals`` as written before its one-grid path: the row of the
+    set-wide coefficients and scale, records built by their constructors."""
+    flat = np.asarray(g, dtype=float).reshape(-1)
+    coeffs, scale = constraints._diagonal_coefficients(flat)
+    values, scale = coeffs.tolist(), float(scale)
+    rel = [abs(v) / scale for v in values]
+    worst = max(rel) if all(r == r for r in rel) else math.nan
+    return constraints.ConstraintReport(
+        {DiagonalKind.MAIN: constraints.DiagonalResiduals(*values[:3], tuple(rel[:3])),
+         DiagonalKind.ANTI: constraints.DiagonalResiduals(*values[3:], tuple(rel[3:]))},
+        worst, worst <= tol, tol,
+    )
+
+
+def inner_identity_per_grid(g) -> float:
+    """``bs_inner_identity`` of the 2-D grid, by index."""
+    g = np.asarray(g, dtype=float)
+    inner = g[1, 1] - g[1, 2] - g[2, 1] + g[2, 2]
+    return float(inner - (g[0, 0] - g[0, 3] - g[3, 0] + g[3, 3]) / 9.0)
+
+
+def _finite_array(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError("grid contains non-finite values")
+    return a
+
+
+def patch_array_per_grid(x, y, z) -> np.ndarray:
+    """The (3, 4, 4) array a patch made from three 4x4 grids holds: one
+    float copy of the three, every entry checked finite."""
+    a = np.array((x, y, z), dtype=float)
+    assert a.shape == (3, 4, 4)
+    return _finite_array(a)
+
+
+def convert_patch_array(arr, direction: str) -> np.ndarray:
+    """A patch's (3, 4, 4) array converted b2h or h2b by one stacked
+    congruence m^T X m, every entry checked finite."""
+    c, d = _conversion_matrices()
+    m = d if direction == "b2h" else c
+    return _finite_array(m.T @ arr @ m)
 
 
 def solve_per_grid(corners, free) -> np.ndarray:

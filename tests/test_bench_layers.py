@@ -111,8 +111,9 @@ def test_operators_child_reports_the_committed_operator_names():
     run = bench_layers.child(REPO_ROOT, bench_layers.OPERATORS, "3")
     committed = json.loads((REPO_ROOT / "BENCH_operators.json").read_text())["columns"]
     assert set(run) == {"best", "numpy"}
-    assert list(run["best"]) == ["bs_residuals", "bs_project", "bs_solve", "bs_inner_identity",
-                                 "BezierPatch(x, y, z)", "bezier_to_hermite",
+    assert list(run["best"]) == ["bs_residuals", "bs_residuals(list of lists)", "bs_project",
+                                 "bs_solve", "bs_inner_identity", "BezierPatch(x, y, z)",
+                                 "BezierPatch(x, y, z lists)", "bezier_to_hermite",
                                  "hermite_to_bezier"]
     assert all(0.0 < seconds < 0.1 for seconds in run["best"].values())
     for column in committed.values():

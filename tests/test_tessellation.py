@@ -336,6 +336,16 @@ def test_detect_adjacency_reversed(rng):
     assert records[0].edge_b.reversed
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
+def test_detect_adjacency_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(rng, tol):
+    pair = list(shared_edge_pair(rng))
+    with pytest.raises(ValueError, match=rf"^tolerance must be a finite number >= 0, got {tol!r}$"):
+        detect_adjacency(pair, tol)
+    assert len(detect_adjacency(pair, 0.0)) == 1
+    # every edge lies within 1e300 of its own start, so none is live: finite, and accepted
+    assert detect_adjacency(pair, 1e300) == []
+
+
 def test_detect_adjacency_skips_collapsed_edges():
     g = np.zeros((4, 4))
     patch = BezierPatch(g, g, g)  # all edges collapsed to the origin
