@@ -473,10 +473,9 @@ def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite number >= 0 (``patches._checked_tol``)."""
     value = float(text)
     try:
-        return _checked_tol(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number >= 0, got {text!r}") from None
+        return _checked_tol(value, text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _count(minimum: int):

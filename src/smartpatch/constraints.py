@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import RationalMatrix
-from .patches import (_BB_ROWS, _SIDE_SLOTS, _T_ROWS, BezierPatch, _checked_tol, _exact,
+from .patches import (_BB_ROWS, _SIDE_SLOTS, _T_ROWS, BezierPatch, _checked_tol, _is_f64,
                       _frozen, _key_codes, _patch_array, _shaped)
 
 DEFAULT_TOL = 1e-9
@@ -316,24 +316,28 @@ _MAIN, _ANTI = DiagonalKind.MAIN, DiagonalKind.ANTI
 
 def _vec(g) -> np.ndarray:
     """Row-major 16-vector of one 4x4 coordinate grid."""
-    if _exact(g, (4, 4)):
+    if _is_f64(g, (4, 4)):
         return g.reshape(16)
     return _shaped(g, (4, 4), "grid must be 4x4, got {}", np.asarray).reshape(-1)
 
 
-def _diagonal_coefficients(flat: np.ndarray):
-    """The six leading diagonal coefficients and the scale of every grid.
+def _coefficients(flat: np.ndarray) -> np.ndarray:
+    """The six leading diagonal coefficients of every grid.
 
     ``flat`` holds row-major grids along its last axis, (..., 16), e.g. a
     patch set's (N, 3, 16) array.  Returns the (..., 6) coefficients (main
-    diagonal's a6, a5, a4, then the anti diagonal's) and the (...) scales
-    max(1, max |grid value|).  The certified constraint matrix is applied
-    to all grids in one stacked matrix-vector product: numpy runs the same
-    matrix-vector kernel on every grid, so each grid's coefficients equal
-    its one-grid bs_residuals() values bit for bit, whatever set it is in.
+    diagonal's a6, a5, a4, then the anti diagonal's).  The certified
+    constraint matrix is applied to all grids in one stacked matrix-vector
+    product: numpy runs the same matrix-vector kernel on every grid, so each
+    grid's coefficients equal its one-grid bs_residuals() values bit for
+    bit, whatever set it is in.
     """
-    coeffs = (build_lambda().lam @ flat[..., None])[..., 0]
-    return coeffs, np.abs(flat).max(axis=-1, initial=1.0)
+    return (build_lambda().lam @ flat[..., None])[..., 0]
+
+
+def _diagonal_coefficients(flat: np.ndarray):
+    """``_coefficients(flat)`` and the (...) scales max(1, max |grid value|)."""
+    return _coefficients(flat), np.abs(flat).max(axis=-1, initial=1.0)
 
 
 def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
@@ -347,15 +351,12 @@ def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """
     tol = _checked_tol(tol)
     flat = _vec(g)
-    # _diagonal_coefficients' stacked product, so the values are a set's bit for bit
-    m6, m5, m4, a6, a5, a4 = (build_lambda().lam @ flat[..., None]).ravel().tolist()
+    m6, m5, m4, a6, a5, a4 = _coefficients(flat).tolist()
+    # max(1, max |value|) from the least and the greatest value; a nan value
+    # makes every coefficient nan, so whatever scale the sort gives it is unread
     x = flat.tolist()
-    total = sum(x)  # nan exactly when some value is nan, or both infinities are there
-    if total == total:  # max(1, max |value|) from the least and the greatest value
-        x.sort()
-        scale = max(1.0, x[-1], -x[0])
-    else:
-        scale = float(np.abs(flat).max(initial=1.0))
+    x.sort()
+    scale = max(1.0, x[-1], -x[0])
     main = (abs(m6) / scale, abs(m5) / scale, abs(m4) / scale)  # the division numpy does
     anti = (abs(a6) / scale, abs(a5) / scale, abs(a4) / scale)
     worst = _nan_max(main + anti)
@@ -375,9 +376,9 @@ def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
     arithmetic; each call is one float product with it, and the corners
     and free values are copied into the grid bit-exact.
     """
-    if not _exact(corners, (4,)):
+    if not _is_f64(corners, (4,)):
         corners = _shaped(corners, (4,), "need exactly 4 corner values", np.asarray)
-    if not _exact(free, (7,)):
+    if not _is_f64(free, (7,)):
         free = _shaped(free, (7,), "need exactly 7 free values", np.asarray)
     s = build_lambda()
     given = np.concatenate((corners, free))

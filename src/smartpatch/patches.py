@@ -51,17 +51,19 @@ def _conversion_matrices():
 _F64 = np.dtype(float)
 
 
-def _exact(a, shape) -> bool:
+def _is_f64(a, shape) -> bool:
     """Whether ``a`` is an ndarray itself, no subclass, of native float64 and
     ``shape``: the per-grid operators read such an array as it is, and
     anything else through ``_shaped``."""
     return type(a) is np.ndarray and a.dtype is _F64 and a.shape == shape
 
 
-def _checked_tol(tol):
-    """``tol`` itself when it is a finite number >= 0, else ValueError."""
+def _checked_tol(tol, shown=None):
+    """``tol`` itself when it is a finite number >= 0, else ValueError naming
+    ``shown``, ``tol`` by default (the CLI shows the text it was given)."""
     if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+        shown = tol if shown is None else shown
+        raise ValueError(f"tolerance must be a finite number >= 0, got {shown!r}")
     return tol
 
 

@@ -1,4 +1,4 @@
-"""The per-grid operators read an exact float64 ndarray of the right shape as
+"""The per-grid operators read a float64 ndarray (no subclass) of the right shape as
 it is, and every other input through ``patches._shaped``; the patch
 constructors copy any input through it.  On every form of input, the
 operators, constructors and conversions give what they gave before the
@@ -189,7 +189,7 @@ def test_patches_and_conversions_match_their_oracles_on_every_input_form(points,
 
 
 @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix
-def test_only_exact_float64_arrays_of_the_right_shape_skip_shaped_in_operators(rng, monkeypatch):
+def test_only_float64_ndarrays_of_the_right_shape_skip_shaped_in_operators(rng, monkeypatch):
     calls = []
     shaped = patches._shaped
 
