@@ -53,7 +53,10 @@ I/O: ``write_obj`` at n=16 with normals of the bundled teapot as read (not
 repaired) and of the seed-10 input of the ``teapot`` benchmark workload
 after ``repair_patches`` (as ``smartpatch teapot --normals`` writes it), and
 of the teapot's 2x2 de Casteljau split (128 patches) at n=4 (as the
-``split-teapot`` benchmark workload does),
+``split-teapot`` benchmark workload does), each to ``os.devnull``;
+``write_obj`` of the bundled teapot and ``write_patchset`` of the split
+into one file each in a temporary directory, so every call after the
+untimed one writes over its last output, as a rerun of a command does;
 ``dump_patchset`` of that split, ``load_newell`` of the teapot text and
 of the split's (one vertex per control point, 2048 vertices),
 ``load_patchset`` of the JSON text of the teapot split three times (2048
@@ -281,7 +284,7 @@ from helpers import newell_text, split_patch
 from smartpatch import detect_adjacency, repair_patches
 from smartpatch.cli import main
 from smartpatch.io import (PatchSet, dump_patchset, load_newell, load_patchset, read_newell,
-                           write_obj)
+                           write_obj, write_patchset)
 from smartpatch.tessellation import tessellate_set
 sys.path.append("bench")
 import generators
@@ -313,9 +316,13 @@ def teapot_split3():
 
 ops = {
     "write_obj teapot n=16 normals": lambda: write_obj(teapot_mesh, os.devnull),
+    "write_obj teapot n=16 normals over its last output":
+        lambda: write_obj(teapot_mesh, Path(scratch.name, "teapot.obj")),
     "write_obj seed-10 teapot repaired n=16 normals": lambda: write_obj(seeded_mesh, os.devnull),
     "write_obj split n=4": lambda: write_obj(split_mesh, os.devnull),
     "dump_patchset split": lambda: dump_patchset(split_set),
+    "write_patchset split over its last output":
+        lambda: write_patchset(split_set, Path(scratch.name, "split.json")),
     "load_newell teapot": lambda: load_newell(text),
     "load_newell split": lambda: load_newell(split_text),
     "load_patchset split3": lambda: load_patchset(split3_text),
@@ -485,7 +492,9 @@ LAYERS = {
         IO_RUNS, io_run, io_column,
         f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "
         f"run; {IO_RUNS} runs per checkout, {ALTERNATED}; min, median and max of the per-run "
-        "minima; OBJ written to os.devnull; the teapot --n 2 command on the 2048-patch split "
+        "minima; OBJ written to os.devnull, except in the rows 'over its last output', which "
+        "write one file in a temporary directory, so each timed call writes over the output "
+        "of the call before; the teapot --n 2 command on the 2048-patch split "
         "writes into a temporary directory, stdout discarded; tracemalloc peak of one teapot "
         "write_obj; "
         f"peak_rss_mb from bench/probe.py ops teapot (seed 10, {RSS_SECONDS:g} s) started "

@@ -399,40 +399,40 @@ def cmd_teapot(args) -> int:
 
         stage = "export"
         obj_path = out_dir / "teapot.obj"
-        io.write_obj(merged, obj_path)
         json_path = out_dir / "teapot_repaired.json"
+        report_path = out_dir / "teapot_report.json"
+        c0_delta = float(np.abs(gaps_before[:, 0] - gaps_after[:, 0]).max(initial=0.0))
+        report = {
+            "command": "teapot",
+            "name": ps.name,
+            "tolerance": args.tol,
+            "patch_count": len(ps.points),
+            "n": args.n,
+            "pattern": args.pattern,
+            "before": {"noncompliant_patches": len(bad_before), "max_residual": worst_before},
+            "after": {"noncompliant_patches": len(bad_after), "max_residual": worst_after},
+            "max_displacement": result.max_displacement,
+            "max_corner_displacement": corner,
+            "shared_edges": len(records),
+            "c0_before_max": worst_gaps_before["c0_max_gap"],
+            "c0_after_max": worst_gaps_after["c0_max_gap"],
+            "c0_max_delta": c0_delta,
+            "c1_before_max": worst_gaps_before["c1_max_mismatch"],
+            "c1_after_max": worst_gaps_after["c1_max_mismatch"],
+            "g1_before_max": worst_gaps_before["g1_max_angle"],
+            "g1_after_max": worst_gaps_after["g1_max_angle"],
+            "g1_after_worst_pair": int(np.argmax(gaps_after[:, 2])) if len(records) else None,
+            "repair": system,
+            "mesh": {"vertices": len(merged.vertices), "triangles": len(merged.triangles)},
+            "outputs": [str(obj_path), str(json_path)],
+        }
+        io.write_obj(merged, obj_path)
         io.write_patchset(repaired, json_path)
+        io._write_over(report_path, [(_json_text(report) + "\n").encode()])
     except (io.PatchFormatError, OSError, RepairError) as e:
         print(f"stage {stage} failed: {e}", file=sys.stderr)
         return EXIT_INPUT
 
-    c0_delta = float(np.abs(gaps_before[:, 0] - gaps_after[:, 0]).max(initial=0.0))
-    report = {
-        "command": "teapot",
-        "name": ps.name,
-        "tolerance": args.tol,
-        "patch_count": len(ps.points),
-        "n": args.n,
-        "pattern": args.pattern,
-        "before": {"noncompliant_patches": len(bad_before), "max_residual": worst_before},
-        "after": {"noncompliant_patches": len(bad_after), "max_residual": worst_after},
-        "max_displacement": result.max_displacement,
-        "max_corner_displacement": corner,
-        "shared_edges": len(records),
-        "c0_before_max": worst_gaps_before["c0_max_gap"],
-        "c0_after_max": worst_gaps_after["c0_max_gap"],
-        "c0_max_delta": c0_delta,
-        "c1_before_max": worst_gaps_before["c1_max_mismatch"],
-        "c1_after_max": worst_gaps_after["c1_max_mismatch"],
-        "g1_before_max": worst_gaps_before["g1_max_angle"],
-        "g1_after_max": worst_gaps_after["g1_max_angle"],
-        "g1_after_worst_pair": int(np.argmax(gaps_after[:, 2])) if len(records) else None,
-        "repair": system,
-        "mesh": {"vertices": len(merged.vertices), "triangles": len(merged.triangles)},
-        "outputs": [str(obj_path), str(json_path)],
-    }
-    report_path = out_dir / "teapot_report.json"
-    report_path.write_text(_json_text(report) + "\n")
     report["outputs"].append(str(report_path))
 
     def render(rep):

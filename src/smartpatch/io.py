@@ -19,7 +19,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from itertools import repeat
+import os
+import stat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import List, Optional
 
@@ -483,11 +485,31 @@ def read_patchset(path) -> PatchSet:
     return load(text, name=p.stem)
 
 
+def _keep_contents(path, flags):
+    """``os.open`` as ``open`` calls it, less ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_over(path, pieces) -> None:
+    """Write the byte ``pieces`` to ``path`` over what it holds, in place.
+
+    The file is opened without truncation, so a rerun writes over the last
+    output's blocks instead of freeing them first, and the inode and any
+    hard or symbolic link to it stay.  A regular file is then cut at the
+    position reached, also when a piece raises: it holds the bytes written
+    and nothing after them.  A pipe or device is not cut."""
+    with open(path, "wb", opener=_keep_contents) as f:
+        try:
+            f.writelines(pieces)
+        finally:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+
+
 def write_patchset(ps: PatchSet, path) -> None:
-    """Write ``dump_patchset(ps)`` and a newline to ``path`` a piece at a time."""
-    with open(path, "wb") as f:
-        f.writelines(_patchset_pieces(ps))
-        f.write(b"\n")
+    """Write ``dump_patchset(ps)`` and a newline to ``path`` a piece at a
+    time (``_write_over``)."""
+    _write_over(path, chain(_patchset_pieces(ps), [b"\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +682,5 @@ def export_obj(mesh: TriangleMesh) -> str:
 
 
 def write_obj(mesh: TriangleMesh, path) -> None:
-    """Write ``export_obj(mesh)`` to ``path`` a block at a time."""
-    with open(path, "wb") as f:
-        f.writelines(_obj_blocks(mesh))
+    """Write ``export_obj(mesh)`` to ``path`` a block at a time (``_write_over``)."""
+    _write_over(path, _obj_blocks(mesh))

@@ -774,6 +774,96 @@ def test_teapot_nonfinite_vertex_is_input_error(capsys, teapot_path, tmp_path):
     assert "stage ingest failed" in err and "line 41" in err
 
 
+def test_a_failed_write_names_the_export_stage(capsys, teapot_path, tmp_path):
+    for name in ("teapot.obj", "teapot_repaired.json", "teapot_report.json"):
+        out_dir = tmp_path / name.split(".")[0]
+        (out_dir / name).mkdir(parents=True)
+        code, out, err = run(capsys, "teapot", "--in", str(teapot_path), "--out", str(out_dir),
+                             "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("stage export failed: ") and name in err
+
+
+def test_a_nonfinite_teapot_report_leaves_the_last_report(capsys, teapot_path, tmp_path,
+                                                          monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "teapot_report.json").write_text("the last report\n")
+    repair = cli._repair
+
+    def nan_corner(ps, tol):
+        result, repaired, _, system, validation = repair(ps, tol)
+        return result, repaired, math.nan, system, validation
+
+    monkeypatch.setattr(cli, "_repair", nan_corner)
+    code, out, err = run(capsys, "teapot", "--in", str(teapot_path), "--out", str(out_dir),
+                         "--n", "2")
+    assert (code, out) == (4, "")
+    assert err == ("error: report.max_corner_displacement is nan, which JSON cannot hold; "
+                   "no report written\n")
+    assert (out_dir / "teapot_report.json").read_text() == "the last report\n"
+
+
+def test_teapot_writes_over_its_last_outputs_in_place(capsys, teapot_path, tmp_path):
+    # a second run with other bytes keeps each file's inode, and links to
+    # the OBJ read the new bytes; every file is what a run into a new
+    # directory writes
+    out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
+    argv = ["teapot", "--in", str(teapot_path), "--normals"]
+    assert run(capsys, *argv, "--out", str(out_dir), "--n", "16")[0] == 0
+    names = sorted(path.name for path in out_dir.iterdir())
+    inodes = [(out_dir / name).stat().st_ino for name in names]
+    os.link(out_dir / "teapot.obj", tmp_path / "hard.obj")
+    (tmp_path / "soft.obj").symlink_to(out_dir / "teapot.obj")
+    old = (out_dir / "teapot.obj").read_bytes()
+    for n in ("2", "16"):  # shorter outputs, then longer ones
+        assert run(capsys, *argv, "--out", str(out_dir), "--n", n)[0] == 0
+        assert run(capsys, *argv, "--out", str(fresh), "--n", n)[0] == 0
+        assert [(out_dir / name).stat().st_ino for name in names] == inodes
+        for name in ("teapot.obj", "teapot_repaired.json"):
+            assert (out_dir / name).read_bytes() == (fresh / name).read_bytes()
+        report = (out_dir / "teapot_report.json").read_text()
+        assert report == (fresh / "teapot_report.json").read_text().replace(str(fresh),
+                                                                            str(out_dir))
+        obj = (out_dir / "teapot.obj").read_bytes()
+        assert (tmp_path / "hard.obj").read_bytes() == (tmp_path / "soft.obj").read_bytes() == obj
+        assert (len(obj) < len(old)) == (n == "2")
+    assert obj == old
+
+
+def test_every_output_file_is_written_in_place(capsys, teapot_path, tmp_path, monkeypatch):
+    # each writing command, run twice into one place: every file there went
+    # through io._write_over, so a writer that bypasses it fails here
+    written = []
+    write_over = cli.io._write_over
+
+    def recorded(path, pieces):
+        written.append(Path(path).resolve())
+        write_over(path, pieces)
+
+    monkeypatch.setattr(cli.io, "_write_over", recorded)
+    commands = {
+        "repair": [],
+        "convert": ["--direction", "b2h"],
+        "tessellate": ["--n", "2"],
+        "tessellate --merge": ["--n", "2", "--merge"],
+        "teapot": ["--n", "2"],
+    }
+    for name, extra in commands.items():
+        place = tmp_path / name.replace(" --", "-")
+        place.mkdir()
+        out = place / "out.json" if name in ("repair", "convert") else place / "out"
+        argv = [name.split()[0], "--in", str(teapot_path), "--out", str(out), *extra]
+        runs = []
+        for _ in range(2):
+            written.clear()
+            assert run(capsys, *argv)[0] == 0
+            files = sorted(path.resolve() for path in place.rglob("*") if path.is_file())
+            assert files and sorted(written) == files
+            runs.append({path: path.read_bytes() for path in files})
+        assert runs[0] == runs[1]
+
+
 def test_a_json_integer_too_large_for_a_float_is_input_error(capsys, tmp_path):
     rows = [[0, 0, 0, 0]] * 3 + [[0, 0, 0, "@"]]
     doc = json.dumps({"patches": [{"x": [[0] * 4] * 4, "y": [[0] * 4] * 4, "z": rows}]})

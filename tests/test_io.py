@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import tracemalloc
 from decimal import Decimal
 
@@ -686,6 +688,66 @@ def test_write_obj_writes_export_obj(tmp_path, rng, with_normals):
     path = tmp_path / "mesh.obj"
     write_obj(mesh, path)
     assert path.read_bytes() == export_obj(mesh).encode()
+
+
+# ---------------------------------------------------------------------------
+# Writing in place
+
+
+@pytest.mark.parametrize("before", [None, b"", b"v 1.0\n" * 4, b"#" * 3_000_000])
+def test_writers_leave_their_bytes_whatever_the_file_held(tmp_path, teapot_path, before):
+    # a new file, an empty one, a shorter one and a longer one: each ends as
+    # the text alone, in the same inode
+    ps = read_newell(teapot_path)
+    mesh = tessellate_set(ps.points, 4, with_normals=True)
+    for name, write, text in (
+        ("teapot.obj", lambda path: write_obj(mesh, path), export_obj(mesh)),
+        ("teapot.json", lambda path: write_patchset(ps, path), dump_patchset(ps) + "\n"),
+    ):
+        path = tmp_path / name
+        if before is not None:
+            path.write_bytes(before)
+            inode = path.stat().st_ino
+        write(path)
+        assert path.read_bytes() == text.encode()
+        assert before is None or path.stat().st_ino == inode
+
+
+def test_writing_to_the_null_device_or_a_pipe_cuts_nothing(tmp_path, rng):
+    # neither is a regular file: a cut there would raise, so none is made
+    mesh = tessellate(random_patch(rng), 30, with_normals=True)
+    write_obj(mesh, os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_obj(mesh, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [export_obj(mesh).encode()]
+
+
+def test_a_writer_that_raises_leaves_the_bytes_written_and_nothing_after(tmp_path, rng,
+                                                                          monkeypatch):
+    # the file is written over, not emptied first: until the writer stops, it
+    # holds its old length (so a killed writer leaves the old tail), and then
+    # it is cut where the writing stopped
+    mesh = tessellate(random_patch(rng), 4)
+    first = next(io._obj_blocks(mesh)).tobytes()
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(b"#" * (10 * len(first)))
+    sizes = []
+
+    def one_block(mesh):
+        yield first
+        sizes.append(path.stat().st_size)
+        raise RuntimeError("stopped after one block")
+
+    monkeypatch.setattr(io, "_obj_blocks", one_block)
+    with pytest.raises(RuntimeError, match="stopped after one block"):
+        write_obj(mesh, path)
+    assert sizes == [10 * len(first)]
+    assert path.read_bytes() == first
 
 
 @pytest.mark.parametrize("with_normals", [False, True])

@@ -114,6 +114,17 @@ def test_records_made_by_the_package_are_the_same_values():
     assert continuity_report(p, _U1, p, _U1, 4) == ContinuityReport(0.0, 0.0, 0.0, 5)
 
 
+def test_a_constraint_report_compares_by_value_and_is_not_hashable():
+    # its per_diagonal field is a dict, so the record hashes as a dict does
+    rep = bs_residuals(np.zeros((4, 4)))
+    again = bs_residuals(np.zeros((4, 4)))
+    assert rep == again and rep is not again
+    assert ConstraintReport(**rep._asdict()) == rep == tuple(rep)
+    assert rep != bs_residuals(np.eye(4))
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(rep)
+
+
 def test_poly_is_an_immutable_value():
     p = Poly(coeffs=[1, 2.5, np.float32(3)])
     assert p.coeffs == (1.0, 2.5, 3.0) and all(type(c) is float for c in p.coeffs)
