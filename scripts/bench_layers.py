@@ -64,7 +64,10 @@ patches), ``dump_patchset`` of that split, ``dump_patchset`` and
 ``load_patchset`` of it with its 4000 adjacency records from
 ``detect_adjacency``, and the whole ``smartpatch teapot --n 2`` command
 on the file without records (``cli.main``, stdout discarded, output
-files in a temporary directory).  Only public names are used, so each checkout runs the same
+files in a temporary directory).  Each row is timed over CALLS calls per run
+after an untimed one; it reports the fastest call per run, and in
+``per_run_median`` the median call per run, which shows a cost that only
+some calls pay.  Only public names are used, so each checkout runs the same
 child.
 ``peak_rss_mb`` is the worker's own peak resident set size: the probe is
 started from this script, which never imports numpy, so no larger parent
@@ -77,7 +80,8 @@ workload times (``OPERATORS``), on seeded grids and draws: ``bs_residuals``,
 OPERATOR_CALLS timed calls, in microseconds.  Two more rows give the grids
 as nested lists, which take the general path that every input other than a
 float64 ndarray of the right shape takes: ``bs_residuals`` of a list of
-lists and ``BezierPatch`` of three.
+lists and ``BezierPatch`` of three.  One more gives ``bs_residuals`` the
+grid's values as a view with negative strides, which it copies.
 """
 
 import argparse
@@ -331,7 +335,15 @@ ops = {
     "load_patchset split3 with records": lambda: load_patchset(split3_records_text),
     "teapot --n 2 split3": teapot_split3,
 }
-result = {"best": {name: best(op, int(sys.argv[1])) for name, op in ops.items()},
+
+def fastest_and_median(op, calls):
+    op()  # untimed
+    times = sorted(timed(op) for _ in range(calls))
+    return times[0], times[len(times) // 2]
+
+times = {name: fastest_and_median(op, int(sys.argv[1])) for name, op in ops.items()}
+result = {"best": {name: t[0] for name, t in times.items()},
+          "median": {name: t[1] for name, t in times.items()},
           "tracemalloc_peak": traced(ops["write_obj teapot n=16 normals"])[1]}
 scratch.cleanup()
 """
@@ -349,9 +361,11 @@ corners, free = rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 7)
 projected, bezier = bs_project(grid), BezierPatch(x, y, z)
 hermite = bezier_to_hermite(bezier)
 grid_rows, xyz_rows = grid.tolist(), (x.tolist(), y.tolist(), z.tolist())
+reversed_grid = np.ascontiguousarray(grid[::-1, ::-1])[::-1, ::-1]  # grid's values, strides < 0
 ops = {
     "bs_residuals": lambda: bs_residuals(grid),
     "bs_residuals(list of lists)": lambda: bs_residuals(grid_rows),
+    "bs_residuals(reversed view)": lambda: bs_residuals(reversed_grid),
     "bs_project": lambda: bs_project(grid),
     "bs_solve": lambda: bs_solve(corners, free),
     "bs_inner_identity": lambda: bs_inner_identity(projected),
@@ -445,7 +459,9 @@ def io_column(runs: list) -> dict:
     peak = max(r["tracemalloc_peak"] for r in runs)
     return {
         "runs": len(runs),
-        "steps": {name: summary([r["best"][name] for r in runs]) for name in runs[0]["best"]},
+        "steps": {name: summary([r["best"][name] for r in runs])
+                  | {"per_run_median": summary([r["median"][name] for r in runs])}
+                  for name in runs[0]["best"]},
         "write_obj_tracemalloc_peak_mb": round(peak / 2**20, 3),
         "peak_rss_mb": {"min": round(min(rss), 2), "median": round(statistics.median(rss), 2)},
     }
@@ -490,11 +506,12 @@ LAYERS = {
         f"per-run minima; {SPREAD}"),
     "BENCH_io.json": (
         IO_RUNS, io_run, io_column,
-        f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min per "
-        f"run; {IO_RUNS} runs per checkout, {ALTERNATED}; min, median and max of the per-run "
-        "minima; OBJ written to os.devnull, except in the rows 'over its last output', which "
-        "write one file in a temporary directory, so each timed call writes over the output "
-        "of the call before; the teapot --n 2 command on the 2048-patch split "
+        f"fresh interpreter per run, {CALLS} calls per operation after one untimed call, min "
+        f"and median per run; {IO_RUNS} runs per checkout, {ALTERNATED}; min, median and max of "
+        "the per-run minima, and in per_run_median those of the per-run medians, which show a "
+        "cost that only some calls pay; OBJ written to os.devnull, except in the rows 'over its "
+        "last output', which write one file in a temporary directory, so each timed call "
+        "writes over the output of the call before; the teapot --n 2 command on the 2048-patch split "
         "writes into a temporary directory, stdout discarded; tracemalloc peak of one teapot "
         "write_obj; "
         f"peak_rss_mb from bench/probe.py ops teapot (seed 10, {RSS_SECONDS:g} s) started "

@@ -269,6 +269,17 @@ def cmd_convert(args) -> int:
 # tessellate
 
 
+def _stale_patch_files(out_dir: Path, count: int) -> list:
+    """The regular files in ``out_dir`` named ``patch_{k:03d}.obj`` for some
+    k >= ``count``: what a run over more patches wrote there, and this run
+    would not write over."""
+    with os.scandir(out_dir) as entries:
+        return [entry.path for entry in entries
+                if (k := entry.name[6:-4]).isdecimal() and int(k) >= count
+                and entry.name == f"patch_{int(k):03d}.obj"
+                and entry.is_file(follow_symlinks=False)]
+
+
 def cmd_tessellate(args) -> int:
     ps = io.read_patchset(args.in_path)
     pattern = tessellation.TessPattern(args.pattern)
@@ -280,6 +291,8 @@ def cmd_tessellate(args) -> int:
     else:
         out_dir = Path(args.out_path)
         out_dir.mkdir(parents=True, exist_ok=True)
+        for stale in _stale_patch_files(out_dir, len(ps.points)):
+            os.unlink(stale)
         # patch k's mesh is vertex block k of the set mesh with patch 0's triangles
         size, triangles = (args.n + 1) ** 2, mesh.triangles[: 2 * args.n**2]
         for k in range(len(ps.points)):

@@ -315,10 +315,10 @@ _MAIN, _ANTI = DiagonalKind.MAIN, DiagonalKind.ANTI
 
 
 def _vec(g) -> np.ndarray:
-    """Row-major 16-vector of one 4x4 coordinate grid."""
+    """Row-major, C-contiguous 16-vector of one 4x4 grid: a view, or a copy of a strided grid."""
     if _is_f64(g, (4, 4)):
-        return g.reshape(16)
-    return _shaped(g, (4, 4), "grid must be 4x4, got {}", np.asarray).reshape(-1)
+        return g.ravel()
+    return _shaped(g, (4, 4), "grid must be 4x4, got {}", np.asarray).ravel()
 
 
 def _coefficients(flat: np.ndarray) -> np.ndarray:
@@ -328,9 +328,9 @@ def _coefficients(flat: np.ndarray) -> np.ndarray:
     patch set's (N, 3, 16) array.  Returns the (..., 6) coefficients (main
     diagonal's a6, a5, a4, then the anti diagonal's).  The certified
     constraint matrix is applied to all grids in one stacked matrix-vector
-    product: numpy runs the same matrix-vector kernel on every grid, so each
-    grid's coefficients equal its one-grid bs_residuals() values bit for
-    bit, whatever set it is in.
+    product: numpy runs the BLAS kernel of bs_residuals()' one-grid product
+    on every grid, so each grid's coefficients equal its one-grid values bit
+    for bit, whatever set it is in and whatever the grid's layout.
     """
     return (build_lambda().lam @ flat[..., None])[..., 0]
 
@@ -351,7 +351,7 @@ def bs_residuals(g, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """
     tol = _checked_tol(tol)
     flat = _vec(g)
-    m6, m5, m4, a6, a5, a4 = _coefficients(flat).tolist()
+    m6, m5, m4, a6, a5, a4 = build_lambda().lam.dot(flat).tolist()
     # max(1, max |value|) from the least and the greatest value; a nan value
     # makes every coefficient nan, so whatever scale the sort gives it is unread
     x = flat.tolist()
@@ -382,7 +382,7 @@ def bs_solve(corners: Sequence[float], free: Sequence[float]) -> np.ndarray:
         free = _shaped(free, (7,), "need exactly 7 free values", np.asarray)
     s = build_lambda()
     given = np.concatenate((corners, free))
-    flat = s.solve_f @ given
+    flat = s.solve_f.dot(given)
     flat[s.given_idx] = given
     return _frozen(flat).reshape(4, 4)
 
@@ -399,7 +399,7 @@ def bs_project(g) -> np.ndarray:
     flat = _vec(g)
     s = build_lambda()
     out = flat.copy()
-    out[_NONCORNERS] -= s.gain_f @ (s.reduced_f @ flat)
+    out[_NONCORNERS] -= s.gain_f.dot(s.reduced_f.dot(flat))
     return _frozen(out).reshape(4, 4)
 
 

@@ -97,9 +97,11 @@ def convert_per_grid(grids, direction: str) -> np.ndarray:
 
 def project_per_grid(g) -> np.ndarray:
     """``bs_project`` as first written: the non-corner slots of the flat
-    grid less gain . reduced . flat, copied and checked by ``as_grid``."""
+    grid less gain . reduced . flat, copied and checked by ``as_grid``.  The
+    grid is read as a C-contiguous copy: a product's last bits may depend on
+    the memory layout it reads, and the operator's do not."""
     s = build_lambda()
-    flat = np.asarray(g, dtype=float).reshape(-1)
+    flat = np.ascontiguousarray(g, dtype=float).reshape(-1)
     out = flat.copy()
     out[list(NONCORNER_INDICES)] -= s.gain_f @ (s.reduced_f @ flat)
     return as_grid(out.reshape(4, 4))
@@ -107,8 +109,9 @@ def project_per_grid(g) -> np.ndarray:
 
 def residuals_per_grid(g, tol: float = constraints.DEFAULT_TOL):
     """``bs_residuals`` as written before its one-grid path: the row of the
-    set-wide coefficients and scale, records built by their constructors."""
-    flat = np.asarray(g, dtype=float).reshape(-1)
+    set-wide coefficients and scale of a C-contiguous copy of the grid, as
+    ``project_per_grid`` reads it, records built by their constructors."""
+    flat = np.ascontiguousarray(g, dtype=float).reshape(-1)
     coeffs, scale = constraints._diagonal_coefficients(flat)
     values, scale = coeffs.tolist(), float(scale)
     rel = [abs(v) / scale for v in values]

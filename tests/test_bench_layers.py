@@ -111,8 +111,9 @@ def test_operators_child_reports_the_committed_operator_names():
     run = bench_layers.child(REPO_ROOT, bench_layers.OPERATORS, "3")
     committed = json.loads((REPO_ROOT / "BENCH_operators.json").read_text())["columns"]
     assert set(run) == {"best", "numpy"}
-    assert list(run["best"]) == ["bs_residuals", "bs_residuals(list of lists)", "bs_project",
-                                 "bs_solve", "bs_inner_identity", "BezierPatch(x, y, z)",
+    assert list(run["best"]) == ["bs_residuals", "bs_residuals(list of lists)",
+                                 "bs_residuals(reversed view)", "bs_project", "bs_solve",
+                                 "bs_inner_identity", "BezierPatch(x, y, z)",
                                  "BezierPatch(x, y, z lists)", "bezier_to_hermite",
                                  "hermite_to_bezier"]
     assert all(0.0 < seconds < 0.1 for seconds in run["best"].values())
@@ -145,3 +146,21 @@ def test_operators_column_summarises_microseconds_over_the_runs():
         "bs_project": {"min_us": 2.0, "median_us": 3.0, "max_us": 4.0},
         "bs_solve": {"min_us": 1.0, "median_us": 1.5, "max_us": 2.0},
     }}
+
+
+def test_io_column_reports_each_rows_per_run_median_beside_its_minimum():
+    runs = [{"best": {"write_obj": s}, "median": {"write_obj": 10 * s},
+             "tracemalloc_peak": 2**20, "peak_rss_mb": mb}
+            for s, mb in ((0.003, 35.0), (0.002, 36.0), (0.004, 35.5))]
+    assert bench_layers.io_column(runs) == {
+        "runs": 3,
+        "steps": {"write_obj": {"min_ms": 2.0, "median_ms": 3.0, "max_ms": 4.0,
+                                "per_run_median": {"min_ms": 20.0, "median_ms": 30.0,
+                                                   "max_ms": 40.0}}},
+        "write_obj_tracemalloc_peak_mb": 1.0,
+        "peak_rss_mb": {"min": 35.0, "median": 35.5},
+    }
+    committed = json.loads((REPO_ROOT / "BENCH_io.json").read_text())["columns"]
+    for column in committed.values():
+        assert all(row.keys() == {"min_ms", "median_ms", "max_ms", "per_run_median"}
+                   for row in column["steps"].values())

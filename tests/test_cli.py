@@ -448,6 +448,28 @@ def test_tessellate_per_patch_files(capsys, tmp_path, rng):
     assert (out_dir / "patch_000.obj").exists() and (out_dir / "patch_001.obj").exists()
 
 
+def test_tessellate_removes_the_patch_files_of_an_earlier_larger_set(capsys, tmp_path, rng,
+                                                                     teapot_path):
+    out_dir = tmp_path / "meshes"
+    assert run(capsys, "tessellate", "--in", str(teapot_path), "--out", str(out_dir),
+               "--n", "2")[0] == 0
+    assert len(list(out_dir.iterdir())) == 32
+    for name in ("patch_7.obj", "patch_0032.obj", "notes.txt", "patch_1000.obj"):
+        (out_dir / name).write_text("kept unless this command writes the name\n")
+    (out_dir / "patch_040.obj").mkdir()
+    (out_dir / "patch_041.obj").symlink_to(out_dir / "notes.txt")
+    src = write_set(tmp_path, "two", [random_patch(rng), random_patch(rng)])
+    code, out, _ = run(capsys, "tessellate", "--in", str(src), "--out", str(out_dir),
+                       "--n", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["files"] == [str(out_dir / "patch_000.obj"),
+                                        str(out_dir / "patch_001.obj")]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "notes.txt", "patch_000.obj", "patch_001.obj", "patch_0032.obj", "patch_040.obj",
+        "patch_041.obj", "patch_7.obj"]
+    assert (out_dir / "patch_041.obj").read_text() == (out_dir / "notes.txt").read_text()
+
+
 def test_tessellate_per_patch_files_are_the_per_patch_meshes(capsys, tmp_path, teapot_path):
     patches = read_newell(teapot_path).patches[:5]
     src = write_set(tmp_path, "five", patches)

@@ -4,8 +4,13 @@ constructors copy any input through it.  On every form of input, the
 operators, constructors and conversions give what they gave before the
 one-grid paths existed: the oracles in ``helpers``."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +166,80 @@ def test_grid_operators_match_their_oracles_on_every_input_form(g, form, tol):
     assert_same_array(outcome(bs_project, grid), outcome(project_per_grid, grid))
     got, expect = outcome(bs_inner_identity, grid), outcome(inner_identity_per_grid, grid)
     assert type(got) is float and bits([got]) == bits([expect])
+
+
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix
+@pytest.mark.parametrize("form", list(FORMS))
+@settings(max_examples=40, deadline=None)
+@given(g=special_arrays((4, 4)), row=special_arrays((11,)))
+def test_operators_give_every_input_form_the_bits_of_its_contiguous_copy(form, g, row):
+    """An operator's bits do not depend on the memory layout or the type of
+    its input: each equals the operator's result for the C-contiguous float64
+    copy of the same values."""
+    grid = made(form, g)
+    with np.errstate(all="ignore"):
+        contiguous = np.ascontiguousarray(grid, dtype=float)
+    assert_same_report(outcome(bs_residuals, grid), outcome(bs_residuals, contiguous))
+    assert_same_array(outcome(bs_project, grid), outcome(bs_project, contiguous))
+    got, expect = outcome(bs_inner_identity, grid), outcome(bs_inner_identity, contiguous)
+    assert bits([got]) == bits([expect])
+    if form in ROW_FORMS:
+        corners, free = made(form, row[:4]), made(form, row[4:])
+        with np.errstate(all="ignore"):
+            copies = [np.ascontiguousarray(v, dtype=float) for v in (corners, free)]
+        assert_same_array(outcome(bs_solve, corners, free), outcome(bs_solve, *copies))
+
+
+# Run in a child process whose OpenBLAS kernel is chosen by OPENBLAS_CORETYPE:
+# prints the kernel it runs and how many one-grid results differ, by bytes,
+# from the set-wide coefficients or the oracles.
+KERNEL_CHILD = r"""
+import ctypes, json
+import numpy as np
+from helpers import project_per_grid, solve_per_grid
+from smartpatch.constraints import _diagonal_coefficients, bs_project, bs_residuals, bs_solve
+
+blas = next(line.split()[-1] for line in open("/proc/self/maps")
+            if "openblas" in line.rsplit("/", 1)[-1])
+lib = ctypes.CDLL(blas)
+corename = getattr(lib, "scipy_openblas_get_corename64_", None) or lib.openblas_get_corename
+corename.restype = ctypes.c_char_p
+rng = np.random.default_rng(36)
+grids = rng.uniform(-1, 1, (300, 4, 4)) * 10.0 ** rng.integers(-5, 6, (300, 1, 1))
+grids[::3] = grids[::3, :1, :1]  # constant grids, whose residuals are pure rounding
+grids[1::5, 1, 2] = -0.0
+given = rng.uniform(-10, 10, (300, 11))
+coefficients = _diagonal_coefficients(grids.reshape(-1, 16))[0]
+differ = 0
+for g, row, want in zip(grids, given, coefficients):
+    for grid in (g, np.ascontiguousarray(g[::-1, ::-1])[::-1, ::-1]):
+        report = bs_residuals(grid)
+        got = [v for d in report.per_diagonal.values() for v in d[:3]]
+        differ += np.array(got).tobytes() != want.tobytes()
+        differ += bs_project(grid).tobytes() != project_per_grid(grid).tobytes()
+    differ += bs_solve(row[:4], row[4:]).tobytes() != solve_per_grid(row[:4], row[4:]).tobytes()
+print(json.dumps({"core": corename().decode(), "grids": len(grids), "differ": int(differ)}))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_one_grid_operators_match_the_set_and_their_oracles_under_other_blas_kernels(core):
+    """Under another OpenBLAS kernel, set in the child's environment only,
+    each one-grid result still equals the set-wide coefficients' row or its
+    oracle by bytes, for C-contiguous grids and negative-stride views alike."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists() or not any("openblas" in line.rsplit("/", 1)[-1]
+                                    for line in maps.read_text().splitlines()):
+        pytest.skip("numpy's BLAS is not an OpenBLAS library mapped into this process")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    proc = subprocess.run([sys.executable, "-B", "-c", KERNEL_CHILD], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    if result["core"].lower() != core.lower():
+        pytest.skip(f"OpenBLAS runs its {result['core']} kernel here, not {core}")
+    assert result == {"core": result["core"], "grids": 300, "differ": 0}
 
 
 @settings(max_examples=300, deadline=None)
